@@ -157,12 +157,14 @@ def _ground_states(family, size_n, k, sz_twice=None, tol=1e-10):
     if sz_twice is None:
         sz_twice = n % 2
     cache = _cache_dir()
-    tag = "eig_%s%d_%d_%d_k%d" % (family, size_n, n, sz_twice, k)
+    tag = "eig_%s%d_%d_%d_k%d_tol%r" % (family, size_n, n, sz_twice, k, tol)
     path = os.path.join(cache, tag + ".npz") if cache else None
     basis = enumerate_sector(n, n, sz_twice)
     if path and os.path.exists(path):
-        data = np.load(path)
-        return lat, basis, data["vals"], data["vecs"]
+        with np.load(path) as data:
+            vals, vecs = data["vals"], data["vecs"]
+        if vals.shape == (k,) and vecs.shape == (basis.dim, k):
+            return lat, basis, vals, vecs
     fh = build_ppp(lat)
     kin, pot = jordan_wigner(fh)
     vals, vecs = lowest_eigenpairs(kin + pot, basis, k=k, tol=tol)

@@ -10,19 +10,33 @@ X-mask scatter |b> to |b ^ x| with a state-dependent amplitude
     amp_x(b) = sum_z c_z i^{popcount(x & z)} (-1)^{popcount(z & b)},
 
 which vectorizes over the whole basis with numpy bit tricks.
+
+Hopping conserves each spin species, so a sector also has a spin-factorised
+layout (``SpinLayout``, built on first use and cached on the basis): every
+state is a pair (up configuration, down configuration) with indices into the
+single-species sectors ``enumerate_sector(n, n_up, n_up)`` and
+``enumerate_sector(n, n_down, -n_down)``, and a sector vector becomes a
+C(n, n_up) x C(n, n_down) matrix Psi.  Reordering the interleaved creation
+operators into all-up-then-all-down costs a sign, the parity of the number
+of (down at site k, up at site l > k) pairs; in that gauge an up hop acts on
+the rows of Psi and a down hop on its columns, with no cross-species sign.
+An operator made of diagonal terms plus one-species hops with a full
+Jordan-Wigner chain therefore acts as K_up Psi + Psi K_down^T + D o Psi, and
+the exponential of a pure hopping operator as M_up Psi M_down^T.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb
 from itertools import combinations
 
 import numpy as np
-from scipy.linalg import eigh, expm
+from scipy.linalg import eigh
 from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import LinearOperator, eigsh
+from scipy.sparse.linalg import LinearOperator, eigsh, expm, expm_multiply
 
 from .pauli import PauliSum
 
@@ -60,6 +74,11 @@ class SectorBasis:
         valid &= self.states[idx] == packed
         return idx, valid
 
+    @cached_property
+    def spin_layout(self) -> "SpinLayout":
+        """The (up x down) matrix layout, built on first use."""
+        return SpinLayout(self)
+
 
 def enumerate_sector(n_sites: int, electrons: int, sz_twice: int) -> SectorBasis:
     """All occupation states with fixed electron count and 2 S_z."""
@@ -85,6 +104,46 @@ def enumerate_sector(n_sites: int, electrons: int, sz_twice: int) -> SectorBasis
     states = (ups[:, None] | dns[None, :]).ravel()
     states.sort()
     return SectorBasis(n_sites, electrons, sz_twice, states)
+
+
+class SpinLayout:
+    """Spin-factorised view of a sector: vector v <-> matrix Psi[up, down].
+
+    ``up`` and ``down`` index each basis state's up- and down-spin
+    configuration in ``up_basis`` and ``down_basis``; ``sign`` is the gauge
+    sign (-1)^#{(down at k, up at l > k)} between the interleaved and the
+    blocked (all up, then all down) operator orderings.
+    """
+
+    def __init__(self, basis: SectorBasis):
+        n = basis.n_sites
+        n_up = (basis.electrons + basis.sz_twice) // 2
+        n_down = basis.electrons - n_up
+        self.up_basis = enumerate_sector(n, n_up, n_up)
+        self.down_basis = enumerate_sector(n, n_down, -n_down)
+        self.shape = (self.up_basis.dim, self.down_basis.dim)
+        up_mask = sum(1 << (2 * i) for i in range(n))
+        states = basis.states
+        self.up = self.up_basis.index(states & np.int64(up_mask))
+        self.down = self.down_basis.index(states & np.int64(up_mask << 1))
+        parity = np.zeros(basis.dim, dtype=np.int64)
+        for k in range(n - 1):
+            down_k = (states >> (2 * k + 1)) & 1
+            ups_above = np.int64(up_mask & ~((1 << (2 * k + 2)) - 1))
+            parity += down_k * _popcount(states & ups_above)
+        self.sign = 1.0 - 2.0 * (parity & 1)
+        # both conversions are gathers (np.take), which beat a scatter
+        self._position = self.up * self.shape[1] + self.down
+        self._order = np.argsort(self._position)
+        self._order_sign = self.sign[self._order]
+
+    def to_matrix(self, v: np.ndarray) -> np.ndarray:
+        """Sector vector (interleaved order) -> gauged matrix Psi."""
+        return (v.take(self._order) * self._order_sign).reshape(self.shape)
+
+    def from_matrix(self, psi: np.ndarray) -> np.ndarray:
+        """Gauged matrix Psi -> sector vector (interleaved order)."""
+        return psi.reshape(-1).take(self._position) * self.sign
 
 
 def half_filling_sector(n_sites: int) -> SectorBasis:
@@ -116,12 +175,24 @@ def _amplitudes(states: np.ndarray, zs_cs: list[tuple[int, complex]]) -> np.ndar
     return amp
 
 
+def _is_species_hop(x: int, z: int) -> bool:
+    """True for a string that flips two same-spin modes p < q and whose Z
+    support outside {p, q} is exactly the Jordan-Wigner chain p+1 .. q-1."""
+    if x.bit_count() != 2:
+        return False
+    p, q = (x & -x).bit_length() - 1, x.bit_length() - 1
+    return (q - p) % 2 == 0 and z & ~x == (1 << q) - (1 << (p + 1))
+
+
 class SectorOperator:
     """A PauliSum restricted to a sector, ready for repeated matvecs.
 
-    For small problems the per-group target permutation and amplitude
-    vectors are cached; above the cache limit they are recomputed on each
-    application (slow lane).
+    An operator made of diagonal terms plus one-species hops (``hops`` is
+    then its off-diagonal part) acts in the spin-factorised layout as
+    K_up Psi + Psi K_down^T + D o Psi.  Any other operator scatters per
+    x-group; for small problems the per-group target permutation and
+    amplitude vectors are cached, above the cache limit they are recomputed
+    on each application (slow lane).
     """
 
     def __init__(self, op: PauliSum, basis: SectorBasis):
@@ -133,9 +204,19 @@ class SectorOperator:
         self._diag = None
         self._cache = None
         self._is_real = None
+        hops = PauliSum(op.n_qubits, {key: c for key, c in op.terms.items() if key[0]})
+        factorisable = hops.terms and all(_is_species_hop(x, z) for x, z in hops.terms)
+        self.hops = hops if factorisable else None
         n_offdiag = sum(1 for x in self.groups if x != 0)
-        if self.dim * max(1, n_offdiag) <= _CACHE_ENTRY_LIMIT:
+        if self.hops is None and self.dim * max(1, n_offdiag) <= _CACHE_ENTRY_LIMIT:
             self._build_cache()
+
+    @cached_property
+    def species_matrices(self) -> tuple[csr_matrix, csr_matrix]:
+        """(K_up, K_down): ``hops`` restricted to the single-species sectors."""
+        layout = self.basis.spin_layout
+        return tuple(SectorOperator(self.hops, b).to_sparse()
+                     for b in (layout.up_basis, layout.down_basis))
 
     def _group_action(self, x, zs_cs):
         """(source indices, target indices, amplitudes) for one x-group.
@@ -185,6 +266,11 @@ class SectorOperator:
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         y = self.diagonal * v
+        if self.hops is not None:
+            k_up, k_down = self.species_matrices
+            layout = self.basis.spin_layout
+            psi = layout.to_matrix(v)
+            return y + layout.from_matrix(k_up @ psi + (k_down @ psi.T).T)
         if self._cache is not None:
             for src, tgt, amp in self._cache:
                 np.add.at(y, tgt, amp * v[src])
@@ -239,6 +325,11 @@ def sector_matrix(op: PauliSum, basis: SectorBasis):
     return sop
 
 
+def _start_vector(dim: int) -> np.ndarray:
+    """Fixed Lanczos start vector, so repeated eigensolves agree bit for bit."""
+    return np.random.default_rng(0).standard_normal(dim)
+
+
 def lowest_eigenpairs(op, basis: SectorBasis, k: int = 1, tol: float = 0.0,
                       ncv: int | None = None):
     """k lowest eigenpairs of a Hermitian operator on the sector.
@@ -254,7 +345,8 @@ def lowest_eigenpairs(op, basis: SectorBasis, k: int = 1, tol: float = 0.0,
             vals, vecs = eigh(mat)
             return vals[:k], vecs[:, :k]
         lo = op.as_linear_operator()
-        vals, vecs = eigsh(lo, k=k, which="SA", tol=tol, maxiter=5000, ncv=ncv)
+        vals, vecs = eigsh(lo, k=k, which="SA", tol=tol, maxiter=5000, ncv=ncv,
+                           v0=_start_vector(basis.dim))
         order = np.argsort(vals)
         return vals[order], vecs[:, order]
     mat = np.asarray(op)
@@ -270,77 +362,50 @@ def extremal_eigenvalues(op, basis: SectorBasis) -> tuple[float, float]:
         vals = np.linalg.eigvalsh(op.to_dense())
         return float(vals[0]), float(vals[-1])
     lo = op.as_linear_operator()
-    lo_val = eigsh(lo, k=1, which="SA", return_eigenvectors=False, tol=1e-9)
-    hi_val = eigsh(lo, k=1, which="LA", return_eigenvectors=False, tol=1e-9)
+    v0 = _start_vector(basis.dim)
+    lo_val = eigsh(lo, k=1, which="SA", return_eigenvectors=False, tol=1e-9, v0=v0)
+    hi_val = eigsh(lo, k=1, which="LA", return_eigenvectors=False, tol=1e-9, v0=v0)
     return float(lo_val[0]), float(hi_val[0])
 
 
 # -- time propagation ---------------------------------------------------------
 
 
-def _expm_lanczos(matvec, v: np.ndarray, t: float, tol: float = 1e-13, m_max: int = 90):
-    """e^{-i H t} v for Hermitian H given by matvec, via Lanczos Krylov.
-
-    Splits the step recursively if the Krylov space saturates before the
-    error estimate drops below tol.
-    """
-    beta0 = np.linalg.norm(v)
-    if beta0 == 0:
-        return v
-    V = [v / beta0]
-    alphas: list[float] = []
-    betas: list[float] = []
-    w = None
-    for j in range(m_max):
-        w = matvec(V[j])
-        if j > 0:
-            w = w - betas[j - 1] * V[j - 1]
-        a = float(np.real(np.vdot(V[j], w)))
-        alphas.append(a)
-        w = w - a * V[j]
-        # full reorthogonalization keeps the recurrence stable
-        for u in V:
-            w = w - np.vdot(u, w) * u
-        b = float(np.linalg.norm(w))
-        m = j + 1
-        if m >= 2 or b < 1e-14:
-            T = np.diag(alphas)
-            for i, bi in enumerate(betas):
-                T[i, i + 1] = bi
-                T[i + 1, i] = bi
-            small = expm(-1j * t * T)[:, 0]
-            err = abs(b * t * small[-1])
-            if err < tol * beta0 or b < 1e-14:
-                out = np.zeros_like(v)
-                for coef, u in zip(small, V):
-                    out += coef * u
-                return beta0 * out
-        betas.append(b)
-        V.append(w / b)
-    # did not converge in m_max: halve the time step
-    half = _expm_lanczos(matvec, v, t / 2.0, tol, m_max)
-    return _expm_lanczos(matvec, half, t / 2.0, tol, m_max)
-
-
 class Propagator:
-    """Applies exp(-i G t) for one Hamiltonian piece G on a sector."""
+    """Applies exp(-i G t) for one Hamiltonian piece G on a sector.
+
+    The route follows from G:
+
+    - diagonal G: one phase per basis state;
+    - G made only of one-species hops (the kinetic factor, a tile section):
+      Psi -> M_up Psi M_down^T in the basis's spin-factorised layout, where
+      Psi carries the gauge sign (see ``SpinLayout``) and
+      M_sigma = expm(-i t K_sigma) is a sparse matrix cached per duration;
+    - anything else: ``expm_multiply`` on the sector's sparse matrix.
+    """
 
     def __init__(self, op: PauliSum, basis: SectorBasis):
         self.sop = SectorOperator(op, basis)
-        self.diagonal_only = all(x == 0 for x in self.sop.groups)
         self.basis = basis
-        self._dense_cache: dict[float, np.ndarray] = {}
-        self._use_dense = basis.dim <= 1200
+        self.diagonal_only = all(x == 0 for x in self.sop.groups)
+        self.hopping_only = self.sop.hops is not None and 0 not in self.sop.groups
+        self._exponentials: dict[float, tuple] = {}
+        self._sparse = None
 
     def apply(self, state: np.ndarray, t: float) -> np.ndarray:
         if self.diagonal_only:
             return np.exp(-1j * t * self.sop.diagonal.real) * state
-        if self._use_dense:
-            key = round(t, 15)
-            if key not in self._dense_cache:
-                self._dense_cache[key] = expm(-1j * t * self.sop.to_dense())
-            return self._dense_cache[key] @ state
-        return _expm_lanczos(self.sop.matvec, state, t)
+        if self.hopping_only:
+            if t not in self._exponentials:
+                self._exponentials[t] = tuple(
+                    expm(-1j * t * k.tocsc()) for k in self.sop.species_matrices)
+            m_up, m_down = self._exponentials[t]
+            layout = self.basis.spin_layout
+            psi = layout.to_matrix(state)
+            return layout.from_matrix(m_up @ (m_down @ psi.T).T)
+        if self._sparse is None:
+            self._sparse = self.sop.to_sparse()
+        return expm_multiply(-1j * t * self._sparse, state)
 
 
 def propagate(factors, basis: SectorBasis, state: np.ndarray) -> np.ndarray:

@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from trotterlab.cli import main
+from trotterlab.cli import _ground_states, main
 
 
 def _run(capsys, argv):
@@ -97,6 +98,21 @@ def test_spectral_subcommand_with_cache(capsys, tmp_path, monkeypatch):
     assert doc2["states"] == doc["states"]
     gap = doc["pairs"][0]
     assert abs(gap["exact_gap"] - gap["effective_gap"]) < 1e-3
+
+
+def test_checkpoint_keyed_on_tol_and_shape_checked(tmp_path, monkeypatch):
+    monkeypatch.setenv("TROTTERLAB_CACHE", str(tmp_path))
+    _, basis, vals, vecs = _ground_states("acene", 1, 2, tol=1e-10)
+    (path,) = tmp_path.glob("eig_*.npz")
+    # a planted checkpoint is served back only for the configuration it names
+    np.savez(path, vals=vals + 1.0, vecs=vecs)
+    assert np.array_equal(_ground_states("acene", 1, 2, tol=1e-10)[2], vals + 1.0)
+    assert np.array_equal(_ground_states("acene", 1, 2, tol=1e-9)[2], vals)
+    # a checkpoint whose arrays do not fit the sector is recomputed
+    np.savez(path, vals=vals, vecs=vecs[:-1])
+    _, _, got_vals, got_vecs = _ground_states("acene", 1, 2, tol=1e-10)
+    assert got_vecs.shape == (basis.dim, 2)
+    assert np.array_equal(got_vals, vals)
 
 
 def test_resources_per_step_file(capsys, tmp_path):

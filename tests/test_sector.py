@@ -6,8 +6,8 @@ import pytest
 from scipy.linalg import expm
 
 from trotterlab.hamiltonian import build_ppp
-from trotterlab.lattice import build_lattice
-from trotterlab.pauli import dense_matrix, jordan_wigner
+from trotterlab.lattice import bond_orientation_classes, build_lattice
+from trotterlab.pauli import PauliSum, dense_matrix, jordan_wigner
 from trotterlab.sector import (
     Propagator,
     SectorOperator,
@@ -20,6 +20,7 @@ from trotterlab.sector import (
     save_state,
     total_spin_expectation,
 )
+from trotterlab.spectral import default_section_order, hopping_pauli_sum
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +137,95 @@ def test_table_gaps_3acene():
     e_s1 = next(vals[m] for m in range(1, 3) if abs(s2[m]) < 0.1)
     assert abs((e_t1 - e_s0) - 1.717) < 1e-3
     assert abs((e_s1 - e_s0) - 3.240) < 1e-3
+
+
+def test_eigensolvers_repeat_bit_for_bit():
+    fh = build_ppp(build_lattice("acene", 2))
+    kin, pot = jordan_wigner(fh)
+    basis = enumerate_sector(10, 6, 0)  # 14 400 states: Lanczos, not dense
+    first = lowest_eigenpairs(kin + pot, basis, k=2, tol=1e-10)
+    second = lowest_eigenpairs(kin + pot, basis, k=2, tol=1e-10)
+    assert np.array_equal(first[0], second[0])
+    assert np.array_equal(first[1], second[1])
+    assert extremal_eigenvalues(kin + pot, basis) == extremal_eigenvalues(kin + pot, basis)
+
+
+def test_spin_layout_round_trip_and_gauge_sign():
+    basis = enumerate_sector(10, 4, 2)
+    assert "spin_layout" not in vars(basis)  # built on first use only
+    layout = basis.spin_layout
+    assert basis.spin_layout is layout
+    assert layout.shape == (comb(10, 3), comb(10, 1))
+    rebuilt = layout.up_basis.states[layout.up] | layout.down_basis.states[layout.down]
+    assert np.array_equal(rebuilt, basis.states)
+    v = np.random.default_rng(3).normal(size=basis.dim)
+    psi = layout.to_matrix(v)
+    assert psi.shape == layout.shape
+    assert np.array_equal(layout.from_matrix(psi), v)
+    for idx, bits in enumerate(basis.states.tolist()):
+        pairs = sum((bits >> (2 * k + 1)) & (bits >> (2 * l)) & 1
+                    for k in range(10) for l in range(k + 1, 10))
+        assert layout.sign[idx] == (-1) ** pairs
+
+
+def _tile_sections(lat):
+    classes = default_section_order(bond_orientation_classes(lat).values())
+    return [hopping_pauli_sum(lat.n_sites, c) for c in classes]
+
+
+@pytest.mark.parametrize("size_n, sector", [
+    (1, (6, 6, 0)),    # benzene, half filling
+    (2, (10, 4, 2)),   # naphthalene, n_up != n_down, 1200 states
+    (2, (10, 4, 0)),
+])
+def test_factorised_actions_match_dense(size_n, sector):
+    lat = build_lattice("acene", size_n)
+    kin, pot = jordan_wigner(build_ppp(lat))
+    basis = enumerate_sector(*sector)
+    rng = np.random.default_rng(5)
+    v = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+    v /= np.linalg.norm(v)
+    t = 0.1
+    for op in _tile_sections(lat) + [kin]:
+        prop = Propagator(op, basis)
+        assert prop.hopping_only
+        exact = expm(-1j * t * SectorOperator(op, basis).to_dense()) @ v
+        assert np.abs(prop.apply(v, t) - exact).max() <= 1e-12
+    h = SectorOperator(kin + pot, basis)
+    assert h.hops is not None
+    assert np.abs(h.matvec(v) - h.to_dense() @ v).max() <= 1e-12
+
+
+def _spin_exchange(n_sites, i, j):
+    """S+_i S-_j + S+_j S-_i from qubit ladder operators: four flipped modes."""
+    nq = 2 * n_sites
+
+    def ladder(q, sign):  # (X - i sign Y) / 2; sign +1 creates, -1 annihilates
+        return PauliSum(nq, {(1 << q, 0): 0.5, (1 << q, 1 << q): -0.5j * sign})
+
+    def s_plus(site):
+        return ladder(2 * site, 1) @ ladder(2 * site + 1, -1)
+
+    def s_minus(site):
+        return ladder(2 * site + 1, 1) @ ladder(2 * site, -1)
+
+    return s_plus(i) @ s_minus(j) + s_plus(j) @ s_minus(i)
+
+
+def test_non_factorisable_ops_fall_back(benzene):
+    kin, pot, basis = benzene
+    rng = np.random.default_rng(6)
+    v = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+    v /= np.linalg.norm(v)
+    t = 0.1
+    flip = _spin_exchange(6, 0, 3)
+    assert SectorOperator(flip, basis).hops is None
+    for op in (kin + pot, flip):
+        assert not Propagator(op, basis).hopping_only
+        dense = SectorOperator(op, basis).to_dense()
+        assert np.abs(SectorOperator(op, basis).matvec(v) - dense @ v).max() <= 1e-12
+        exact = expm(-1j * t * dense) @ v
+        assert np.abs(propagate([(op, t)], basis, v) - exact).max() <= 1e-12
 
 
 def test_propagate_diagonal_phase(benzene):
