@@ -8,6 +8,7 @@ Hamming weight phasing.
 import argparse
 
 from trotterlab import (
+    CHEMICAL_ACCURACY,
     CostParams,
     PerStepGates,
     build_lattice,
@@ -29,7 +30,7 @@ MOLECULES = [
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--t", type=float, default=0.1, help="time step, 1/eV")
-    parser.add_argument("--epsilon", type=float, default=0.04354)
+    parser.add_argument("--epsilon", type=float, default=CHEMICAL_ACCURACY)
     args = parser.parse_args()
 
     print("molecule,sites,n_r_v,n_r_t,n_t_t,n_steps,total_toffoli,hwp_toffoli,hwp_qubits")

@@ -38,6 +38,7 @@ from .norms import (
 )
 from .pauli import jordan_wigner
 from .resources import (
+    CHEMICAL_ACCURACY,
     CostParams,
     PerStepGates,
     hwp_estimate,
@@ -114,7 +115,7 @@ def _resolve_config(args, required=(), optional=()):
                 _fail_config(key, "%s must be a number" % key)
             if merged[key] <= 0:
                 _fail_config(key, "%s must be positive" % key)
-    for key in ("samples", "seed", "states", "jobs"):
+    for key in ("samples", "seed", "states"):
         if key in merged and merged[key] is not None:
             try:
                 merged[key] = int(merged[key])
@@ -387,7 +388,7 @@ def cmd_resources(args):
     mode = cfg.get("mode", "gap")
     if mode not in ("gap", "error"):
         _fail_config("mode", "mode must be gap or error")
-    epsilon = cfg.get("epsilon", 0.04354)
+    epsilon = cfg.get("epsilon", CHEMICAL_ACCURACY)
     x = cfg.get("x", 0.02)
     secs = None
     potential = None
@@ -646,8 +647,6 @@ def cmd_reproduce(args):
 def _add_common(sp, molecule=True):
     sp.add_argument("--config", help="JSON configuration file; flags override it")
     sp.add_argument("--out", help="output JSON path (default stdout)")
-    sp.add_argument("--jobs", type=int, default=1,
-                    help="worker cap (runs are sequential and deterministic)")
     if molecule:
         sp.add_argument("--family", choices=FAMILIES)
         sp.add_argument("--n", dest="size_n", type=int)

@@ -35,10 +35,9 @@ class PppParams:
     tau: float = 2.4
     u: float = 11.13
     alpha: float = 0.6117
-    bond_length: float = 1.4
 
     def __post_init__(self):
-        for name in ("tau", "u", "alpha", "bond_length"):
+        for name in ("tau", "u", "alpha"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 

@@ -8,9 +8,11 @@ via W_SO = |O_VTV|/24 + |O_VTT|/12 with the spectral norm, and A_SO with
 normalized sector Frobenius norms instead.
 
 The spectral norm is upper-bounded by the largest eigenvalue of the
-element-wise absolute matrix, computed matrix-free on the sector.  The
-Frobenius norm over the sector (divided by sqrt(dim)) is estimated by
-sampling uniform basis states i and averaging |O |i>|².
+element-wise absolute matrix |O| (Childs et al., PRX 11, 011020 (2021)):
+dense below ``DENSE_DIM_LIMIT``, by the power method above.  For a Pauli
+sum, |O| comes from ``SectorOperator.abs_matvec``.  The Frobenius norm over
+the sector (divided by sqrt(dim)) is estimated by sampling uniform basis
+states i and averaging |O |i>|².
 
 Because V is diagonal (matrix D) and T is a hopping operator, the
 commutators have closed-form matrix elements,
@@ -18,19 +20,36 @@ commutators have closed-form matrix elements,
     O_VTV[r, c] = -(D_r - D_c)² T[r, c],
     O_VTT[r, c] = sum_k T[r, k] T[k, c] (D_r - 2 D_k + D_c),
 
-which the fast path exploits for molecules whose Pauli-level commutators
-would be too large.
+which ``HoppingCommutatorAction`` uses for molecules whose Pauli-level
+commutators would be too large.  Three of its four actions are products of
+T (a ``SectorOperator``, matrix-free at any size) or |T| with D:
+
+    O_VTV  = -(D² T - 2 D T D + T D²),
+    |O_VTV| = D² |T| - 2 D |T| D + |T| D²,
+    O_VTT  = D T² - 2 T D T + T² D.
+
+|O_VTT| has no such form, since paths through different intermediates k
+cancel before the absolute value is taken; it is the one operator assembled
+as a CSR matrix, once, from T's.  Sampled column norms work per basis state
+from the hop groups and never touch a sector-size matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, eigsh
+from scipy.sparse import diags
 
 from .pauli import PauliSum, commutator
-from .sector import SectorBasis, SectorOperator, _amplitudes, _group_terms
+from .sector import (
+    DENSE_DIM_LIMIT,
+    SectorBasis,
+    SectorOperator,
+    _amplitudes,
+    _group_terms,
+)
 
 
 @dataclass(frozen=True)
@@ -82,29 +101,6 @@ def column_norms_squared(op: PauliSum, basis: SectorBasis, states: np.ndarray) -
     return out
 
 
-class _AbsOperator:
-    """Element-wise absolute value of a PauliSum on a sector, matrix-free."""
-
-    def __init__(self, op: PauliSum, basis: SectorBasis):
-        self.basis = basis
-        self.groups = _group_terms(op)
-        self.dim = basis.dim
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        states = self.basis.states
-        y = np.zeros(self.dim)
-        for x, zs_cs in self.groups.items():
-            amp = np.abs(_amplitudes(states, zs_cs))
-            if x == 0:
-                y += amp * v
-                continue
-            scale = amp.max()
-            src = np.nonzero(amp > 1e-9 * scale)[0]
-            tgt = self.basis.index(states[src] ^ np.int64(x))
-            np.add.at(y, tgt, amp[src] * v[src])
-        return y
-
-
 def _largest_eigenvalue(matvec, dim: int, rtol: float = 1e-6, max_iter: int = 3000):
     """Largest eigenvalue of a symmetric nonnegative matrix (power method)."""
     rng = np.random.default_rng(12345)
@@ -127,13 +123,13 @@ def _largest_eigenvalue(matvec, dim: int, rtol: float = 1e-6, max_iter: int = 30
 def spectral_norm_bound(op, basis: SectorBasis, rtol: float = 1e-6) -> NormEstimate:
     """|O| <= |abs(O)| via the largest eigenvalue of the absolute matrix.
 
-    ``op`` is a PauliSum or any object with an ``abs_matvec`` method.
+    ``op`` is a PauliSum, a SectorOperator, or any object with an
+    ``abs_matvec`` method.
     """
     if isinstance(op, PauliSum):
-        action = _AbsOperator(op, basis).matvec
-    else:
-        action = op.abs_matvec
-    if basis.dim <= 3000:
+        op = SectorOperator(op, basis)
+    action = op.abs_matvec
+    if basis.dim <= DENSE_DIM_LIMIT:
         # small sectors: dense absolute matrix, exact top eigenvalue
         mat = np.zeros((basis.dim, basis.dim))
         for j in range(basis.dim):
@@ -213,24 +209,23 @@ def tile_constant(so: ErrorConstant, kinetic: ErrorConstant) -> ErrorConstant:
 
 
 class HoppingCommutatorAction:
-    """Matrix-free nested-commutator actions using the diagonal-V structure.
+    """Nested-commutator actions using the diagonal-V structure.
 
     Needs the kinetic Pauli sum (pure hopping) and any diagonal potential
     whose sector diagonal differs from V's by a constant (the shifted V'
-    qualifies, since the commutators are shift-invariant).
+    qualifies, since the commutators are shift-invariant).  Nothing
+    sector-sized is built on construction: T's spin layout on the first
+    matvec, the |O_VTT| matrix on the first ``vtt_abs_matvec``.
     """
 
     def __init__(self, kinetic: PauliSum, potential: PauliSum, basis: SectorBasis):
         if not potential.is_diagonal():
             raise ValueError("potential must be diagonal")
         self.basis = basis
-        self.dim = basis.dim
         self._pot_groups = _group_terms(potential)
-        # hop groups: x-mask -> (z list, coeff list); amplitudes are real
-        self.hops = [
-            (x, zs_cs) for x, zs_cs in _group_terms(kinetic).items() if x != 0
-        ]
-        self._diag_cache = None
+        self.kinetic = SectorOperator(kinetic, basis)
+        # hop groups: (x-mask, [(z, coeff)]); amplitudes are real
+        self.hops = [(x, zs_cs) for x, zs_cs in self.kinetic.groups.items() if x != 0]
 
     def potential_diagonal(self, states: np.ndarray) -> np.ndarray:
         out = np.zeros(len(states))
@@ -240,35 +235,19 @@ class HoppingCommutatorAction:
             out += np.real(_amplitudes(states, zs_cs))
         return out
 
-    @property
+    @cached_property
     def diag(self) -> np.ndarray:
-        if self._diag_cache is None:
-            self._diag_cache = self.potential_diagonal(self.basis.states)
-        return self._diag_cache
+        return self.potential_diagonal(self.basis.states)
 
     # O_VTV = [[V,T],V]: elements -(D_r - D_c)^2 T_rc
 
     def vtv_matvec(self, v: np.ndarray) -> np.ndarray:
-        states, D = self.basis.states, self.diag
-        y = np.zeros(self.dim, dtype=v.dtype)
-        for x, zs_cs in self.hops:
-            amp = np.real(_amplitudes(states, zs_cs))
-            src = np.nonzero(amp)[0]
-            tgt = self.basis.index(states[src] ^ np.int64(x))
-            w = -((D[tgt] - D[src]) ** 2) * amp[src]
-            np.add.at(y, tgt, w * v[src])
-        return y
+        t, d = self.kinetic.matvec, self.diag
+        return -(d * d * t(v) - 2.0 * d * t(d * v) + t(d * d * v))
 
     def vtv_abs_matvec(self, v: np.ndarray) -> np.ndarray:
-        states, D = self.basis.states, self.diag
-        y = np.zeros(self.dim)
-        for x, zs_cs in self.hops:
-            amp = np.real(_amplitudes(states, zs_cs))
-            src = np.nonzero(amp)[0]
-            tgt = self.basis.index(states[src] ^ np.int64(x))
-            w = ((D[tgt] - D[src]) ** 2) * np.abs(amp[src])
-            np.add.at(y, tgt, w * v[src])
-        return y
+        t, d = self.kinetic.abs_matvec, self.diag
+        return d * d * t(v) - 2.0 * d * t(d * v) + t(d * d * v)
 
     def vtv_column_norm_sq(self, states: np.ndarray) -> np.ndarray:
         """|O_VTV |b>|² per sampled state (targets orthogonal across hops)."""
@@ -317,36 +296,20 @@ class HoppingCommutatorAction:
         return out
 
     def vtt_matvec(self, v: np.ndarray) -> np.ndarray:
-        states = self.basis.states
-        y = np.zeros(self.dim, dtype=v.dtype)
-        for xor, amp in self._pair_contributions(states):
-            src = np.nonzero(amp)[0]
-            if len(src) == 0:
-                continue
-            tgt = self.basis.index(states[src] ^ np.int64(xor))
-            np.add.at(y, tgt, amp[src] * v[src])
-        return y
+        t, d = self.kinetic.matvec, self.diag
+        tv = t(v)
+        return d * t(tv) - 2.0 * t(d * tv) + t(t(d * v))
 
     def vtt_abs_matvec(self, v: np.ndarray) -> np.ndarray:
-        states = self.basis.states
-        acc: dict[int, np.ndarray] = {}
-        for xor, amp in self._pair_contributions(states):
-            if xor in acc:
-                acc[xor] += amp
-            else:
-                acc[xor] = amp.copy()
-        y = np.zeros(self.dim)
-        for xor, amp in acc.items():
-            amp = np.abs(amp)
-            src = np.nonzero(amp)[0]
-            if len(src) == 0:
-                continue
-            if xor == 0:
-                y[src] += amp[src] * v[src]
-                continue
-            tgt = self.basis.index(states[src] ^ np.int64(xor))
-            np.add.at(y, tgt, amp[src] * v[src])
-        return y
+        return self._vtt_abs @ v
+
+    @cached_property
+    def _vtt_abs(self):
+        """|O_VTT| as CSR, from O_VTT = D T² - 2 T D T + T² D."""
+        t = self.kinetic.to_sparse()
+        d = diags(self.diag)
+        t2 = t @ t
+        return abs(d @ t2 - 2.0 * (t @ d @ t) + t2 @ d).tocsr()
 
 
 class _BoundAdapter:

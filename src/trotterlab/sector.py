@@ -4,12 +4,15 @@ A sector fixes the electron count and 2·S_z.  Basis states are occupation
 bitstrings packed into int64 (bit q = occupation of qubit q, interleaved
 spin ordering), sorted ascending so membership lookup is a binary search.
 
-Pauli sums act on a sector via x-mask grouping: all strings sharing an
-X-mask scatter |b> to |b ^ x| with a state-dependent amplitude
+``SectorOperator`` is the one place a Pauli sum becomes sector matrix
+elements.  All strings sharing an X-mask map |b> to |b ^ x> with a
+state-dependent amplitude
 
     amp_x(b) = sum_z c_z i^{popcount(x & z)} (-1)^{popcount(z & b)},
 
-which vectorizes over the whole basis with numpy bit tricks.
+which vectorizes over the whole basis with numpy bit tricks; the
+(target, source, amplitude) triples of all X-masks form the CSR sector
+matrix (``to_sparse``).
 
 Hopping conserves each spin species, so a sector also has a spin-factorised
 layout (``SpinLayout``, built on first use and cached on the basis): every
@@ -21,8 +24,10 @@ operators into all-up-then-all-down costs a sign, the parity of the number
 of (down at site k, up at site l > k) pairs; in that gauge an up hop acts on
 the rows of Psi and a down hop on its columns, with no cross-species sign.
 An operator made of diagonal terms plus one-species hops with a full
-Jordan-Wigner chain therefore acts as K_up Psi + Psi K_down^T + D o Psi, and
-the exponential of a pure hopping operator as M_up Psi M_down^T.
+Jordan-Wigner chain therefore acts as K_up Psi + Psi K_down^T + D o Psi
+without a sector-size matrix, and the exponential of a pure hopping
+operator as M_up Psi M_down^T.  Every other operator acts through its CSR
+matrix, built once on first use.
 """
 
 from __future__ import annotations
@@ -40,8 +45,7 @@ from scipy.sparse.linalg import LinearOperator, eigsh, expm, expm_multiply
 
 from .pauli import PauliSum
 
-# cache per-group permutations/amplitudes when dim * groups is below this
-_CACHE_ENTRY_LIMIT = int(2e7)
+# largest sector dimension handled through dense matrices
 DENSE_DIM_LIMIT = 5000
 
 
@@ -187,12 +191,19 @@ def _is_species_hop(x: int, z: int) -> bool:
 class SectorOperator:
     """A PauliSum restricted to a sector, ready for repeated matvecs.
 
-    An operator made of diagonal terms plus one-species hops (``hops`` is
-    then its off-diagonal part) acts in the spin-factorised layout as
-    K_up Psi + Psi K_down^T + D o Psi.  Any other operator scatters per
-    x-group; for small problems the per-group target permutation and
-    amplitude vectors are cached, above the cache limit they are recomputed
-    on each application (slow lane).
+    The operator's terms fix one of two routes; neither builds anything in
+    ``__init__``:
+
+    - diagonal terms plus one-species hops (``hops`` is then the
+      off-diagonal part): K_up Psi + Psi K_down^T + D o Psi in the
+      spin-factorised layout, with K_sigma the small single-species
+      matrices (``species_matrices``), so no sector-size matrix is built;
+    - anything else: the CSR sector matrix (``sparse``), assembled from
+      ``to_sparse()`` on first use and kept.
+
+    ``abs_matvec`` applies the element-wise absolute matrix |O| along the
+    same route: ``abs`` of the CSR, or |K_up|, |K_down| in the layout with
+    the gauge sign undone.
     """
 
     def __init__(self, op: PauliSum, basis: SectorBasis):
@@ -201,15 +212,9 @@ class SectorOperator:
         self.basis = basis
         self.groups = _group_terms(op)
         self.dim = basis.dim
-        self._diag = None
-        self._cache = None
-        self._is_real = None
         hops = PauliSum(op.n_qubits, {key: c for key, c in op.terms.items() if key[0]})
         factorisable = hops.terms and all(_is_species_hop(x, z) for x, z in hops.terms)
         self.hops = hops if factorisable else None
-        n_offdiag = sum(1 for x in self.groups if x != 0)
-        if self.hops is None and self.dim * max(1, n_offdiag) <= _CACHE_ENTRY_LIMIT:
-            self._build_cache()
 
     @cached_property
     def species_matrices(self) -> tuple[csr_matrix, csr_matrix]:
@@ -218,69 +223,51 @@ class SectorOperator:
         return tuple(SectorOperator(self.hops, b).to_sparse()
                      for b in (layout.up_basis, layout.down_basis))
 
-    def _group_action(self, x, zs_cs):
-        """(source indices, target indices, amplitudes) for one x-group.
+    @cached_property
+    def sparse(self) -> csr_matrix:
+        """The sector matrix, assembled on first use and kept."""
+        return self.to_sparse()
 
-        Zero-amplitude entries are dropped first; they are exactly the
-        states whose image under the bit flips leaves the sector.
-        """
-        states = self.basis.states
-        amp = _amplitudes(states, zs_cs)
-        src = np.nonzero(amp)[0]
-        tgt, valid = self.basis.index_or_mask(states[src] ^ np.int64(x))
-        if not valid.all():
-            # out-of-sector scatter is legal only for amplitudes that are
-            # pure float residue of exact cancellations
-            bad = np.abs(amp[src][~valid])
-            scale = np.abs(amp).max()
-            if bad.max() > 1e-9 * scale:
-                raise ValueError("operator does not preserve the sector")
-            src, tgt = src[valid], tgt[valid]
-            return src, tgt, amp[src]
-        return src, tgt, amp[src]
+    @cached_property
+    def _abs_sparse(self) -> csr_matrix:
+        return abs(self.sparse)
 
-    def _build_cache(self):
-        cache = []
-        for x, zs_cs in self.groups.items():
-            if x == 0:
-                continue
-            cache.append(self._group_action(x, zs_cs))
-        self._cache = cache
-
-    @property
+    @cached_property
     def diagonal(self) -> np.ndarray:
-        if self._diag is None:
-            zs_cs = self.groups.get(0, [])
-            self._diag = _amplitudes(self.basis.states, zs_cs)
-        return self._diag
+        return _amplitudes(self.basis.states, self.groups.get(0, []))
 
-    @property
+    @cached_property
     def is_real(self) -> bool:
-        if self._is_real is None:
-            self._is_real = not np.iscomplexobj(self.diagonal) and all(
-                all(abs(complex(c).imag) < 1e-15 for _, c in zs_cs)
-                for x, zs_cs in self.groups.items()
-                if x != 0
-            )
-        return self._is_real
+        return not np.iscomplexobj(self.diagonal) and all(
+            all(abs(complex(c).imag) < 1e-15 for _, c in zs_cs)
+            for x, zs_cs in self.groups.items()
+            if x != 0
+        )
+
+    def _layout_matvec(self, k_up, k_down, v: np.ndarray) -> np.ndarray:
+        """from_matrix(k_up Psi + Psi k_down^T) with Psi = to_matrix(v)."""
+        layout = self.basis.spin_layout
+        psi = layout.to_matrix(v)
+        return layout.from_matrix(k_up @ psi + (k_down @ psi.T).T)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        y = self.diagonal * v
-        if self.hops is not None:
-            k_up, k_down = self.species_matrices
-            layout = self.basis.spin_layout
-            psi = layout.to_matrix(v)
-            return y + layout.from_matrix(k_up @ psi + (k_down @ psi.T).T)
-        if self._cache is not None:
-            for src, tgt, amp in self._cache:
-                np.add.at(y, tgt, amp * v[src])
-        else:
-            for x, zs_cs in self.groups.items():
-                if x == 0:
-                    continue
-                src, tgt, amp = self._group_action(x, zs_cs)
-                np.add.at(y, tgt, amp * v[src])
-        return y
+        if self.hops is None:
+            return self.sparse @ v
+        return self.diagonal * v + self._layout_matvec(*self.species_matrices, v)
+
+    def abs_matvec(self, v: np.ndarray) -> np.ndarray:
+        """|O| v for the element-wise absolute matrix |O|.
+
+        ``to_matrix`` and ``from_matrix`` each apply the gauge sign s = +-1,
+        which |O| does not carry, so v and the result are multiplied by s
+        once more to cancel it.
+        """
+        if self.hops is None:
+            return self._abs_sparse @ v
+        sign = self.basis.spin_layout.sign
+        k_up, k_down = self.species_matrices
+        return (np.abs(self.diagonal) * v
+                + sign * self._layout_matvec(abs(k_up), abs(k_down), sign * v))
 
     def __call__(self, v):
         return self.matvec(v)
@@ -293,19 +280,28 @@ class SectorOperator:
         )
 
     def to_sparse(self) -> csr_matrix:
-        rows, cols, data = [], [], []
+        """The sector matrix in CSR form, assembled afresh from the x-groups.
+
+        Zero-amplitude entries are dropped first; they are exactly the
+        states whose image under the bit flips leaves the sector.
+        """
+        states = self.basis.states
         d = self.diagonal
         nz = np.nonzero(d)[0]
-        rows.append(nz)
-        cols.append(nz)
-        data.append(d[nz])
+        rows, cols, data = [nz], [nz], [d[nz]]
         for x, zs_cs in self.groups.items():
             if x == 0:
                 continue
-            src, tgt, amp = self._group_action(x, zs_cs)
-            rows.append(tgt)
-            cols.append(src)
-            data.append(amp)
+            amp = _amplitudes(states, zs_cs)
+            src = np.nonzero(amp)[0]
+            tgt, valid = self.basis.index_or_mask(states[src] ^ np.int64(x))
+            # out-of-sector scatter is legal only for amplitudes that are
+            # pure float residue of exact cancellations
+            if not valid.all() and np.abs(amp[src[~valid]]).max() > 1e-9 * np.abs(amp).max():
+                raise ValueError("operator does not preserve the sector")
+            rows.append(tgt[valid])
+            cols.append(src[valid])
+            data.append(amp[src[valid]])
         return csr_matrix(
             (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
             shape=(self.dim, self.dim),
@@ -315,14 +311,6 @@ class SectorOperator:
         if self.dim > DENSE_DIM_LIMIT:
             raise ValueError("sector too large for dense mode")
         return self.to_sparse().toarray()
-
-
-def sector_matrix(op: PauliSum, basis: SectorBasis):
-    """Dense matrix below DENSE_DIM_LIMIT, else a SectorOperator."""
-    sop = SectorOperator(op, basis)
-    if basis.dim <= DENSE_DIM_LIMIT:
-        return sop.to_dense()
-    return sop
 
 
 def _start_vector(dim: int) -> np.ndarray:
@@ -390,7 +378,6 @@ class Propagator:
         self.diagonal_only = all(x == 0 for x in self.sop.groups)
         self.hopping_only = self.sop.hops is not None and 0 not in self.sop.groups
         self._exponentials: dict[float, tuple] = {}
-        self._sparse = None
 
     def apply(self, state: np.ndarray, t: float) -> np.ndarray:
         if self.diagonal_only:
@@ -403,9 +390,7 @@ class Propagator:
             layout = self.basis.spin_layout
             psi = layout.to_matrix(state)
             return layout.from_matrix(m_up @ (m_down @ psi.T).T)
-        if self._sparse is None:
-            self._sparse = self.sop.to_sparse()
-        return expm_multiply(-1j * t * self._sparse, state)
+        return expm_multiply(-1j * t * self.sop.sparse, state)
 
 
 def propagate(factors, basis: SectorBasis, state: np.ndarray) -> np.ndarray:

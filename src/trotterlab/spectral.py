@@ -15,10 +15,9 @@ from scipy.linalg import expm, schur
 
 from .hamiltonian import PppParams
 from .pauli import PauliSum
-from .sector import Propagator, SectorOperator
+from .resources import CHEMICAL_ACCURACY
+from .sector import DENSE_DIM_LIMIT, Propagator, SectorOperator
 
-CHEMICAL_ACCURACY = 0.04354  # eV
-DENSE_EFFECTIVE_LIMIT = 5000
 _GRID_POINTS = 8192
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -119,7 +118,7 @@ def add_constant(op, value):
 
 def scheme_unitary_dense(scheme, basis):
     """Sector-restricted dense unitary of the product formula."""
-    if basis.dim > DENSE_EFFECTIVE_LIMIT:
+    if basis.dim > DENSE_DIM_LIMIT:
         raise ValueError("sector too large for the dense route")
     unitary = np.eye(basis.dim, dtype=complex)
     cache = {}

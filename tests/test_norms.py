@@ -18,7 +18,7 @@ from trotterlab.norms import (
     worst_case_constant,
 )
 from trotterlab.pauli import jordan_wigner
-from trotterlab.sector import SectorOperator, enumerate_sector
+from trotterlab.sector import SectorOperator, enumerate_sector, half_filling_sector
 
 
 @pytest.fixture(scope="module")
@@ -64,14 +64,19 @@ def test_dense_spectral_norm_oracle(benzene, benzene_commutators):
 
 def test_spectral_bound_dominates_exact(benzene, benzene_commutators):
     _, _, _, basis = benzene
+    v = np.random.default_rng(8).normal(size=basis.dim)
     for op in benzene_commutators:
         exact = dense_spectral_norm(op, basis).value
         bound = spectral_norm_bound(op, basis).value
         assert bound >= exact - 1e-9
         # the bound is the top eigenvalue of |O| element-wise
-        mat = np.abs(SectorOperator(op, basis).to_dense())
+        sop = SectorOperator(op, basis)
+        assert sop.hops is None  # CSR route, not the spin-factorised one
+        mat = np.abs(sop.to_dense())
         want = np.linalg.eigvalsh(mat)[-1]
         assert bound == pytest.approx(want, rel=1e-9)
+        want_abs = mat @ v
+        assert np.abs(sop.abs_matvec(v) - want_abs).max() <= 1e-12 * np.abs(want_abs).max()
 
 
 def test_column_norms_squared_oracle(benzene, benzene_commutators):
@@ -125,6 +130,21 @@ def test_structured_action_matches_pauli_commutators(benzene, benzene_commutator
         (np.abs(vtt_mat) ** 2).sum(axis=0),
         atol=1e-9,
     )
+    for got, mat in ((act.vtv_abs_matvec(v), vtv_mat), (act.vtt_abs_matvec(v), vtt_mat)):
+        want = np.abs(mat) @ v
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_structured_action_is_lazy(monkeypatch):
+    """Construction builds neither the spin layout nor any CSR matrix."""
+    lat = build_lattice("acene", 2)
+    kin, pot = jordan_wigner(build_ppp(lat))
+    basis = half_filling_sector(lat.n_sites)
+    assembled = []
+    monkeypatch.setattr(SectorOperator, "to_sparse", lambda self: assembled.append(self))
+    HoppingCommutatorAction(kin, pot, basis)
+    assert "spin_layout" not in vars(basis)
+    assert assembled == []
 
 
 def test_structured_action_shift_invariant(benzene):

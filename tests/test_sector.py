@@ -194,6 +194,7 @@ def test_factorised_actions_match_dense(size_n, sector):
     h = SectorOperator(kin + pot, basis)
     assert h.hops is not None
     assert np.abs(h.matvec(v) - h.to_dense() @ v).max() <= 1e-12
+    assert np.abs(h.abs_matvec(v) - np.abs(h.to_dense()) @ v).max() <= 1e-12
 
 
 def _spin_exchange(n_sites, i, j):
