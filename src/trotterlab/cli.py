@@ -158,7 +158,9 @@ def _ground_states(family, size_n, k, sz_twice=None, tol=1e-10):
     if sz_twice is None:
         sz_twice = n % 2
     cache = _cache_dir()
-    tag = "eig_%s%d_%d_%d_k%d_tol%r" % (family, size_n, n, sz_twice, k, tol)
+    # the PPP parameters are fixed per release, so the version stands for them
+    tag = "eig_%s%d_%d_%d_k%d_tol%r_v%s" % (family, size_n, n, sz_twice, k, tol,
+                                            __version__)
     path = os.path.join(cache, tag + ".npz") if cache else None
     basis = enumerate_sector(n, n, sz_twice)
     if path and os.path.exists(path):
@@ -268,6 +270,7 @@ def cmd_norms(args):
             "kind": est.kind,
             "samples": est.sample_count,
             "seed": est.rng_seed,
+            "converged": est.converged,
         }
     _emit(report, cfg, args.out)
     return 0

@@ -31,7 +31,12 @@ T (a ``SectorOperator``, matrix-free at any size) or |T| with D:
 |O_VTT| has no such form, since paths through different intermediates k
 cancel before the absolute value is taken; it is the one operator assembled
 as a CSR matrix, once, from T's.  Sampled column norms work per basis state
-from the hop groups and never touch a sector-size matrix.
+from the hop groups and never touch a sector-size matrix.  They need D at
+each sampled state b and at every state a hop, or a pair of hops, reaches
+from it (b ^ x).  D is a quadratic form in the occupation signs
+s_q = 1 - 2 b_q (``sector._DiagonalForm``), so one batch of states costs
+one small matmul, and VTT evaluates it once per distinct hop-pair mask
+x1 ^ x2.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ from .sector import (
     SectorBasis,
     SectorOperator,
     _amplitudes,
+    _DiagonalForm,
     _group_terms,
 )
 
@@ -222,18 +228,13 @@ class HoppingCommutatorAction:
         if not potential.is_diagonal():
             raise ValueError("potential must be diagonal")
         self.basis = basis
-        self._pot_groups = _group_terms(potential)
+        self._potential = _DiagonalForm(_group_terms(potential).get(0, []))
         self.kinetic = SectorOperator(kinetic, basis)
         # hop groups: (x-mask, [(z, coeff)]); amplitudes are real
         self.hops = [(x, zs_cs) for x, zs_cs in self.kinetic.groups.items() if x != 0]
 
     def potential_diagonal(self, states: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(states))
-        for x, zs_cs in self._pot_groups.items():
-            if x != 0:
-                raise ValueError("potential must be diagonal")
-            out += np.real(_amplitudes(states, zs_cs))
-        return out
+        return np.real(self._potential(states))
 
     @cached_property
     def diag(self) -> np.ndarray:
@@ -251,47 +252,40 @@ class HoppingCommutatorAction:
 
     def vtv_column_norm_sq(self, states: np.ndarray) -> np.ndarray:
         """|O_VTV |b>|² per sampled state (targets orthogonal across hops)."""
-        D_b = self.potential_diagonal(states)
+        d_b = self.potential_diagonal(states)
         out = np.zeros(len(states))
         for x, zs_cs in self.hops:
             amp = np.real(_amplitudes(states, zs_cs))
-            tgt_states = states ^ np.int64(x)
-            live = amp != 0
-            d_t = np.zeros(len(states))
-            if np.any(live):
-                d_t[live] = self.potential_diagonal(tgt_states[live])
-            w = np.where(live, ((d_t - D_b) ** 2) * amp, 0.0)
-            out += w**2
+            d_t = self.potential_diagonal(states ^ np.int64(x))
+            out += ((d_t - d_b) ** 2 * amp) ** 2
         return out
 
     # O_VTT = [[V,T],T]: elements sum_k T_rk T_kc (D_r - 2 D_k + D_c)
 
-    def _pair_contributions(self, states: np.ndarray):
-        """Yield (xor_mask, amplitude array) per ordered hop pair on states."""
+    def vtt_column_norm_sq(self, states: np.ndarray) -> np.ndarray:
+        """|O_VTT |b>|² per sampled state.
+
+        A hop pair (x1, x2) reaches b ^ x1 ^ x2 through b ^ x2.  Pairs with
+        the same target mask add up before squaring and different masks
+        reach orthogonal targets, so the potential is evaluated once per
+        distinct mask, and one mask's sum is held at a time.
+        """
         d_b = self.potential_diagonal(states)
         mids = {}
         for x2, zs_cs2 in self.hops:
-            amp2 = np.real(_amplitudes(states, zs_cs2))
             mid = states ^ np.int64(x2)
-            d_m = self.potential_diagonal(mid)
-            mids[x2] = (amp2, mid, d_m)
+            mids[x2] = (np.real(_amplitudes(states, zs_cs2)), mid, self.potential_diagonal(mid))
+        by_target: dict[int, list] = {}
         for x1, zs_cs1 in self.hops:
-            for x2, (amp2, mid, d_m) in mids.items():
-                amp1 = np.real(_amplitudes(mid, zs_cs1))
-                xor = x1 ^ x2
-                tgt = states ^ np.int64(xor)
-                d_r = self.potential_diagonal(tgt)
-                yield xor, amp1 * amp2 * (d_r - 2.0 * d_m + d_b)
-
-    def vtt_column_norm_sq(self, states: np.ndarray) -> np.ndarray:
-        acc: dict[int, np.ndarray] = {}
-        for xor, amp in self._pair_contributions(states):
-            if xor in acc:
-                acc[xor] += amp
-            else:
-                acc[xor] = amp.copy()
+            for x2 in mids:
+                by_target.setdefault(x1 ^ x2, []).append((zs_cs1, x2))
         out = np.zeros(len(states))
-        for amp in acc.values():
+        for xor, pairs in by_target.items():
+            d_r = d_b if xor == 0 else self.potential_diagonal(states ^ np.int64(xor))
+            amp = np.zeros(len(states))
+            for zs_cs1, x2 in pairs:
+                amp2, mid, d_m = mids[x2]
+                amp += np.real(_amplitudes(mid, zs_cs1)) * amp2 * (d_r - 2.0 * d_m + d_b)
             out += amp**2
         return out
 

@@ -12,7 +12,9 @@ state-dependent amplitude
 
 which vectorizes over the whole basis with numpy bit tricks; the
 (target, source, amplitude) triples of all X-masks form the CSR sector
-matrix (``to_sparse``).
+matrix (``to_sparse``).  The diagonal (x = 0) is a polynomial in the
+occupation signs s_q = 1 - 2 bit_q(b); its terms of Z-weight <= 2, all of a
+PPP potential, are evaluated as one quadratic form (``_DiagonalForm``).
 
 Hopping conserves each spin species, so a sector also has a spin-factorised
 layout (``SpinLayout``, built on first use and cached on the basis): every
@@ -179,6 +181,59 @@ def _amplitudes(states: np.ndarray, zs_cs: list[tuple[int, complex]]) -> np.ndar
     return amp
 
 
+# rows per block in ``_DiagonalForm``: its (rows x qubits) float temporaries,
+# about 0.2 MB each, stay in cache and out of the page-fault path
+_DIAGONAL_BLOCK = 1024
+
+
+class _DiagonalForm:
+    """Evaluator of the x = 0 group, amp_0(b) = sum_z c_z (-1)^{popcount(z & b)}.
+
+    With s_q = 1 - 2 bit_q(b), a term is c_z times the product of s_q over
+    its Z support, so the terms of Z-weight <= 2 (all of a PPP potential)
+    form the quadratic form c0 + h.s + s^T J s, with a weight-2 coefficient
+    split as c/2 over J[p, q] and J[q, p].  States are evaluated in fixed row
+    blocks with one ``s @ J`` matmul each; heavier terms go through
+    ``_amplitudes``.  A real sum gives a float array, a complex one complex.
+    """
+
+    def __init__(self, zs_cs: list[tuple[int, complex]]):
+        self.real = all(abs(complex(c).imag) < 1e-15 for _, c in zs_cs)
+        dtype = float if self.real else complex
+        quadratic = [(z, complex(c).real if self.real else complex(c))
+                     for z, c in zs_cs if z.bit_count() <= 2]
+        self.heavy = [(z, c) for z, c in zs_cs if z.bit_count() > 2]
+        self.n = max((z.bit_length() for z, _ in quadratic), default=0)
+        self.c0 = dtype(0)
+        self.h = np.zeros(self.n, dtype=dtype)
+        self.J = np.zeros((self.n, self.n), dtype=dtype)
+        for z, c in quadratic:
+            support = [q for q in range(self.n) if z >> q & 1]
+            if not support:
+                self.c0 += c
+            elif len(support) == 1:
+                self.h[support[0]] += c
+            else:
+                p, q = support
+                self.J[p, q] += c / 2
+                self.J[q, p] += c / 2
+
+    def __call__(self, states: np.ndarray) -> np.ndarray:
+        out = np.empty(len(states), dtype=float if self.real else complex)
+        for start in range(0, len(states), _DIAGONAL_BLOCK):
+            block = np.ascontiguousarray(states[start:start + _DIAGONAL_BLOCK], dtype="<i8")
+            bits = np.unpackbits(block.view(np.uint8).reshape(-1, 8), axis=1,
+                                 count=self.n, bitorder="little")
+            s = bits.astype(float)
+            s *= -2.0
+            s += 1.0
+            out[start:start + len(block)] = (
+                self.c0 + s @ self.h + np.einsum("ij,ij->i", s @ self.J, s))
+        if self.heavy:
+            out += _amplitudes(states, self.heavy)
+        return out
+
+
 def _is_species_hop(x: int, z: int) -> bool:
     """True for a string that flips two same-spin modes p < q and whose Z
     support outside {p, q} is exactly the Jordan-Wigner chain p+1 .. q-1."""
@@ -234,7 +289,7 @@ class SectorOperator:
 
     @cached_property
     def diagonal(self) -> np.ndarray:
-        return _amplitudes(self.basis.states, self.groups.get(0, []))
+        return _DiagonalForm(self.groups.get(0, []))(self.basis.states)
 
     @cached_property
     def is_real(self) -> bool:
@@ -253,7 +308,8 @@ class SectorOperator:
     def matvec(self, v: np.ndarray) -> np.ndarray:
         if self.hops is None:
             return self.sparse @ v
-        return self.diagonal * v + self._layout_matvec(*self.species_matrices, v)
+        out = self._layout_matvec(*self.species_matrices, v)
+        return self.diagonal * v + out if 0 in self.groups else out
 
     def abs_matvec(self, v: np.ndarray) -> np.ndarray:
         """|O| v for the element-wise absolute matrix |O|.
@@ -266,8 +322,8 @@ class SectorOperator:
             return self._abs_sparse @ v
         sign = self.basis.spin_layout.sign
         k_up, k_down = self.species_matrices
-        return (np.abs(self.diagonal) * v
-                + sign * self._layout_matvec(abs(k_up), abs(k_down), sign * v))
+        out = sign * self._layout_matvec(abs(k_up), abs(k_down), sign * v)
+        return np.abs(self.diagonal) * v + out if 0 in self.groups else out
 
     def __call__(self, v):
         return self.matvec(v)

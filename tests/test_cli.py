@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from trotterlab import cli
 from trotterlab.cli import _ground_states, main
 
 
@@ -66,6 +67,7 @@ def test_norms_seeded_repeatable(capsys):
     assert d1["vtv"]["value"] == d2["vtv"]["value"]
     assert d1["vtv"]["seed"] == 7
     assert d1["vtv"]["standard_error"] > 0
+    assert d1["vtv"]["converged"] is d1["vtt"]["converged"] is True
 
 
 def test_freefermion_subcommand(capsys):
@@ -113,6 +115,10 @@ def test_checkpoint_keyed_on_tol_and_shape_checked(tmp_path, monkeypatch):
     _, _, got_vals, got_vecs = _ground_states("acene", 1, 2, tol=1e-10)
     assert got_vecs.shape == (basis.dim, 2)
     assert np.array_equal(got_vals, vals)
+    # ... and for the package version that wrote it
+    np.savez(path, vals=vals + 1.0, vecs=vecs)
+    monkeypatch.setattr(cli, "__version__", cli.__version__ + ".post1")
+    assert np.array_equal(_ground_states("acene", 1, 2, tol=1e-10)[2], vals)
 
 
 def test_resources_per_step_file(capsys, tmp_path):

@@ -147,6 +147,25 @@ def test_structured_action_is_lazy(monkeypatch):
     assert assembled == []
 
 
+def test_column_norms_match_matvecs_naphthalene():
+    """Sampled column norms against |O e_b|² from the matvecs on seeded
+    naphthalene states; VTT reuses one target diagonal per hop-pair mask."""
+    lat = build_lattice("acene", 2)
+    kin, pot = jordan_wigner(build_ppp(lat))
+    basis = half_filling_sector(lat.n_sites)
+    act = HoppingCommutatorAction(kin, pot, basis)
+    idx = np.random.default_rng(11).choice(basis.dim, size=200, replace=False)
+    want_vtv, want_vtt = [], []
+    for j in idx:
+        e = np.zeros(basis.dim)
+        e[j] = 1.0
+        want_vtv.append(np.sum(act.vtv_matvec(e) ** 2))
+        want_vtt.append(np.sum(act.vtt_matvec(e) ** 2))
+    states = basis.states[idx]
+    assert act.vtv_column_norm_sq(states) == pytest.approx(want_vtv, rel=1e-10)
+    assert act.vtt_column_norm_sq(states) == pytest.approx(want_vtt, rel=1e-10)
+
+
 def test_structured_action_shift_invariant(benzene):
     lat, kin, pot, basis = benzene
     v_shifted, _, _, _ = shifted_potential(lat)

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from trotterlab.hamiltonian import build_ppp
+from trotterlab.hamiltonian import build_ppp, shifted_potential
 from trotterlab.lattice import bond_orientation_classes, build_lattice
+from trotterlab.norms import nested_commutators
 from trotterlab.pauli import PauliSum, dense_matrix, jordan_wigner
 from trotterlab.sector import (
     Propagator,
     SectorOperator,
+    _DiagonalForm,
     enumerate_sector,
     extremal_eigenvalues,
     half_filling_sector,
@@ -227,6 +229,47 @@ def test_non_factorisable_ops_fall_back(benzene):
         assert np.abs(SectorOperator(op, basis).matvec(v) - dense @ v).max() <= 1e-12
         exact = expm(-1j * t * dense) @ v
         assert np.abs(propagate([(op, t)], basis, v) - exact).max() <= 1e-12
+
+
+def _per_term_diagonal(states, op):
+    """Reference diagonal: one popcount pass per diagonal Pauli term."""
+    out = np.zeros(len(states), dtype=complex)
+    for (x, z), c in op.terms.items():
+        if x == 0:
+            out += c * (1.0 - 2.0 * (np.bitwise_count(states & np.int64(z)) & 1))
+    return out
+
+
+def _check_diagonal(op, basis):
+    got = _DiagonalForm([(z, c) for (x, z), c in op.terms.items() if x == 0])(basis.states)
+    want = _per_term_diagonal(basis.states, op)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert np.array_equal(SectorOperator(op, basis).diagonal, got)
+    return got
+
+
+def test_diagonal_form_matches_per_term_reference(benzene):
+    for n_acene, sectors in ((1, [(6, 6, 0)]), (2, [(10, 4, 2), (10, 4, 0)])):
+        lat = build_lattice("acene", n_acene)
+        _, pot = jordan_wigner(build_ppp(lat))
+        v_shifted = shifted_potential(lat)[0]
+        for sector in sectors:
+            basis = enumerate_sector(*sector)
+            for op in (pot, v_shifted):
+                assert max(z.bit_count() for _, z in op.terms) == 2
+                assert _check_diagonal(op, basis).dtype == np.float64
+    # the diagonal of O_VTT, and V^2, whose diagonal terms reach Z-weight 4
+    kin, pot, basis = benzene
+    _, o_vtt = nested_commutators(kin, pot)
+    assert _check_diagonal(o_vtt, basis).dtype == np.float64
+    v_squared = pot @ pot
+    assert max(z.bit_count() for _, z in v_squared.terms) == 4
+    d = _check_diagonal(pot, basis)
+    assert np.abs(_check_diagonal(v_squared, basis) - d * d).max() <= 1e-12 * (d * d).max()
+    # a complex coefficient gives a complex diagonal
+    hand = PauliSum(12, {(0, 0): 0.5, (0, 0b10): 1.5, (0, 0b100001): 2.0 - 1.0j,
+                         (0, 0b1011): -0.75, (1, 1): 3.0})
+    assert _check_diagonal(hand, basis).dtype == np.complex128
 
 
 def test_propagate_diagonal_phase(benzene):
