@@ -30,6 +30,13 @@ Jordan-Wigner chain therefore acts as K_up Psi + Psi K_down^T + D o Psi
 without a sector-size matrix, and the exponential of a pure hopping
 operator as M_up Psi M_down^T.  Every other operator acts through its CSR
 matrix, built once on first use.
+
+Hopping is one-body, so M_sigma = exp(-i t K_sigma) is fixed by the n x n
+single-particle unitary u = exp(-i t k_sigma).  ``_givens_decomposition``
+writes u as a product of 2-mode unitaries R_1 ... R_m times a phase diagonal,
+one R_k per bond of a matching (a tile section), n(n-1)/2 for a connected
+hopping graph; ``_SpeciesLift`` turns each factor into a sparse matrix on the
+single-species sector, and M_sigma is their product.
 """
 
 from __future__ import annotations
@@ -41,9 +48,9 @@ from math import comb
 from itertools import combinations
 
 import numpy as np
-from scipy.linalg import eigh
-from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import LinearOperator, eigsh, expm, expm_multiply
+from scipy.linalg import eigh, expm
+from scipy.sparse import csr_matrix, diags_array
+from scipy.sparse.linalg import LinearOperator, eigsh, expm_multiply
 
 from .pauli import PauliSum
 
@@ -130,8 +137,8 @@ class SpinLayout:
         self.shape = (self.up_basis.dim, self.down_basis.dim)
         up_mask = sum(1 << (2 * i) for i in range(n))
         states = basis.states
-        self.up = self.up_basis.index(states & np.int64(up_mask))
-        self.down = self.down_basis.index(states & np.int64(up_mask << 1))
+        up = self.up_basis.index(states & np.int64(up_mask))
+        down = self.down_basis.index(states & np.int64(up_mask << 1))
         parity = np.zeros(basis.dim, dtype=np.int64)
         for k in range(n - 1):
             down_k = (states >> (2 * k + 1)) & 1
@@ -139,9 +146,23 @@ class SpinLayout:
             parity += down_k * _popcount(states & ups_above)
         self.sign = 1.0 - 2.0 * (parity & 1)
         # both conversions are gathers (np.take), which beat a scatter
-        self._position = self.up * self.shape[1] + self.down
+        self._position = up * self.shape[1] + down
         self._order = np.argsort(self._position)
         self._order_sign = self.sign[self._order]
+
+    @property
+    def up(self) -> np.ndarray:
+        return self._position // self.shape[1]
+
+    @property
+    def down(self) -> np.ndarray:
+        return self._position % self.shape[1]
+
+    @cached_property
+    def species_lifts(self) -> tuple["_SpeciesLift", "_SpeciesLift"]:
+        """One-body lifts onto ``up_basis`` (qubits 2q) and ``down_basis``
+        (qubits 2q + 1), built on first use."""
+        return _SpeciesLift(self.up_basis, 0), _SpeciesLift(self.down_basis, 1)
 
     def to_matrix(self, v: np.ndarray) -> np.ndarray:
         """Sector vector (interleaved order) -> gauged matrix Psi."""
@@ -150,6 +171,90 @@ class SpinLayout:
     def from_matrix(self, psi: np.ndarray) -> np.ndarray:
         """Gauged matrix Psi -> sector vector (interleaved order)."""
         return psi.reshape(-1).take(self._position) * self.sign
+
+
+def _givens_decomposition(u: np.ndarray):
+    """u = R_1 ... R_m diag(d) for an n x n unitary u.
+
+    Column by column, each nonzero sub-diagonal entry u[i, j] is zeroed
+    against the pivot u[j, j] by the 2 x 2 unitary B = [[a*, b*], [b, -a]] / r
+    on rows (j, i), with a = u[j, j], b = u[i, j], r = |(a, b)|; exact zeros are
+    skipped, so a u that is block diagonal over a matching gives one factor
+    per pair.  Then R_k = B_k^dagger (det -1) and d is the diagonal left over.
+    Returns ([(j, i, R_k), ...], d).
+    """
+    w = np.array(u, dtype=complex)
+    rotations = []
+    for j in range(len(w) - 1):
+        for i in range(j + 1, len(w)):
+            b = w[i, j]
+            if b == 0:
+                continue
+            a = w[j, j]
+            block = np.array([[a.conjugate(), b.conjugate()], [b, -a]]) / np.hypot(abs(a), abs(b))
+            w[[j, i]] = block @ w[[j, i]]
+            w[i, j] = 0.0
+            rotations.append((j, i, block.conj().T))
+    return rotations, np.diag(w).copy()
+
+
+class _SpeciesLift:
+    """Sparse images of one-body unitaries on a single-species sector.
+
+    Mode q sits on qubit 2q + ``offset``.  A 2-mode unitary R on modes j < i
+    maps a†_j -> R_jj a†_j + R_ij a†_i and a†_i -> R_ji a†_j + R_ii a†_i, so on
+    a configuration it keeps states with neither mode occupied, multiplies
+    states with both by det R, and mixes each state with only j occupied with
+    its partner (j moved to i) through R, times the Jordan-Wigner sign
+    (-1)^{#occupied strictly between j and i}.  A phase diagonal d becomes
+    prod_q d_q^{n_q}.  The index tables of a pair are built once, on first use.
+    """
+
+    def __init__(self, basis: SectorBasis, offset: int):
+        self.basis = basis
+        self.offset = offset
+        self.occupied = [(basis.states >> (2 * q + offset)) & 1 == 1
+                         for q in range(basis.n_sites)]
+        self._pairs: dict[tuple[int, int], tuple] = {}
+
+    def _pair(self, j: int, i: int):
+        """(j-only states, their partners, JW signs, states with both)."""
+        if (j, i) not in self._pairs:
+            states = self.basis.states
+            bit_j, bit_i = 2 * j + self.offset, 2 * i + self.offset
+            single = np.nonzero(self.occupied[j] & ~self.occupied[i])[0]
+            moved = states[single] ^ np.int64((1 << bit_j) | (1 << bit_i))
+            between = np.int64((1 << bit_i) - (1 << (bit_j + 1)))
+            sign = 1.0 - 2.0 * (_popcount(states[single] & between) & 1)
+            both = np.nonzero(self.occupied[j] & self.occupied[i])[0]
+            self._pairs[j, i] = (single, self.basis.index(moved), sign, both)
+        return self._pairs[j, i]
+
+    def _rotation(self, j: int, i: int, r: np.ndarray) -> csr_matrix:
+        single, partner, sign, both = self._pair(j, i)
+        dim = self.basis.dim
+        diag = np.ones(dim, dtype=complex)
+        diag[single] = r[0, 0]
+        diag[partner] = r[1, 1]
+        diag[both] = r[0, 0] * r[1, 1] - r[0, 1] * r[1, 0]
+        index = np.arange(dim)
+        return csr_matrix(
+            (np.concatenate([diag, sign * r[1, 0], sign * r[0, 1]]),
+             (np.concatenate([index, partner, single]),
+              np.concatenate([index, single, partner]))),
+            shape=(dim, dim),
+        )
+
+    def exponential(self, k: np.ndarray, t: float) -> csr_matrix:
+        """The sector matrix of exp(-i t K) for the one-body matrix k, as CSR."""
+        rotations, d = _givens_decomposition(expm(-1j * t * k))
+        phases = np.ones(self.basis.dim, dtype=complex)
+        for q, occupied in enumerate(self.occupied):
+            phases[occupied] *= d[q]
+        out = diags_array(phases, format="csr")
+        for j, i, r in reversed(rotations):
+            out = self._rotation(j, i, r) @ out
+        return out
 
 
 def half_filling_sector(n_sites: int) -> SectorBasis:
@@ -277,6 +382,14 @@ class SectorOperator:
         layout = self.basis.spin_layout
         return tuple(SectorOperator(self.hops, b).to_sparse()
                      for b in (layout.up_basis, layout.down_basis))
+
+    @cached_property
+    def one_body_matrices(self) -> tuple[np.ndarray, np.ndarray]:
+        """(k_up, k_down): ``hops`` restricted to the one-electron sectors of
+        each species, i.e. the n x n single-particle hopping matrices."""
+        n = self.basis.n_sites
+        return tuple(SectorOperator(self.hops, enumerate_sector(n, 1, sz)).to_dense()
+                     for sz in (1, -1))
 
     @cached_property
     def sparse(self) -> csr_matrix:
@@ -424,7 +537,10 @@ class Propagator:
     - G made only of one-species hops (the kinetic factor, a tile section):
       Psi -> M_up Psi M_down^T in the basis's spin-factorised layout, where
       Psi carries the gauge sign (see ``SpinLayout``) and
-      M_sigma = expm(-i t K_sigma) is a sparse matrix cached per duration;
+      M_sigma = exp(-i t K_sigma) is a sparse matrix cached per duration,
+      built exactly from the n x n one-body unitary exp(-i t k_sigma) as a
+      product of sparse 2-mode rotations and one phase diagonal
+      (``_SpeciesLift.exponential``);
     - anything else: ``expm_multiply`` on the sector's sparse matrix.
     """
 
@@ -441,7 +557,8 @@ class Propagator:
         if self.hopping_only:
             if t not in self._exponentials:
                 self._exponentials[t] = tuple(
-                    expm(-1j * t * k.tocsc()) for k in self.sop.species_matrices)
+                    lift.exponential(k, t) for lift, k in
+                    zip(self.basis.spin_layout.species_lifts, self.sop.one_body_matrices))
             m_up, m_down = self._exponentials[t]
             layout = self.basis.spin_layout
             psi = layout.to_matrix(state)

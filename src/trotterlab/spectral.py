@@ -19,7 +19,6 @@ from .resources import CHEMICAL_ACCURACY
 from .sector import DENSE_DIM_LIMIT, Propagator, SectorOperator
 
 _GRID_POINTS = 8192
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 # -- schemes ------------------------------------------------------------------
@@ -243,18 +242,22 @@ def filter_objective(series, filt):
     return grid, values
 
 
-def _objective_at(x, series, filt, order):
+def _objective_slope(x, series, filt, order):
+    """C'(x) = -2 sum_k k f_k (sin(kx) Re g_k + cos(kx) Im g_k)."""
     ks = np.arange(1, order + 1)
-    fk = filt.coefficients[1 : order + 1]
+    kfk = ks * filt.coefficients[1 : order + 1]
     g = series.values[1 : order + 1]
-    return float(
-        filt.coefficients[0]
-        + 2.0 * (np.cos(ks * x) @ (fk * g.real) - np.sin(ks * x) @ (fk * g.imag))
-    )
+    return float(-2.0 * (np.sin(ks * x) @ (kfk * g.real) + np.cos(ks * x) @ (kfk * g.imag)))
 
 
 def extract_energy(series, filt=None, prior_energy=None):
     """Effective energy from the dominant pole of the filtered series.
+
+    The pole is the root of the objective's derivative, bracketed by the
+    grid cells around the grid maximum and bisected to 1e-15.  A root moves
+    with the series to first order, where the maximum of the objective, flat
+    to second order, would move by about the square root of a last-bit
+    change.
 
     prior_energy (eV) selects the 2*pi/t branch; it should come from the
     exact Hamiltonian, whose eigenvalue the effective one barely departs.
@@ -267,21 +270,15 @@ def extract_energy(series, filt=None, prior_energy=None):
         raise ValueError("objective is flat: no dominant pole")
     peak = int(np.argmax(values))
     cell = 2 * np.pi / _GRID_POINTS
-    lo, hi = grid[peak] - cell, grid[peak] + cell
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc = _objective_at(c, series, filt, order)
-    fd = _objective_at(d, series, filt, order)
-    while b - a > 1e-13:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = _objective_at(c, series, filt, order)
+    a, b = grid[peak] - cell, grid[peak] + cell
+    if _objective_slope(a, series, filt, order) < 0 or _objective_slope(b, series, filt, order) > 0:
+        raise ValueError("objective has no maximum next to the grid peak")
+    while b - a > 1e-15:
+        mid = (a + b) / 2.0
+        if _objective_slope(mid, series, filt, order) > 0:
+            a = mid
         else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = _objective_at(d, series, filt, order)
+            b = mid
     x_star = (a + b) / 2.0
     t = series.time_step
     energy = x_star / t

@@ -13,6 +13,7 @@ from trotterlab.sector import (
     Propagator,
     SectorOperator,
     _DiagonalForm,
+    _givens_decomposition,
     enumerate_sector,
     extremal_eigenvalues,
     half_filling_sector,
@@ -175,6 +176,12 @@ def _tile_sections(lat):
     return [hopping_pauli_sum(lat.n_sites, c) for c in classes]
 
 
+def _power_apply(u, v, count):
+    for _ in range(count):
+        v = u @ v
+    return v
+
+
 @pytest.mark.parametrize("size_n, sector", [
     (1, (6, 6, 0)),    # benzene, half filling
     (2, (10, 4, 2)),   # naphthalene, n_up != n_down, 1200 states
@@ -191,12 +198,91 @@ def test_factorised_actions_match_dense(size_n, sector):
     for op in _tile_sections(lat) + [kin]:
         prop = Propagator(op, basis)
         assert prop.hopping_only
-        exact = expm(-1j * t * SectorOperator(op, basis).to_dense()) @ v
-        assert np.abs(prop.apply(v, t) - exact).max() <= 1e-12
+        u = expm(-1j * t * SectorOperator(op, basis).to_dense())
+        # large and negative angles: exp(-5it G) = u^5, exp(3it G) = (u^dagger)^3
+        for steps, exact in ((1, u @ v), (5, _power_apply(u, v, 5)),
+                             (-3, _power_apply(u.conj().T, v, 3))):
+            assert np.abs(prop.apply(v, steps * t) - exact).max() <= 1e-12
     h = SectorOperator(kin + pot, basis)
     assert h.hops is not None
     assert np.abs(h.matvec(v) - h.to_dense() @ v).max() <= 1e-12
     assert np.abs(h.abs_matvec(v) - np.abs(h.to_dense()) @ v).max() <= 1e-12
+
+
+def _rebuild(rotations, phases):
+    """R_1 ... R_m diag(d) as a dense n x n matrix."""
+    out = np.eye(len(phases), dtype=complex)
+    for j, i, r in rotations:
+        embedded = np.eye(len(phases), dtype=complex)
+        embedded[np.ix_([j, i], [j, i])] = r
+        out = out @ embedded
+    return out * phases
+
+
+@pytest.mark.parametrize("n", [6, 10])
+def test_givens_decomposition_rebuilds_unitary(n):
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    u = expm(-1j * (a + a.conj().T))
+    rotations, phases = _givens_decomposition(u)
+    assert len(rotations) == n * (n - 1) // 2
+    assert all(j < i for j, i, _ in rotations)
+    assert np.abs(_rebuild(rotations, phases) - u).max() <= 1e-13
+
+
+def test_givens_decomposition_of_matching_is_one_rotation_per_pair():
+    pairs = [(0, 7), (2, 3), (4, 9), (5, 6)]
+    k = np.zeros((10, 10))
+    for p, q in pairs:
+        k[p, q] = k[q, p] = -2.4
+    for t in (0.1, 0.5, -0.3):
+        u = expm(-1j * t * k)
+        rotations, phases = _givens_decomposition(u)
+        assert [(j, i) for j, i, _ in rotations] == pairs
+        assert np.abs(_rebuild(rotations, phases) - u).max() <= 1e-13
+
+
+def _check_exponential(lift, k, t, exact):
+    """M_sigma from the one-body matrix k against dense expm: values and nonzeros."""
+    m = lift.exponential(k, t)
+    assert np.abs(m.toarray() - exact).max() <= 1e-12
+    assert m.nnz == np.count_nonzero(np.abs(exact) > 1e-14)
+
+
+def _check_species_exponentials(op, basis, t):
+    sop = SectorOperator(op, basis)
+    lifts = basis.spin_layout.species_lifts
+    for lift, k, k_sector in zip(lifts, sop.one_body_matrices, sop.species_matrices):
+        _check_exponential(lift, k, t, expm(-1j * t * k_sector.toarray()))
+
+
+@pytest.mark.parametrize("sector", [(10, 4, 2), (10, 10, 0), (10, 10, 2)])
+def test_tile_section_exponentials_match_dense(sector):
+    basis = enumerate_sector(*sector)
+    for op in _tile_sections(build_lattice("acene", 2)):
+        for t in (0.1, -0.3):
+            _check_species_exponentials(op, basis, t)
+
+
+@pytest.mark.slow
+def test_tile_section_exponentials_match_dense_3acene():
+    """Every anthracene tile section against dense expm at species dimension 3432.
+
+    The half-filled sector's species sectors, enumerate_sector(14, 7, +-7), are
+    the one non-trivial species of the all-up and all-down 7-electron sectors,
+    which spares the 11.8 M-state layout; K_up and K_down are the same matrix,
+    so one dense expm serves both.
+    """
+    t = 0.1
+    up_only, down_only = enumerate_sector(14, 7, 7), enumerate_sector(14, 7, -7)
+    for op in _tile_sections(build_lattice("acene", 3)):
+        sops = (SectorOperator(op, up_only), SectorOperator(op, down_only))
+        k_up, k_down = sops[0].species_matrices[0], sops[1].species_matrices[1]
+        assert k_up.shape == (3432, 3432) and (k_up != k_down).nnz == 0
+        exact = expm(-1j * t * k_up.toarray())
+        for species, sop in enumerate(sops):
+            _check_exponential(sop.basis.spin_layout.species_lifts[species],
+                               sop.one_body_matrices[species], t, exact)
 
 
 def _spin_exchange(n_sites, i, j):

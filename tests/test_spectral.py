@@ -149,6 +149,22 @@ def test_extract_energy_branch_selection():
     assert abs(wrapped - (e + period)) < 1e-7
 
 
+def test_extract_energy_stable_under_last_bit_noise():
+    """A 1e-15 relative change of g_k moves the energy linearly, not by ~sqrt(eps)."""
+    from trotterlab.spectral import TimeSeries
+
+    t = 0.05
+    clean = _synthetic_series([-3.2, 1.7, 4.4], [0.7, 0.2, 0.1], t, 120)
+    ref = extract_energy(clean, default_filter())
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        noise = rng.normal(size=121) + 1j * rng.normal(size=121)
+        vals = clean.values * (1.0 + 1e-15 * noise)
+        vals[0] = 1.0
+        got = extract_energy(TimeSeries(vals, t), default_filter())
+        assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
 def test_extract_energy_flat_series_rejected():
     from trotterlab.spectral import TimeSeries
 
