@@ -20,7 +20,6 @@ from .sector import (
     enumerate_sector,
     half_filling_sector,
     lowest_eigenpairs,
-    propagate,
 )
 from .norms import (
     ErrorConstant,

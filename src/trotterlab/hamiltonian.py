@@ -12,18 +12,24 @@ and a density-density potential screened by the Ohno formula
 The shifted potential V' = V + c1 N̂ + c2 N̂² has the same fixed-filling
 spectra up to a constant but far fewer Pauli terms: a suitable c2 removes
 the most frequent pairwise-coefficient class entirely, after which all
-single-Z coefficients coincide and c1 removes them too.
+single-Z coefficients coincide and c1 removes them too.  On nq qubits
+
+    N̂  = nq/2 - (1/2) sum_q Z_q,
+    N̂² = (nq²/4 + nq/4) - (nq/2) sum_q Z_q + (1/2) sum_{p<q} Z_p Z_q,
+
+with dyadic coefficients, so V' is assembled term by term from these closed
+forms, never as a Pauli-sum product.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from .lattice import Lattice
-from .pauli import PauliSum, number_operator
+from .pauli import PauliSum
 
 COEFF_BIN_REL = 1e-9
 
@@ -89,20 +95,26 @@ def build_ppp(lattice: Lattice, params: PppParams | None = None) -> FermionHamil
     return FermionHamiltonian(lattice, params or PppParams())
 
 
-def _bin_coefficients(values: list[float]) -> list[tuple[float, int]]:
-    """Group nearly-equal coefficients; returns (representative, count) pairs."""
-    rounded = Counter()
-    reps: dict[float, float] = {}
-    scale = max((abs(v) for v in values), default=1.0)
-    for v in values:
-        for key in reps:
-            if abs(v - key) <= COEFF_BIN_REL * scale:
-                rounded[key] += 1
-                break
-        else:
-            reps[v] = v
-            rounded[v] += 1
-    return list(rounded.items())
+def bin_coefficients(values, rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Classes of nearly equal coefficients, found by one sweep of the sorted values.
+
+    A class starts at the smallest value not yet assigned and takes every
+    value v with v - start <= rel_tol · max|values|.  Classes are numbered in
+    ascending order.  Returns (class id of each value, index of each class's
+    first-seen member).
+    """
+    values = np.asarray(values, dtype=float)
+    order = np.argsort(values, kind="stable")
+    ranked = values[order]
+    tol = rel_tol * np.abs(values).max(initial=0.0)
+    starts = np.zeros(len(values), dtype=bool)
+    i = 0
+    while i < len(ranked):
+        starts[i] = True
+        i += int(np.searchsorted(ranked[i:] - ranked[i], tol, side="right"))
+    ids = np.empty(len(values), dtype=np.intp)
+    ids[order] = np.cumsum(starts) - 1
+    return ids, np.unique(ids, return_index=True)[1]
 
 
 def choose_shift(jw_potential: PauliSum) -> ShiftParams:
@@ -123,9 +135,11 @@ def choose_shift(jw_potential: PauliSum) -> ShiftParams:
     ]
     if not zz_coeffs:
         return ShiftParams(0.0, 0.0)
-    classes = _bin_coefficients(zz_coeffs)
-    w_freq, _ = max(classes, key=lambda kv: (kv[1], abs(kv[0])))
-    c2 = -2.0 * w_freq
+    ids, first = bin_coefficients(zz_coeffs, COEFF_BIN_REL)
+    counts = np.bincount(ids)
+    # max() keeps the first of equal keys, so classes go in first-seen order
+    modal = max(np.argsort(first), key=lambda k: (counts[k], abs(zz_coeffs[first[k]])))
+    c2 = -2.0 * zz_coeffs[first[modal]]
 
     n_elec_half = nq // 2  # N̂² single-Z coefficient is -c2 · N at half scale
     single_z = [
@@ -133,7 +147,7 @@ def choose_shift(jw_potential: PauliSum) -> ShiftParams:
         for (x, z), c in jw_potential.terms.items()
         if x == 0 and z.bit_count() == 1
     ]
-    h_vals = [v - c2 * n_elec_half / 1.0 for v in single_z]
+    h_vals = [v - c2 * n_elec_half for v in single_z]
     # all single-Z coefficients of V + c2 N̂² must coincide for the shift
     # to remove the whole class; assert homogeneity
     if h_vals:
@@ -151,8 +165,17 @@ def apply_shift(jw_potential: PauliSum, shift: ShiftParams, n_sites: int) -> tup
     nq = 2 * n_sites
     if jw_potential.n_qubits != nq:
         raise ValueError("qubit count mismatch")
-    n_hat = number_operator(n_sites)
-    shifted = jw_potential + shift.c1 * n_hat + shift.c2 * (n_hat @ n_hat)
+    singles = [1 << q for q in range(nq)]
+    # same additions, in the same order, as V + c1 N̂ + c2 N̂² by Pauli algebra
+    shifted = jw_potential.copy()
+    shifted.add_term(0, 0, shift.c1 * (nq / 2))
+    for z in singles:
+        shifted.add_term(0, z, shift.c1 * -0.5)
+    shifted.add_term(0, 0, shift.c2 * (nq * nq / 4 + nq / 4))
+    for z in singles:
+        shifted.add_term(0, z, shift.c2 * (-nq / 2))
+    for p, q in combinations(singles, 2):
+        shifted.add_term(0, p | q, shift.c2 * 0.5)
     shifted = shifted.require_real("shifted potential").pruned()
     body, offset = shifted.split_identity()
     return body, float(complex(offset).real)

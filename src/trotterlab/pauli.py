@@ -241,6 +241,19 @@ def blocked_qubit_index(n_sites: int):
     return index
 
 
+def add_hop(op: PauliSum, p: int, q: int, coeff: float) -> None:
+    """Add coeff·(a†_p a_q + h.c.) to ``op``: (coeff/2)(X Z..Z X + Y Z..Z Y).
+
+    Both canonical strings carry coeff/2 (the Y-string's i-phases cancel
+    against the Jordan-Wigner sign).
+    """
+    p, q = sorted((int(p), int(q)))
+    ends = (1 << p) | (1 << q)
+    chain = (1 << q) - (1 << (p + 1))
+    op.add_term(ends, chain, coeff / 2.0)
+    op.add_term(ends, chain | ends, coeff / 2.0)
+
+
 def jordan_wigner(fermion_hamiltonian, index_fn=None) -> tuple[PauliSum, PauliSum]:
     """Map a fermionic PPP Hamiltonian to (kinetic, potential) Pauli sums.
 
@@ -253,15 +266,7 @@ def jordan_wigner(fermion_hamiltonian, index_fn=None) -> tuple[PauliSum, PauliSu
     idx = index_fn or qubit_index
     kinetic = PauliSum(nq)
     for (i, j), spin, coeff in fermion_hamiltonian.hops():
-        p, q = sorted((idx(i, spin), idx(j, spin)))
-        chain = 0
-        for r in range(p + 1, q):
-            chain |= 1 << r
-        ends = (1 << p) | (1 << q)
-        # both canonical strings carry coefficient c/2 (the Y-string's
-        # i-phases cancel against the JW sign)
-        kinetic.add_term(ends, chain, coeff / 2.0)
-        kinetic.add_term(ends, chain | ends, coeff / 2.0)
+        add_hop(kinetic, idx(i, spin), idx(j, spin), coeff)
 
     potential = PauliSum(nq)
     for i, u in fermion_hamiltonian.on_site_terms():

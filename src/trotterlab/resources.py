@@ -19,6 +19,8 @@ from math import ceil, log2, pi, sqrt
 
 import numpy as np
 
+from .hamiltonian import bin_coefficients
+
 CHEMICAL_ACCURACY = 0.04354  # eV
 DEFAULT_X = 0.02
 DEFAULT_GAP_TIME_STEP = 0.1  # eV^-1
@@ -174,39 +176,28 @@ def rotation_groups(potential, rel_tol=1e-9):
     """Same-angle rotation groups of a diagonal potential operator.
 
     Returns a list of (group_size, max_qubit_occurrence) over coefficient
-    classes of the non-identity terms; coefficients are binned with a
-    relative tolerance.
+    classes of the non-identity terms, in ascending coefficient order;
+    coefficients are binned with a relative tolerance (``bin_coefficients``).
     """
     if not potential.is_diagonal():
         raise ValueError("potential must be diagonal")
-    entries = []
+    zs, coeffs = [], []
     for (x, z), c in potential.terms.items():
-        if z == 0:
-            continue
-        entries.append((float(np.real(complex(c))), z))
-    if not entries:
+        if z:
+            zs.append(z)
+            coeffs.append(complex(c).real)
+    if not zs:
         return []
-    scale = max(abs(c) for c, _ in entries)
-    reps = []
-    groups = {}
-    for c, z in sorted(entries):
-        for r in reps:
-            if abs(c - r) <= rel_tol * scale:
-                groups[r].append(z)
-                break
-        else:
-            reps.append(c)
-            groups[c] = [z]
-    out = []
-    for zs in groups.values():
-        occ = {}
-        for z in zs:
-            while z:
-                q = (z & -z).bit_length() - 1
-                occ[q] = occ.get(q, 0) + 1
-                z &= z - 1
-        out.append((len(zs), max(occ.values())))
-    return out
+    ids, first = bin_coefficients(coeffs, rel_tol)
+    width = (potential.n_qubits + 7) // 8
+    raw = np.frombuffer(b"".join(z.to_bytes(width, "little") for z in zs), dtype=np.uint8)
+    term, qubit = np.nonzero(np.unpackbits(raw.reshape(len(zs), width), axis=1,
+                                           bitorder="little"))
+    n_bits = 8 * width
+    # (class x qubit) occurrence table, flattened
+    occurrence = np.bincount(ids[term] * n_bits + qubit, minlength=len(first) * n_bits)
+    busiest = occurrence.reshape(len(first), n_bits).max(axis=1)
+    return list(zip(np.bincount(ids).tolist(), busiest.tolist()))
 
 
 def hwp_potential_rotations(potential, rel_tol=1e-9):

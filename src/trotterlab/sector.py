@@ -41,7 +41,6 @@ single-species sector, and M_sigma is their product.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb
@@ -50,7 +49,7 @@ from itertools import combinations
 import numpy as np
 from scipy.linalg import eigh, expm
 from scipy.sparse import csr_matrix, diags_array
-from scipy.sparse.linalg import LinearOperator, eigsh, expm_multiply
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .pauli import PauliSum
 
@@ -540,8 +539,10 @@ class Propagator:
       M_sigma = exp(-i t K_sigma) is a sparse matrix cached per duration,
       built exactly from the n x n one-body unitary exp(-i t k_sigma) as a
       product of sparse 2-mode rotations and one phase diagonal
-      (``_SpeciesLift.exponential``);
-    - anything else: ``expm_multiply`` on the sector's sparse matrix.
+      (``_SpeciesLift.exponential``).
+
+    Every factor of a Trotter scheme is one of the two; any other G is
+    rejected with ``ValueError``.
     """
 
     def __init__(self, op: PauliSum, basis: SectorBasis):
@@ -549,30 +550,21 @@ class Propagator:
         self.basis = basis
         self.diagonal_only = all(x == 0 for x in self.sop.groups)
         self.hopping_only = self.sop.hops is not None and 0 not in self.sop.groups
+        if not (self.diagonal_only or self.hopping_only):
+            raise ValueError("Propagator needs a diagonal or a hopping-only operator")
         self._exponentials: dict[float, tuple] = {}
 
     def apply(self, state: np.ndarray, t: float) -> np.ndarray:
         if self.diagonal_only:
             return np.exp(-1j * t * self.sop.diagonal.real) * state
-        if self.hopping_only:
-            if t not in self._exponentials:
-                self._exponentials[t] = tuple(
-                    lift.exponential(k, t) for lift, k in
-                    zip(self.basis.spin_layout.species_lifts, self.sop.one_body_matrices))
-            m_up, m_down = self._exponentials[t]
-            layout = self.basis.spin_layout
-            psi = layout.to_matrix(state)
-            return layout.from_matrix(m_up @ (m_down @ psi.T).T)
-        return expm_multiply(-1j * t * self.sop.sparse, state)
-
-
-def propagate(factors, basis: SectorBasis, state: np.ndarray) -> np.ndarray:
-    """Apply a chain of (PauliSum | Propagator, duration) factors in order."""
-    out = np.asarray(state, dtype=complex)
-    for op, t in factors:
-        prop = op if isinstance(op, Propagator) else Propagator(op, basis)
-        out = prop.apply(out, t)
-    return out
+        if t not in self._exponentials:
+            self._exponentials[t] = tuple(
+                lift.exponential(k, t) for lift, k in
+                zip(self.basis.spin_layout.species_lifts, self.sop.one_body_matrices))
+        m_up, m_down = self._exponentials[t]
+        layout = self.basis.spin_layout
+        psi = layout.to_matrix(state)
+        return layout.from_matrix(m_up @ (m_down @ psi.T).T)
 
 
 # -- spin labeling ------------------------------------------------------------
@@ -618,33 +610,3 @@ def spin_label(state: np.ndarray, basis: SectorBasis, tol: float = 0.1) -> int:
         if abs(s2 - s * (s + 1.0)) < max(tol, 1e-6):
             return two_s
     raise ValueError(f"<S²> = {s2} is not near any s(s+1)")
-
-
-# -- state snapshots ----------------------------------------------------------
-
-_SNAP_MAGIC = b"TLSNAP01"
-
-
-def save_state(path, state: np.ndarray, basis: SectorBasis) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_SNAP_MAGIC)
-        fh.write(struct.pack("<cIiii", b"<", basis.dim, basis.n_sites,
-                             basis.electrons, basis.sz_twice))
-        np.asarray(state, dtype="<c16").tofile(fh)
-
-
-def load_state(path, basis: SectorBasis | None = None):
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _SNAP_MAGIC:
-            raise ValueError("not a state snapshot")
-        endian, dim, n_sites, electrons, sz_twice = struct.unpack(
-            "<cIiii", fh.read(struct.calcsize("<cIiii"))
-        )
-        state = np.fromfile(fh, dtype="<c16", count=dim).astype(complex)
-    if basis is not None:
-        if (n_sites, electrons, sz_twice) != (
-            basis.n_sites, basis.electrons, basis.sz_twice
-        ) or dim != basis.dim:
-            raise ValueError("snapshot sector does not match basis")
-    return state, (n_sites, electrons, sz_twice)

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.linalg import expm, schur
 
 from .hamiltonian import PppParams
-from .pauli import PauliSum
+from .pauli import PauliSum, add_hop, qubit_index
 from .resources import CHEMICAL_ACCURACY
 from .sector import DENSE_DIM_LIMIT, Propagator, SectorOperator
 
@@ -72,13 +72,7 @@ def hopping_pauli_sum(n_sites, bonds, params=None):
     out = PauliSum(2 * n_sites)
     for i, j in bonds:
         for spin in (0, 1):
-            p, q = sorted((2 * i + spin, 2 * j + spin))
-            chain = 0
-            for r in range(p + 1, q):
-                chain |= 1 << r
-            ends = (1 << p) | (1 << q)
-            out.add_term(ends, chain, -params.tau / 2.0)
-            out.add_term(ends, chain | ends, -params.tau / 2.0)
+            add_hop(out, qubit_index(i, spin), qubit_index(j, spin), -params.tau)
     return out
 
 

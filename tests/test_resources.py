@@ -152,6 +152,41 @@ def test_hwp_reduces_rotations_never_below_batches():
     assert rot + tof == full  # each folded rotation costs one Toffoli
 
 
+def _rotation_groups_by_loop(potential, rel_tol):
+    """Reference: greedy binning of the sorted coefficients, one group at a time."""
+    entries = sorted((float(np.real(complex(c))), z)
+                     for (x, z), c in potential.terms.items() if z != 0)
+    scale = max(abs(c) for c, _ in entries)
+    reps, groups = [], {}
+    for c, z in entries:
+        for r in reps:
+            if abs(c - r) <= rel_tol * scale:
+                groups[r].append(z)
+                break
+        else:
+            reps.append(c)
+            groups[c] = [z]
+    out = []
+    for zs in groups.values():
+        occ = {}
+        for z in zs:
+            for q in range(z.bit_length()):
+                if z >> q & 1:
+                    occ[q] = occ.get(q, 0) + 1
+        out.append((len(zs), max(occ.values())))
+    return out
+
+
+@pytest.mark.parametrize("family,n", [("acene", 1), ("triangulene", 2),
+                                      ("rhombene", 3), ("acene", 7)])
+def test_rotation_groups_match_loop(family, n):
+    lat = build_lattice(family, n)
+    v_shifted, _, _, v = shifted_potential(lat)
+    for op in (v_shifted, v):
+        for rel_tol in (1e-9, 1e-2):
+            assert rotation_groups(op, rel_tol) == _rotation_groups_by_loop(op, rel_tol)
+
+
 def test_hwp_kinetic_one_rotation_per_section():
     from trotterlab.freefermion import tile_sections, tiling_path
 

@@ -3,7 +3,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import eigh, expm
 
 from trotterlab.hamiltonian import build_ppp, shifted_potential
 from trotterlab.lattice import bond_orientation_classes, build_lattice
@@ -17,10 +17,7 @@ from trotterlab.sector import (
     enumerate_sector,
     extremal_eigenvalues,
     half_filling_sector,
-    load_state,
     lowest_eigenpairs,
-    propagate,
-    save_state,
     total_spin_expectation,
 )
 from trotterlab.spectral import default_section_order, hopping_pauli_sum
@@ -176,12 +173,6 @@ def _tile_sections(lat):
     return [hopping_pauli_sum(lat.n_sites, c) for c in classes]
 
 
-def _power_apply(u, v, count):
-    for _ in range(count):
-        v = u @ v
-    return v
-
-
 @pytest.mark.parametrize("size_n, sector", [
     (1, (6, 6, 0)),    # benzene, half filling
     (2, (10, 4, 2)),   # naphthalene, n_up != n_down, 1200 states
@@ -198,10 +189,11 @@ def test_factorised_actions_match_dense(size_n, sector):
     for op in _tile_sections(lat) + [kin]:
         prop = Propagator(op, basis)
         assert prop.hopping_only
-        u = expm(-1j * t * SectorOperator(op, basis).to_dense())
-        # large and negative angles: exp(-5it G) = u^5, exp(3it G) = (u^dagger)^3
-        for steps, exact in ((1, u @ v), (5, _power_apply(u, v, 5)),
-                             (-3, _power_apply(u.conj().T, v, 3))):
+        # exp(-i s G) = W diag(exp(-i s lambda)) W^dagger from G = W diag(lambda) W^dagger
+        lam, w = eigh(SectorOperator(op, basis).to_dense())
+        coeffs = w.conj().T @ v
+        for steps in (1, 5, -3):  # large and negative angles too
+            exact = w @ (np.exp(-1j * steps * t * lam) * coeffs)
             assert np.abs(prop.apply(v, steps * t) - exact).max() <= 1e-12
     h = SectorOperator(kin + pot, basis)
     assert h.hops is not None
@@ -306,15 +298,14 @@ def test_non_factorisable_ops_fall_back(benzene):
     rng = np.random.default_rng(6)
     v = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
     v /= np.linalg.norm(v)
-    t = 0.1
     flip = _spin_exchange(6, 0, 3)
     assert SectorOperator(flip, basis).hops is None
     for op in (kin + pot, flip):
-        assert not Propagator(op, basis).hopping_only
         dense = SectorOperator(op, basis).to_dense()
         assert np.abs(SectorOperator(op, basis).matvec(v) - dense @ v).max() <= 1e-12
-        exact = expm(-1j * t * dense) @ v
-        assert np.abs(propagate([(op, t)], basis, v) - exact).max() <= 1e-12
+        # neither diagonal nor hopping-only: no Trotter factor, no propagator
+        with pytest.raises(ValueError):
+            Propagator(op, basis)
 
 
 def _per_term_diagonal(states, op):
@@ -370,14 +361,17 @@ def test_propagate_diagonal_phase(benzene):
 
 
 def test_propagate_matches_dense_expm(benzene):
+    """One Strang step, V/2 T V/2, factor by factor against dense expm."""
     kin, pot, basis = benzene
-    H = kin + pot
     rng = np.random.default_rng(0)
     v = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
     v /= np.linalg.norm(v)
     t = 0.05
-    exact = expm(-1j * t * SectorOperator(H, basis).to_dense()) @ v
-    got = propagate([(H, t)], basis, v)
+    exact = v
+    got = v
+    for op, dur in ((pot, t / 2), (kin, t), (pot, t / 2)):
+        exact = expm(-1j * dur * SectorOperator(op, basis).to_dense()) @ exact
+        got = Propagator(op, basis).apply(got, dur)
     assert np.linalg.norm(exact - got) < 1e-10
 
 
@@ -387,7 +381,9 @@ def test_propagate_zero_time_limit(benzene):
     v = rng.normal(size=basis.dim) + 0j
     v /= np.linalg.norm(v)
     t = 1e-5
-    out = propagate([(pot, t / 2), (kin, t), (pot, t / 2)], basis, v)
+    out = v
+    for op, dur in ((pot, t / 2), (kin, t), (pot, t / 2)):
+        out = Propagator(op, basis).apply(out, dur)
     fid = abs(np.vdot(v, out))
     assert fid > 1 - (60.0 * t) ** 2  # ||H|| well below 60 eV
 
@@ -420,17 +416,3 @@ def test_spin_labels(benzene):
     det = np.zeros(basis.dim)
     det[idx] = 1.0
     assert abs(total_spin_expectation(det, basis)) < 1e-12
-
-
-def test_snapshot_round_trip(tmp_path, benzene):
-    _, _, basis = benzene
-    rng = np.random.default_rng(4)
-    v = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
-    path = tmp_path / "state.bin"
-    save_state(path, v, basis)
-    back, sector = load_state(path, basis)
-    assert np.array_equal(back, v)
-    assert sector == (6, 6, 0)
-    other = enumerate_sector(6, 6, 2)
-    with pytest.raises(ValueError):
-        load_state(path, other)
