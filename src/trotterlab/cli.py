@@ -24,7 +24,7 @@ from .freefermion import (
     tiling_path,
     worst_case_kinetic,
 )
-from .hamiltonian import build_ppp, shifted_potential
+from .hamiltonian import apply_shift, build_ppp, choose_shift, shifted_potential
 from .lattice import FAMILIES, bond_orientation_classes, build_lattice
 from .norms import (
     HoppingCommutatorAction,
@@ -210,14 +210,14 @@ def cmd_lattice(args):
 def cmd_hamiltonian(args):
     cfg = _resolve_config(args, required=("family", "size_n"))
     lat = build_lattice(cfg["family"], cfg["size_n"])
-    fh = build_ppp(lat)
-    kin, pot = jordan_wigner(fh)
-    v_shifted, offset, shift, v_jw = shifted_potential(lat)
+    kin, pot = jordan_wigner(build_ppp(lat))
+    shift = choose_shift(pot)
+    v_shifted, offset = apply_shift(pot, shift, lat.n_sites)
     _emit(
         {
             "n_sites": lat.n_sites,
             "kinetic_terms": len(kin.terms),
-            "potential_terms": sum(1 for (x, z) in v_jw.terms if z != 0 or x != 0),
+            "potential_terms": sum(1 for (x, z) in pot.terms if z != 0 or x != 0),
             "shifted_potential_terms": sum(
                 1 for (x, z) in v_shifted.terms if z != 0
             ),
@@ -291,10 +291,8 @@ def cmd_freefermion(args):
         secs = tile_sections(lat, tiling)
     except (OSError, ValueError) as exc:
         _fail_config("tiling", str(exc))
-    samples = cfg.get("samples", 10000)
-    seed = cfg.get("seed", 0)
     w = worst_case_kinetic(secs)
-    a = average_case_kinetic(secs, samples=samples, seed=seed)
+    a = average_case_kinetic(secs)
     rot, tg = secs.gate_counts()
     _emit(
         {
@@ -308,10 +306,9 @@ def cmd_freefermion(args):
             },
             "average_case": {
                 "constant": a.constant.value,
-                "standard_error": a.standard_error,
                 "r_squared": a.r_squared,
-                "samples": samples,
-                "seed": seed,
+                "t_grid": list(a.t_grid),
+                "errors": list(a.errors),
             },
         },
         cfg,
@@ -681,8 +678,8 @@ def main(argv=None):
     sp = sub.add_parser("freefermion", help="kinetic splitting error constants")
     _add_common(sp)
     sp.add_argument("--tiling", help="tiling JSON path (default: shipped)")
-    sp.add_argument("--samples", type=int)
-    sp.add_argument("--seed", type=int)
+    sp.add_argument("--samples", type=int, help="ignored: A_T is exact")
+    sp.add_argument("--seed", type=int, help="ignored: A_T is exact")
     sp.set_defaults(func=cmd_freefermion)
 
     sp = sub.add_parser("spectral", help="effective energies and gap errors")

@@ -11,8 +11,9 @@ A_delta = (i/t) log(exp(iAt) prod exp(-iA_s t/2) prod_rev exp(-iA_s t/2))
 gives the exact splitting error on the Fock space, because the map from
 matrices to quadratic operators preserves commutators and therefore the
 whole BCH series.  The worst-case constant W_T follows from the largest
-fixed-filling eigenvalue sum, the average-case constant A_T from a sampled
-normalized trace.
+fixed-filling eigenvalue sum, the average-case constant A_T from the exact
+normalized fixed-filling trace, an elementary symmetric mean of the
+eigenmode phases.
 """
 
 import json
@@ -219,12 +220,10 @@ class KineticFit:
     constant: ErrorConstant
     t_grid: tuple
     errors: tuple
-    error_ses: tuple
     r_squared: float
-    standard_error: float
 
 
-def _cubic_fit(t_grid, errors, error_ses=None):
+def _cubic_fit(t_grid, errors):
     t3 = np.asarray(t_grid, dtype=float) ** 3
     y = np.asarray(errors, dtype=float)
     denom = float(np.dot(t3, t3))
@@ -232,10 +231,7 @@ def _cubic_fit(t_grid, errors, error_ses=None):
     resid = y - coeff * t3
     total = float(np.dot(y, y))
     r2 = 1.0 if total == 0.0 else 1.0 - float(np.dot(resid, resid)) / total
-    se = 0.0
-    if error_ses is not None:
-        se = float(np.sqrt(np.dot(t3**2, np.asarray(error_ses) ** 2))) / denom
-    return coeff, r2, se
+    return coeff, r2
 
 
 def worst_case_kinetic(sections, t_grid=DEFAULT_T_GRID, filling=None):
@@ -246,62 +242,53 @@ def worst_case_kinetic(sections, t_grid=DEFAULT_T_GRID, filling=None):
         eff = effective_kinetic(sections, t)
         norm = eff.filled_norm(filling)
         errors.append(abs(1.0 - np.exp(-1j * norm * t)))
-    coeff, r2, _ = _cubic_fit(t_grid, errors)
+    coeff, r2 = _cubic_fit(t_grid, errors)
     return KineticFit(
         constant=ErrorConstant(kind="worst", scheme="kinetic", value=coeff,
                                provenance={"method": "eigenmode-sum norm, cubic fit"}),
         t_grid=tuple(t_grid),
         errors=tuple(errors),
-        error_ses=tuple(0.0 for _ in t_grid),
         r_squared=r2,
-        standard_error=0.0,
     )
 
 
-def _sample_occupations(rng, n_modes, n_occ, samples):
-    """Uniform fixed-weight occupation vectors as a (samples, n_modes) mask."""
-    keys = rng.random((samples, n_modes))
-    order = np.argsort(keys, axis=1)
-    mask = np.zeros((samples, n_modes), dtype=bool)
-    rows = np.arange(samples)[:, None]
-    mask[rows, order[:, :n_occ]] = True
-    return mask
+def _filling_deviations(phases, k_max):
+    """D_k = E_k - 1 for k = 0..k_max.
+
+    E_k is the mean of exp(i sum_{j in S} phases_j) over the k-subsets S of
+    the modes.  Adding mode m to the first m - 1 gives
+    E_k <- ((m-k)/m) E_k + (k/m) exp(i phases_m) E_{k-1}; it is carried out
+    on D with w = expm1(i phases_m), so no step subtracts two numbers close
+    to one.
+    """
+    dev = np.zeros(k_max + 1, dtype=complex)
+    for m, w in enumerate(np.expm1(1j * phases), start=1):
+        k = np.arange(1, min(m, k_max) + 1)
+        prev = dev[k - 1]
+        dev[k] = ((m - k) / m) * dev[k] + (k / m) * (w * (1.0 + prev) + prev)
+    return dev
 
 
-def average_case_kinetic(sections, t_grid=DEFAULT_T_GRID, filling=None,
-                         samples=10000, seed=0):
-    """A_T from the sampled normalized trace of exp(i T_delta t)."""
+def average_case_kinetic(sections, t_grid=DEFAULT_T_GRID, filling=None):
+    """A_T from the exact normalized fixed-filling trace of exp(i T_delta t).
+
+    With P_sigma the normalized trace of one spin species, the error at step
+    t is sqrt(2 - 2 Re(P_up P_down)); 1 - P_up P_down is formed from the
+    deviations D_sigma = P_sigma - 1 directly.
+    """
     filling = filling or default_filling(sections.n_modes)
-    rng = np.random.default_rng(seed)
-    if sections.n_sections == 1:
-        zeros = tuple(0.0 for _ in t_grid)
-        return KineticFit(
-            constant=ErrorConstant(kind="average", scheme="kinetic", value=0.0,
-                                   provenance={"method": "single section, exact zero"}),
-            t_grid=tuple(t_grid), errors=zeros, error_ses=zeros,
-            r_squared=1.0, standard_error=0.0,
-        )
-    errors, ses = [], []
+    errors = []
     for t in t_grid:
-        eff = effective_kinetic(sections, t)
-        modes = eff.eigenmodes
-        energies = np.zeros(samples)
-        for n_occ in filling:
-            mask = _sample_occupations(rng, sections.n_modes, n_occ, samples)
-            energies += mask @ modes
-        phases = np.exp(1j * energies * t)
-        re = float(phases.real.mean())
-        se_re = float(phases.real.std(ddof=1)) / np.sqrt(samples)
-        val = float(np.sqrt(max(2.0 - 2.0 * re, 0.0)))
-        errors.append(val)
-        ses.append(se_re / val if val > 0 else 0.0)
-    coeff, r2, se = _cubic_fit(t_grid, errors, ses)
+        modes = effective_kinetic(sections, t).eigenmodes
+        dev = _filling_deviations(t * modes, max(filling))
+        d_up, d_down = dev[filling[0]], dev[filling[1]]
+        loss = -(d_up + d_down + d_up * d_down).real
+        errors.append(float(np.sqrt(max(2.0 * loss, 0.0))))
+    coeff, r2 = _cubic_fit(t_grid, errors)
     return KineticFit(
         constant=ErrorConstant(kind="average", scheme="kinetic", value=coeff,
-                               provenance={"method": "sampled trace", "samples": samples, "seed": seed}),
+                               provenance={"method": "exact fixed-filling trace"}),
         t_grid=tuple(t_grid),
         errors=tuple(errors),
-        error_ses=tuple(ses),
         r_squared=r2,
-        standard_error=se,
     )

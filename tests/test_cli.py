@@ -71,13 +71,18 @@ def test_norms_seeded_repeatable(capsys):
 
 
 def test_freefermion_subcommand(capsys):
-    rc, doc = _run(capsys, ["freefermion", "--family", "acene", "--n", "3",
-                            "--samples", "200", "--seed", "1"])
+    argv = ["freefermion", "--family", "acene", "--n", "3", "--samples", "200"]
+    rc, doc = _run(capsys, argv + ["--seed", "1"])
     assert rc == 0
     assert doc["gate_counts"] == {"rotations": 52, "t_gates": 104}
     assert doc["worst_case"]["constant"] > 0
     assert doc["worst_case"]["r_squared"] > 0.999
-    assert doc["average_case"]["seed"] == 1
+    assert doc["config"]["seed"] == 1
+    rc2, doc2 = _run(capsys, argv + ["--seed", "2"])
+    assert rc2 == 0
+    assert json.dumps(doc2["average_case"]) == json.dumps(doc["average_case"])
+    del doc["config"], doc2["config"]
+    assert doc2 == doc
 
 
 def test_freefermion_missing_tiling(capsys):

@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from trotterlab.freefermion import (
+    DEFAULT_T_GRID,
     KineticSections,
     average_case_kinetic,
     default_filling,
@@ -113,7 +114,7 @@ def test_single_section_is_exact():
     eff = effective_kinetic(secs, 0.05)
     assert np.abs(eff.matrix).max() == 0.0
     w = worst_case_kinetic(secs)
-    a = average_case_kinetic(secs, samples=10)
+    a = average_case_kinetic(secs)
     assert w.constant.value == 0.0
     assert a.constant.value == 0.0
 
@@ -204,37 +205,45 @@ def test_worst_case_fit_quality_3acene():
 def test_average_below_worst_and_seeded():
     lat = build_lattice("acene", 3)
     secs = tile_sections(lat, tiling_path("acene", 3))
-    w = worst_case_kinetic(secs)
-    a1 = average_case_kinetic(secs, samples=2000, seed=7)
-    a2 = average_case_kinetic(secs, samples=2000, seed=7)
-    assert a1.constant.value == a2.constant.value
-    assert a1.constant.value <= w.constant.value
-    assert a1.standard_error > 0
+    assert average_case_kinetic(secs) == average_case_kinetic(secs)
+    for family, n in sorted(TABLE_GATE_COUNTS):
+        secs = tile_sections(build_lattice(family, n), tiling_path(family, n))
+        assert average_case_kinetic(secs).constant.value <= worst_case_kinetic(secs).constant.value
+
+
+def _exhaustive_error(modes, filling, t):
+    """sqrt(2 Re mean(1 - exp(i t x.modes))) over every joint (up, down) occupation x.
+
+    Each term is formed as -expm1, so small phases lose nothing to cancellation.
+    """
+    up, down = (
+        np.array([modes[list(occ)].sum() for occ in combinations(range(len(modes)), k)])
+        for k in filling
+    )
+    total = sum(
+        float((-np.expm1(1j * t * (block[:, None] + down[None, :]))).real.sum())
+        for block in np.array_split(up, -(-len(up) // 256))
+    )
+    return np.sqrt(2.0 * total / (len(up) * len(down)))
 
 
 def test_sampled_trace_matches_exhaustive():
-    """Benzene 2-section toy: exhaustive occupation average is exact."""
+    """The exact A_T errors equal the average over every joint occupation."""
     lat = build_lattice("acene", 1)
     full = single_section(lat).full_matrix
     m1 = np.zeros_like(full)
     for i, j in [(0, 1), (2, 3), (4, 5)]:
         m1[i, j] = m1[j, i] = full[i, j]
-    m2 = full - m1
-    secs = _sections_from_matrices([m1, m2], 6)
-    t = 0.05
-    eff = effective_kinetic(secs, t)
-    modes = eff.eigenmodes
-    # exact normalized sector trace (3 up, 3 down) by exhaustive enumeration
-    spin_sum = sum(
-        np.exp(1j * t * sum(modes[q] for q in occ))
-        for occ in combinations(range(6), 3)
-    )
-    from math import comb
-
-    exact = (spin_sum / comb(6, 3)) ** 2
-    exact_err = np.sqrt(max(2 - 2 * exact.real, 0.0))
-    a = average_case_kinetic(secs, t_grid=(t,), samples=200000, seed=11)
-    assert a.errors[0] == pytest.approx(exact_err, abs=4 * max(a.error_ses[0], 1e-12))
+    cases = [_sections_from_matrices([m1, full - m1], 6)]
+    for family, n in (("acene", 3), ("triangulene", 2)):
+        cases.append(tile_sections(build_lattice(family, n), tiling_path(family, n)))
+    for secs in cases:
+        filling = default_filling(secs.n_modes)
+        a = average_case_kinetic(secs)
+        assert a.t_grid == DEFAULT_T_GRID
+        for t, err in zip(a.t_grid, a.errors):
+            modes = effective_kinetic(secs, t).eigenmodes
+            assert err == pytest.approx(_exhaustive_error(modes, filling, t), rel=1e-12, abs=0)
 
 
 def test_branch_guard_rejects_large_t():
