@@ -40,6 +40,7 @@ from .freefermion import (
     KineticSections,
     average_case_kinetic,
     effective_kinetic,
+    kinetic_fits,
     single_section,
     tile_sections,
     tiling_path,
@@ -54,6 +55,7 @@ from .spectral import (
     default_filter,
     default_section_order,
     effective_hamiltonian_dense,
+    effective_spectrum_dense,
     error_constants,
     extract_energy,
     gap_sweep,

@@ -10,20 +10,24 @@ differs from exp(-i T t) by exp(-i T_delta t); the effective matrix
 A_delta = (i/t) log(exp(iAt) prod exp(-iA_s t/2) prod_rev exp(-iA_s t/2))
 gives the exact splitting error on the Fock space, because the map from
 matrices to quadratic operators preserves commutators and therefore the
-whole BCH series.  The worst-case constant W_T follows from the largest
-fixed-filling eigenvalue sum, the average-case constant A_T from the exact
-normalized fixed-filling trace, an elementary symmetric mean of the
-eigenmode phases.
+whole BCH series.  Each factor is exponentiated from the eigenpairs of its
+real symmetric matrix, and the log is one Hermitian eigensolve of the
+product's Cayley transform (``sector.principal_log_spectrum``).  The
+worst-case constant W_T follows from the largest fixed-filling eigenvalue
+sum, the average-case constant A_T from the exact normalized fixed-filling
+trace, an elementary symmetric mean of the eigenmode phases; both are
+fitted from the same A_delta per time step (``kinetic_fits``).
 """
 
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm, schur
+from scipy.linalg import eigh
 
 from .hamiltonian import PppParams
 from .norms import ErrorConstant
+from .sector import hermitian_exponential, principal_log_spectrum
 
 DEFAULT_T_GRID = (0.01, 0.03, 0.05)
 _BRANCH_MARGIN = 1e-6
@@ -184,33 +188,27 @@ def tile_sections(lattice, tiling_spec, params=None):
     )
 
 
-def _principal_log_hermitian(unitary, t):
-    """(i/t) log(unitary) via complex Schur, principal phases."""
-    tri, vecs = schur(unitary, output="complex")
-    off = tri - np.diag(np.diag(tri))
-    if np.abs(off).max(initial=0.0) > 1e-10:
-        raise ValueError("unitary product is not normal to tolerance")
-    phases = np.angle(np.diag(tri))
-    if np.abs(phases).max() >= np.pi - _BRANCH_MARGIN:
-        raise ValueError("time step too large: log branch ambiguity")
-    gen = (vecs * (-phases / t)) @ vecs.conj().T
-    return (gen + gen.conj().T) / 2
-
-
 def effective_kinetic(sections, t):
-    """Effective splitting-error matrix A_delta at time step t."""
+    """Effective splitting-error matrix A_delta at time step t.
+
+    Every factor of the product is exponentiated from the eigenpairs of its
+    real symmetric matrix, and A_delta = (i/t) log of the product comes from
+    one Hermitian eigensolve (``sector.principal_log_spectrum``).
+    """
     if t <= 0:
         raise ValueError("time step must be positive")
     n = sections.n_modes
     if sections.n_sections == 1:
         return EffectiveKineticMatrix(matrix=np.zeros((n, n)), time_step=t)
-    prod = expm(1j * t * sections.full_matrix)
-    halves = [expm(-1j * (t / 2) * mat) for mat in sections.matrices]
+    prod = hermitian_exponential(eigh(sections.full_matrix, driver="evd"), -t)
+    halves = [hermitian_exponential(eigh(mat, driver="evd"), t / 2) for mat in sections.matrices]
     for half in halves:
         prod = prod @ half
     for half in reversed(halves):
         prod = prod @ half
-    return EffectiveKineticMatrix(matrix=_principal_log_hermitian(prod, t), time_step=t)
+    modes, vecs = principal_log_spectrum(prod, t, _BRANCH_MARGIN)
+    gen = (vecs * modes) @ vecs.conj().T
+    return EffectiveKineticMatrix(matrix=(gen + gen.conj().T) / 2, time_step=t)
 
 
 @dataclass(frozen=True)
@@ -234,24 +232,6 @@ def _cubic_fit(t_grid, errors):
     return coeff, r2
 
 
-def worst_case_kinetic(sections, t_grid=DEFAULT_T_GRID, filling=None):
-    """W_T from |1 - exp(-i ||T_delta|| t)| fitted as W_T t^3."""
-    filling = filling or default_filling(sections.n_modes)
-    errors = []
-    for t in t_grid:
-        eff = effective_kinetic(sections, t)
-        norm = eff.filled_norm(filling)
-        errors.append(abs(1.0 - np.exp(-1j * norm * t)))
-    coeff, r2 = _cubic_fit(t_grid, errors)
-    return KineticFit(
-        constant=ErrorConstant(kind="worst", scheme="kinetic", value=coeff,
-                               provenance={"method": "eigenmode-sum norm, cubic fit"}),
-        t_grid=tuple(t_grid),
-        errors=tuple(errors),
-        r_squared=r2,
-    )
-
-
 def _filling_deviations(phases, k_max):
     """D_k = E_k - 1 for k = 0..k_max.
 
@@ -269,26 +249,50 @@ def _filling_deviations(phases, k_max):
     return dev
 
 
-def average_case_kinetic(sections, t_grid=DEFAULT_T_GRID, filling=None):
-    """A_T from the exact normalized fixed-filling trace of exp(i T_delta t).
+def _worst_error(eff, filling):
+    """|1 - exp(-i ||T_delta|| t)| at the fixed fillings."""
+    return abs(1.0 - np.exp(-1j * eff.filled_norm(filling) * eff.time_step))
 
-    With P_sigma the normalized trace of one spin species, the error at step
-    t is sqrt(2 - 2 Re(P_up P_down)); 1 - P_up P_down is formed from the
-    deviations D_sigma = P_sigma - 1 directly.
-    """
-    filling = filling or default_filling(sections.n_modes)
-    errors = []
-    for t in t_grid:
-        modes = effective_kinetic(sections, t).eigenmodes
-        dev = _filling_deviations(t * modes, max(filling))
-        d_up, d_down = dev[filling[0]], dev[filling[1]]
-        loss = -(d_up + d_down + d_up * d_down).real
-        errors.append(float(np.sqrt(max(2.0 * loss, 0.0))))
+
+def _average_error(eff, filling):
+    """sqrt(2 - 2 Re(P_up P_down)), P_sigma the normalized fixed-filling
+    trace of exp(i T_delta t) for one spin species; 1 - P_up P_down is
+    formed from the deviations D_sigma = P_sigma - 1 directly."""
+    dev = _filling_deviations(eff.time_step * eff.eigenmodes, max(filling))
+    d_up, d_down = dev[filling[0]], dev[filling[1]]
+    loss = -(d_up + d_down + d_up * d_down).real
+    return float(np.sqrt(max(2.0 * loss, 0.0)))
+
+
+def _kinetic_fit(kind, method, t_grid, errors):
     coeff, r2 = _cubic_fit(t_grid, errors)
     return KineticFit(
-        constant=ErrorConstant(kind="average", scheme="kinetic", value=coeff,
-                               provenance={"method": "exact fixed-filling trace"}),
+        constant=ErrorConstant(kind=kind, scheme="kinetic", value=coeff,
+                               provenance={"method": method}),
         t_grid=tuple(t_grid),
         errors=tuple(errors),
         r_squared=r2,
     )
+
+
+def kinetic_fits(sections, t_grid=DEFAULT_T_GRID, filling=None):
+    """(W_T fit, A_T fit), both from one A_delta per time step of the grid."""
+    filling = filling or default_filling(sections.n_modes)
+    effective = [effective_kinetic(sections, t) for t in t_grid]
+    return (
+        _kinetic_fit("worst", "eigenmode-sum norm, cubic fit", t_grid,
+                     [_worst_error(eff, filling) for eff in effective]),
+        _kinetic_fit("average", "exact fixed-filling trace", t_grid,
+                     [_average_error(eff, filling) for eff in effective]),
+    )
+
+
+def worst_case_kinetic(sections, t_grid=DEFAULT_T_GRID, filling=None):
+    """W_T from |1 - exp(-i ||T_delta|| t)| fitted as W_T t^3."""
+    return kinetic_fits(sections, t_grid, filling)[0]
+
+
+def average_case_kinetic(sections, t_grid=DEFAULT_T_GRID, filling=None):
+    """A_T from the exact normalized fixed-filling trace of exp(i T_delta t),
+    fitted as A_T t^3."""
+    return kinetic_fits(sections, t_grid, filling)[1]

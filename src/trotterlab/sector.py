@@ -37,6 +37,10 @@ writes u as a product of 2-mode unitaries R_1 ... R_m times a phase diagonal,
 one R_k per bond of a matching (a tile section), n(n-1)/2 for a connected
 hopping graph; ``_SpeciesLift`` turns each factor into a sparse matrix on the
 single-species sector, and M_sigma is their product.
+
+Dense unitaries, a Trotter product on a small sector or a one-body product,
+have their principal log from ``principal_log_spectrum``: one Hermitian
+eigensolve of the Cayley transform gives the eigenpairs of (i/t) log U.
 """
 
 from __future__ import annotations
@@ -481,6 +485,71 @@ class SectorOperator:
         return self.to_sparse().toarray()
 
 
+def hermitian_exponential(eig: tuple[np.ndarray, np.ndarray], t: float) -> np.ndarray:
+    """exp(-i t H) = W exp(-i t lambda) W^dagger from eig = (lambda, W) of H."""
+    vals, vecs = eig
+    return (vecs * np.exp(-1j * t * vals)) @ vecs.conj().T
+
+
+# the Cayley transform of U loses about eps / (pi - |phi|) of accuracy, so a
+# phase closer than this to its pole at +-pi moves the pole into a spectral gap
+_POLE_DISTANCE = 1e-2
+
+
+def _cayley_phases(unitary: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """(phi, V) with U = V exp(-i phi) V^dagger and phi in (alpha - pi, alpha + pi).
+
+    C = -i (I + W)^-1 (I - W) of the unitary W = exp(i alpha) U is Hermitian,
+    with eigenvalues tan((phi - alpha)/2).  A complex symmetric W, such as a
+    palindromic product of exponentials of real symmetric matrices, gives a
+    real C; its imaginary part is dropped when it is no larger than the
+    rounding that Hermitising C drops, and the eigensolve runs in real
+    arithmetic.  A singular I + W raises ``LinAlgError``.
+    """
+    eye = np.eye(len(unitary))
+    rotated = np.exp(1j * alpha) * unitary
+    cayley = -1j * np.linalg.solve(eye + rotated, eye - rotated)
+    hermitian = (cayley + cayley.conj().T) / 2
+    if np.abs(hermitian.imag).max(initial=0.0) <= np.abs(cayley - hermitian).max(initial=0.0):
+        hermitian = hermitian.real
+    mu, vecs = eigh(hermitian, driver="evd")
+    return alpha + 2.0 * np.arctan(mu), vecs
+
+
+def principal_log_spectrum(unitary: np.ndarray, t: float,
+                           margin: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of H = (i/t) log U on the principal branch: U = exp(-i t H).
+
+    The Cayley transform C = -i (I + U)^-1 (I - U) of a unitary U is
+    Hermitian, with the eigenvectors of U and eigenvalues tan(phi/2) where
+    U = V exp(-i phi) V^dagger (Higham, Functions of Matrices, 2008), so one
+    Hermitian eigensolve gives phi = 2 arctan(mu) and E = phi / t.  When a
+    phase comes within ``_POLE_DISTANCE`` of +-pi, the transform is taken
+    once more with its pole rotated into the widest gap between the phases.
+    Phases within ``margin`` of +-pi, or an eigenvalue -1 (a singular
+    I + U), leave the branch ambiguous; a U that is not normal, so that
+    V exp(-i phi) V^dagger misses it by more than 1e-10, has no such log.
+    Each raises ``ValueError``.  Returns (energies ascending, orthonormal
+    eigenvectors as columns).
+    """
+    try:
+        phases, vecs = _cayley_phases(unitary, 0.0)
+        if np.abs(phases).max(initial=0.0) > np.pi - _POLE_DISTANCE:
+            gaps = np.diff(phases, append=phases[0] + 2.0 * np.pi)
+            widest = int(np.argmax(gaps))
+            phases, vecs = _cayley_phases(unitary, phases[widest] + gaps[widest] / 2 - np.pi)
+            phases = np.remainder(phases + np.pi, 2.0 * np.pi) - np.pi
+            order = np.argsort(phases)
+            phases, vecs = phases[order], vecs[:, order]
+    except np.linalg.LinAlgError:
+        raise ValueError("unitary has an eigenvalue -1: log branch ambiguity") from None
+    if np.abs(phases).max(initial=0.0) >= np.pi - margin:
+        raise ValueError("time step too large: log branch ambiguity")
+    if np.abs(hermitian_exponential((phases, vecs), 1.0) - unitary).max(initial=0.0) > 1e-10:
+        raise ValueError("unitary is not normal to tolerance: its log does not reproduce it")
+    return phases / t, vecs
+
+
 def _start_vector(dim: int) -> np.ndarray:
     """Fixed Lanczos start vector, so repeated eigensolves agree bit for bit."""
     return np.random.default_rng(0).standard_normal(dim)
@@ -498,7 +567,7 @@ def lowest_eigenpairs(op, basis: SectorBasis, k: int = 1, tol: float = 0.0,
     if isinstance(op, SectorOperator):
         if basis.dim <= DENSE_DIM_LIMIT:
             mat = op.to_dense()
-            vals, vecs = eigh(mat)
+            vals, vecs = eigh(mat, driver="evd")
             return vals[:k], vecs[:, :k]
         lo = op.as_linear_operator()
         vals, vecs = eigsh(lo, k=k, which="SA", tol=tol, maxiter=5000, ncv=ncv,
@@ -506,7 +575,7 @@ def lowest_eigenpairs(op, basis: SectorBasis, k: int = 1, tol: float = 0.0,
         order = np.argsort(vals)
         return vals[order], vecs[:, order]
     mat = np.asarray(op)
-    vals, vecs = eigh(mat)
+    vals, vecs = eigh(mat, driver="evd")
     return vals[:k], vecs[:, :k]
 
 
@@ -532,7 +601,7 @@ class Propagator:
 
     The route follows from G:
 
-    - diagonal G: one phase per basis state;
+    - diagonal G: one phase per basis state, cached per duration;
     - G made only of one-species hops (the kinetic factor, a tile section):
       Psi -> M_up Psi M_down^T in the basis's spin-factorised layout, where
       Psi carries the gauge sign (see ``SpinLayout``) and
@@ -552,15 +621,17 @@ class Propagator:
         self.hopping_only = self.sop.hops is not None and 0 not in self.sop.groups
         if not (self.diagonal_only or self.hopping_only):
             raise ValueError("Propagator needs a diagonal or a hopping-only operator")
-        self._exponentials: dict[float, tuple] = {}
+        self._exponentials: dict[float, np.ndarray | tuple] = {}
 
     def apply(self, state: np.ndarray, t: float) -> np.ndarray:
-        if self.diagonal_only:
-            return np.exp(-1j * t * self.sop.diagonal.real) * state
         if t not in self._exponentials:
-            self._exponentials[t] = tuple(
-                lift.exponential(k, t) for lift, k in
-                zip(self.basis.spin_layout.species_lifts, self.sop.one_body_matrices))
+            self._exponentials[t] = (
+                np.exp(-1j * t * self.sop.diagonal.real) if self.diagonal_only
+                else tuple(lift.exponential(k, t) for lift, k in
+                           zip(self.basis.spin_layout.species_lifts,
+                               self.sop.one_body_matrices)))
+        if self.diagonal_only:
+            return self._exponentials[t] * state
         m_up, m_down = self._exponentials[t]
         layout = self.basis.spin_layout
         psi = layout.to_matrix(state)

@@ -2,8 +2,10 @@
 
 A second-order product formula U at time step t equals exp(-i H_eff t) for a
 Hermitian effective Hamiltonian H_eff whose eigenvalues are what phase
-estimation measures.  Small sectors go through a dense matrix log; larger
-ones go through the time-series route: build g_k = <psi|U^k|psi> with exact
+estimation measures.  Small sectors build U densely (hopping factors
+exponentiated from one Hermitian eigensolve each) and take the spectrum of
+H_eff = (i/t) log U from one more, of the Cayley transform of U; larger ones
+go through the time-series route: build g_k = <psi|U^k|psi> with exact
 sector propagation and locate the dominant pole of a Gaussian-filtered
 Fourier reconstruction.
 """
@@ -11,14 +13,22 @@ Fourier reconstruction.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm, schur
+from scipy.linalg import eigh
 
 from .hamiltonian import PppParams
 from .pauli import PauliSum, add_hop, qubit_index
 from .resources import CHEMICAL_ACCURACY
-from .sector import DENSE_DIM_LIMIT, Propagator, SectorOperator
+from .sector import (
+    DENSE_DIM_LIMIT,
+    Propagator,
+    SectorOperator,
+    hermitian_exponential,
+    principal_log_spectrum,
+)
 
 _GRID_POINTS = 8192
+# phases this close to +-pi leave the branch of log U ambiguous
+_BRANCH_MARGIN = 1e-9
 
 
 # -- schemes ------------------------------------------------------------------
@@ -110,40 +120,47 @@ def add_constant(op, value):
 
 
 def scheme_unitary_dense(scheme, basis):
-    """Sector-restricted dense unitary of the product formula."""
+    """Sector-restricted dense unitary of the product formula.
+
+    Each distinct hopping factor is diagonalised once and exponentiated per
+    duration from its eigenpairs; potential factors are diagonal phases.
+    """
     if basis.dim > DENSE_DIM_LIMIT:
         raise ValueError("sector too large for the dense route")
     unitary = np.eye(basis.dim, dtype=complex)
-    cache = {}
+    operators, eigenpairs, exponentials = {}, {}, {}
     for op, dur in scheme.factors:
         key = id(op)
-        if key not in cache:
-            cache[key] = SectorOperator(op, basis)
-        sop = cache[key]
+        if key not in operators:
+            operators[key] = SectorOperator(op, basis)
+        sop = operators[key]
         if op.is_diagonal():
             unitary = np.exp(-1j * dur * np.real(sop.diagonal))[:, None] * unitary
-        else:
-            unitary = expm(-1j * dur * sop.to_dense()) @ unitary
+            continue
+        if key not in eigenpairs:
+            eigenpairs[key] = eigh(sop.to_dense(), driver="evd")
+        if (key, dur) not in exponentials:
+            exponentials[key, dur] = hermitian_exponential(eigenpairs[key], dur)
+        unitary = exponentials[key, dur] @ unitary
     return unitary
 
 
+def effective_spectrum_dense(scheme, basis):
+    """Eigenpairs of H_eff = (i/t) log U on the sector, branch-checked.
+
+    Returns (energies ascending, orthonormal eigenvectors as columns) from
+    one Hermitian eigensolve of the Cayley transform of U
+    (``sector.principal_log_spectrum``).
+    """
+    return principal_log_spectrum(scheme_unitary_dense(scheme, basis), scheme.time_step,
+                                  _BRANCH_MARGIN)
+
+
 def effective_hamiltonian_dense(scheme, basis):
-    """H_eff = (i/t) log U on the sector, Hermitian, branch-checked."""
-    unitary = scheme_unitary_dense(scheme, basis)
-    tri, vecs = schur(unitary, output="complex")
-    off = np.abs(tri - np.diag(np.diag(tri))).max(initial=0.0)
-    if off > 1e-8:
-        raise ValueError("product unitary is not normal to tolerance")
-    phases = np.angle(np.diag(tri))
-    if np.abs(phases).max() >= np.pi - 1e-9:
-        raise ValueError("time step too large: log branch ambiguity")
-    t = scheme.time_step
-    h_eff = (vecs * (-phases / t)) @ vecs.conj().T
-    h_eff = (h_eff + h_eff.conj().T) / 2
-    check = expm(-1j * t * h_eff)
-    if np.abs(check - unitary).max() > 1e-10:
-        raise ValueError("effective Hamiltonian does not reproduce the unitary")
-    return h_eff
+    """H_eff = (i/t) log U on the sector as a dense Hermitian matrix."""
+    energies, vecs = effective_spectrum_dense(scheme, basis)
+    h_eff = (vecs * energies) @ vecs.conj().T
+    return (h_eff + h_eff.conj().T) / 2
 
 
 def pair_eigenstates(vecs_exact, vecs_effective, min_overlap=0.9):
@@ -381,6 +398,6 @@ def gap_sweep(states, scheme_factory, t_list, pairs, epsilon=CHEMICAL_ACCURACY,
 
 def sector_trace_difference(hamiltonian, scheme, basis):
     """Tr(H_eff - H) on the sector; zero for BCH commutator corrections."""
-    h_eff = effective_hamiltonian_dense(scheme, basis)
+    energies, _ = effective_spectrum_dense(scheme, basis)
     diag = SectorOperator(hamiltonian, basis).diagonal.real
-    return float(np.trace(h_eff).real - diag.sum())
+    return float(energies.sum() - diag.sum())

@@ -3,8 +3,9 @@ from math import comb
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh, expm
+from scipy.linalg import eigh, expm, schur
 
+from trotterlab.freefermion import effective_kinetic, tile_sections, tiling_path
 from trotterlab.hamiltonian import build_ppp, shifted_potential
 from trotterlab.lattice import bond_orientation_classes, build_lattice
 from trotterlab.norms import nested_commutators
@@ -18,9 +19,16 @@ from trotterlab.sector import (
     extremal_eigenvalues,
     half_filling_sector,
     lowest_eigenpairs,
+    principal_log_spectrum,
     total_spin_expectation,
 )
-from trotterlab.spectral import default_section_order, hopping_pauli_sum
+from trotterlab.spectral import (
+    default_section_order,
+    effective_spectrum_dense,
+    hopping_pauli_sum,
+    so_scheme,
+    tile_scheme,
+)
 
 
 @pytest.fixture(scope="module")
@@ -360,6 +368,16 @@ def test_propagate_diagonal_phase(benzene):
     assert np.isclose(np.abs(out[7]), 1.0)
 
 
+def test_propagate_diagonal_phases_reused_bit_for_bit(benzene):
+    """The cached phases give the bytes of a fresh exp(-i t D) product."""
+    _, pot, basis = benzene
+    prop = Propagator(pot, basis)
+    v = np.random.default_rng(3).normal(size=basis.dim) + 0j
+    want = np.exp(-1j * 0.05 * SectorOperator(pot, basis).diagonal.real) * v
+    for _ in range(2):
+        assert prop.apply(v, 0.05).tobytes() == want.tobytes()
+
+
 def test_propagate_matches_dense_expm(benzene):
     """One Strang step, V/2 T V/2, factor by factor against dense expm."""
     kin, pot, basis = benzene
@@ -416,3 +434,89 @@ def test_spin_labels(benzene):
     det = np.zeros(basis.dim)
     det[idx] = 1.0
     assert abs(total_spin_expectation(det, basis)) < 1e-12
+
+
+# -- principal log of a unitary -----------------------------------------------
+
+
+def _unitary_with_phases(phases, seed=0):
+    """V exp(-i phases) V^dagger for a random unitary V."""
+    rng = np.random.default_rng(seed)
+    n = len(phases)
+    vecs, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return (vecs * np.exp(-1j * np.asarray(phases))) @ vecs.conj().T
+
+
+@pytest.mark.parametrize("phases,margin", [
+    ([-2.5, -1.0, -1.0, -1.0, 0.0, 0.3, 0.3, 1e-9, 2.0, 2.9], 1e-6),
+    ([np.pi - 2e-6, -(np.pi - 2e-6), 0.5, 0.5, -3.0, 1.0], 1e-6),
+    ([np.pi - 2e-9, 0.1, -0.1, -0.1], 1e-9),
+])
+def test_principal_log_spectrum_known_phases(phases, margin):
+    """Degenerate phases and phases just inside the margin come back as E = phi / t."""
+    t = 0.3
+    unitary = _unitary_with_phases(phases)
+    energies, vecs = principal_log_spectrum(unitary, t, margin)
+    assert np.abs(energies - np.sort(phases) / t).max() < 1e-10
+    assert np.abs(vecs.conj().T @ vecs - np.eye(len(phases))).max() < 1e-12
+    rebuilt = (vecs * np.exp(-1j * t * energies)) @ vecs.conj().T
+    assert np.abs(rebuilt - unitary).max() < 1e-12
+
+
+def test_principal_log_spectrum_symmetric_unitary_solves_in_real_arithmetic():
+    """exp(-i t A) for a real symmetric A: real eigenvectors, eigenvalues of A."""
+    rng = np.random.default_rng(2)
+    a = rng.normal(size=(12, 12))
+    a = (a + a.T) / 2
+    t = 0.4
+    energies, vecs = principal_log_spectrum(expm(-1j * t * a), t, 1e-9)
+    assert vecs.dtype == float
+    assert np.abs(energies - np.linalg.eigvalsh(a)).max() < 1e-10
+
+
+def test_principal_log_spectrum_rejects_non_normal_and_branch():
+    non_normal = np.diag(np.exp(-1j * np.array([0.1, 0.2, 0.3]))).astype(complex)
+    non_normal[0, 2] = 1e-6
+    with pytest.raises(ValueError):
+        principal_log_spectrum(non_normal, 1.0, 1e-6)
+    beyond = _unitary_with_phases([np.pi - 1e-7, 0.2, -1.0], seed=1)
+    with pytest.raises(ValueError):
+        principal_log_spectrum(beyond, 1.0, 1e-6)
+    minus_one = np.diag([-1.0, 1.0, 1j])
+    with pytest.raises(ValueError):
+        principal_log_spectrum(minus_one, 1.0, 1e-6)
+
+
+def _schur_log_energies(unitary, t):
+    """Sorted eigenvalues of (i/t) log U from a complex Schur form."""
+    tri, _ = schur(unitary, output="complex")
+    assert np.abs(tri - np.diag(np.diag(tri))).max() < 1e-10
+    return np.sort(-np.angle(np.diag(tri)) / t)
+
+
+def test_effective_spectrum_matches_schur_log(benzene):
+    """Benzene SO and tile: energies against the Schur log of the Pade product."""
+    kin, pot, basis = benzene
+    lat = build_lattice("acene", 1)
+    sums = [hopping_pauli_sum(6, c) for c in
+            default_section_order(bond_orientation_classes(lat).values())]
+    t = 0.05
+    for scheme in (so_scheme(kin, pot, t), tile_scheme(sums, pot, t)):
+        unitary = np.eye(basis.dim)
+        for op, dur in scheme.factors:
+            unitary = expm(-1j * dur * SectorOperator(op, basis).to_dense()) @ unitary
+        energies, _ = effective_spectrum_dense(scheme, basis)
+        assert np.abs(energies - _schur_log_energies(unitary, t)).max() < 1e-10
+
+
+@pytest.mark.parametrize("family,n", [("acene", 3), ("rhombene", 5)])
+def test_effective_kinetic_matches_schur_log(family, n):
+    """A_delta eigenmodes against the Schur log of the Pade product."""
+    secs = tile_sections(build_lattice(family, n), tiling_path(family, n))
+    for t in (0.01, 0.05):
+        prod = expm(1j * t * secs.full_matrix)
+        halves = [expm(-1j * (t / 2) * mat) for mat in secs.matrices]
+        for half in halves + halves[::-1]:
+            prod = prod @ half
+        modes = np.sort(effective_kinetic(secs, t).eigenmodes)
+        assert np.abs(modes - _schur_log_energies(prod, t)).max() < 1e-10
