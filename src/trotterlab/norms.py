@@ -31,12 +31,16 @@ T (a ``SectorOperator``, matrix-free at any size) or |T| with D:
 |O_VTT| has no such form, since paths through different intermediates k
 cancel before the absolute value is taken; it is the one operator assembled
 as a CSR matrix, once, from T's.  Sampled column norms work per basis state
-from the hop groups and never touch a sector-size matrix.  They need D at
-each sampled state b and at every state a hop, or a pair of hops, reaches
-from it (b ^ x).  D is a quadratic form in the occupation signs
-s_q = 1 - 2 b_q (``sector._DiagonalForm``), so one batch of states costs
-one small matmul, and VTT evaluates it once per distinct hop-pair mask
-x1 ^ x2.
+from the hop groups and never touch a sector-size matrix.  They need only
+the differences D(b ^ x) - D(b) between each sampled state b and the states
+a hop, or a pair of hops, reaches from it.  D is a quadratic form in the
+occupation signs s_q = 1 - 2 b_q (``sector._DiagonalForm``), so such a
+difference follows from the flipped bits of x alone:
+``_DiagonalForm.flip_differences`` takes s and the gradient of the form once
+per batch of states, then each mask costs O(|x|²) per state, and D itself is
+never formed.  A hop's amplitude at a midpoint b ^ x2 comes from the values
+of its terms at b, each negated when the term overlaps x2 in an odd number
+of bits.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ from .sector import (
     _amplitudes,
     _DiagonalForm,
     _group_terms,
+    _term_values,
 )
 
 
@@ -228,17 +233,32 @@ class HoppingCommutatorAction:
         if not potential.is_diagonal():
             raise ValueError("potential must be diagonal")
         self.basis = basis
-        self._potential = _DiagonalForm(_group_terms(potential).get(0, []))
+        self._potential = _DiagonalForm(
+            [(z, complex(c).real) for z, c in _group_terms(potential).get(0, [])])
         self.kinetic = SectorOperator(kinetic, basis)
         # hop groups: (x-mask, [(z, coeff)]); amplitudes are real
         self.hops = [(x, zs_cs) for x, zs_cs in self.kinetic.groups.items() if x != 0]
 
-    def potential_diagonal(self, states: np.ndarray) -> np.ndarray:
-        return np.real(self._potential(states))
-
     @cached_property
     def diag(self) -> np.ndarray:
-        return self.potential_diagonal(self.basis.states)
+        return self._potential(self.basis.states)
+
+    def _hop_terms(self, states: np.ndarray) -> dict[int, np.ndarray]:
+        """Per hop mask x, the values c_z (-1)^{popcount(z & b)} of its terms,
+        (terms x states); their column sums are the amplitudes amp_x(b)."""
+        return {x: _term_values(states, zs_cs) for x, zs_cs in self.hops}
+
+    @cached_property
+    def _hop_pairs(self) -> dict[int, list]:
+        """Hop pairs (x1, x2) by target mask x1 ^ x2, each with the signs
+        (-1)^{popcount(z & x2)} of x1's terms, so that
+        amp_x1(b ^ x2) = signs @ (x1's term values at b)."""
+        pairs: dict[int, list] = {}
+        for x1, zs_cs1 in self.hops:
+            for x2, _ in self.hops:
+                signs = np.array([1.0 - 2.0 * ((z & x2).bit_count() & 1) for z, _ in zs_cs1])
+                pairs.setdefault(x1 ^ x2, []).append((x1, x2, signs))
+        return pairs
 
     # O_VTV = [[V,T],V]: elements -(D_r - D_c)^2 T_rc
 
@@ -252,12 +272,10 @@ class HoppingCommutatorAction:
 
     def vtv_column_norm_sq(self, states: np.ndarray) -> np.ndarray:
         """|O_VTV |b>|² per sampled state (targets orthogonal across hops)."""
-        d_b = self.potential_diagonal(states)
+        delta = self._potential.flip_differences(states)
         out = np.zeros(len(states))
-        for x, zs_cs in self.hops:
-            amp = np.real(_amplitudes(states, zs_cs))
-            d_t = self.potential_diagonal(states ^ np.int64(x))
-            out += ((d_t - d_b) ** 2 * amp) ** 2
+        for x, terms in self._hop_terms(states).items():
+            out += (delta(x) ** 2 * terms.sum(axis=0)) ** 2
         return out
 
     # O_VTT = [[V,T],T]: elements sum_k T_rk T_kc (D_r - 2 D_k + D_c)
@@ -265,27 +283,26 @@ class HoppingCommutatorAction:
     def vtt_column_norm_sq(self, states: np.ndarray) -> np.ndarray:
         """|O_VTT |b>|² per sampled state.
 
-        A hop pair (x1, x2) reaches b ^ x1 ^ x2 through b ^ x2.  Pairs with
-        the same target mask add up before squaring and different masks
-        reach orthogonal targets, so the potential is evaluated once per
-        distinct mask, and one mask's sum is held at a time.
+        A hop pair (x1, x2) reaches r = b ^ x1 ^ x2 through m = b ^ x2, with
+        weight D_r - 2 D_m + D_b = delta(x1 ^ x2) - 2 delta(x2) for the flip
+        differences delta(x) = D(b ^ x) - D(b).  Pairs with the same target
+        mask add up before squaring and different masks reach orthogonal
+        targets, so one mask's sum is held at a time.
         """
-        d_b = self.potential_diagonal(states)
-        mids = {}
-        for x2, zs_cs2 in self.hops:
-            mid = states ^ np.int64(x2)
-            mids[x2] = (np.real(_amplitudes(states, zs_cs2)), mid, self.potential_diagonal(mid))
-        by_target: dict[int, list] = {}
-        for x1, zs_cs1 in self.hops:
-            for x2 in mids:
-                by_target.setdefault(x1 ^ x2, []).append((zs_cs1, x2))
+        delta = self._potential.flip_differences(states)
+        terms = self._hop_terms(states)
+        # per midpoint hop x2: T[m, b] and T[m, b] delta(x2)
+        first = {}
+        for x2, terms2 in terms.items():
+            amp2 = terms2.sum(axis=0)
+            first[x2] = (amp2, amp2 * delta(x2))
         out = np.zeros(len(states))
-        for xor, pairs in by_target.items():
-            d_r = d_b if xor == 0 else self.potential_diagonal(states ^ np.int64(xor))
+        for xor, pairs in self._hop_pairs.items():
+            delta_r = delta(xor)
             amp = np.zeros(len(states))
-            for zs_cs1, x2 in pairs:
-                amp2, mid, d_m = mids[x2]
-                amp += np.real(_amplitudes(mid, zs_cs1)) * amp2 * (d_r - 2.0 * d_m + d_b)
+            for x1, x2, signs in pairs:
+                amp2, amp2_delta = first[x2]
+                amp += (signs @ terms[x1]) * (amp2 * delta_r - 2.0 * amp2_delta)
             out += amp**2
         return out
 

@@ -14,7 +14,8 @@ which vectorizes over the whole basis with numpy bit tricks; the
 (target, source, amplitude) triples of all X-masks form the CSR sector
 matrix (``to_sparse``).  The diagonal (x = 0) is a polynomial in the
 occupation signs s_q = 1 - 2 bit_q(b); its terms of Z-weight <= 2, all of a
-PPP potential, are evaluated as one quadratic form (``_DiagonalForm``).
+PPP potential, are evaluated as one quadratic form (``_DiagonalForm``),
+which also gives D(b ^ x) - D(b) from the flipped bits of x alone.
 
 Hopping conserves each spin species, so a sector also has a spin-factorised
 layout (``SpinLayout``, built on first use and cached on the basis): every
@@ -289,6 +290,15 @@ def _amplitudes(states: np.ndarray, zs_cs: list[tuple[int, complex]]) -> np.ndar
     return amp
 
 
+def _term_values(states: np.ndarray, zs_cs: list[tuple[int, complex]]) -> np.ndarray:
+    """(terms x states) array of c_z (-1)^{popcount(z & b)}, one row per term;
+    real when the coefficients are."""
+    real = all(abs(complex(c).imag) < 1e-15 for _, c in zs_cs)
+    zs = np.array([z for z, _ in zs_cs], dtype=np.int64)
+    cs = np.array([complex(c).real if real else complex(c) for _, c in zs_cs])
+    return cs[:, None] * (1.0 - 2.0 * (_popcount(states[None, :] & zs[:, None]) & 1))
+
+
 # rows per block in ``_DiagonalForm``: its (rows x qubits) float temporaries,
 # about 0.2 MB each, stay in cache and out of the page-fault path
 _DIAGONAL_BLOCK = 1024
@@ -303,6 +313,9 @@ class _DiagonalForm:
     split as c/2 over J[p, q] and J[q, p].  States are evaluated in fixed row
     blocks with one ``s @ J`` matmul each; heavier terms go through
     ``_amplitudes``.  A real sum gives a float array, a complex one complex.
+    ``flip_differences`` gives D(b ^ x) - D(b), with D = amp_0, from the
+    flipped bits of x and the terms' values at b, without evaluating D at
+    b ^ x.
     """
 
     def __init__(self, zs_cs: list[tuple[int, complex]]):
@@ -341,6 +354,35 @@ class _DiagonalForm:
             out += _amplitudes(states, self.heavy)
         return out
 
+    def flip_differences(self, states: np.ndarray):
+        """The function x -> D(b ^ x) - D(b), an array over ``states``.
+
+        Flipping the bits F of x negates s_q for q in F, so with
+        g = h + 2 J s the quadratic part changes by
+        sum_{q in F} s_q (4 sum_{p in F} J[q, p] s_p - 2 g_q), O(|F|^2) per
+        state.  s and g are taken once, qubit-major (qubits x states) so that
+        the rows s[F] are contiguous, with one ``J @ s``.  A heavy term, with
+        value c_z S_z(b) at b, changes by c_z S_z(b) ((-1)^{popcount(z & x)} - 1):
+        -2 c_z S_z(b) when z overlaps x in an odd number of bits, else 0.  Its
+        values at b are also taken once.  Mask 0 gives exactly 0.
+        """
+        s = 1.0 - 2.0 * ((states[None, :] >> np.arange(self.n)[:, None]) & 1)
+        minus_2g = -2.0 * (self.h[:, None] + 2.0 * (self.J @ s))
+        heavy = _term_values(states, self.heavy) if self.heavy else None
+
+        def delta(x: int) -> np.ndarray:
+            flipped = [q for q in range(self.n) if x >> q & 1]
+            s_f = s[flipped]
+            inner = (4.0 * self.J[flipped][:, flipped]) @ s_f
+            inner += minus_2g[flipped]
+            out = np.einsum("qb,qb->b", s_f, inner)
+            odd = [i for i, (z, _) in enumerate(self.heavy) if (z & x).bit_count() & 1]
+            if odd:
+                out -= 2.0 * heavy[odd].sum(axis=0)
+            return out
+
+        return delta
+
 
 def _is_species_hop(x: int, z: int) -> bool:
     """True for a string that flips two same-spin modes p < q and whose Z
@@ -366,7 +408,7 @@ class SectorOperator:
 
     ``abs_matvec`` applies the element-wise absolute matrix |O| along the
     same route: ``abs`` of the CSR, or |K_up|, |K_down| in the layout with
-    the gauge sign undone.
+    the gauge sign undone; each absolute matrix is built once, on first use.
     """
 
     def __init__(self, op: PauliSum, basis: SectorBasis):
@@ -385,6 +427,11 @@ class SectorOperator:
         layout = self.basis.spin_layout
         return tuple(SectorOperator(self.hops, b).to_sparse()
                      for b in (layout.up_basis, layout.down_basis))
+
+    @cached_property
+    def _abs_species_matrices(self) -> tuple[csr_matrix, csr_matrix]:
+        """(|K_up|, |K_down|), element-wise, for ``abs_matvec``."""
+        return tuple(abs(k) for k in self.species_matrices)
 
     @cached_property
     def one_body_matrices(self) -> tuple[np.ndarray, np.ndarray]:
@@ -437,8 +484,7 @@ class SectorOperator:
         if self.hops is None:
             return self._abs_sparse @ v
         sign = self.basis.spin_layout.sign
-        k_up, k_down = self.species_matrices
-        out = sign * self._layout_matvec(abs(k_up), abs(k_down), sign * v)
+        out = sign * self._layout_matvec(*self._abs_species_matrices, sign * v)
         return np.abs(self.diagonal) * v + out if 0 in self.groups else out
 
     def __call__(self, v):

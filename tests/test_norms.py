@@ -149,7 +149,8 @@ def test_structured_action_is_lazy(monkeypatch):
 
 def test_column_norms_match_matvecs_naphthalene():
     """Sampled column norms against |O e_b|² from the matvecs on seeded
-    naphthalene states; VTT reuses one target diagonal per hop-pair mask."""
+    naphthalene states; both take the potential's change under each mask
+    from the flipped bits, never D at the target."""
     lat = build_lattice("acene", 2)
     kin, pot = jordan_wigner(build_ppp(lat))
     basis = half_filling_sector(lat.n_sites)
@@ -164,6 +165,21 @@ def test_column_norms_match_matvecs_naphthalene():
     states = basis.states[idx]
     assert act.vtv_column_norm_sq(states) == pytest.approx(want_vtv, rel=1e-10)
     assert act.vtt_column_norm_sq(states) == pytest.approx(want_vtt, rel=1e-10)
+
+
+def test_column_norms_with_heavy_potential_match_matvecs(benzene):
+    """Column norms against |O e_b|² from the matvecs on every benzene state,
+    for the potential V @ V, whose diagonal terms reach Z-weight 4."""
+    _, kin, pot, basis = benzene
+    act = HoppingCommutatorAction(kin, pot @ pot, basis)
+    want_vtv, want_vtt = [], []
+    for j in range(basis.dim):
+        e = np.zeros(basis.dim)
+        e[j] = 1.0
+        want_vtv.append(np.sum(act.vtv_matvec(e) ** 2))
+        want_vtt.append(np.sum(act.vtt_matvec(e) ** 2))
+    assert act.vtv_column_norm_sq(basis.states) == pytest.approx(want_vtv, rel=1e-10)
+    assert act.vtt_column_norm_sq(basis.states) == pytest.approx(want_vtt, rel=1e-10)
 
 
 def test_structured_action_shift_invariant(benzene):

@@ -162,6 +162,22 @@ def test_text_round_trip():
         assert line[0] in "+-"
 
 
+def _block_spectrum(mat, up_qubits, down_qubits):
+    """Sorted spectrum of a Fock-space matrix from its (N_up, N_down) blocks,
+    after checking that every element outside them is exactly 0."""
+    index = np.arange(len(mat))
+    n_up = sum((index >> q) & 1 for q in up_qubits)
+    n_down = sum((index >> q) & 1 for q in down_qubits)
+    label = n_up * (len(down_qubits) + 1) + n_down
+    spectrum = []
+    for key in np.unique(label):
+        inside = label == key
+        rows = mat[inside]
+        assert not rows[:, ~inside].any()
+        spectrum.append(np.linalg.eigvalsh(rows[:, inside]))
+    return np.sort(np.concatenate(spectrum))
+
+
 def test_ordering_independence_of_counts():
     """Blocked spin ordering gives the same term counts and spectra."""
     from trotterlab.pauli import blocked_qubit_index
@@ -171,8 +187,12 @@ def test_ordering_independence_of_counts():
     kin_b, pot_b = jordan_wigner(fh, blocked_qubit_index(fh.site_count))
     assert kin_a.term_count() == kin_b.term_count()
     assert pot_a.term_count() == pot_b.term_count()
-    ea = np.linalg.eigvalsh(dense_matrix(kin_a + pot_a))
-    eb = np.linalg.eigvalsh(dense_matrix(kin_b + pot_b))
+    # both conserve N_up and N_down, so the full spectrum is the union of
+    # the (N_up, N_down) block spectra
+    n = fh.site_count
+    ea = _block_spectrum(dense_matrix(kin_a + pot_a), range(0, 2 * n, 2), range(1, 2 * n, 2))
+    eb = _block_spectrum(dense_matrix(kin_b + pot_b), range(n), range(n, 2 * n))
+    assert len(ea) == len(eb) == 1 << (2 * n)
     assert np.allclose(ea, eb, atol=1e-8)
 
 

@@ -357,6 +357,30 @@ def test_diagonal_form_matches_per_term_reference(benzene):
     assert _check_diagonal(hand, basis).dtype == np.complex128
 
 
+def _check_flip_differences(op, kin, basis):
+    form = _DiagonalForm([(z, c) for (x, z), c in op.terms.items() if x == 0])
+    d = form(basis.states)
+    delta = form.flip_differences(basis.states)
+    assert np.array_equal(delta(0), np.zeros(basis.dim))
+    hops = {x for x, _ in kin.terms if x}
+    for x in hops | {x1 ^ x2 for x1 in hops for x2 in hops}:
+        want = form(basis.states ^ np.int64(x)) - d
+        assert np.abs(delta(x) - want).max() <= 1e-12 * np.abs(d).max()
+
+
+def test_flip_differences_match_form_at_flipped_states(benzene):
+    """D(b ^ x) - D(b) from the flipped bits against the form evaluated at
+    b ^ x and at b, for every hop and hop-pair mask; mask 0 gives exactly 0."""
+    lat = build_lattice("acene", 2)
+    kin, pot = jordan_wigner(build_ppp(lat))
+    _check_flip_differences(pot, kin, enumerate_sector(10, 4, 0))
+    # V @ V: diagonal terms of Z-weight 3 and 4 take the per-term route
+    kin, pot, basis = benzene
+    v_squared = pot @ pot
+    assert {3, 4} <= {z.bit_count() for _, z in v_squared.terms}
+    _check_flip_differences(v_squared, kin, basis)
+
+
 def test_propagate_diagonal_phase(benzene):
     _, pot, basis = benzene
     prop = Propagator(pot, basis)
