@@ -37,7 +37,9 @@ single-particle unitary u = exp(-i t k_sigma).  ``_givens_decomposition``
 writes u as a product of 2-mode unitaries R_1 ... R_m times a phase diagonal,
 one R_k per bond of a matching (a tile section), n(n-1)/2 for a connected
 hopping graph; ``_SpeciesLift`` turns each factor into a sparse matrix on the
-single-species sector, and M_sigma is their product.
+single-species sector, and M_sigma is their product, kept dense where that
+takes less memory than CSR.  Lanczos and Trotter steps stay in the layout
+form Psi from start to end (see ``SpinLayout``).
 
 Dense unitaries, a Trotter product on a small sector or a one-body product,
 have their principal log from ``principal_log_spectrum``: one Hermitian
@@ -130,6 +132,12 @@ class SpinLayout:
     configuration in ``up_basis`` and ``down_basis``; ``sign`` is the gauge
     sign (-1)^#{(down at k, up at l > k)} between the interleaved and the
     blocked (all up, then all down) operator orderings.
+
+    Psi, flattened row by row, is the layout form of a sector vector.
+    Lanczos (``lowest_eigenpairs``) and Trotter steps (``Propagator``) run
+    on it throughout and pay ``to_matrix`` and ``from_matrix``, two gathers
+    of sector length, once at each end; a diagonal commutes with the gauge
+    sign and enters the layout form through ``to_layout_order`` alone.
     """
 
     def __init__(self, basis: SectorBasis):
@@ -173,8 +181,14 @@ class SpinLayout:
         return (v.take(self._order) * self._order_sign).reshape(self.shape)
 
     def from_matrix(self, psi: np.ndarray) -> np.ndarray:
-        """Gauged matrix Psi -> sector vector (interleaved order)."""
+        """Gauged matrix Psi (or its flattened layout form) -> sector vector
+        (interleaved order)."""
         return psi.reshape(-1).take(self._position) * self.sign
+
+    def to_layout_order(self, values: np.ndarray) -> np.ndarray:
+        """Per-state values (interleaved order) -> a matrix in layout order,
+        without the gauge sign: the layout form of a diagonal."""
+        return values.take(self._order).reshape(self.shape)
 
 
 def _givens_decomposition(u: np.ndarray):
@@ -249,8 +263,14 @@ class _SpeciesLift:
             shape=(dim, dim),
         )
 
-    def exponential(self, k: np.ndarray, t: float) -> csr_matrix:
-        """The sector matrix of exp(-i t K) for the one-body matrix k, as CSR."""
+    def exponential(self, k: np.ndarray, t: float) -> csr_matrix | np.ndarray:
+        """The sector matrix of exp(-i t K) for the one-body matrix k.
+
+        CSR, or a dense array where the CSR arrays would take more memory
+        than the dense one: the rotations of a connected hopping graph (the
+        full kinetic factor) fill the matrix in, where a tile section's
+        matching keeps it sparse.
+        """
         rotations, d = _givens_decomposition(expm(-1j * t * k))
         phases = np.ones(self.basis.dim, dtype=complex)
         for q, occupied in enumerate(self.occupied):
@@ -258,6 +278,9 @@ class _SpeciesLift:
         out = diags_array(phases, format="csr")
         for j, i, r in reversed(rotations):
             out = self._rotation(j, i, r) @ out
+        csr_bytes = out.data.nbytes + out.indices.nbytes + out.indptr.nbytes
+        if csr_bytes > out.shape[0] * out.shape[1] * out.dtype.itemsize:
+            return out.toarray()
         return out
 
 
@@ -400,9 +423,12 @@ class SectorOperator:
     ``__init__``:
 
     - diagonal terms plus one-species hops (``hops`` is then the
-      off-diagonal part): K_up Psi + Psi K_down^T + D o Psi in the
-      spin-factorised layout, with K_sigma the small single-species
-      matrices (``species_matrices``), so no sector-size matrix is built;
+      off-diagonal part): one kernel on the layout form of the spin-factorised
+      layout, ``layout_matvec``: x -> vec(K_up Psi + Psi K_down^T) + D_Psi o x,
+      with K_sigma the small single-species matrices (``species_matrices``)
+      and D_Psi the diagonal gathered once into layout order
+      (``layout_diagonal``), so no sector-size matrix is built; ``matvec``
+      is that kernel between one ``to_matrix`` and one ``from_matrix``;
     - anything else: the CSR sector matrix (``sparse``), assembled from
       ``to_sparse()`` on first use and kept.
 
@@ -455,6 +481,11 @@ class SectorOperator:
         return _DiagonalForm(self.groups.get(0, []))(self.basis.states)
 
     @cached_property
+    def layout_diagonal(self) -> np.ndarray:
+        """The diagonal as a matrix in layout order (no gauge sign)."""
+        return self.basis.spin_layout.to_layout_order(self.diagonal)
+
+    @cached_property
     def is_real(self) -> bool:
         return not np.iscomplexobj(self.diagonal) and all(
             all(abs(complex(c).imag) < 1e-15 for _, c in zs_cs)
@@ -462,17 +493,25 @@ class SectorOperator:
             if x != 0
         )
 
-    def _layout_matvec(self, k_up, k_down, v: np.ndarray) -> np.ndarray:
-        """from_matrix(k_up Psi + Psi k_down^T) with Psi = to_matrix(v)."""
-        layout = self.basis.spin_layout
-        psi = layout.to_matrix(v)
-        return layout.from_matrix(k_up @ psi + (k_down @ psi.T).T)
+    @staticmethod
+    def _hop_action(k_up, k_down, psi: np.ndarray) -> np.ndarray:
+        """k_up Psi + Psi k_down^T."""
+        return k_up @ psi + (k_down @ psi.T).T
+
+    def layout_matvec(self, x: np.ndarray) -> np.ndarray:
+        """O x for a factorised O and x in layout form (flat, or the matrix
+        Psi): vec(K_up Psi + Psi K_down^T) + D_Psi o x, returned flat."""
+        psi = x.reshape(self.basis.spin_layout.shape)
+        out = self._hop_action(*self.species_matrices, psi)
+        if 0 in self.groups:
+            out = out + self.layout_diagonal * psi
+        return out.reshape(-1)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         if self.hops is None:
             return self.sparse @ v
-        out = self._layout_matvec(*self.species_matrices, v)
-        return self.diagonal * v + out if 0 in self.groups else out
+        layout = self.basis.spin_layout
+        return layout.from_matrix(self.layout_matvec(layout.to_matrix(v)))
 
     def abs_matvec(self, v: np.ndarray) -> np.ndarray:
         """|O| v for the element-wise absolute matrix |O|.
@@ -483,19 +522,14 @@ class SectorOperator:
         """
         if self.hops is None:
             return self._abs_sparse @ v
-        sign = self.basis.spin_layout.sign
-        out = sign * self._layout_matvec(*self._abs_species_matrices, sign * v)
+        layout = self.basis.spin_layout
+        psi = layout.to_matrix(layout.sign * v)
+        out = layout.sign * layout.from_matrix(
+            self._hop_action(*self._abs_species_matrices, psi))
         return np.abs(self.diagonal) * v + out if 0 in self.groups else out
 
     def __call__(self, v):
         return self.matvec(v)
-
-    def as_linear_operator(self) -> LinearOperator:
-        return LinearOperator(
-            (self.dim, self.dim),
-            matvec=self.matvec,
-            dtype=float if self.is_real else complex,
-        )
 
     def to_sparse(self) -> csr_matrix:
         """The sector matrix in CSR form, assembled afresh from the x-groups.
@@ -601,41 +635,63 @@ def _start_vector(dim: int) -> np.ndarray:
     return np.random.default_rng(0).standard_normal(dim)
 
 
+def _lanczos(sop: SectorOperator, k: int, which: str, tol: float, ncv: int | None = None):
+    """``eigsh`` on a sector operator from ``_start_vector``.
+
+    The Lanczos basis holds ncv = 2k + 10 vectors unless ``ncv`` is given:
+    ARPACK's own work per iteration grows with ncv and, next to a cheap
+    matvec, outweighs it, and scipy's default, max(2k + 1, 20), keeps 20
+    vectors even for k = 1.  A factorised operator runs on ``layout_matvec`` in
+    layout form, the start vector mapped in by ``to_matrix`` and the
+    eigenvectors back by ``from_matrix``; any other runs in basis order on
+    its ``matvec``.
+    """
+    v0 = _start_vector(sop.dim)
+    layout = sop.basis.spin_layout if sop.hops is not None else None
+    if layout is None:
+        matvec = sop.matvec
+    else:
+        matvec, v0 = sop.layout_matvec, layout.to_matrix(v0).reshape(-1)
+    lo = LinearOperator((sop.dim, sop.dim), matvec=matvec,
+                        dtype=float if sop.is_real else complex)
+    vals, vecs = eigsh(lo, k=k, which=which, tol=tol, maxiter=5000, v0=v0,
+                       ncv=2 * k + 10 if ncv is None else ncv)
+    if layout is None:
+        return vals, vecs
+    return vals, np.column_stack([layout.from_matrix(vec) for vec in vecs.T])
+
+
 def lowest_eigenpairs(op, basis: SectorBasis, k: int = 1, tol: float = 0.0,
                       ncv: int | None = None):
     """k lowest eigenpairs of a Hermitian operator on the sector.
 
     ``op`` may be a PauliSum, a SectorOperator, or a dense/sparse matrix.
-    Dense diagonalization below DENSE_DIM_LIMIT, Lanczos (eigsh) above.
+    Dense diagonalization up to DENSE_DIM_LIMIT; above it, implicitly
+    restarted Lanczos (``eigsh``) from a fixed start vector, with a basis of
+    2k + 10 vectors unless ``ncv`` is given, run on the layout form of a
+    factorised operator (see ``_lanczos``).  Eigenvalues ascend; the
+    eigenvectors are columns in basis (interleaved) order either way.
     """
     if isinstance(op, PauliSum):
         op = SectorOperator(op, basis)
-    if isinstance(op, SectorOperator):
-        if basis.dim <= DENSE_DIM_LIMIT:
-            mat = op.to_dense()
-            vals, vecs = eigh(mat, driver="evd")
-            return vals[:k], vecs[:, :k]
-        lo = op.as_linear_operator()
-        vals, vecs = eigsh(lo, k=k, which="SA", tol=tol, maxiter=5000, ncv=ncv,
-                           v0=_start_vector(basis.dim))
+    if isinstance(op, SectorOperator) and basis.dim > DENSE_DIM_LIMIT:
+        vals, vecs = _lanczos(op, k, "SA", tol, ncv)
         order = np.argsort(vals)
         return vals[order], vecs[:, order]
-    mat = np.asarray(op)
+    mat = op.to_dense() if isinstance(op, SectorOperator) else np.asarray(op)
     vals, vecs = eigh(mat, driver="evd")
     return vals[:k], vecs[:, :k]
 
 
 def extremal_eigenvalues(op, basis: SectorBasis) -> tuple[float, float]:
-    """(E_min, E_max) via Lanczos at both spectrum ends."""
+    """(E_min, E_max) via Lanczos at both spectrum ends (``_lanczos``)."""
     if isinstance(op, PauliSum):
         op = SectorOperator(op, basis)
     if basis.dim <= DENSE_DIM_LIMIT:
         vals = np.linalg.eigvalsh(op.to_dense())
         return float(vals[0]), float(vals[-1])
-    lo = op.as_linear_operator()
-    v0 = _start_vector(basis.dim)
-    lo_val = eigsh(lo, k=1, which="SA", return_eigenvectors=False, tol=1e-9, v0=v0)
-    hi_val = eigsh(lo, k=1, which="LA", return_eigenvectors=False, tol=1e-9, v0=v0)
+    lo_val, _ = _lanczos(op, 1, "SA", 1e-9)
+    hi_val, _ = _lanczos(op, 1, "LA", 1e-9)
     return float(lo_val[0]), float(hi_val[0])
 
 
@@ -643,18 +699,21 @@ def extremal_eigenvalues(op, basis: SectorBasis) -> tuple[float, float]:
 
 
 class Propagator:
-    """Applies exp(-i G t) for one Hamiltonian piece G on a sector.
+    """Applies exp(-i G t) for one Hamiltonian piece G to a state in layout
+    form: the gauged matrix Psi of the basis's spin-factorised layout
+    (``SpinLayout.to_matrix``), so a Trotter step needs no gather.
 
     The route follows from G:
 
-    - diagonal G: one phase per basis state, cached per duration;
+    - diagonal G: Psi -> exp(-i t D_Psi) o Psi, with the phases of the
+      diagonal in layout order (``SpinLayout.to_layout_order``) cached per
+      duration;
     - G made only of one-species hops (the kinetic factor, a tile section):
-      Psi -> M_up Psi M_down^T in the basis's spin-factorised layout, where
-      Psi carries the gauge sign (see ``SpinLayout``) and
-      M_sigma = exp(-i t K_sigma) is a sparse matrix cached per duration,
-      built exactly from the n x n one-body unitary exp(-i t k_sigma) as a
-      product of sparse 2-mode rotations and one phase diagonal
-      (``_SpeciesLift.exponential``).
+      Psi -> M_up Psi M_down^T, where M_sigma = exp(-i t K_sigma) is cached
+      per duration, built exactly from the n x n one-body unitary
+      exp(-i t k_sigma) as a product of sparse 2-mode rotations and one
+      phase diagonal (``_SpeciesLift.exponential``); it stays sparse for a
+      tile section and is dense for the full kinetic factor.
 
     Every factor of a Trotter scheme is one of the two; any other G is
     rejected with ``ValueError``.
@@ -669,19 +728,18 @@ class Propagator:
             raise ValueError("Propagator needs a diagonal or a hopping-only operator")
         self._exponentials: dict[float, np.ndarray | tuple] = {}
 
-    def apply(self, state: np.ndarray, t: float) -> np.ndarray:
+    def apply(self, psi: np.ndarray, t: float) -> np.ndarray:
+        layout = self.basis.spin_layout
         if t not in self._exponentials:
             self._exponentials[t] = (
-                np.exp(-1j * t * self.sop.diagonal.real) if self.diagonal_only
+                layout.to_layout_order(np.exp(-1j * t * self.sop.diagonal.real))
+                if self.diagonal_only
                 else tuple(lift.exponential(k, t) for lift, k in
-                           zip(self.basis.spin_layout.species_lifts,
-                               self.sop.one_body_matrices)))
+                           zip(layout.species_lifts, self.sop.one_body_matrices)))
         if self.diagonal_only:
-            return self._exponentials[t] * state
+            return self._exponentials[t] * psi
         m_up, m_down = self._exponentials[t]
-        layout = self.basis.spin_layout
-        psi = layout.to_matrix(state)
-        return layout.from_matrix(m_up @ (m_down @ psi.T).T)
+        return m_up @ (m_down @ psi.T).T
 
 
 # -- spin labeling ------------------------------------------------------------

@@ -201,12 +201,16 @@ class TimeSeries:
 
 
 def compute_time_series(scheme, basis, state, n_steps, label=""):
-    """g_k = <psi|U^k|psi> by repeated exact sector propagation."""
+    """g_k = <psi|U^k|psi> by repeated exact sector propagation.
+
+    The state (basis order) is converted to layout form once; every factor
+    acts on that form (``Propagator``) and g_k is taken in it.
+    """
     psi = np.asarray(state, dtype=complex)
     norm = np.linalg.norm(psi)
     if abs(norm - 1.0) > 1e-8:
         raise ValueError("initial state must be normalized")
-    psi = psi / norm
+    psi = basis.spin_layout.to_matrix(psi / norm)
     props = {}
     for op, _ in scheme.factors:
         if id(op) not in props:

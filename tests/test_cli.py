@@ -103,21 +103,26 @@ def test_spectral_subcommand_with_cache(capsys, tmp_path, monkeypatch):
     assert len(cached) == 1
     rc2, doc2 = _run(capsys, argv)  # second run hits the checkpoint
     assert doc2["states"] == doc["states"]
+    assert all(s["residual"] < 1e-10 for s in doc["states"])
     gap = doc["pairs"][0]
     assert abs(gap["exact_gap"] - gap["effective_gap"]) < 1e-3
 
 
 def test_checkpoint_keyed_on_tol_and_shape_checked(tmp_path, monkeypatch):
     monkeypatch.setenv("TROTTERLAB_CACHE", str(tmp_path))
-    _, basis, vals, vecs = _ground_states("acene", 1, 2, tol=1e-10)
+    _, basis, vals, vecs, residuals = _ground_states("acene", 1, 2, tol=1e-10)
+    assert max(residuals) < 1e-10
     (path,) = tmp_path.glob("eig_*.npz")
-    # a planted checkpoint is served back only for the configuration it names
+    # a planted checkpoint is served back only for the configuration it names,
+    # and its residuals ||H v - E v|| show that its energies are off by 1
     np.savez(path, vals=vals + 1.0, vecs=vecs)
-    assert np.array_equal(_ground_states("acene", 1, 2, tol=1e-10)[2], vals + 1.0)
+    _, _, planted, _, planted_residuals = _ground_states("acene", 1, 2, tol=1e-10)
+    assert np.array_equal(planted, vals + 1.0)
+    assert np.allclose(planted_residuals, 1.0, atol=1e-10)
     assert np.array_equal(_ground_states("acene", 1, 2, tol=1e-9)[2], vals)
     # a checkpoint whose arrays do not fit the sector is recomputed
     np.savez(path, vals=vals, vecs=vecs[:-1])
-    _, _, got_vals, got_vecs = _ground_states("acene", 1, 2, tol=1e-10)
+    _, _, got_vals, got_vecs, _ = _ground_states("acene", 1, 2, tol=1e-10)
     assert got_vecs.shape == (basis.dim, 2)
     assert np.array_equal(got_vals, vals)
     # ... and for the package version that wrote it
@@ -178,3 +183,4 @@ def test_reproduce_table4_desk(capsys, tmp_path, monkeypatch):
     assert rc == 0
     assert doc["overall"] == "pass"
     assert {r["molecule"] for r in doc["rows"]} == {"acene2"}
+    assert all(r["residual"] < 1e-6 for r in doc["rows"])

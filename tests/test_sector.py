@@ -158,6 +158,20 @@ def test_eigensolvers_repeat_bit_for_bit():
     assert extremal_eigenvalues(kin + pot, basis) == extremal_eigenvalues(kin + pot, basis)
 
 
+def test_lanczos_eigenpairs_come_back_in_basis_order():
+    """eigsh runs on the layout form; its eigenvectors, mapped back, are
+    eigenpairs of the basis-order matvec, with a singlet ground state."""
+    fh = build_ppp(build_lattice("acene", 2))
+    kin, pot = jordan_wigner(fh)
+    basis = enumerate_sector(10, 6, 0)  # 14 400 states: Lanczos, not dense
+    h = SectorOperator(kin + pot, basis)
+    vals, vecs = lowest_eigenpairs(h, basis, k=2, tol=1e-10)
+    for val, vec in zip(vals, vecs.T):
+        assert np.linalg.norm(h.matvec(vec) - val * vec) <= 1e-8
+    assert abs(total_spin_expectation(vecs[:, 0], basis)) < 1e-8
+    assert abs(extremal_eigenvalues(h, basis)[0] - vals[0]) < 1e-8
+
+
 def test_spin_layout_round_trip_and_gauge_sign():
     basis = enumerate_sector(10, 4, 2)
     assert "spin_layout" not in vars(basis)  # built on first use only
@@ -194,6 +208,7 @@ def test_factorised_actions_match_dense(size_n, sector):
     v = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
     v /= np.linalg.norm(v)
     t = 0.1
+    layout = basis.spin_layout
     for op in _tile_sections(lat) + [kin]:
         prop = Propagator(op, basis)
         assert prop.hopping_only
@@ -202,11 +217,55 @@ def test_factorised_actions_match_dense(size_n, sector):
         coeffs = w.conj().T @ v
         for steps in (1, 5, -3):  # large and negative angles too
             exact = w @ (np.exp(-1j * steps * t * lam) * coeffs)
-            assert np.abs(prop.apply(v, steps * t) - exact).max() <= 1e-12
+            got = layout.from_matrix(prop.apply(layout.to_matrix(v), steps * t))
+            assert np.abs(got - exact).max() <= 1e-12
     h = SectorOperator(kin + pot, basis)
     assert h.hops is not None
     assert np.abs(h.matvec(v) - h.to_dense() @ v).max() <= 1e-12
     assert np.abs(h.abs_matvec(v) - np.abs(h.to_dense()) @ v).max() <= 1e-12
+
+
+def _complex_hopping(n_sites, rng):
+    """One-species hops with random complex amplitudes between every pair of
+    sites, both spins: a Hermitian K_sigma that is not symmetric."""
+    op = PauliSum(2 * n_sites)
+    for i in range(n_sites):
+        for j in range(i + 1, n_sites):
+            for spin in (0, 1):
+                p, q = 2 * i + spin, 2 * j + spin
+                ends, chain = (1 << p) | (1 << q), (1 << q) - (1 << (p + 1))
+                real, imag = rng.normal(size=2)
+                op.add_term(ends, chain, real / 2)  # X Z..Z X
+                op.add_term(ends, chain | ends, real / 2)  # Y Z..Z Y
+                op.add_term(ends, chain | (1 << p), imag / 2)  # Y Z..Z X
+                op.add_term(ends, chain | (1 << q), -imag / 2)  # X Z..Z Y
+    return op
+
+
+def test_full_hopping_factor_is_applied_dense():
+    """M_sigma of a connected hopping graph is stored dense, a tile section's
+    stays sparse; with complex amplitudes M_sigma is not symmetric, so the
+    propagated state shows its orientation."""
+    lat = build_lattice("acene", 2)
+    kin, _ = jordan_wigner(build_ppp(lat))
+    basis = enumerate_sector(10, 4, 2)
+    lifts = basis.spin_layout.species_lifts
+    t = 0.3
+    for op, dense in ((kin, True), (_tile_sections(lat)[0], False)):
+        for lift, k in zip(lifts, SectorOperator(op, basis).one_body_matrices):
+            assert isinstance(lift.exponential(k, t), np.ndarray) == dense
+    op = _complex_hopping(10, np.random.default_rng(7))
+    sop = SectorOperator(op, basis)
+    m_up = lifts[0].exponential(sop.one_body_matrices[0], t)
+    assert isinstance(m_up, np.ndarray) and np.abs(m_up - m_up.T).max() > 1e-2
+    lam, w = eigh(sop.to_dense())
+    rng = np.random.default_rng(8)
+    v = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+    v /= np.linalg.norm(v)
+    exact = w @ (np.exp(-1j * t * lam) * (w.conj().T @ v))
+    layout = basis.spin_layout
+    got = layout.from_matrix(Propagator(op, basis).apply(layout.to_matrix(v), t))
+    assert np.abs(got - exact).max() <= 1e-12
 
 
 def _rebuild(rotations, phases):
@@ -386,7 +445,8 @@ def test_propagate_diagonal_phase(benzene):
     prop = Propagator(pot, basis)
     v = np.zeros(basis.dim, dtype=complex)
     v[7] = 1.0
-    out = prop.apply(v, 0.3)
+    layout = basis.spin_layout
+    out = layout.from_matrix(prop.apply(layout.to_matrix(v), 0.3))
     diag = SectorOperator(pot, basis).diagonal.real
     assert np.isclose(out[7], np.exp(-1j * 0.3 * diag[7]))
     assert np.isclose(np.abs(out[7]), 1.0)
@@ -397,9 +457,15 @@ def test_propagate_diagonal_phases_reused_bit_for_bit(benzene):
     _, pot, basis = benzene
     prop = Propagator(pot, basis)
     v = np.random.default_rng(3).normal(size=basis.dim) + 0j
-    want = np.exp(-1j * 0.05 * SectorOperator(pot, basis).diagonal.real) * v
+    phases = np.exp(-1j * 0.05 * SectorOperator(pot, basis).diagonal.real)
+    layout = basis.spin_layout
+    psi = layout.to_matrix(v)
+    want = layout.to_layout_order(phases) * psi
     for _ in range(2):
-        assert prop.apply(v, 0.05).tobytes() == want.tobytes()
+        got = prop.apply(psi, 0.05)
+        assert got.tobytes() == want.tobytes()
+    # in basis order the same values; the gauge sign may flip the sign of a zero
+    assert np.array_equal(layout.from_matrix(got), phases * v)
 
 
 def test_propagate_matches_dense_expm(benzene):
@@ -410,11 +476,11 @@ def test_propagate_matches_dense_expm(benzene):
     v /= np.linalg.norm(v)
     t = 0.05
     exact = v
-    got = v
+    got = basis.spin_layout.to_matrix(v)
     for op, dur in ((pot, t / 2), (kin, t), (pot, t / 2)):
         exact = expm(-1j * dur * SectorOperator(op, basis).to_dense()) @ exact
         got = Propagator(op, basis).apply(got, dur)
-    assert np.linalg.norm(exact - got) < 1e-10
+    assert np.linalg.norm(exact - basis.spin_layout.from_matrix(got)) < 1e-10
 
 
 def test_propagate_zero_time_limit(benzene):
@@ -423,10 +489,10 @@ def test_propagate_zero_time_limit(benzene):
     v = rng.normal(size=basis.dim) + 0j
     v /= np.linalg.norm(v)
     t = 1e-5
-    out = v
+    out = basis.spin_layout.to_matrix(v)
     for op, dur in ((pot, t / 2), (kin, t), (pot, t / 2)):
         out = Propagator(op, basis).apply(out, dur)
-    fid = abs(np.vdot(v, out))
+    fid = abs(np.vdot(v, basis.spin_layout.from_matrix(out)))
     assert fid > 1 - (60.0 * t) ** 2  # ||H|| well below 60 eV
 
 
@@ -438,11 +504,12 @@ def test_unitarity_over_100_steps(benzene):
     rng = np.random.default_rng(2)
     v = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
     v /= np.linalg.norm(v)
+    psi = basis.spin_layout.to_matrix(v)
     for _ in range(100):
-        v = pv.apply(v, t / 2)
-        v = pk.apply(v, t)
-        v = pv.apply(v, t / 2)
-    assert abs(np.linalg.norm(v) - 1.0) < 1e-10
+        psi = pv.apply(psi, t / 2)
+        psi = pk.apply(psi, t)
+        psi = pv.apply(psi, t / 2)
+    assert abs(np.linalg.norm(basis.spin_layout.from_matrix(psi)) - 1.0) < 1e-10
 
 
 def test_spin_labels(benzene):

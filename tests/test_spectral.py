@@ -200,6 +200,32 @@ def test_time_series_matches_dense_effective(benzene):
     assert abs(got - eff_vals[m]) < 1e-6
 
 
+@pytest.mark.parametrize("kind", ["SO", "tile"])
+def test_time_series_matches_dense_unitary_powers(kind):
+    """g_k from layout-form propagation against <psi|U^k|psi> with the dense
+    product-formula unitary, on naphthalene's 2025-state (10, 4, 0) sector."""
+    lat = build_lattice("acene", 2)
+    kin, pot = jordan_wigner(build_ppp(lat))
+    basis = enumerate_sector(10, 4, 0)
+    t = 0.1
+    if kind == "SO":
+        scheme = so_scheme(kin, pot, t)
+    else:
+        classes = bond_orientation_classes(lat).values()
+        scheme = tile_scheme([hopping_pauli_sum(10, c) for c in classes], pot, t)
+    rng = np.random.default_rng(4)
+    psi = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+    psi /= np.linalg.norm(psi)
+    steps = 6
+    got = compute_time_series(scheme, basis, psi, steps).values
+    unitary = scheme_unitary_dense(scheme, basis)
+    want, current = [1.0], psi
+    for _ in range(steps):
+        current = unitary @ current
+        want.append(np.vdot(psi, current))
+    assert np.abs(got - np.array(want)).max() <= 1e-10
+
+
 def test_sector_trace_identity(benzene):
     _, kin, pot, basis = benzene
     h = kin + pot
