@@ -58,11 +58,9 @@ from .spectral import (
     effective_spectrum_dense,
     error_constants,
     extract_energy,
-    gap_sweep,
     hopping_pauli_sum,
     pair_eigenstates,
     section_pauli_sums,
-    sector_trace_difference,
     so_scheme,
     tile_scheme,
 )

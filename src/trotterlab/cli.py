@@ -13,16 +13,16 @@ import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import __version__
 from .freefermion import kinetic_fits, single_section, tile_sections, tiling_path
 from .hamiltonian import apply_shift, build_ppp, choose_shift, shifted_potential
-from .lattice import FAMILIES, bond_orientation_classes, build_lattice
+from .lattice import FAMILIES, bond_orientation_classes, build_lattice, site_count
 from .norms import (
     HoppingCommutatorAction,
-    _BoundAdapter,
     average_case_constant,
     dense_spectral_norm,
     frobenius_sampled,
@@ -57,12 +57,6 @@ from .spectral import (
     so_scheme,
     tile_scheme,
 )
-
-
-class ConfigError(Exception):
-    def __init__(self, field, message):
-        self.field = field
-        super().__init__(message)
 
 
 def _fail_config(field, message):
@@ -244,9 +238,8 @@ def cmd_norms(args):
     lat = build_lattice(cfg["family"], cfg["size_n"])
     fh = build_ppp(lat)
     kin, pot = jordan_wigner(fh)
-    sector = half_filling_sector(lat.n_sites)
-    basis = enumerate_sector(lat.n_sites, lat.n_sites, sector.sz_twice)
-    report = {"sector": [lat.n_sites, lat.n_sites, sector.sz_twice], "dim": basis.dim}
+    basis = half_filling_sector(lat.n_sites)
+    report = {"sector": [lat.n_sites, lat.n_sites, basis.sz_twice], "dim": basis.dim}
     if method == "dense":
         o_vtv, o_vtt = nested_commutators(kin, pot)
         vtv = dense_spectral_norm(o_vtv, basis)
@@ -255,16 +248,14 @@ def cmd_norms(args):
     else:
         act = HoppingCommutatorAction(kin, pot, basis)
         if method == "bound":
-            vtv = spectral_norm_bound(_BoundAdapter(act.vtv_abs_matvec), basis)
-            vtt = spectral_norm_bound(_BoundAdapter(act.vtt_abs_matvec), basis)
+            vtv = spectral_norm_bound(SimpleNamespace(abs_matvec=act.vtv_abs_matvec), basis)
+            vtt = spectral_norm_bound(SimpleNamespace(abs_matvec=act.vtt_abs_matvec), basis)
             report["constant"] = worst_case_constant(vtv, vtt).value
         else:
-            vtv = frobenius_sampled(
-                _BoundAdapter(act.vtv_abs_matvec, act.vtv_column_norm_sq),
-                basis, samples, seed)
-            vtt = frobenius_sampled(
-                _BoundAdapter(act.vtt_abs_matvec, act.vtt_column_norm_sq),
-                basis, samples, seed + 1)
+            vtv = frobenius_sampled(SimpleNamespace(column_norm_sq=act.vtv_column_norm_sq),
+                                    basis, samples, seed)
+            vtt = frobenius_sampled(SimpleNamespace(column_norm_sq=act.vtt_column_norm_sq),
+                                    basis, samples, seed + 1)
             report["constant"] = average_case_constant(vtv, vtt).value
     for name, est in (("vtv", vtv), ("vtt", vtt)):
         report[name] = {
@@ -319,12 +310,11 @@ def cmd_freefermion(args):
     return 0
 
 
-def _build_scheme_factory(lat, kin, pot, scheme_kind):
+def _build_scheme(lat, kin, pot, scheme_kind, t):
     if scheme_kind == "SO":
-        return lambda t: so_scheme(kin, pot, t)
+        return so_scheme(kin, pot, t)
     classes = default_section_order(bond_orientation_classes(lat).values())
-    sums = [hopping_pauli_sum(lat.n_sites, c) for c in classes]
-    return lambda t: tile_scheme(sums, pot, t)
+    return tile_scheme([hopping_pauli_sum(lat.n_sites, c) for c in classes], pot, t)
 
 
 def cmd_spectral(args):
@@ -340,8 +330,7 @@ def cmd_spectral(args):
     lat, basis, vals, vecs, residuals = _ground_states(cfg["family"], cfg["size_n"], k)
     fh = build_ppp(lat)
     kin, pot = jordan_wigner(fh)
-    factory = _build_scheme_factory(lat, kin, pot, scheme_kind)
-    scheme = factory(cfg["t"])
+    scheme = _build_scheme(lat, kin, pot, scheme_kind, cfg["t"])
     filt = default_filter()
     effective = []
     for m in range(k):
@@ -484,11 +473,12 @@ def _rep_table2(slow):
     act = HoppingCommutatorAction(kin, pot, basis)
     samples = 10000
     rows = []
-    for name, fn_abs, fn_col in (
-        ("frobenius_vtv", act.vtv_abs_matvec, act.vtv_column_norm_sq),
-        ("frobenius_vtt", act.vtt_abs_matvec, act.vtt_column_norm_sq),
+    for name, column_norm_sq in (
+        ("frobenius_vtv", act.vtv_column_norm_sq),
+        ("frobenius_vtt", act.vtt_column_norm_sq),
     ):
-        est = frobenius_sampled(_BoundAdapter(fn_abs, fn_col), basis, samples, seed=0)
+        est = frobenius_sampled(SimpleNamespace(column_norm_sq=column_norm_sq), basis,
+                                samples, seed=0)
         tol = 3.0 * (ref[name + "_se"] + est.standard_error)
         rows.append({
             "quantity": "acene3 " + name,
@@ -499,7 +489,7 @@ def _rep_table2(slow):
             "status": "pass" if abs(est.value - ref[name]) <= tol else "fail",
         })
     if slow:
-        bound = spectral_norm_bound(_BoundAdapter(act.vtv_abs_matvec), basis)
+        bound = spectral_norm_bound(SimpleNamespace(abs_matvec=act.vtv_abs_matvec), basis)
         rel = abs(bound.value - ref["spectral_vtv"]) / ref["spectral_vtv"]
         rows.append({
             "quantity": "acene3 spectral_vtv",
@@ -546,14 +536,24 @@ def _rep_table4(slow, molecule=None):
             _fail_config("molecule", "no reference gaps for %r" % name)
         family = name.rstrip("0123456789")
         n = int(name[len(family):])
-        lat, basis, vals, vecs, residuals = _ground_states(family, n, 4, tol=1e-9)
-        s2 = [float(total_spin_expectation(vecs[:, m], basis)) for m in range(4)]
-        upper = {}  # gap -> index of its upper state
-        for m in range(1, 4):
-            if abs(s2[m] - 2.0) < 0.1 and "s0_t1" not in upper:
-                upper["s0_t1"] = m
-            if abs(s2[m]) < 0.1 and "s0_s1" not in upper:
-                upper["s0_s1"] = m
+        # upper: gap -> index in vals of its upper state
+        if site_count(family, n) % 2:
+            # odd electron count: S0 is the lowest doublet (S_z = 1/2) and the
+            # upper state of s0_t1 the lowest quartet, the ground state of S_z = 3/2
+            _, _, vals, _, residuals = _ground_states(family, n, 1, tol=1e-9)
+            _, _, quartet, _, quartet_residuals = _ground_states(family, n, 1, sz_twice=3,
+                                                                 tol=1e-9)
+            vals, residuals = np.append(vals, quartet), residuals + quartet_residuals
+            upper = {"s0_t1": 1}
+        else:
+            _, basis, vals, vecs, residuals = _ground_states(family, n, 4, tol=1e-9)
+            s2 = [float(total_spin_expectation(vecs[:, m], basis)) for m in range(4)]
+            upper = {}
+            for m in range(1, 4):
+                if abs(s2[m] - 2.0) < 0.1 and "s0_t1" not in upper:
+                    upper["s0_t1"] = m
+                if abs(s2[m]) < 0.1 and "s0_s1" not in upper:
+                    upper["s0_s1"] = m
         for key in ("s0_t1", "s0_s1"):
             want = ref[name].get(key)
             if want is None:

@@ -29,7 +29,8 @@ from .hamiltonian import PppParams
 from .norms import ErrorConstant
 from .sector import hermitian_exponential, principal_log_spectrum
 
-DEFAULT_T_GRID = (0.01, 0.03, 0.05)
+# time steps of the cubic fits
+T_GRID = (0.01, 0.03, 0.05)
 _BRANCH_MARGIN = 1e-6
 
 
@@ -221,17 +222,6 @@ class KineticFit:
     r_squared: float
 
 
-def _cubic_fit(t_grid, errors):
-    t3 = np.asarray(t_grid, dtype=float) ** 3
-    y = np.asarray(errors, dtype=float)
-    denom = float(np.dot(t3, t3))
-    coeff = float(np.dot(t3, y)) / denom
-    resid = y - coeff * t3
-    total = float(np.dot(y, y))
-    r2 = 1.0 if total == 0.0 else 1.0 - float(np.dot(resid, resid)) / total
-    return coeff, r2
-
-
 def _filling_deviations(phases, k_max):
     """D_k = E_k - 1 for k = 0..k_max.
 
@@ -264,35 +254,41 @@ def _average_error(eff, filling):
     return float(np.sqrt(max(2.0 * loss, 0.0)))
 
 
-def _kinetic_fit(kind, method, t_grid, errors):
-    coeff, r2 = _cubic_fit(t_grid, errors)
+def _kinetic_fit(kind, method, errors):
+    """Least-squares fit of errors = constant * t^3 over ``T_GRID``."""
+    t3 = np.asarray(T_GRID, dtype=float) ** 3
+    y = np.asarray(errors, dtype=float)
+    coeff = float(np.dot(t3, y)) / float(np.dot(t3, t3))
+    resid = y - coeff * t3
+    total = float(np.dot(y, y))
     return KineticFit(
         constant=ErrorConstant(kind=kind, scheme="kinetic", value=coeff,
                                provenance={"method": method}),
-        t_grid=tuple(t_grid),
+        t_grid=T_GRID,
         errors=tuple(errors),
-        r_squared=r2,
+        r_squared=1.0 if total == 0.0 else 1.0 - float(np.dot(resid, resid)) / total,
     )
 
 
-def kinetic_fits(sections, t_grid=DEFAULT_T_GRID, filling=None):
-    """(W_T fit, A_T fit), both from one A_delta per time step of the grid."""
-    filling = filling or default_filling(sections.n_modes)
-    effective = [effective_kinetic(sections, t) for t in t_grid]
+def kinetic_fits(sections):
+    """(W_T fit, A_T fit) at half filling, both from one A_delta per time
+    step of ``T_GRID``."""
+    filling = default_filling(sections.n_modes)
+    effective = [effective_kinetic(sections, t) for t in T_GRID]
     return (
-        _kinetic_fit("worst", "eigenmode-sum norm, cubic fit", t_grid,
+        _kinetic_fit("worst", "eigenmode-sum norm, cubic fit",
                      [_worst_error(eff, filling) for eff in effective]),
-        _kinetic_fit("average", "exact fixed-filling trace", t_grid,
+        _kinetic_fit("average", "exact fixed-filling trace",
                      [_average_error(eff, filling) for eff in effective]),
     )
 
 
-def worst_case_kinetic(sections, t_grid=DEFAULT_T_GRID, filling=None):
+def worst_case_kinetic(sections):
     """W_T from |1 - exp(-i ||T_delta|| t)| fitted as W_T t^3."""
-    return kinetic_fits(sections, t_grid, filling)[0]
+    return kinetic_fits(sections)[0]
 
 
-def average_case_kinetic(sections, t_grid=DEFAULT_T_GRID, filling=None):
+def average_case_kinetic(sections):
     """A_T from the exact normalized fixed-filling trace of exp(i T_delta t),
     fitted as A_T t^3."""
-    return kinetic_fits(sections, t_grid, filling)[1]
+    return kinetic_fits(sections)[1]

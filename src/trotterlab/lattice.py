@@ -112,11 +112,6 @@ def build_lattice(family: str, size_n: int) -> Lattice:
     return lat
 
 
-def distance_matrix(lattice: Lattice) -> np.ndarray:
-    """Pairwise Euclidean distances r_ij in Angstrom."""
-    return lattice.distances.copy()
-
-
 def _check_invariants(lat: Lattice) -> None:
     deg = lat.degrees()
     if not np.all((deg == 2) | (deg == 3)):

@@ -321,11 +321,3 @@ class HoppingCommutatorAction:
         d = diags(self.diag)
         t2 = t @ t
         return abs(d @ t2 - 2.0 * (t @ d @ t) + t2 @ d).tocsr()
-
-
-class _BoundAdapter:
-    """Exposes a matvec pair under the names spectral_norm_bound expects."""
-
-    def __init__(self, abs_matvec, column_norm_sq=None):
-        self.abs_matvec = abs_matvec
-        self.column_norm_sq = column_norm_sq

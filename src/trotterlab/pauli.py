@@ -18,19 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-_LETTER = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
-
 PRUNE_REL = 1e-12
-
-
-def string_letters(x: int, z: int, n_qubits: int) -> str:
-    """Human-readable form like ``X0 Z3 Y7`` (empty string for identity)."""
-    parts = []
-    for q in range(n_qubits):
-        letter = _LETTER[((x >> q) & 1, (z >> q) & 1)]
-        if letter != "I":
-            parts.append(f"{letter}{q}")
-    return " ".join(parts)
 
 
 def _product_phase(x1: int, z1: int, x2: int, z2: int) -> int:
@@ -66,10 +54,6 @@ class PauliSum:
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def zero(cls, n_qubits: int) -> "PauliSum":
-        return cls(n_qubits)
-
-    @classmethod
     def identity(cls, n_qubits: int, coeff: complex = 1.0) -> "PauliSum":
         return cls(n_qubits, {(0, 0): coeff})
 
@@ -103,10 +87,6 @@ class PauliSum:
 
     def max_abs_coeff(self) -> float:
         return max((abs(c) for c in self.terms.values()), default=0.0)
-
-    def one_norm(self) -> float:
-        """Sum of |coefficients| over non-identity terms."""
-        return float(sum(abs(c) for (x, z), c in self.terms.items() if (x, z) != (0, 0)))
 
     def split_identity(self) -> tuple["PauliSum", complex]:
         rest = {k: v for k, v in self.terms.items() if k != (0, 0)}
@@ -173,37 +153,6 @@ class PauliSum:
             target = bits ^ x
             out[target] = out.get(target, 0.0) + amp
         return {b: a for b, a in out.items() if a != 0}
-
-    # -- serialization --------------------------------------------------------
-
-    def to_text(self) -> str:
-        lines = []
-        for (x, z), c in sorted(self.terms.items(), key=lambda kv: (kv[0][1], kv[0][0])):
-            val = complex(c)
-            if abs(val.imag) > 1e-12 * max(1.0, abs(val)):
-                raise ValueError("text format only covers real coefficients")
-            letters = string_letters(x, z, self.n_qubits)
-            lines.append(f"{val.real:+.7e} {letters}".rstrip())
-        return "\n".join(lines)
-
-    @classmethod
-    def from_text(cls, text: str, n_qubits: int) -> "PauliSum":
-        out = cls(n_qubits)
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split()
-            coeff = float(fields[0])
-            x = z = 0
-            for tok in fields[1:]:
-                letter, q = tok[0], int(tok[1:])
-                if letter in "XY":
-                    x |= 1 << q
-                if letter in "ZY":
-                    z |= 1 << q
-            out.add_term(x, z, coeff)
-        return out
 
 
 def commutator(a: PauliSum, b: PauliSum) -> PauliSum:

@@ -19,11 +19,10 @@ from math import ceil, log2, pi, sqrt
 
 import numpy as np
 
-from .hamiltonian import bin_coefficients
+from .hamiltonian import COEFF_BIN_REL, bin_coefficients
 
 CHEMICAL_ACCURACY = 0.04354  # eV
 DEFAULT_X = 0.02
-DEFAULT_GAP_TIME_STEP = 0.1  # eV^-1
 
 # Power-law extrapolation of the energy error constant with system size,
 # fitted on the computed molecules; coefficients are caller-visible.
@@ -172,7 +171,7 @@ def total_cost(params, gap=False):
 # -- Hamming weight phasing ---------------------------------------------------
 
 
-def rotation_groups(potential, rel_tol=1e-9):
+def rotation_groups(potential, rel_tol=COEFF_BIN_REL):
     """Same-angle rotation groups of a diagonal potential operator.
 
     Returns a list of (group_size, max_qubit_occurrence) over coefficient
@@ -200,7 +199,7 @@ def rotation_groups(potential, rel_tol=1e-9):
     return list(zip(np.bincount(ids).tolist(), busiest.tolist()))
 
 
-def hwp_potential_rotations(potential, rel_tol=1e-9):
+def hwp_potential_rotations(potential):
     """(rotations, added toffolis) for one application of exp(-iVt).
 
     Within each same-angle group, terms sharing a qubit must run
@@ -212,7 +211,7 @@ def hwp_potential_rotations(potential, rel_tol=1e-9):
     """
     rotations = 0
     toffolis = 0
-    for size, max_occ in rotation_groups(potential, rel_tol):
+    for size, max_occ in rotation_groups(potential):
         rotations += max_occ
         toffolis += size - max_occ
     return rotations, toffolis
@@ -234,10 +233,10 @@ def hwp_kinetic_rotations(sections):
     return rotations, toffolis
 
 
-def hwp_estimate(params, potential, sections=None, gap=False, rel_tol=1e-9):
+def hwp_estimate(params, potential, sections=None, gap=False):
     """Cost report under Hamming weight phasing with N - 1 ancillas."""
     base = total_cost(params, gap=gap)
-    pot_rot, pot_tof = hwp_potential_rotations(potential, rel_tol)
+    pot_rot, pot_tof = hwp_potential_rotations(potential)
     if sections is not None:
         kin_rot, kin_tof = hwp_kinetic_rotations(sections)
     else:

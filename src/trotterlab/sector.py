@@ -528,9 +528,6 @@ class SectorOperator:
             self._hop_action(*self._abs_species_matrices, psi))
         return np.abs(self.diagonal) * v + out if 0 in self.groups else out
 
-    def __call__(self, v):
-        return self.matvec(v)
-
     def to_sparse(self) -> csr_matrix:
         """The sector matrix in CSR form, assembled afresh from the x-groups.
 
@@ -665,21 +662,20 @@ def lowest_eigenpairs(op, basis: SectorBasis, k: int = 1, tol: float = 0.0,
                       ncv: int | None = None):
     """k lowest eigenpairs of a Hermitian operator on the sector.
 
-    ``op`` may be a PauliSum, a SectorOperator, or a dense/sparse matrix.
-    Dense diagonalization up to DENSE_DIM_LIMIT; above it, implicitly
-    restarted Lanczos (``eigsh``) from a fixed start vector, with a basis of
-    2k + 10 vectors unless ``ncv`` is given, run on the layout form of a
-    factorised operator (see ``_lanczos``).  Eigenvalues ascend; the
-    eigenvectors are columns in basis (interleaved) order either way.
+    ``op`` is a PauliSum or a SectorOperator.  Dense diagonalization up to
+    DENSE_DIM_LIMIT; above it, implicitly restarted Lanczos (``eigsh``) from
+    a fixed start vector, with a basis of 2k + 10 vectors unless ``ncv`` is
+    given, run on the layout form of a factorised operator (see
+    ``_lanczos``).  Eigenvalues ascend; the eigenvectors are columns in basis
+    (interleaved) order either way.
     """
     if isinstance(op, PauliSum):
         op = SectorOperator(op, basis)
-    if isinstance(op, SectorOperator) and basis.dim > DENSE_DIM_LIMIT:
+    if basis.dim > DENSE_DIM_LIMIT:
         vals, vecs = _lanczos(op, k, "SA", tol, ncv)
         order = np.argsort(vals)
         return vals[order], vecs[:, order]
-    mat = op.to_dense() if isinstance(op, SectorOperator) else np.asarray(op)
-    vals, vecs = eigh(mat, driver="evd")
+    vals, vecs = eigh(op.to_dense(), driver="evd")
     return vals[:k], vecs[:, :k]
 
 
@@ -742,7 +738,7 @@ class Propagator:
         return m_up @ (m_down @ psi.T).T
 
 
-# -- spin labeling ------------------------------------------------------------
+# -- total spin ---------------------------------------------------------------
 
 
 def apply_s_plus(state: np.ndarray, basis: SectorBasis):
@@ -775,13 +771,3 @@ def total_spin_expectation(state: np.ndarray, basis: SectorBasis) -> float:
     except ValueError:
         s_plus_sq = 0.0  # raised sector infeasible, so S+ annihilates psi
     return s_plus_sq + sz * (sz + 1.0)
-
-
-def spin_label(state: np.ndarray, basis: SectorBasis, tol: float = 0.1) -> int:
-    """Round <S²> to the nearest s(s+1) and return integer 2s."""
-    s2 = total_spin_expectation(state, basis)
-    for two_s in range(0, 2 * basis.n_sites + 1):
-        s = two_s / 2.0
-        if abs(s2 - s * (s + 1.0)) < max(tol, 1e-6):
-            return two_s
-    raise ValueError(f"<S²> = {s2} is not near any s(s+1)")

@@ -17,7 +17,7 @@ from scipy.linalg import eigh
 
 from .hamiltonian import PppParams
 from .pauli import PauliSum, add_hop, qubit_index
-from .resources import CHEMICAL_ACCURACY
+from .resources import CHEMICAL_ACCURACY  # noqa: F401  re-exported
 from .sector import (
     DENSE_DIM_LIMIT,
     Propagator,
@@ -27,6 +27,10 @@ from .sector import (
 )
 
 _GRID_POINTS = 8192
+# Gaussian filter width (radians) of every energy extraction
+_FILTER_WIDTH = 0.05
+# matched eigenstates with a smaller squared overlap are flagged
+_MIN_OVERLAP = 0.9
 # phases this close to +-pi leave the branch of log U ambiguous
 _BRANCH_MARGIN = 1e-9
 
@@ -109,13 +113,6 @@ def default_section_order(classes):
     return [ordered[-1]] + ordered[:-2] + [ordered[-2]]
 
 
-def add_constant(op, value):
-    """op + value * identity, as a new PauliSum."""
-    out = op.copy()
-    out.add_term(0, 0, value)
-    return out
-
-
 # -- dense effective Hamiltonian ----------------------------------------------
 
 
@@ -163,11 +160,11 @@ def effective_hamiltonian_dense(scheme, basis):
     return (h_eff + h_eff.conj().T) / 2
 
 
-def pair_eigenstates(vecs_exact, vecs_effective, min_overlap=0.9):
+def pair_eigenstates(vecs_exact, vecs_effective):
     """Greedy max-|overlap|^2 matching between two eigenbases.
 
     Returns a list of (exact_index, effective_index, overlap_sq, flagged),
-    one per state, flagged when overlap_sq < min_overlap.
+    one per state, flagged when overlap_sq < ``_MIN_OVERLAP``.
     """
     overlap = np.abs(vecs_exact.conj().T @ vecs_effective) ** 2
     dim = overlap.shape[0]
@@ -175,7 +172,7 @@ def pair_eigenstates(vecs_exact, vecs_effective, min_overlap=0.9):
     matches = [None] * dim
     for _ in range(dim):
         m, n = np.unravel_index(np.argmax(work), work.shape)
-        matches[m] = (int(m), int(n), float(overlap[m, n]), overlap[m, n] < min_overlap)
+        matches[m] = (int(m), int(n), float(overlap[m, n]), overlap[m, n] < _MIN_OVERLAP)
         work[m, :] = -1.0
         work[:, n] = -1.0
     return matches
@@ -239,8 +236,9 @@ class FilterSpec:
         object.__setattr__(self, "coefficients", np.exp(-0.5 * (self.width * ks) ** 2))
 
 
-def default_filter(width=0.05):
-    return FilterSpec(width=width, order=int(np.ceil(6.0 / width)))
+def default_filter():
+    """The Gaussian filter of width ``_FILTER_WIDTH``, truncated at order 6 / width."""
+    return FilterSpec(width=_FILTER_WIDTH, order=int(np.ceil(6.0 / _FILTER_WIDTH)))
 
 
 def filter_objective(series, filt):
@@ -360,48 +358,3 @@ def error_constants(exact_energies, effective_energies, t, pairs=(), labels=None
             )
         )
     return SpectrumReport(time_step=t, states=states, pairs=tuple(pair_records))
-
-
-def gap_sweep(states, scheme_factory, t_list, pairs, epsilon=CHEMICAL_ACCURACY,
-              n_steps=None, filter_width=0.05):
-    """Effective energies and gap budget flags over a time-step sweep.
-
-    states: {label: (basis, exact_energy, state_vector)}; the vector is the
-    exact eigenstate used to seed the time series.  scheme_factory(t) builds
-    the product formula.  pairs: [(label_m, label_n), ...].  Flags test
-    |gap - effective gap| <= epsilon / 3.
-    """
-    filt = default_filter(filter_width)
-    steps = n_steps or filt.order
-    rows = []
-    for t in t_list:
-        if t <= 0:
-            raise ValueError("time steps must be positive")
-        scheme = scheme_factory(t)
-        energies = {}
-        failures = {}
-        for label, (basis, exact_energy, vector) in states.items():
-            try:
-                series = compute_time_series(scheme, basis, vector, steps, label)
-                energies[label] = extract_energy(series, filt, exact_energy)
-            except ValueError as exc:
-                failures[label] = str(exc)
-        gaps = {}
-        for m, n in pairs:
-            if m in energies and n in energies:
-                exact_gap = states[m][1] - states[n][1]
-                eff_gap = energies[m] - energies[n]
-                gaps[(m, n)] = {
-                    "exact": exact_gap,
-                    "effective": eff_gap,
-                    "within_budget": abs(exact_gap - eff_gap) <= epsilon / 3.0,
-                }
-        rows.append({"t": t, "energies": energies, "gaps": gaps, "failures": failures})
-    return rows
-
-
-def sector_trace_difference(hamiltonian, scheme, basis):
-    """Tr(H_eff - H) on the sector; zero for BCH commutator corrections."""
-    energies, _ = effective_spectrum_dense(scheme, basis)
-    diag = SectorOperator(hamiltonian, basis).diagonal.real
-    return float(energies.sum() - diag.sum())

@@ -10,6 +10,7 @@ cost totals.  Long-running variants opt in via --runslow.
 import json
 from importlib.resources import files
 from math import pi, sqrt
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from trotterlab.hamiltonian import build_ppp, shifted_potential
 from trotterlab.lattice import build_lattice, bond_orientation_classes
 from trotterlab.norms import (
     HoppingCommutatorAction,
-    _BoundAdapter,
     dense_spectral_norm,
     frobenius_sampled,
     nested_commutators,
@@ -127,7 +127,7 @@ def test_criterion3_frobenius_vtt_3acene(acene3_action):
     act, basis = acene3_action
     ref = _reference()["commutator_norms"]["acene3"]
     est = frobenius_sampled(
-        _BoundAdapter(act.vtt_abs_matvec, act.vtt_column_norm_sq),
+        SimpleNamespace(column_norm_sq=act.vtt_column_norm_sq),
         basis, samples=10000, seed=0)
     tol = 3.0 * (ref["frobenius_vtt_se"] + est.standard_error)
     assert abs(est.value - ref["frobenius_vtt"]) <= tol
@@ -147,7 +147,7 @@ def test_criterion3_frobenius_vtv_3acene(acene3_action):
     act, basis = acene3_action
     ref = _reference()["commutator_norms"]["acene3"]
     est = frobenius_sampled(
-        _BoundAdapter(act.vtv_abs_matvec, act.vtv_column_norm_sq),
+        SimpleNamespace(column_norm_sq=act.vtv_column_norm_sq),
         basis, samples=10000, seed=0)
     tol = 3.0 * (ref["frobenius_vtv_se"] + est.standard_error)
     assert abs(est.value - ref["frobenius_vtv"]) <= tol
@@ -174,7 +174,8 @@ def test_criterion4_benzene_bound_quality():
 def test_criterion4_spectral_vtv_3acene_slow(acene3_action):
     act, basis = acene3_action
     ref = _reference()["commutator_norms"]["acene3"]
-    est = spectral_norm_bound(_BoundAdapter(act.vtv_abs_matvec), basis, rtol=1e-4)
+    est = spectral_norm_bound(SimpleNamespace(abs_matvec=act.vtv_abs_matvec), basis,
+                              rtol=1e-4)
     assert abs(est.value - ref["spectral_vtv"]) / ref["spectral_vtv"] <= 0.01
 
 

@@ -1,0 +1,40 @@
+"""The benchmark under perfbench/ reaches into trotterlab by name: its
+workloads import public functions, and its tracer patches every callable in
+``SPECS``.  A rename or deletion in the package that breaks either fails
+here, not only in a benchmark run."""
+
+import importlib.util
+from importlib import import_module
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location("perfbench_" + name,
+                                                  PERFBENCH / (name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_workloads_import():
+    _load("workloads")
+
+
+def test_tracer_install_and_uninstall():
+    tracer_module = _load("tracer")
+    originals = []
+    for _, module_name, attribute, _ in tracer_module.SPECS:
+        owner_name, _, name = attribute.rpartition(".")
+        owner = import_module(module_name)
+        if owner_name:
+            owner = getattr(owner, owner_name)
+        originals.append((owner, name, owner.__dict__[name]))
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        assert all(owner.__dict__[name] is not fn for owner, name, fn in originals)
+    finally:
+        tracer.uninstall()
+    assert all(owner.__dict__[name] is fn for owner, name, fn in originals)

@@ -184,3 +184,16 @@ def test_reproduce_table4_desk(capsys, tmp_path, monkeypatch):
     assert doc["overall"] == "pass"
     assert {r["molecule"] for r in doc["rows"]} == {"acene2"}
     assert all(r["residual"] < 1e-6 for r in doc["rows"])
+
+
+@pytest.mark.slow
+def test_reproduce_table4_triangulene2_slow(capsys, tmp_path, monkeypatch):
+    """13 electrons: s0_t1 runs from the S_z = 1/2 ground state (2.9 M states)
+    to the S_z = 3/2 one, the lowest quartet (1.7 M states)."""
+    monkeypatch.setenv("TROTTERLAB_CACHE", str(tmp_path))
+    rc, doc = _run(capsys, ["reproduce", "table4", "--molecule", "triangulene2"])
+    assert rc == 0
+    (row,) = doc["rows"]
+    assert row["gap"] == "s0_t1"
+    assert abs(row["computed"] - row["reference"]) <= 1e-3
+    assert row["residual"] < 1e-6

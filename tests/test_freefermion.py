@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from trotterlab.freefermion import (
-    DEFAULT_T_GRID,
+    T_GRID,
     KineticSections,
     average_case_kinetic,
     default_filling,
@@ -240,7 +240,7 @@ def test_sampled_trace_matches_exhaustive():
     for secs in cases:
         filling = default_filling(secs.n_modes)
         a = average_case_kinetic(secs)
-        assert a.t_grid == DEFAULT_T_GRID
+        assert a.t_grid == T_GRID
         for t, err in zip(a.t_grid, a.errors):
             modes = effective_kinetic(secs, t).eigenmodes
             assert err == pytest.approx(_exhaustive_error(modes, filling, t), rel=1e-12, abs=0)

@@ -6,7 +6,6 @@ from trotterlab.lattice import (
     Lattice,
     bond_orientation_classes,
     build_lattice,
-    distance_matrix,
     site_count,
 )
 
@@ -47,7 +46,7 @@ def test_families_n1_to_8(family, n):
 
 def test_distance_matrix_benzene():
     lat = build_lattice("acene", 1)
-    d = distance_matrix(lat)
+    d = lat.distances
     assert np.allclose(d, d.T)
     assert np.all(np.diag(d) == 0)
     vals = sorted(set(np.round(d[d > 0], 9)))

@@ -151,17 +151,6 @@ def test_apply_matches_dense_columns():
         assert np.allclose(col, mat[:, b])
 
 
-def test_text_round_trip():
-    rng = np.random.default_rng(5)
-    op = _random_sum(rng, 5, 7).require_real()
-    text = op.to_text()
-    back = PauliSum.from_text(text, 5)
-    diff = (op - back).pruned(1e-6)
-    assert diff.max_abs_coeff() < 1e-6
-    for line in text.splitlines():
-        assert line[0] in "+-"
-
-
 def _block_spectrum(mat, up_qubits, down_qubits):
     """Sorted spectrum of a Fock-space matrix from its (N_up, N_down) blocks,
     after checking that every element outside them is exactly 0."""

@@ -4,22 +4,20 @@ from scipy.linalg import expm
 
 from trotterlab.hamiltonian import build_ppp, shifted_potential
 from trotterlab.lattice import build_lattice, bond_orientation_classes
-from trotterlab.pauli import jordan_wigner
+from trotterlab.pauli import PauliSum, jordan_wigner
 from trotterlab.sector import SectorOperator, enumerate_sector, lowest_eigenpairs
 from trotterlab.spectral import (
     TrotterScheme,
-    add_constant,
     compute_time_series,
     default_filter,
     effective_hamiltonian_dense,
+    effective_spectrum_dense,
     error_constants,
     extract_energy,
     filter_objective,
-    gap_sweep,
     hopping_pauli_sum,
     pair_eigenstates,
     scheme_unitary_dense,
-    sector_trace_difference,
     so_scheme,
     tile_scheme,
 )
@@ -229,10 +227,11 @@ def test_time_series_matches_dense_unitary_powers(kind):
 def test_sector_trace_identity(benzene):
     _, kin, pot, basis = benzene
     h = kin + pot
-    scheme = so_scheme(kin, pot, 0.05)
-    diff = sector_trace_difference(h, scheme, basis)
-    h_norm = np.abs(np.linalg.eigvalsh(SectorOperator(h, basis).to_dense())).max()
-    assert abs(diff) < 1e-8 * h_norm
+    eff_vals, _ = effective_spectrum_dense(so_scheme(kin, pot, 0.05), basis)
+    h_mat = SectorOperator(h, basis).to_dense()
+    # Tr(H_eff - H) vanishes: every BCH correction is a commutator
+    diff = eff_vals.sum() - np.trace(h_mat).real
+    assert abs(diff) < 1e-8 * np.abs(np.linalg.eigvalsh(h_mat)).max()
 
 
 def test_energy_error_shift_invariant(benzene):
@@ -241,7 +240,7 @@ def test_energy_error_shift_invariant(benzene):
     t = 0.05
     h_eff = effective_hamiltonian_dense(so_scheme(kin, pot, t), basis)
     h_eff_s = effective_hamiltonian_dense(
-        so_scheme(kin, add_constant(v_shifted, offset), t), basis
+        so_scheme(kin, v_shifted + PauliSum.identity(v_shifted.n_qubits, offset), t), basis
     )
     a = np.linalg.eigvalsh(h_eff)
     b = np.linalg.eigvalsh(h_eff_s)
@@ -257,20 +256,3 @@ def test_error_constants_records():
     pair = rep.pairs[0]
     assert pair.exact_gap == pytest.approx(2.0)
     assert pair.constant == pytest.approx(abs(2.0 - 1.992) / 0.01)
-
-
-def test_gap_sweep_budget_flags(benzene):
-    _, kin, pot, basis = benzene
-    h = kin + pot
-    vals, vecs = lowest_eigenpairs(h, basis, k=2, tol=1e-12)
-    states = {
-        "S0": (basis, vals[0], vecs[:, 0]),
-        "T1": (basis, vals[1], vecs[:, 1]),
-    }
-    rows = gap_sweep(states, lambda t: so_scheme(kin, pot, t), [0.01],
-                     pairs=[("T1", "S0")])
-    row = rows[0]
-    assert not row["failures"]
-    gap = row["gaps"][("T1", "S0")]
-    assert gap["within_budget"]
-    assert abs(gap["effective"] - gap["exact"]) < 1e-4
