@@ -214,10 +214,8 @@ def cmd_hamiltonian(args):
         {
             "n_sites": lat.n_sites,
             "kinetic_terms": len(kin.terms),
-            "potential_terms": sum(1 for (x, z) in pot.terms if z != 0 or x != 0),
-            "shifted_potential_terms": sum(
-                1 for (x, z) in v_shifted.terms if z != 0
-            ),
+            "potential_terms": pot.term_count(),
+            "shifted_potential_terms": v_shifted.term_count(),
             "shift": {"c1": shift.c1, "c2": shift.c2, "offset": offset},
         },
         cfg,
@@ -395,7 +393,7 @@ def cmd_resources(args):
     elif cfg.get("family") and cfg.get("size_n"):
         lat = build_lattice(cfg["family"], cfg["size_n"])
         potential, _, _, _ = shifted_potential(lat)
-        n_r_v = sum(1 for (xm, z) in potential.terms if z != 0)
+        n_r_v = potential.term_count()
         try:
             secs = tile_sections(lat, tiling_path(cfg["family"], cfg["size_n"]))
         except ValueError:
@@ -451,8 +449,8 @@ def _rep_table1():
         n = int(name[len(family):])
         lat = build_lattice(family, n)
         v_shifted, _, _, v_jw = shifted_potential(lat)
-        got_v = sum(1 for (x, z) in v_jw.terms if z != 0)
-        got_vs = sum(1 for (x, z) in v_shifted.terms if z != 0)
+        got_v = v_jw.term_count()
+        got_vs = v_shifted.term_count()
         rows.append({
             "molecule": name,
             "v_terms": {"computed": got_v, "reference": want["v_terms"]},
@@ -512,7 +510,7 @@ def _rep_table3():
         n = int(name[len(family):])
         lat = build_lattice(family, n)
         v_shifted, _, _, _ = shifted_potential(lat)
-        n_r_v = sum(1 for (x, z) in v_shifted.terms if z != 0)
+        n_r_v = v_shifted.term_count()
         secs = tile_sections(lat, tiling_path(family, n))
         rot, tg = secs.gate_counts()
         ok = (n_r_v == want["n_r_v"] and rot == want["n_r_t"]

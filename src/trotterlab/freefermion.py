@@ -114,12 +114,12 @@ def default_filling(n_sites):
     return n_up, n_sites - n_up
 
 
-def single_section(lattice, params=None):
+def single_section(lattice):
     """The trivial S=1 sectioning: one section holding all of T."""
-    params = params or PppParams()
+    tau = PppParams().tau
     mat = np.zeros((lattice.n_sites, lattice.n_sites))
     for i, j in lattice.bonds:
-        mat[i, j] = mat[j, i] = -params.tau
+        mat[i, j] = mat[j, i] = -tau
     n_bonds = len(lattice.bonds)
     return KineticSections(
         n_modes=lattice.n_sites,
@@ -149,11 +149,11 @@ def load_tiling(path):
     return spec
 
 
-def tile_sections(lattice, tiling_spec, params=None):
+def tile_sections(lattice, tiling_spec):
     """Build KineticSections from a tiling spec (dict or JSON path)."""
     if isinstance(tiling_spec, (str, bytes)) or hasattr(tiling_spec, "read"):
         tiling_spec = load_tiling(tiling_spec)
-    params = params or PppParams()
+    tau = PppParams().tau
     if tiling_spec["family"] != lattice.family or tiling_spec["size_n"] != lattice.size_n:
         raise ValueError(
             "tiling spec is for %s-%d, lattice is %s-%d"
@@ -172,7 +172,7 @@ def tile_sections(lattice, tiling_spec, params=None):
                 raise ValueError("tiling bond %s assigned twice" % (bond,))
             seen.add(bond)
             i, j = bond
-            mat[i, j] = mat[j, i] = -params.tau
+            mat[i, j] = mat[j, i] = -tau
         matrices.append(mat)
         names.append(section["name"])
         rotations.append(int(section["rotations"]))

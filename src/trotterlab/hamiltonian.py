@@ -91,8 +91,9 @@ class FermionHamiltonian:
                 yield (i, j), float(self.v[i, j])
 
 
-def build_ppp(lattice: Lattice, params: PppParams | None = None) -> FermionHamiltonian:
-    return FermionHamiltonian(lattice, params or PppParams())
+def build_ppp(lattice: Lattice) -> FermionHamiltonian:
+    """The PPP Hamiltonian of a lattice with the standard ``PppParams``."""
+    return FermionHamiltonian(lattice, PppParams())
 
 
 def bin_coefficients(values, rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -181,11 +182,11 @@ def apply_shift(jw_potential: PauliSum, shift: ShiftParams, n_sites: int) -> tup
     return body, float(complex(offset).real)
 
 
-def shifted_potential(lattice: Lattice, params: PppParams | None = None):
+def shifted_potential(lattice: Lattice):
     """Convenience: build V, choose the shift, and return (V', offset, shift, V)."""
     from .pauli import jordan_wigner
 
-    fh = build_ppp(lattice, params)
+    fh = build_ppp(lattice)
     _, v_jw = jordan_wigner(fh)
     shift = choose_shift(v_jw)
     v_shifted, offset = apply_shift(v_jw, shift, lattice.n_sites)

@@ -112,6 +112,12 @@ def column_norms_squared(op: PauliSum, basis: SectorBasis, states: np.ndarray) -
     return out
 
 
+# identity columns per ``abs_matvec`` call on the dense route of
+# ``spectral_norm_bound``: a block of (dim x 512) floats, 20 MB at
+# DENSE_DIM_LIMIT, bounds the temporaries of one block action
+_BOUND_BLOCK = 512
+
+
 def _largest_eigenvalue(matvec, dim: int, rtol: float = 1e-6, max_iter: int = 3000):
     """Largest eigenvalue of a symmetric nonnegative matrix (power method)."""
     rng = np.random.default_rng(12345)
@@ -135,18 +141,20 @@ def spectral_norm_bound(op, basis: SectorBasis, rtol: float = 1e-6) -> NormEstim
     """|O| <= |abs(O)| via the largest eigenvalue of the absolute matrix.
 
     ``op`` is a PauliSum, a SectorOperator, or any object with an
-    ``abs_matvec`` method.
+    ``abs_matvec`` method that takes a vector or a (dim, m) block of columns.
+    Up to ``DENSE_DIM_LIMIT`` the absolute matrix is built densely from the
+    action on the identity's columns, ``_BOUND_BLOCK`` columns per call, and
+    its top eigenvalue taken exactly; above it, the power method.
     """
     if isinstance(op, PauliSum):
         op = SectorOperator(op, basis)
     action = op.abs_matvec
-    if basis.dim <= DENSE_DIM_LIMIT:
-        # small sectors: dense absolute matrix, exact top eigenvalue
-        mat = np.zeros((basis.dim, basis.dim))
-        for j in range(basis.dim):
-            e = np.zeros(basis.dim)
-            e[j] = 1.0
-            mat[:, j] = action(e)
+    dim = basis.dim
+    if dim <= DENSE_DIM_LIMIT:
+        mat = np.empty((dim, dim))
+        for start in range(0, dim, _BOUND_BLOCK):
+            width = min(_BOUND_BLOCK, dim - start)
+            mat[:, start:start + width] = action(np.eye(dim, width, -start))
         val = float(np.linalg.eigvalsh(mat)[-1])
         return NormEstimate(val, 0.0, "spectral_bound")
     val, ok = _largest_eigenvalue(action, basis.dim, rtol=rtol)
@@ -267,7 +275,9 @@ class HoppingCommutatorAction:
         return -(d * d * t(v) - 2.0 * d * t(d * v) + t(d * d * v))
 
     def vtv_abs_matvec(self, v: np.ndarray) -> np.ndarray:
-        t, d = self.kinetic.abs_matvec, self.diag
+        """|O_VTV| v for a vector or a (dim, m) block of columns."""
+        t = self.kinetic.abs_matvec
+        d = self.diag if v.ndim == 1 else self.diag[:, None]
         return d * d * t(v) - 2.0 * d * t(d * v) + t(d * d * v)
 
     def vtv_column_norm_sq(self, states: np.ndarray) -> np.ndarray:
@@ -312,6 +322,7 @@ class HoppingCommutatorAction:
         return d * t(tv) - 2.0 * t(d * tv) + t(t(d * v))
 
     def vtt_abs_matvec(self, v: np.ndarray) -> np.ndarray:
+        """|O_VTT| v for a vector or a (dim, m) block of columns."""
         return self._vtt_abs @ v
 
     @cached_property

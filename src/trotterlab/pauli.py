@@ -216,24 +216,40 @@ def jordan_wigner(fermion_hamiltonian, index_fn=None) -> tuple[PauliSum, PauliSu
     kinetic = PauliSum(nq)
     for (i, j), spin, coeff in fermion_hamiltonian.hops():
         add_hop(kinetic, idx(i, spin), idx(j, spin), coeff)
+    return kinetic.pruned(), _jw_potential(fermion_hamiltonian, idx).pruned()
 
-    potential = PauliSum(nq)
-    for i, u in fermion_hamiltonian.on_site_terms():
-        a, b = idx(i, 0), idx(i, 1)
-        potential.add_term(0, 0, u / 4.0)
-        potential.add_term(0, 1 << a, -u / 4.0)
-        potential.add_term(0, 1 << b, -u / 4.0)
-        potential.add_term(0, (1 << a) | (1 << b), u / 4.0)
-    for (i, j), v in fermion_hamiltonian.pair_terms():
-        # (n_i - 1)(n_j - 1) = (1/4)(Z_i↑ + Z_i↓)(Z_j↑ + Z_j↓)
-        for si in (0, 1):
-            for sj in (0, 1):
-                potential.add_term(
-                    0,
-                    (1 << idx(i, si)) | (1 << idx(j, sj)),
-                    v / 4.0,
-                )
-    return kinetic.pruned(), potential.pruned()
+
+def _jw_potential(fermion_hamiltonian, idx) -> PauliSum:
+    """The potential's Pauli sum, built from the on-site and pair arrays.
+
+    u n↑n↓ = (u/4)(1 - Z↑ - Z↓ + Z↑Z↓) and
+    v (n_i - 1)(n_j - 1) = (v/4)(Z_i↑ + Z_i↓)(Z_j↑ + Z_j↓).  Terms are in the
+    order of a term-by-term build: the identity (the on-site u/4 summed
+    site by site), then per site Z↑, Z↓, Z↑Z↓, then per pair i < j the four
+    ZZ terms; exact zeros are dropped.  Masks are Python ints, so qubits
+    past 63 do not wrap.
+    """
+    n = fermion_hamiltonian.site_count
+    up = np.array([1 << idx(i, 0) for i in range(n)], dtype=object)
+    down = np.array([1 << idx(i, 1) for i in range(n)], dtype=object)
+    quarter_u = fermion_hamiltonian.on_site / 4.0
+    identity = 0.0
+    for c in quarter_u.tolist():
+        identity += c
+    i, j = np.triu_indices(n, 1)
+    quarter_v = fermion_hamiltonian.v[i, j] / 4.0
+    masks = np.concatenate([
+        np.stack([up, down, up | down], axis=1).ravel(),
+        np.stack([up[i] | up[j], up[i] | down[j],
+                  down[i] | up[j], down[i] | down[j]], axis=1).ravel(),
+    ]).tolist()
+    coeffs = np.concatenate([
+        np.stack([-quarter_u, -quarter_u, quarter_u], axis=1).ravel(),
+        np.repeat(quarter_v, 4),
+    ]).tolist()
+    terms = {(0, 0): identity} if identity != 0 else {}
+    terms.update(((0, z), c) for z, c in zip(masks, coeffs) if c != 0)
+    return PauliSum(2 * n, terms)
 
 
 def number_operator(n_sites: int) -> PauliSum:

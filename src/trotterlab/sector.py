@@ -187,8 +187,13 @@ class SpinLayout:
 
     def to_layout_order(self, values: np.ndarray) -> np.ndarray:
         """Per-state values (interleaved order) -> a matrix in layout order,
-        without the gauge sign: the layout form of a diagonal."""
-        return values.take(self._order).reshape(self.shape)
+        without the gauge sign: the layout form of a diagonal.  A (dim, m)
+        block of columns becomes a (rows, cols, m) stack."""
+        return values.take(self._order, axis=0).reshape(self.shape + values.shape[1:])
+
+    def from_layout_order(self, psi: np.ndarray) -> np.ndarray:
+        """The inverse of ``to_layout_order``, also without the gauge sign."""
+        return psi.reshape((-1,) + psi.shape[2:]).take(self._position, axis=0)
 
 
 def _givens_decomposition(u: np.ndarray):
@@ -433,8 +438,9 @@ class SectorOperator:
       ``to_sparse()`` on first use and kept.
 
     ``abs_matvec`` applies the element-wise absolute matrix |O| along the
-    same route: ``abs`` of the CSR, or |K_up|, |K_down| in the layout with
-    the gauge sign undone; each absolute matrix is built once, on first use.
+    same route, to a vector or a block of columns: ``abs`` of the CSR, or
+    |K_up|, |K_down| in the layout without the gauge sign; each absolute
+    matrix is built once, on first use.
     """
 
     def __init__(self, op: PauliSum, basis: SectorBasis):
@@ -495,8 +501,12 @@ class SectorOperator:
 
     @staticmethod
     def _hop_action(k_up, k_down, psi: np.ndarray) -> np.ndarray:
-        """k_up Psi + Psi k_down^T."""
-        return k_up @ psi + (k_down @ psi.T).T
+        """k_up Psi + Psi k_down^T, on the first two axes of Psi (a matrix, or
+        a stack of them along a third axis)."""
+        rows, cols = psi.shape[:2]
+        up = (k_up @ psi.reshape(rows, -1)).reshape(psi.shape)
+        down = k_down @ psi.swapaxes(0, 1).reshape(cols, -1)
+        return up + down.reshape((cols, rows) + psi.shape[2:]).swapaxes(0, 1)
 
     def layout_matvec(self, x: np.ndarray) -> np.ndarray:
         """O x for a factorised O and x in layout form (flat, or the matrix
@@ -514,19 +524,21 @@ class SectorOperator:
         return layout.from_matrix(self.layout_matvec(layout.to_matrix(v)))
 
     def abs_matvec(self, v: np.ndarray) -> np.ndarray:
-        """|O| v for the element-wise absolute matrix |O|.
+        """|O| v for the element-wise absolute matrix |O|; v is a vector or a
+        (dim, m) block of columns.
 
-        ``to_matrix`` and ``from_matrix`` each apply the gauge sign s = +-1,
-        which |O| does not carry, so v and the result are multiplied by s
-        once more to cancel it.
+        |O| does not carry the gauge sign, so the layout route moves v into
+        layout order and back without it (``to_layout_order``).
         """
         if self.hops is None:
             return self._abs_sparse @ v
         layout = self.basis.spin_layout
-        psi = layout.to_matrix(layout.sign * v)
-        out = layout.sign * layout.from_matrix(
-            self._hop_action(*self._abs_species_matrices, psi))
-        return np.abs(self.diagonal) * v + out if 0 in self.groups else out
+        out = layout.from_layout_order(
+            self._hop_action(*self._abs_species_matrices, layout.to_layout_order(v)))
+        if 0 not in self.groups:
+            return out
+        d = np.abs(self.diagonal)
+        return (d if v.ndim == 1 else d[:, None]) * v + out
 
     def to_sparse(self) -> csr_matrix:
         """The sector matrix in CSR form, assembled afresh from the x-groups.
@@ -745,7 +757,9 @@ def apply_s_plus(state: np.ndarray, basis: SectorBasis):
     """S+ |psi>, landing in the sector with 2 S_z raised by 2.
 
     With interleaved ordering the JW parity factors of a†_{i up} a_{i down}
-    cancel pairwise, so no sign bookkeeping survives.
+    cancel pairwise, so no sign bookkeeping survives.  For one site i the
+    raised states are distinct, so each site's contribution is one
+    fancy-indexed addition.
     """
     target = enumerate_sector(basis.n_sites, basis.electrons, basis.sz_twice + 2)
     out = np.zeros(target.dim, dtype=complex)
@@ -757,8 +771,7 @@ def apply_s_plus(state: np.ndarray, basis: SectorBasis):
         if not np.any(mask):
             continue
         moved = b[mask] ^ (up_bit | dn_bit)
-        idx = target.index(moved)
-        np.add.at(out, idx, state[mask])
+        out[target.index(moved)] += state[mask]
     return out, target
 
 

@@ -80,23 +80,22 @@ def tile_scheme(section_sums, potential, t):
     return TrotterScheme("tile", t, tuple(factors))
 
 
-def hopping_pauli_sum(n_sites, bonds, params=None):
+def hopping_pauli_sum(n_sites, bonds):
     """Both-spin hopping Pauli sum for a bond subset (interleaved ordering)."""
-    params = params or PppParams()
+    tau = PppParams().tau
     out = PauliSum(2 * n_sites)
     for i, j in bonds:
         for spin in (0, 1):
-            add_hop(out, qubit_index(i, spin), qubit_index(j, spin), -params.tau)
+            add_hop(out, qubit_index(i, spin), qubit_index(j, spin), -tau)
     return out
 
 
-def section_pauli_sums(lattice, sections, params=None):
+def section_pauli_sums(lattice, sections):
     """One hopping Pauli sum per kinetic section (KineticSections input)."""
-    params = params or PppParams()
     sums = []
     for mat in sections.matrices:
         rows, cols = np.nonzero(np.triu(mat))
-        sums.append(hopping_pauli_sum(lattice.n_sites, list(zip(rows, cols)), params))
+        sums.append(hopping_pauli_sum(lattice.n_sites, list(zip(rows, cols))))
     return sums
 
 
@@ -242,17 +241,21 @@ def default_filter():
 
 
 def filter_objective(series, filt):
-    """C(x) sampled on the uniform grid over (-pi, pi]."""
+    """C(x) = f_0 + 2 Re sum_{k=1}^{order} f_k g_k e^{ikx} on the uniform grid
+    x_j = -pi + 2 pi j / G, j = 1..G, over (-pi, pi], with G = ``_GRID_POINTS``.
+
+    There e^{ikx_j} = (-1)^k e^{2 pi i kj / G}, so with a_k = (-1)^k f_k g_k,
+    folded onto k mod G (exact for any order), C(x_j) is
+    f_0 + 2 Re[G ifft(a)]_{j mod G}: one inverse FFT of length G.
+    """
     order = min(filt.order, len(series.values) - 1)
     grid = -np.pi + 2 * np.pi * (np.arange(1, _GRID_POINTS + 1) / _GRID_POINTS)
     ks = np.arange(1, order + 1)
-    fk = filt.coefficients[1 : order + 1]
-    g = series.values[1 : order + 1]
-    kx = np.outer(grid, ks)
-    values = filt.coefficients[0] + 2.0 * (
-        np.cos(kx) @ (fk * g.real) - np.sin(kx) @ (fk * g.imag)
-    )
-    return grid, values
+    terms = np.zeros((order // _GRID_POINTS + 1) * _GRID_POINTS, dtype=complex)
+    terms[ks] = np.where(ks % 2, -1.0, 1.0) * filt.coefficients[ks] * series.values[ks]
+    folded = terms.reshape(-1, _GRID_POINTS).sum(axis=0)
+    sums = np.roll(_GRID_POINTS * np.fft.ifft(folded).real, -1)
+    return grid, filt.coefficients[0] + 2.0 * sums
 
 
 def _objective_slope(x, series, filt, order):

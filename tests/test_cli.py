@@ -131,6 +131,22 @@ def test_checkpoint_keyed_on_tol_and_shape_checked(tmp_path, monkeypatch):
     assert np.array_equal(_ground_states("acene", 1, 2, tol=1e-10)[2], vals)
 
 
+def test_artifacts_repeat_byte_for_byte(tmp_path, monkeypatch):
+    """Calls whose post-processing runs per state (Fourier extraction, <S²>,
+    the dense bound) write the same bytes when run twice in one process."""
+    monkeypatch.delenv("TROTTERLAB_CACHE", raising=False)
+    benzene = ["--family", "acene", "--n", "1"]
+    calls = [["spectral", *benzene, "--scheme", "SO", "--t", "0.05"],
+             ["spectral", *benzene, "--scheme", "tile", "--t", "0.05"],
+             ["reproduce", "table4"],
+             ["norms", *benzene, "--method", "bound"]]
+    for m, argv in enumerate(calls):
+        paths = [tmp_path / ("%d_%d.json" % (m, run)) for run in range(2)]
+        for path in paths:
+            assert main(argv + ["--out", str(path)]) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
 def test_resources_per_step_file(capsys, tmp_path):
     ps = tmp_path / "per_step.json"
     ps.write_text(json.dumps({"n_rotations": 342, "n_t_gates": 104,

@@ -1,6 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from trotterlab import norms
 from trotterlab.hamiltonian import build_ppp, shifted_potential
 from trotterlab.lattice import build_lattice
 from trotterlab.norms import (
@@ -77,6 +80,28 @@ def test_spectral_bound_dominates_exact(benzene, benzene_commutators):
         assert bound == pytest.approx(want, rel=1e-9)
         want_abs = mat @ v
         assert np.abs(sop.abs_matvec(v) - want_abs).max() <= 1e-12 * np.abs(want_abs).max()
+
+
+@pytest.mark.parametrize("block", [None, 64])
+def test_spectral_bound_block_route_matches_column_loop(benzene, benzene_commutators,
+                                                        monkeypatch, block):
+    """The dense route's block actions, whole or in blocks of 64 columns, give
+    the column-by-column absolute matrix and bound bit for bit."""
+    _, kin, pot, basis = benzene
+    if block is not None:
+        monkeypatch.setattr(norms, "_BOUND_BLOCK", block)
+    act = HoppingCommutatorAction(kin, pot, basis)
+    cases = [SimpleNamespace(abs_matvec=act.vtv_abs_matvec),
+             SimpleNamespace(abs_matvec=act.vtt_abs_matvec),
+             SectorOperator(benzene_commutators[0], basis),
+             SectorOperator(kin + pot, basis)]
+    for op in cases:
+        cols = np.column_stack([op.abs_matvec(e) for e in np.eye(basis.dim)])
+        assert np.array_equal(op.abs_matvec(np.eye(basis.dim)), cols)
+        want = float(np.linalg.eigvalsh(cols)[-1])
+        assert spectral_norm_bound(op, basis).value == want
+    assert spectral_norm_bound(benzene_commutators[0], basis).value == (
+        spectral_norm_bound(cases[2], basis).value)
 
 
 def test_column_norms_squared_oracle(benzene, benzene_commutators):

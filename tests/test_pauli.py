@@ -1,3 +1,5 @@
+from importlib.resources import files
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from trotterlab.hamiltonian import build_ppp
 from trotterlab.lattice import build_lattice
 from trotterlab.pauli import (
     PauliSum,
+    blocked_qubit_index,
     commutator,
     dense_matrix,
     jordan_wigner,
@@ -107,6 +110,44 @@ def test_jw_term_structure():
     assert singles == 12 and doubles == 66  # 60 pair-ZZ + 6 on-site ZZ
 
 
+def _potential_by_add_term(fh, idx):
+    """The JW potential added term by term (the oracle of the array build)."""
+    potential = PauliSum(2 * fh.site_count)
+    for i, u in fh.on_site_terms():
+        a, b = idx(i, 0), idx(i, 1)
+        potential.add_term(0, 0, u / 4.0)
+        potential.add_term(0, 1 << a, -u / 4.0)
+        potential.add_term(0, 1 << b, -u / 4.0)
+        potential.add_term(0, (1 << a) | (1 << b), u / 4.0)
+    for (i, j), v in fh.pair_terms():
+        for si in (0, 1):
+            for sj in (0, 1):
+                potential.add_term(0, (1 << idx(i, si)) | (1 << idx(j, sj)), v / 4.0)
+    return potential.pruned()
+
+
+def _shipped_molecules():
+    """Benzene, naphthalene and every molecule with a shipped tiling."""
+    out = [("acene", 1), ("acene", 2)]
+    for entry in sorted((files("trotterlab") / "tilings").iterdir(), key=lambda e: e.name):
+        stem = entry.name.removesuffix(".json")
+        family = stem.rstrip("0123456789")
+        out.append((family, int(stem[len(family):])))
+    return out
+
+
+@pytest.mark.parametrize("family,n", _shipped_molecules())
+def test_jw_potential_matches_add_term_build(family, n):
+    """Same terms, coefficients and insertion order as the term-by-term build,
+    in both spin orderings (the shift's tie-breaks depend on the order)."""
+    fh = build_ppp(build_lattice(family, n))
+    for index_fn in (None, blocked_qubit_index(fh.site_count)):
+        _, got = jordan_wigner(fh, index_fn)
+        want = _potential_by_add_term(fh, index_fn or qubit_index)
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert all(type(c) is float for c in got.terms.values())
+
+
 def test_adjacent_hop_has_no_z_chain():
     # adjacent JW modes p=0, q=1: exactly (XX + YY)/2 * coeff
     s = PauliSum(2)
@@ -169,8 +210,6 @@ def _block_spectrum(mat, up_qubits, down_qubits):
 
 def test_ordering_independence_of_counts():
     """Blocked spin ordering gives the same term counts and spectra."""
-    from trotterlab.pauli import blocked_qubit_index
-
     fh = build_ppp(build_lattice("acene", 1))
     kin_a, pot_a = jordan_wigner(fh)
     kin_b, pot_b = jordan_wigner(fh, blocked_qubit_index(fh.site_count))

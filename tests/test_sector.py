@@ -15,6 +15,7 @@ from trotterlab.sector import (
     SectorOperator,
     _DiagonalForm,
     _givens_decomposition,
+    apply_s_plus,
     enumerate_sector,
     extremal_eigenvalues,
     half_filling_sector,
@@ -525,6 +526,31 @@ def test_spin_labels(benzene):
     det = np.zeros(basis.dim)
     det[idx] = 1.0
     assert abs(total_spin_expectation(det, basis)) < 1e-12
+
+
+def _s_plus_add_at(state, basis):
+    """S+ |psi> scattered with ``np.add.at`` (the oracle of ``apply_s_plus``)."""
+    target = enumerate_sector(basis.n_sites, basis.electrons, basis.sz_twice + 2)
+    out = np.zeros(target.dim, dtype=complex)
+    b = basis.states
+    for i in range(basis.n_sites):
+        up, dn = np.int64(1 << (2 * i)), np.int64(1 << (2 * i + 1))
+        mask = ((b & dn) != 0) & ((b & up) == 0)
+        np.add.at(out, target.index(b[mask] ^ (up | dn)), state[mask])
+    return out
+
+
+@pytest.mark.parametrize("sector", [(6, 6, 0), (5, 5, 1)])
+def test_total_spin_matches_add_at_scatter(sector):
+    basis = enumerate_sector(*sector)
+    rng = np.random.default_rng(11)
+    sz = basis.sz_twice / 2.0
+    for state in (rng.normal(size=basis.dim),
+                  rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)):
+        want = _s_plus_add_at(state, basis)
+        assert np.array_equal(apply_s_plus(state, basis)[0], want)
+        assert total_spin_expectation(state, basis) == (
+            float(np.vdot(want, want).real) + sz * (sz + 1.0))
 
 
 # -- principal log of a unitary -----------------------------------------------

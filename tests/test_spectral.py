@@ -2,14 +2,17 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from trotterlab import spectral
 from trotterlab.hamiltonian import build_ppp, shifted_potential
 from trotterlab.lattice import build_lattice, bond_orientation_classes
 from trotterlab.pauli import PauliSum, jordan_wigner
 from trotterlab.sector import SectorOperator, enumerate_sector, lowest_eigenpairs
 from trotterlab.spectral import (
+    FilterSpec,
     TrotterScheme,
     compute_time_series,
     default_filter,
+    default_section_order,
     effective_hamiltonian_dense,
     effective_spectrum_dense,
     error_constants,
@@ -181,6 +184,59 @@ def test_extract_energy_flat_series_rejected():
     assert values.max() - values.min() < 1e-9
     with pytest.raises(ValueError):
         extract_energy(series, default_filter())
+
+
+def _trig_sum_objective(series, filt):
+    """The filter objective as the direct sum over k of cos and sin on the
+    grid (the oracle of the FFT route)."""
+    points = spectral._GRID_POINTS
+    order = min(filt.order, len(series.values) - 1)
+    grid = -np.pi + 2 * np.pi * (np.arange(1, points + 1) / points)
+    ks = np.arange(1, order + 1)
+    fk = filt.coefficients[1 : order + 1]
+    g = series.values[1 : order + 1]
+    kx = np.outer(grid, ks)
+    values = filt.coefficients[0] + 2.0 * (
+        np.cos(kx) @ (fk * g.real) - np.sin(kx) @ (fk * g.imag)
+    )
+    return grid, values
+
+
+@pytest.fixture(scope="module")
+def benzene_series(benzene):
+    """(exact energies, series): the two lowest states under SO and tile."""
+    lat, kin, pot, basis = benzene
+    vals, vecs = lowest_eigenpairs(kin + pot, basis, k=2)
+    classes = default_section_order(bond_orientation_classes(lat).values())
+    tile = tile_scheme([hopping_pauli_sum(lat.n_sites, c) for c in classes], pot, 0.05)
+    order = default_filter().order
+    return vals, [compute_time_series(scheme, basis, vecs[:, m], order)
+                  for scheme in (so_scheme(kin, pot, 0.05), tile) for m in range(2)]
+
+
+def test_filter_objective_matches_trig_sum(benzene_series, monkeypatch):
+    vals, series = benzene_series
+    filt = default_filter()
+    for s in series:
+        grid, got = filter_objective(s, filt)
+        want_grid, want = _trig_sum_objective(s, filt)
+        assert np.array_equal(grid, want_grid)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.argmax(got) == np.argmax(want)
+    energies = [extract_energy(s, filt, vals[m % 2]) for m, s in enumerate(series)]
+    monkeypatch.setattr(spectral, "filter_objective", _trig_sum_objective)
+    assert energies == [extract_energy(s, filt, vals[m % 2]) for m, s in enumerate(series)]
+
+
+def test_filter_objective_folds_orders_past_the_grid(monkeypatch):
+    """An order of several grid lengths folds k mod G and stays exact."""
+    monkeypatch.setattr(spectral, "_GRID_POINTS", 64)
+    series = _synthetic_series([-3.2, 1.7, 4.4], [0.7, 0.2, 0.1], 0.05, 200)
+    filt = FilterSpec(width=0.005, order=200)
+    grid, got = filter_objective(series, filt)
+    want_grid, want = _trig_sum_objective(series, filt)
+    assert len(grid) == 64 and np.array_equal(grid, want_grid)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_time_series_matches_dense_effective(benzene):
