@@ -150,8 +150,9 @@ def load_tiling(path):
 
 
 def tile_sections(lattice, tiling_spec):
-    """Build KineticSections from a tiling spec (dict or JSON path)."""
-    if isinstance(tiling_spec, (str, bytes)) or hasattr(tiling_spec, "read"):
+    """Build KineticSections from a tiling spec: a dict, or the path of a JSON
+    file (``str``, ``bytes`` or ``os.PathLike``) read by ``load_tiling``."""
+    if not isinstance(tiling_spec, dict):
         tiling_spec = load_tiling(tiling_spec)
     tau = PppParams().tau
     if tiling_spec["family"] != lattice.family or tiling_spec["size_n"] != lattice.size_n:

@@ -81,15 +81,6 @@ class FermionHamiltonian:
             for spin in (0, 1):
                 yield (i, j), spin, self.hop_coeff
 
-    def on_site_terms(self):
-        for i in range(self.site_count):
-            yield i, float(self.on_site[i])
-
-    def pair_terms(self):
-        for i in range(self.site_count):
-            for j in range(i + 1, self.site_count):
-                yield (i, j), float(self.v[i, j])
-
 
 def build_ppp(lattice: Lattice) -> FermionHamiltonian:
     """The PPP Hamiltonian of a lattice with the standard ``PppParams``."""

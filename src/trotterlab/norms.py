@@ -39,8 +39,12 @@ difference follows from the flipped bits of x alone:
 ``_DiagonalForm.flip_differences`` takes s and the gradient of the form once
 per batch of states, then each mask costs O(|x|²) per state, and D itself is
 never formed.  A hop's amplitude at a midpoint b ^ x2 comes from the values
-of its terms at b, each negated when the term overlaps x2 in an odd number
-of bits.
+of its terms at b (``sector._term_values``), each negated when the term
+overlaps x2 in an odd number of bits.
+
+Pauli-level column norms (``column_norms_squared``) sum the same term values
+per X-mask group of ``sector._group_terms``, whose coefficient dtype already
+says whether the group is real.
 """
 
 from __future__ import annotations
@@ -56,9 +60,10 @@ from .sector import (
     DENSE_DIM_LIMIT,
     SectorBasis,
     SectorOperator,
-    _amplitudes,
     _DiagonalForm,
     _group_terms,
+    _NO_TERMS,
+    _popcount,
     _term_values,
 )
 
@@ -104,11 +109,9 @@ def column_norms_squared(op: PauliSum, basis: SectorBasis, states: np.ndarray) -
     Terms sharing an X-mask scatter to the same target, and different
     X-masks scatter to orthogonal targets, so the norm splits per group.
     """
-    groups = _group_terms(op)
     out = np.zeros(len(states))
-    for x, zs_cs in groups.items():
-        amp = _amplitudes(states, zs_cs)
-        out += np.abs(amp) ** 2
+    for group in _group_terms(op).values():
+        out += np.abs(_term_values(states, group).sum(axis=0)) ** 2
     return out
 
 
@@ -241,11 +244,10 @@ class HoppingCommutatorAction:
         if not potential.is_diagonal():
             raise ValueError("potential must be diagonal")
         self.basis = basis
-        self._potential = _DiagonalForm(
-            [(z, complex(c).real) for z, c in _group_terms(potential).get(0, [])])
+        self._potential = _DiagonalForm(_group_terms(potential).get(0, _NO_TERMS))
         self.kinetic = SectorOperator(kinetic, basis)
-        # hop groups: (x-mask, [(z, coeff)]); amplitudes are real
-        self.hops = [(x, zs_cs) for x, zs_cs in self.kinetic.groups.items() if x != 0]
+        # hop groups: (x-mask, (zs, cs))
+        self.hops = [(x, group) for x, group in self.kinetic.groups.items() if x != 0]
 
     @cached_property
     def diag(self) -> np.ndarray:
@@ -254,7 +256,7 @@ class HoppingCommutatorAction:
     def _hop_terms(self, states: np.ndarray) -> dict[int, np.ndarray]:
         """Per hop mask x, the values c_z (-1)^{popcount(z & b)} of its terms,
         (terms x states); their column sums are the amplitudes amp_x(b)."""
-        return {x: _term_values(states, zs_cs) for x, zs_cs in self.hops}
+        return {x: _term_values(states, group) for x, group in self.hops}
 
     @cached_property
     def _hop_pairs(self) -> dict[int, list]:
@@ -262,9 +264,9 @@ class HoppingCommutatorAction:
         (-1)^{popcount(z & x2)} of x1's terms, so that
         amp_x1(b ^ x2) = signs @ (x1's term values at b)."""
         pairs: dict[int, list] = {}
-        for x1, zs_cs1 in self.hops:
+        for x1, (zs1, _) in self.hops:
             for x2, _ in self.hops:
-                signs = np.array([1.0 - 2.0 * ((z & x2).bit_count() & 1) for z, _ in zs_cs1])
+                signs = 1.0 - 2.0 * (_popcount(zs1 & np.int64(x2)) & 1)
                 pairs.setdefault(x1 ^ x2, []).append((x1, x2, signs))
         return pairs
 

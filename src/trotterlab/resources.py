@@ -280,12 +280,12 @@ def hwp_estimate(params, potential, sections=None, gap=False):
 # -- extrapolation and wrapping ----------------------------------------------
 
 
-def extrapolated_energy_constant(scheme, n_sites, fits=None):
-    """Power-law a * N^b estimate of the energy error constant."""
-    fits = fits or ENERGY_CONSTANT_FITS
-    if scheme not in fits:
+def extrapolated_energy_constant(scheme, n_sites):
+    """Power-law a * N^b estimate of the energy error constant, from the
+    ``ENERGY_CONSTANT_FITS`` of ``scheme``."""
+    if scheme not in ENERGY_CONSTANT_FITS:
         raise ValueError("no extrapolation fit for scheme %r" % scheme)
-    a, b = fits[scheme]
+    a, b = ENERGY_CONSTANT_FITS[scheme]
     return a * n_sites**b
 
 

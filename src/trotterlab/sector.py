@@ -10,12 +10,17 @@ state-dependent amplitude
 
     amp_x(b) = sum_z c_z i^{popcount(x & z)} (-1)^{popcount(z & b)},
 
-which vectorizes over the whole basis with numpy bit tricks; the
-(target, source, amplitude) triples of all X-masks form the CSR sector
-matrix (``to_sparse``).  The diagonal (x = 0) is a polynomial in the
-occupation signs s_q = 1 - 2 bit_q(b); its terms of Z-weight <= 2, all of a
-PPP potential, are evaluated as one quadratic form (``_DiagonalForm``),
-which also gives D(b ^ x) - D(b) from the flipped bits of x alone.
+which vectorizes over the whole basis with numpy bit tricks.
+``_group_terms`` normalises a Pauli sum's terms once, into a pair (zs, cs)
+per X-mask: the Z masks as an int64 array and the phased coefficients
+c_z i^{popcount(x & z)}, float when the group is real.  ``_term_values`` is
+the one sign kernel, c_z (-1)^{popcount(z & b)} per term and state, and its
+column sums are amp_x.  The (target, source, amplitude) triples of all
+X-masks form the CSR sector matrix (``to_sparse``).  The diagonal (x = 0)
+is a polynomial in the occupation signs s_q = 1 - 2 bit_q(b); its terms of
+Z-weight <= 2, all of a PPP potential, are evaluated as one quadratic form
+(``_DiagonalForm``), which also gives D(b ^ x) - D(b) from the flipped bits
+of x alone.
 
 Hopping conserves each spin species, so a sector also has a spin-factorised
 layout (``SpinLayout``, built on first use and cached on the basis): every
@@ -299,31 +304,31 @@ def _popcount(arr: np.ndarray) -> np.ndarray:
     return np.bitwise_count(arr.astype(np.uint64)).astype(np.int64)
 
 
-def _group_terms(op: PauliSum):
-    """Group (x, z, coeff) by x-mask; fold the canonical i-phase into coeff."""
+def _group_terms(op: PauliSum) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """The terms of ``op`` by X-mask x, as a pair (zs, cs) per x: the Z masks
+    (int64) and the coefficients with the canonical i-phase
+    i^{popcount(x & z)} folded in, float when every imaginary part is below
+    1e-15 and complex otherwise."""
     groups: dict[int, list[tuple[int, complex]]] = {}
     for (x, z), c in op.terms.items():
         phased = complex(c) * (1j ** ((x & z).bit_count() % 4))
         groups.setdefault(x, []).append((z, phased))
-    return groups
+    out = {}
+    for x, zs_cs in groups.items():
+        cs = np.array([c for _, c in zs_cs])
+        out[x] = (np.array([z for z, _ in zs_cs], dtype=np.int64),
+                  cs.real if np.all(np.abs(cs.imag) < 1e-15) else cs)
+    return out
 
 
-def _amplitudes(states: np.ndarray, zs_cs: list[tuple[int, complex]]) -> np.ndarray:
-    """Per-state amplitudes of one x-group; real array when phases allow."""
-    real = all(abs(complex(c).imag) < 1e-15 for _, c in zs_cs)
-    amp = np.zeros(len(states), dtype=float if real else complex)
-    for z, c in zs_cs:
-        signs = 1.0 - 2.0 * (_popcount(states & np.int64(z)) & 1)
-        amp += (complex(c).real if real else complex(c)) * signs
-    return amp
+# the group of an operator without terms at some X-mask
+_NO_TERMS = (np.zeros(0, dtype=np.int64), np.zeros(0))
 
 
-def _term_values(states: np.ndarray, zs_cs: list[tuple[int, complex]]) -> np.ndarray:
-    """(terms x states) array of c_z (-1)^{popcount(z & b)}, one row per term;
-    real when the coefficients are."""
-    real = all(abs(complex(c).imag) < 1e-15 for _, c in zs_cs)
-    zs = np.array([z for z, _ in zs_cs], dtype=np.int64)
-    cs = np.array([complex(c).real if real else complex(c) for _, c in zs_cs])
+def _term_values(states: np.ndarray, group: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """(terms x states) array of c_z (-1)^{popcount(z & b)} for one x-group
+    (zs, cs), one row per term; its column sums are the amplitudes amp_x(b)."""
+    zs, cs = group
     return cs[:, None] * (1.0 - 2.0 * (_popcount(states[None, :] & zs[:, None]) & 1))
 
 
@@ -339,36 +344,32 @@ class _DiagonalForm:
     its Z support, so the terms of Z-weight <= 2 (all of a PPP potential)
     form the quadratic form c0 + h.s + s^T J s, with a weight-2 coefficient
     split as c/2 over J[p, q] and J[q, p].  States are evaluated in fixed row
-    blocks with one ``s @ J`` matmul each; heavier terms go through
-    ``_amplitudes``.  A real sum gives a float array, a complex one complex.
+    blocks with one ``s @ J`` matmul each; heavier terms (``heavy``, a group
+    (zs, cs) of its own) add their ``_term_values``.  The group (zs, cs) comes
+    from ``_group_terms``, and the result has the dtype of cs.
     ``flip_differences`` gives D(b ^ x) - D(b), with D = amp_0, from the
     flipped bits of x and the terms' values at b, without evaluating D at
     b ^ x.
     """
 
-    def __init__(self, zs_cs: list[tuple[int, complex]]):
-        self.real = all(abs(complex(c).imag) < 1e-15 for _, c in zs_cs)
-        dtype = float if self.real else complex
-        quadratic = [(z, complex(c).real if self.real else complex(c))
-                     for z, c in zs_cs if z.bit_count() <= 2]
-        self.heavy = [(z, c) for z, c in zs_cs if z.bit_count() > 2]
-        self.n = max((z.bit_length() for z, _ in quadratic), default=0)
-        self.c0 = dtype(0)
-        self.h = np.zeros(self.n, dtype=dtype)
-        self.J = np.zeros((self.n, self.n), dtype=dtype)
-        for z, c in quadratic:
-            support = [q for q in range(self.n) if z >> q & 1]
-            if not support:
-                self.c0 += c
-            elif len(support) == 1:
-                self.h[support[0]] += c
-            else:
-                p, q = support
-                self.J[p, q] += c / 2
-                self.J[q, p] += c / 2
+    def __init__(self, group: tuple[np.ndarray, np.ndarray]):
+        zs, cs = group
+        self.dtype = cs.dtype
+        weight = _popcount(zs)
+        self.heavy = (zs[weight > 2], cs[weight > 2])
+        self.n = int(zs[weight <= 2].max(initial=0)).bit_length()
+        # the lowest set bit p of each mask and, for a pair, the other one q
+        low = zs & -zs
+        p, q = _popcount(low - 1), _popcount((zs ^ low) - 1)
+        self.c0 = cs[weight == 0].sum()
+        self.h = np.zeros(self.n, dtype=self.dtype)
+        self.h[p[weight == 1]] = cs[weight == 1]
+        self.J = np.zeros((self.n, self.n), dtype=self.dtype)
+        pair = weight == 2
+        self.J[p[pair], q[pair]] = self.J[q[pair], p[pair]] = cs[pair] / 2
 
     def __call__(self, states: np.ndarray) -> np.ndarray:
-        out = np.empty(len(states), dtype=float if self.real else complex)
+        out = np.empty(len(states), dtype=self.dtype)
         for start in range(0, len(states), _DIAGONAL_BLOCK):
             block = np.ascontiguousarray(states[start:start + _DIAGONAL_BLOCK], dtype="<i8")
             bits = np.unpackbits(block.view(np.uint8).reshape(-1, 8), axis=1,
@@ -378,8 +379,8 @@ class _DiagonalForm:
             s += 1.0
             out[start:start + len(block)] = (
                 self.c0 + s @ self.h + np.einsum("ij,ij->i", s @ self.J, s))
-        if self.heavy:
-            out += _amplitudes(states, self.heavy)
+        if self.heavy[0].size:
+            out += _term_values(states, self.heavy).sum(axis=0)
         return out
 
     def flip_differences(self, states: np.ndarray):
@@ -396,7 +397,8 @@ class _DiagonalForm:
         """
         s = 1.0 - 2.0 * ((states[None, :] >> np.arange(self.n)[:, None]) & 1)
         minus_2g = -2.0 * (self.h[:, None] + 2.0 * (self.J @ s))
-        heavy = _term_values(states, self.heavy) if self.heavy else None
+        heavy_zs = self.heavy[0]
+        heavy = _term_values(states, self.heavy)
 
         def delta(x: int) -> np.ndarray:
             flipped = [q for q in range(self.n) if x >> q & 1]
@@ -404,8 +406,8 @@ class _DiagonalForm:
             inner = (4.0 * self.J[flipped][:, flipped]) @ s_f
             inner += minus_2g[flipped]
             out = np.einsum("qb,qb->b", s_f, inner)
-            odd = [i for i, (z, _) in enumerate(self.heavy) if (z & x).bit_count() & 1]
-            if odd:
+            if heavy_zs.size:
+                odd = _popcount(heavy_zs & np.int64(x)) & 1 == 1
                 out -= 2.0 * heavy[odd].sum(axis=0)
             return out
 
@@ -484,7 +486,7 @@ class SectorOperator:
 
     @cached_property
     def diagonal(self) -> np.ndarray:
-        return _DiagonalForm(self.groups.get(0, []))(self.basis.states)
+        return _DiagonalForm(self.groups.get(0, _NO_TERMS))(self.basis.states)
 
     @cached_property
     def layout_diagonal(self) -> np.ndarray:
@@ -493,11 +495,7 @@ class SectorOperator:
 
     @cached_property
     def is_real(self) -> bool:
-        return not np.iscomplexobj(self.diagonal) and all(
-            all(abs(complex(c).imag) < 1e-15 for _, c in zs_cs)
-            for x, zs_cs in self.groups.items()
-            if x != 0
-        )
+        return not any(np.iscomplexobj(cs) for _, cs in self.groups.values())
 
     @staticmethod
     def _hop_action(k_up, k_down, psi: np.ndarray) -> np.ndarray:
@@ -550,10 +548,10 @@ class SectorOperator:
         d = self.diagonal
         nz = np.nonzero(d)[0]
         rows, cols, data = [nz], [nz], [d[nz]]
-        for x, zs_cs in self.groups.items():
+        for x, group in self.groups.items():
             if x == 0:
                 continue
-            amp = _amplitudes(states, zs_cs)
+            amp = _term_values(states, group).sum(axis=0)
             src = np.nonzero(amp)[0]
             tgt, valid = self.basis.index_or_mask(states[src] ^ np.int64(x))
             # out-of-sector scatter is legal only for amplitudes that are

@@ -1,4 +1,5 @@
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -179,6 +180,16 @@ def test_partition_validation():
         {"name": "a", "bonds": bonds[:-1] + [[0, 3]], "rotations": 6, "t_gates": 12}])
     with pytest.raises(ValueError):
         tile_sections(lat, alien)
+
+
+def test_tile_sections_accepts_a_path_object():
+    lat = build_lattice("acene", 3)
+    path = tiling_path("acene", 3)
+    got, want = tile_sections(lat, Path(path)), tile_sections(lat, path)
+    assert (got.n_modes, got.names, got.rotations, got.t_gates) == (
+        want.n_modes, want.names, want.rotations, want.t_gates)
+    assert len(got.matrices) == len(want.matrices)
+    assert all(np.array_equal(a, b) for a, b in zip(got.matrices, want.matrices))
 
 
 @pytest.mark.parametrize("family,n", sorted(TABLE_GATE_COUNTS))

@@ -38,12 +38,11 @@ def test_build_ppp_structure():
     hops = list(fh.hops())
     assert len(hops) == 2 * len(lat.bonds)
     assert all(c == -2.4 for _, _, c in hops)
-    assert len(list(fh.on_site_terms())) == 14
-    pairs = list(fh.pair_terms())
-    assert len(pairs) == 14 * 13 // 2
-    for (i, j), v in pairs:
-        r = lat.distances[i, j]
-        assert np.isclose(v, fh.params.ohno(r), rtol=1e-12)
+    assert fh.on_site.shape == (14,)
+    for i in range(14):
+        for j in range(i + 1, 14):
+            r = lat.distances[i, j]
+            assert np.isclose(fh.v[i, j], fh.params.ohno(r), rtol=1e-12)
 
 
 def test_benzene_hopping_count():

@@ -43,9 +43,11 @@ def _fermion_oracle(fh):
                 T[b, b2] += c * sign
     occ = np.array([[(b >> q) & 1 for q in range(nq)] for b in range(dim)])
     V = np.zeros(dim)
-    for i, u in fh.on_site_terms():
-        V += u * occ[:, 2 * i] * occ[:, 2 * i + 1]
-    for (i, j), vij in fh.pair_terms():
+    n = fh.site_count
+    for i in range(n):
+        V += fh.on_site[i] * occ[:, 2 * i] * occ[:, 2 * i + 1]
+    for i, j in ((i, j) for i in range(n) for j in range(i + 1, n)):
+        vij = fh.v[i, j]
         ni = occ[:, 2 * i] + occ[:, 2 * i + 1]
         nj = occ[:, 2 * j] + occ[:, 2 * j + 1]
         V += vij * (ni - 1) * (nj - 1)
@@ -112,14 +114,17 @@ def test_jw_term_structure():
 
 def _potential_by_add_term(fh, idx):
     """The JW potential added term by term (the oracle of the array build)."""
-    potential = PauliSum(2 * fh.site_count)
-    for i, u in fh.on_site_terms():
+    n = fh.site_count
+    potential = PauliSum(2 * n)
+    for i in range(n):
+        u = float(fh.on_site[i])
         a, b = idx(i, 0), idx(i, 1)
         potential.add_term(0, 0, u / 4.0)
         potential.add_term(0, 1 << a, -u / 4.0)
         potential.add_term(0, 1 << b, -u / 4.0)
         potential.add_term(0, (1 << a) | (1 << b), u / 4.0)
-    for (i, j), v in fh.pair_terms():
+    for i, j in ((i, j) for i in range(n) for j in range(i + 1, n)):
+        v = float(fh.v[i, j])
         for si in (0, 1):
             for sj in (0, 1):
                 potential.add_term(0, (1 << idx(i, si)) | (1 << idx(j, sj)), v / 4.0)

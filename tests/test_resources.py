@@ -219,8 +219,6 @@ def test_extrapolated_energy_constant():
     assert extrapolated_energy_constant("tile", 10) == pytest.approx(1.49 * 10**1.066)
     with pytest.raises(ValueError):
         extrapolated_energy_constant("other", 10)
-    custom = {"SO": (2.0, 1.0)}
-    assert extrapolated_energy_constant("SO", 7, fits=custom) == pytest.approx(14.0)
 
 
 def test_wrapping_strict_condition():

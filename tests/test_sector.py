@@ -9,12 +9,14 @@ from trotterlab.freefermion import effective_kinetic, tile_sections, tiling_path
 from trotterlab.hamiltonian import build_ppp, shifted_potential
 from trotterlab.lattice import bond_orientation_classes, build_lattice
 from trotterlab.norms import nested_commutators
-from trotterlab.pauli import PauliSum, dense_matrix, jordan_wigner
+from trotterlab.pauli import PauliSum, commutator, dense_matrix, jordan_wigner
 from trotterlab.sector import (
     Propagator,
     SectorOperator,
     _DiagonalForm,
     _givens_decomposition,
+    _group_terms,
+    _term_values,
     apply_s_plus,
     enumerate_sector,
     extremal_eigenvalues,
@@ -386,7 +388,7 @@ def _per_term_diagonal(states, op):
 
 
 def _check_diagonal(op, basis):
-    got = _DiagonalForm([(z, c) for (x, z), c in op.terms.items() if x == 0])(basis.states)
+    got = _DiagonalForm(_group_terms(op)[0])(basis.states)
     want = _per_term_diagonal(basis.states, op)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     assert np.array_equal(SectorOperator(op, basis).diagonal, got)
@@ -417,8 +419,95 @@ def test_diagonal_form_matches_per_term_reference(benzene):
     assert _check_diagonal(hand, basis).dtype == np.complex128
 
 
+def _amplitude_loop(states, op, x):
+    """Reference amp_x(b): the terms of X-mask x added one by one, with the
+    i-phase folded into each coefficient; real when every phased coefficient
+    is."""
+    zs_cs = [(z, complex(c) * 1j ** ((x & z).bit_count() % 4))
+             for (x_term, z), c in op.terms.items() if x_term == x]
+    real = all(abs(c.imag) < 1e-15 for _, c in zs_cs)
+    amp = np.zeros(len(states), dtype=float if real else complex)
+    for z, c in zs_cs:
+        amp += (c.real if real else c) * (1.0 - 2.0 * (np.bitwise_count(states & np.int64(z)) & 1))
+    return amp
+
+
+def _check_term_kernel(op, basis):
+    """Every x-group's summed term values equal the loop bit for bit, dtype too."""
+    groups = _group_terms(op)
+    assert groups.keys() == {x for x, _ in op.terms}
+    for x, group in groups.items():
+        got = _term_values(basis.states, group).sum(axis=0)
+        want = _amplitude_loop(basis.states, op, x)
+        assert got.dtype == want.dtype and np.array_equal(got, want), x
+    return groups
+
+
+@pytest.mark.parametrize("size_n,sector", [(1, (6, 6, 0)), (2, (10, 4, 2))])
+def test_term_values_sum_to_the_amplitude_loop(size_n, sector):
+    lat = build_lattice("acene", size_n)
+    kin, pot = jordan_wigner(build_ppp(lat))
+    basis = enumerate_sector(*sector)
+    for op in (kin, pot, shifted_potential(lat)[0], *nested_commutators(kin, pot)):
+        groups = _check_term_kernel(op, basis)
+        assert all(cs.dtype == np.float64 for _, cs in groups.values())
+
+
+def test_term_values_edge_cases(benzene):
+    kin, pot, basis = benzene
+    # complex groups; those of commutator(pot, kin) come out real (i^2 folded in)
+    for op in (kin * 1j, PauliSum(12, {(1, 1): 0.5})):
+        groups = _check_term_kernel(op, basis)
+        assert all(cs.dtype == np.complex128 for _, cs in groups.values())
+        assert not SectorOperator(op, basis).is_real
+    groups = _check_term_kernel(commutator(pot, kin), basis)
+    assert all(cs.dtype == np.float64 for _, cs in groups.values())
+    # a diagonal with terms of Z-weight 4
+    zs, _ = _check_term_kernel(pot @ pot, basis)[0]
+    assert max(np.bitwise_count(zs)) == 4
+    # no diagonal terms: a float zero diagonal
+    assert 0 not in _check_term_kernel(kin, basis)
+    sop = SectorOperator(kin, basis)
+    assert sop.is_real and sop.diagonal.dtype == np.float64 and not sop.diagonal.any()
+
+
+def _quadratic_form_loop(op):
+    """Reference (c0, h, J) of the diagonal terms of Z-weight <= 2, built
+    term by term."""
+    quadratic = [(z, complex(c)) for (x, z), c in op.terms.items() if x == 0]
+    real = all(abs(c.imag) < 1e-15 for _, c in quadratic)
+    quadratic = [(z, c.real if real else c) for z, c in quadratic if z.bit_count() <= 2]
+    dtype = float if real else complex
+    n = max((z.bit_length() for z, _ in quadratic), default=0)
+    c0, h, J = dtype(0), np.zeros(n, dtype=dtype), np.zeros((n, n), dtype=dtype)
+    for z, c in quadratic:
+        support = [q for q in range(n) if z >> q & 1]
+        if not support:
+            c0 += c
+        elif len(support) == 1:
+            h[support[0]] += c
+        else:
+            p, q = support
+            J[p, q] += c / 2
+            J[q, p] += c / 2
+    return c0, h, J
+
+
+def test_diagonal_form_coefficients_match_loop(benzene):
+    kin, pot, basis = benzene
+    lat = build_lattice("acene", 1)
+    hand = PauliSum(12, {(0, 0): 0.5, (0, 0b10): 1.5, (0, 0b100001): 2.0 - 1.0j,
+                         (0, 0b1011): -0.75})
+    for op in (pot, shifted_potential(lat)[0], nested_commutators(kin, pot)[1],
+               pot @ pot, hand):
+        form = _DiagonalForm(_group_terms(op)[0])
+        c0, h, J = _quadratic_form_loop(op)
+        assert form.c0 == c0 and form.h.dtype == h.dtype and form.J.dtype == J.dtype
+        assert np.array_equal(form.h, h) and np.array_equal(form.J, J)
+
+
 def _check_flip_differences(op, kin, basis):
-    form = _DiagonalForm([(z, c) for (x, z), c in op.terms.items() if x == 0])
+    form = _DiagonalForm(_group_terms(op)[0])
     d = form(basis.states)
     delta = form.flip_differences(basis.states)
     assert np.array_equal(delta(0), np.zeros(basis.dim))
