@@ -35,12 +35,9 @@ from .norms import (
     worst_case_constant,
 )
 from .freefermion import (
-    EffectiveKineticMatrix,
-    KineticFit,
     KineticSections,
     average_case_kinetic,
-    effective_kinetic,
-    kinetic_fits,
+    second_order_matrix,
     single_section,
     tile_sections,
     tiling_path,

@@ -3,10 +3,10 @@
 Every subcommand emits a JSON document embedding the resolved
 configuration and package version, so artifacts are self-describing and
 reruns with the same configuration are byte-identical.  Configuration can
-come from flags or from a JSON file via --config; flags win.  Malformed
-configuration exits with code 2 and an error record naming the offending
-field.  The environment variable TROTTERLAB_CACHE names a directory for
-eigenvector checkpoints reused across runs.
+come from flags or from a JSON file via --config; flags win.  Malformed or
+out-of-range configuration exits with code 2 and an error record naming
+the offending field.  The environment variable TROTTERLAB_CACHE names a
+directory for eigenvector checkpoints reused across runs.
 """
 
 import argparse
@@ -18,7 +18,13 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import __version__
-from .freefermion import kinetic_fits, single_section, tile_sections, tiling_path
+from .freefermion import (
+    average_case_kinetic,
+    single_section,
+    tile_sections,
+    tiling_path,
+    worst_case_kinetic,
+)
 from .hamiltonian import apply_shift, build_ppp, choose_shift, shifted_potential
 from .lattice import FAMILIES, bond_orientation_classes, build_lattice, site_count
 from .norms import (
@@ -95,7 +101,7 @@ def _resolve_config(args, required=(), optional=()):
             _fail_config("size_n", "size_n must be an integer")
         if merged["size_n"] < 1:
             _fail_config("size_n", "size_n must be at least 1")
-    for key in ("t", "epsilon", "x"):
+    for key in ("t", "epsilon", "x", "constant"):
         if key in merged and merged[key] is not None:
             try:
                 merged[key] = float(merged[key])
@@ -103,12 +109,16 @@ def _resolve_config(args, required=(), optional=()):
                 _fail_config(key, "%s must be a number" % key)
             if merged[key] <= 0:
                 _fail_config(key, "%s must be positive" % key)
-    for key in ("samples", "seed", "states"):
+    if merged.get("x") is not None and merged["x"] >= 1:
+        _fail_config("x", "x must be below 1")
+    for key, least in (("samples", 2), ("seed", 0), ("states", 1)):
         if key in merged and merged[key] is not None:
             try:
                 merged[key] = int(merged[key])
             except (TypeError, ValueError):
                 _fail_config(key, "%s must be an integer" % key)
+            if merged[key] < least:
+                _fail_config(key, "%s must be at least %d" % (key, least))
     return merged
 
 
@@ -283,24 +293,13 @@ def cmd_freefermion(args):
         secs = tile_sections(lat, tiling)
     except (OSError, ValueError) as exc:
         _fail_config("tiling", str(exc))
-    w, a = kinetic_fits(secs)
     rot, tg = secs.gate_counts()
     _emit(
         {
             "sections": list(secs.names),
             "gate_counts": {"rotations": rot, "t_gates": tg},
-            "worst_case": {
-                "constant": w.constant.value,
-                "r_squared": w.r_squared,
-                "t_grid": list(w.t_grid),
-                "errors": list(w.errors),
-            },
-            "average_case": {
-                "constant": a.constant.value,
-                "r_squared": a.r_squared,
-                "t_grid": list(a.t_grid),
-                "errors": list(a.errors),
-            },
+            "worst_case": {"constant": worst_case_kinetic(secs).value},
+            "average_case": {"constant": average_case_kinetic(secs).value},
         },
         cfg,
         args.out,
@@ -411,7 +410,7 @@ def cmd_resources(args):
         if cfg.get("constant") is None:
             _fail_config("constant", "error mode needs --constant")
         params = CostParams(per_step=per, n_sites=n_sites, epsilon=epsilon, x=x,
-                            mode="fixed_error", constant=float(cfg["constant"]))
+                            mode="fixed_error", constant=cfg["constant"])
         gap = False
     if args.hwp:
         if potential is None:

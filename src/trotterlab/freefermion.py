@@ -10,28 +10,21 @@ differs from exp(-i T t) by exp(-i T_delta t); the effective matrix
 A_delta = (i/t) log(exp(iAt) prod exp(-iA_s t/2) prod_rev exp(-iA_s t/2))
 gives the exact splitting error on the Fock space, because the map from
 matrices to quadratic operators preserves commutators and therefore the
-whole BCH series.  Each factor is exponentiated from the eigenpairs of its
-real symmetric matrix, and the log is one Hermitian eigensolve of the
-product's Cayley transform (``sector.principal_log_spectrum``).  The
-worst-case constant W_T follows from the largest fixed-filling eigenvalue
-sum, the average-case constant A_T from the exact normalized fixed-filling
-trace, an elementary symmetric mean of the eigenmode phases; both are
-fitted from the same A_delta per time step (``kinetic_fits``).
+whole BCH series.  A_delta = t^2 A_2 + O(t^3), and the constants are the
+exact t -> 0 limits taken from A_2 (``second_order_matrix``), a few nested
+commutators of the section matrices: the worst-case W_T is the largest
+fixed-filling eigenvalue sum of A_2, the average-case A_T the root mean
+square of T_2 over the normalised fixed-filling trace, a closed form in
+||A_2||_F.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .hamiltonian import PppParams
 from .norms import ErrorConstant
-from .sector import hermitian_exponential, principal_log_spectrum
-
-# time steps of the cubic fits
-T_GRID = (0.01, 0.03, 0.05)
-_BRANCH_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -77,35 +70,6 @@ class KineticSections:
             n_rot += mult * self.rotations[s]
             n_t += mult * self.t_gates[s]
         return 2 * n_rot, 2 * n_t
-
-
-@dataclass(frozen=True)
-class EffectiveKineticMatrix:
-    matrix: np.ndarray
-    time_step: float
-    eigenmodes: np.ndarray = field(init=False, default=None)
-
-    def __post_init__(self):
-        herm = np.abs(self.matrix - self.matrix.conj().T).max()
-        if herm > 1e-12:
-            raise ValueError("effective kinetic matrix is not Hermitian")
-        modes = np.sort(np.linalg.eigvalsh(self.matrix))[::-1]
-        if np.abs(modes + modes[::-1]).max() > 1e-10:
-            raise ValueError("eigenmode spectrum is not symmetric about zero")
-        object.__setattr__(self, "eigenmodes", modes)
-
-    def filled_norm(self, filling):
-        """Spectral norm of T_delta at fixed per-spin fillings.
-
-        filling is (n_up, n_down); hopping conserves spin, so the norm is
-        the sum over spin species of the largest-filling eigenmode sums.
-        """
-        total = 0.0
-        for n_occ in filling:
-            if not 0 <= n_occ <= self.matrix.shape[0]:
-                raise ValueError("filling out of range")
-            total += float(self.eigenmodes[:n_occ].sum())
-        return total
 
 
 def default_filling(n_sites):
@@ -190,106 +154,52 @@ def tile_sections(lattice, tiling_spec):
     )
 
 
-def effective_kinetic(sections, t):
-    """Effective splitting-error matrix A_delta at time step t.
+def second_order_matrix(sections):
+    """The n x n matrix A_2 of the t^2 term: A_delta(t) = t^2 A_2 + O(t^3).
 
-    Every factor of the product is exponentiated from the eigenpairs of its
-    real symmetric matrix, and A_delta = (i/t) log of the product comes from
-    one Hermitian eigensolve (``sector.principal_log_spectrum``).
+    The symmetric product nests each outer section a around the block b of
+    every section inside it, innermost first, starting from the centre; each
+    nesting adds [a,[a,b]]/24 + [b,[a,b]]/12 (Childs, Su, Tran, Wiebe & Zhu,
+    PRX 11, 011020 (2021)).  The section matrices are real symmetric, so A_2
+    is too.
     """
-    if t <= 0:
-        raise ValueError("time step must be positive")
-    n = sections.n_modes
-    if sections.n_sections == 1:
-        return EffectiveKineticMatrix(matrix=np.zeros((n, n)), time_step=t)
-    prod = hermitian_exponential(eigh(sections.full_matrix, driver="evd"), -t)
-    halves = [hermitian_exponential(eigh(mat, driver="evd"), t / 2) for mat in sections.matrices]
-    for half in halves:
-        prod = prod @ half
-    for half in reversed(halves):
-        prod = prod @ half
-    modes, vecs = principal_log_spectrum(prod, t, _BRANCH_MARGIN)
-    gen = (vecs * modes) @ vecs.conj().T
-    return EffectiveKineticMatrix(matrix=(gen + gen.conj().T) / 2, time_step=t)
+    b = sections.matrices[-1].copy()
+    a2 = np.zeros_like(b)
+    for a in reversed(sections.matrices[:-1]):
+        ab = a @ b - b @ a
+        a2 += (a @ ab - ab @ a) / 24 + (b @ ab - ab @ b) / 12
+        b += a
+    return a2
 
 
-@dataclass(frozen=True)
-class KineticFit:
-    """Cubic fit value = constant * t^3 over a time-step grid."""
-
-    constant: ErrorConstant
-    t_grid: tuple
-    errors: tuple
-    r_squared: float
-
-
-def _filling_deviations(phases, k_max):
-    """D_k = E_k - 1 for k = 0..k_max.
-
-    E_k is the mean of exp(i sum_{j in S} phases_j) over the k-subsets S of
-    the modes.  Adding mode m to the first m - 1 gives
-    E_k <- ((m-k)/m) E_k + (k/m) exp(i phases_m) E_{k-1}; it is carried out
-    on D with w = expm1(i phases_m), so no step subtracts two numbers close
-    to one.
-    """
-    dev = np.zeros(k_max + 1, dtype=complex)
-    for m, w in enumerate(np.expm1(1j * phases), start=1):
-        k = np.arange(1, min(m, k_max) + 1)
-        prev = dev[k - 1]
-        dev[k] = ((m - k) / m) * dev[k] + (k / m) * (w * (1.0 + prev) + prev)
-    return dev
-
-
-def _worst_error(eff, filling):
-    """|1 - exp(-i ||T_delta|| t)| at the fixed fillings."""
-    return abs(1.0 - np.exp(-1j * eff.filled_norm(filling) * eff.time_step))
-
-
-def _average_error(eff, filling):
-    """sqrt(2 - 2 Re(P_up P_down)), P_sigma the normalized fixed-filling
-    trace of exp(i T_delta t) for one spin species; 1 - P_up P_down is
-    formed from the deviations D_sigma = P_sigma - 1 directly."""
-    dev = _filling_deviations(eff.time_step * eff.eigenmodes, max(filling))
-    d_up, d_down = dev[filling[0]], dev[filling[1]]
-    loss = -(d_up + d_down + d_up * d_down).real
-    return float(np.sqrt(max(2.0 * loss, 0.0)))
-
-
-def _kinetic_fit(kind, method, errors):
-    """Least-squares fit of errors = constant * t^3 over ``T_GRID``."""
-    t3 = np.asarray(T_GRID, dtype=float) ** 3
-    y = np.asarray(errors, dtype=float)
-    coeff = float(np.dot(t3, y)) / float(np.dot(t3, t3))
-    resid = y - coeff * t3
-    total = float(np.dot(y, y))
-    return KineticFit(
-        constant=ErrorConstant(kind=kind, scheme="kinetic", value=coeff,
-                               provenance={"method": method}),
-        t_grid=T_GRID,
-        errors=tuple(errors),
-        r_squared=1.0 if total == 0.0 else 1.0 - float(np.dot(resid, resid)) / total,
-    )
-
-
-def kinetic_fits(sections):
-    """(W_T fit, A_T fit) at half filling, both from one A_delta per time
-    step of ``T_GRID``."""
-    filling = default_filling(sections.n_modes)
-    effective = [effective_kinetic(sections, t) for t in T_GRID]
-    return (
-        _kinetic_fit("worst", "eigenmode-sum norm, cubic fit",
-                     [_worst_error(eff, filling) for eff in effective]),
-        _kinetic_fit("average", "exact fixed-filling trace",
-                     [_average_error(eff, filling) for eff in effective]),
-    )
+# Both limits below rest on two exact properties of A_2.  tr A_2 = 0, as for
+# any sum of commutators, so T_2 has zero mean at every filling.  Every
+# section hops between the two sublattices of a bipartite lattice, so the
+# sublattice sign flip S gives S A_s S = -A_s and, three matrices per term,
+# S A_2 S = -A_2: the spectrum is symmetric about zero, and the sum of the k
+# largest eigenvalues is the largest |eigenvalue sum| at filling k, the norm.
 
 
 def worst_case_kinetic(sections):
-    """W_T from |1 - exp(-i ||T_delta|| t)| fitted as W_T t^3."""
-    return kinetic_fits(sections)[0]
+    """W_T at half filling: the largest fixed-filling eigenvalue sum of A_2,
+    summed over the spin species (the t -> 0 limit of
+    |1 - exp(-i ||T_delta|| t)| / t^3)."""
+    modes = np.sort(np.linalg.eigvalsh(second_order_matrix(sections)))[::-1]
+    value = sum(float(modes[:k].sum()) for k in default_filling(sections.n_modes))
+    return ErrorConstant(kind="worst", scheme="kinetic", value=value,
+                         provenance={"method": "top-filling eigenmode sum of A_2"})
 
 
 def average_case_kinetic(sections):
-    """A_T from the exact normalized fixed-filling trace of exp(i T_delta t),
-    fitted as A_T t^3."""
-    return kinetic_fits(sections)[1]
+    """A_T at half filling: sqrt<T_2^2> over the normalised fixed-filling
+    trace, with T_2 the one-body operator of A_2 on both spin species.
+
+    Over the k-subsets of n modes, <n_m> = k/n and <n_m n_m'> = k(k-1)/(n(n-1))
+    for m != m'; with tr A_2 = 0 this leaves ||A_2||_F^2 k(n-k)/(n(n-1)) per
+    species, and the species are independent with zero mean each.
+    """
+    n = sections.n_modes
+    share = sum(k * (n - k) for k in default_filling(n)) / (n * (n - 1))
+    value = float(np.linalg.norm(second_order_matrix(sections)) * np.sqrt(share))
+    return ErrorConstant(kind="average", scheme="kinetic", value=value,
+                         provenance={"method": "fixed-filling trace of T_2^2"})

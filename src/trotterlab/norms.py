@@ -60,6 +60,7 @@ from .sector import (
     DENSE_DIM_LIMIT,
     SectorBasis,
     SectorOperator,
+    _COLUMN_BLOCK,
     _DiagonalForm,
     _group_terms,
     _NO_TERMS,
@@ -108,10 +109,20 @@ def column_norms_squared(op: PauliSum, basis: SectorBasis, states: np.ndarray) -
 
     Terms sharing an X-mask scatter to the same target, and different
     X-masks scatter to orthogonal targets, so the norm splits per group.
+    States go in blocks of ``_COLUMN_BLOCK``, so one group's (terms x states)
+    values stay block-sized; each state adds its terms in term order, the
+    same for any block.  numpy sums a single column pairwise instead, so a
+    one-state tail joins the block before it.
     """
-    out = np.zeros(len(states))
-    for group in _group_terms(op).values():
-        out += np.abs(_term_values(states, group).sum(axis=0)) ** 2
+    groups = _group_terms(op).values()
+    n = len(states)
+    edges = list(range(0, n, _COLUMN_BLOCK)) + [n]
+    if len(edges) > 2 and n - edges[-2] == 1:
+        del edges[-2]
+    out = np.zeros(n)
+    for start, stop in zip(edges, edges[1:]):
+        for group in groups:
+            out[start:stop] += np.abs(_term_values(states[start:stop], group).sum(axis=0)) ** 2
     return out
 
 

@@ -62,8 +62,8 @@ class CostParams:
         if self.mode == "fixed_error":
             if self.constant is None or self.time_step is not None:
                 raise ValueError("fixed_error mode takes a constant, no time step")
-            if self.constant < 0:
-                raise ValueError("error constant must be nonnegative")
+            if self.constant <= 0:
+                raise ValueError("error constant must be positive")
         elif self.mode == "fixed_timestep":
             if self.time_step is None or self.constant is not None:
                 raise ValueError("fixed_timestep mode takes a time step, no constant")

@@ -85,8 +85,8 @@ class SectorBasis:
         return 2 * self.n_sites
 
     def index(self, packed: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self.states, packed)
-        if np.any(idx >= self.dim) or np.any(self.states[idx] != packed):
+        idx, valid = self.index_or_mask(packed)
+        if not np.all(valid):
             raise ValueError("state outside sector")
         return idx
 
@@ -335,6 +335,10 @@ def _term_values(states: np.ndarray, group: tuple[np.ndarray, np.ndarray]) -> np
 # rows per block in ``_DiagonalForm``: its (rows x qubits) float temporaries,
 # about 0.2 MB each, stay in cache and out of the page-fault path
 _DIAGONAL_BLOCK = 1024
+# states per block of ``norms.column_norms_squared``: a 190-term x-group of
+# O_VTT then holds about 6 MB of (terms x states) values, not 100 MB at the
+# 63 504-state naphthalene sector
+_COLUMN_BLOCK = 4096
 
 
 class _DiagonalForm:

@@ -314,11 +314,11 @@ def test_criterion8_free_fermion_lemmas():
 def test_criterion8_single_section_and_tile_ratio():
     lat = build_lattice("acene", 1)
     secs = single_section(lat)
-    assert worst_case_kinetic(secs).constant.value == 0.0
-    assert average_case_kinetic(secs).constant.value == 0.0
+    assert worst_case_kinetic(secs).value == 0.0
+    assert average_case_kinetic(secs).value == 0.0
     lat3 = build_lattice("acene", 3)
     secs3 = tile_sections(lat3, tiling_path("acene", 3))
-    w_t = worst_case_kinetic(secs3).constant.value
+    w_t = worst_case_kinetic(secs3).value
     ref = _reference()["commutator_norms"]["acene3"]
     w_so = ref["spectral_vtv"] / 24.0 + ref["spectral_vtt"] / 12.0
     ratio = (w_so + w_t) / w_so

@@ -7,6 +7,8 @@ import importlib.util
 from importlib import import_module
 from pathlib import Path
 
+from trotterlab import cli
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -38,3 +40,15 @@ def test_tracer_install_and_uninstall():
     finally:
         tracer.uninstall()
     assert all(owner.__dict__[name] is fn for owner, name, fn in originals)
+
+
+def test_tracer_times_the_kinetic_constants(tmp_path):
+    tracer = _load("tracer").Tracer()
+    tracer.install()
+    try:
+        cli.main(["freefermion", "--family", "acene", "--n", "3",
+                  "--out", str(tmp_path / "freefermion.json")])
+    finally:
+        tracer.uninstall()
+    layers = {span[0] for span in tracer.spans}
+    assert {"freefermion.worst", "freefermion.average"} <= layers

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from kinetic_oracle import effective_kinetic
 from trotterlab.freefermion import (
-    T_GRID,
     KineticSections,
     average_case_kinetic,
     default_filling,
-    effective_kinetic,
+    second_order_matrix,
     single_section,
     tile_sections,
     worst_case_kinetic,
@@ -114,10 +114,8 @@ def test_single_section_is_exact():
     assert np.allclose(np.abs(secs.full_matrix[secs.full_matrix != 0]), 2.4)
     eff = effective_kinetic(secs, 0.05)
     assert np.abs(eff.matrix).max() == 0.0
-    w = worst_case_kinetic(secs)
-    a = average_case_kinetic(secs)
-    assert w.constant.value == 0.0
-    assert a.constant.value == 0.0
+    assert worst_case_kinetic(secs).value == 0.0
+    assert average_case_kinetic(secs).value == 0.0
 
 
 def test_second_order_scaling():
@@ -202,15 +200,14 @@ def test_shipped_tilings_match_table_counts(family, n):
     assert np.abs(secs.full_matrix - full).max() < 1e-12
 
 
-def test_worst_case_fit_quality_3acene():
+def test_worst_case_tile_ratio_3acene():
     lat = build_lattice("acene", 3)
     secs = tile_sections(lat, tiling_path("acene", 3))
     w = worst_case_kinetic(secs)
-    assert w.r_squared >= 0.9999
-    assert w.constant.value > 0
+    assert w.value > 0
     # ratio of tile to split-operator worst case stays close to one
     w_so = 2665.0 / 24 + 2684.0 / 12
-    assert 1.0 <= 1.0 + w.constant.value / w_so <= 1.3
+    assert 1.0 <= 1.0 + w.value / w_so <= 1.3
 
 
 def test_average_below_worst_and_seeded():
@@ -219,27 +216,25 @@ def test_average_below_worst_and_seeded():
     assert average_case_kinetic(secs) == average_case_kinetic(secs)
     for family, n in sorted(TABLE_GATE_COUNTS):
         secs = tile_sections(build_lattice(family, n), tiling_path(family, n))
-        assert average_case_kinetic(secs).constant.value <= worst_case_kinetic(secs).constant.value
+        assert average_case_kinetic(secs).value <= worst_case_kinetic(secs).value
 
 
-def _exhaustive_error(modes, filling, t):
-    """sqrt(2 Re mean(1 - exp(i t x.modes))) over every joint (up, down) occupation x.
-
-    Each term is formed as -expm1, so small phases lose nothing to cancellation.
-    """
+def _exhaustive_mean_square(modes, filling):
+    """Mean of (sum_{S_up} modes + sum_{S_down} modes)^2 over every joint
+    occupation (S_up, S_down) at the given per-spin filling."""
     up, down = (
         np.array([modes[list(occ)].sum() for occ in combinations(range(len(modes)), k)])
         for k in filling
     )
     total = sum(
-        float((-np.expm1(1j * t * (block[:, None] + down[None, :]))).real.sum())
+        float(((block[:, None] + down[None, :]) ** 2).sum())
         for block in np.array_split(up, -(-len(up) // 256))
     )
-    return np.sqrt(2.0 * total / (len(up) * len(down)))
+    return total / (len(up) * len(down))
 
 
-def test_sampled_trace_matches_exhaustive():
-    """The exact A_T errors equal the average over every joint occupation."""
+def test_average_case_matches_exhaustive_mean():
+    """A_T^2 = <T_2^2> equals the mean over every joint occupation."""
     lat = build_lattice("acene", 1)
     full = single_section(lat).full_matrix
     m1 = np.zeros_like(full)
@@ -249,12 +244,38 @@ def test_sampled_trace_matches_exhaustive():
     for family, n in (("acene", 3), ("triangulene", 2)):
         cases.append(tile_sections(build_lattice(family, n), tiling_path(family, n)))
     for secs in cases:
-        filling = default_filling(secs.n_modes)
-        a = average_case_kinetic(secs)
-        assert a.t_grid == T_GRID
-        for t, err in zip(a.t_grid, a.errors):
-            modes = effective_kinetic(secs, t).eigenmodes
-            assert err == pytest.approx(_exhaustive_error(modes, filling, t), rel=1e-12, abs=0)
+        modes = np.linalg.eigvalsh(second_order_matrix(secs))
+        want = _exhaustive_mean_square(modes, default_filling(secs.n_modes))
+        assert want > 0
+        assert average_case_kinetic(secs).value ** 2 == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def _shipped_sections():
+    return [tile_sections(build_lattice(family, n), tiling_path(family, n))
+            for family, n in sorted(TABLE_GATE_COUNTS)]
+
+
+def test_second_order_matrix_is_the_small_t_limit():
+    """The spectrum of A_delta(t)/t^2 tends to that of A_2 at O(t^2).
+
+    The matrices differ at O(t), by a rotation (it/2)[A, A_2], so only
+    the spectra are compared.
+    """
+    for secs in _shipped_sections():
+        limit = np.linalg.eigvalsh(second_order_matrix(secs))
+        scale = np.abs(limit).max()
+        gaps = [np.abs(np.sort(effective_kinetic(secs, t).eigenmodes) / t**2 - limit).max()
+                / scale for t in (0.01, 0.005)]
+        assert gaps[1] <= 1e-4
+        assert gaps[0] / gaps[1] == pytest.approx(4.0, rel=0.1)
+
+
+def test_second_order_matrix_is_traceless_with_symmetric_spectrum():
+    for secs in _shipped_sections():
+        a2 = second_order_matrix(secs)
+        modes = np.linalg.eigvalsh(a2)
+        assert np.abs(modes + modes[::-1]).max() <= 1e-12 * np.abs(modes).max()
+        assert np.trace(a2) == 0.0
 
 
 def test_branch_guard_rejects_large_t():

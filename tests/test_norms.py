@@ -21,7 +21,13 @@ from trotterlab.norms import (
     worst_case_constant,
 )
 from trotterlab.pauli import jordan_wigner
-from trotterlab.sector import SectorOperator, enumerate_sector, half_filling_sector
+from trotterlab.sector import (
+    SectorOperator,
+    _group_terms,
+    _term_values,
+    enumerate_sector,
+    half_filling_sector,
+)
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +118,20 @@ def test_column_norms_squared_oracle(benzene, benzene_commutators):
         want = (np.abs(mat) ** 2).sum(axis=0)
         got = column_norms_squared(op, basis, basis.states)
         assert np.allclose(got, want, atol=1e-9)
+
+
+@pytest.mark.parametrize("block", [133, 150])
+def test_column_norms_squared_blocks_are_bit_identical(benzene, benzene_commutators,
+                                                      monkeypatch, block):
+    """Blocks of 133 (with a one-state tail) and 150 split benzene's 400
+    states unevenly; each state's norm is the unblocked one, bit for bit."""
+    _, _, _, basis = benzene
+    monkeypatch.setattr(norms, "_COLUMN_BLOCK", block)
+    for op in benzene_commutators:
+        want = np.zeros(basis.dim)
+        for group in _group_terms(op).values():
+            want += np.abs(_term_values(basis.states, group).sum(axis=0)) ** 2
+        assert np.array_equal(column_norms_squared(op, basis, basis.states), want)
 
 
 def test_frobenius_exact_oracle(benzene, benzene_commutators):

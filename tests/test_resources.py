@@ -70,6 +70,8 @@ def test_params_validation():
     with pytest.raises(ValueError):
         CostParams(per_step=ps, n_sites=6, mode="fixed_error", time_step=0.1)
     with pytest.raises(ValueError):
+        CostParams(per_step=ps, n_sites=6, mode="fixed_error", constant=0.0)
+    with pytest.raises(ValueError):
         CostParams(per_step=ps, n_sites=6, mode="fixed_timestep", constant=1.0)
     with pytest.raises(ValueError):
         CostParams(per_step=ps, n_sites=6, mode="bad", time_step=0.1)

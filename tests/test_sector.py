@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh, expm, schur
 
-from trotterlab.freefermion import effective_kinetic, tile_sections, tiling_path
+from kinetic_oracle import effective_kinetic
+from trotterlab.freefermion import tile_sections, tiling_path
 from trotterlab.hamiltonian import build_ppp, shifted_potential
 from trotterlab.lattice import bond_orientation_classes, build_lattice
 from trotterlab.norms import nested_commutators
@@ -68,6 +69,16 @@ def test_basis_deterministic_and_sorted():
     assert np.all(np.diff(b.states) > 0)
     b2 = enumerate_sector(4, 4, 0)
     assert np.array_equal(b.states, b2.states)
+
+
+def test_basis_index_rejects_states_outside_the_sector():
+    b = enumerate_sector(4, 4, 0)
+    assert np.array_equal(b.index(b.states[::-1]), np.arange(b.dim)[::-1])
+    outside = np.array([b.states[0], b.states[-1] + 1, 0], dtype=np.int64)
+    _, valid = b.index_or_mask(outside)
+    assert valid.tolist() == [True, False, False]
+    with pytest.raises(ValueError, match="state outside sector"):
+        b.index(outside)
 
 
 def test_sector_matrix_matches_full_restriction(benzene):
