@@ -72,6 +72,17 @@ def _fail_config(field, message):
     sys.exit(2)
 
 
+def _integer(key, value):
+    """``value`` as an int: 2, 2.0 and "2" pass; 2.9, "2.5" and "two" exit 2."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = float("nan")
+    if not number.is_integer():
+        _fail_config(key, "%s must be an integer" % key)
+    return int(value) if isinstance(value, int) else int(number)
+
+
 def _resolve_config(args, required=(), optional=()):
     """Merge --config JSON with CLI flags (flags win) and validate fields."""
     merged = {}
@@ -95,10 +106,7 @@ def _resolve_config(args, required=(), optional=()):
     if "family" in merged and merged["family"] not in FAMILIES:
         _fail_config("family", "family must be one of %s" % (FAMILIES,))
     if "size_n" in merged:
-        try:
-            merged["size_n"] = int(merged["size_n"])
-        except (TypeError, ValueError):
-            _fail_config("size_n", "size_n must be an integer")
+        merged["size_n"] = _integer("size_n", merged["size_n"])
         if merged["size_n"] < 1:
             _fail_config("size_n", "size_n must be at least 1")
     for key in ("t", "epsilon", "x", "constant"):
@@ -113,10 +121,7 @@ def _resolve_config(args, required=(), optional=()):
         _fail_config("x", "x must be below 1")
     for key, least in (("samples", 2), ("seed", 0), ("states", 1)):
         if key in merged and merged[key] is not None:
-            try:
-                merged[key] = int(merged[key])
-            except (TypeError, ValueError):
-                _fail_config(key, "%s must be an integer" % key)
+            merged[key] = _integer(key, merged[key])
             if merged[key] < least:
                 _fail_config(key, "%s must be at least %d" % (key, least))
     return merged
@@ -161,9 +166,10 @@ def _ground_states(family, size_n, k, sz_twice=None, tol=1e-10):
     if sz_twice is None:
         sz_twice = n % 2
     cache = _cache_dir()
-    # the PPP parameters are fixed per release, so the version stands for them
-    tag = "eig_%s%d_%d_%d_k%d_tol%r_v%s" % (family, size_n, n, sz_twice, k, tol,
-                                            __version__)
+    # the PPP parameters are fixed per release, so the version stands for
+    # them; "updown" names the basis order the eigenvectors are stored in
+    tag = "eig_%s%d_%d_%d_k%d_tol%r_updown_v%s" % (family, size_n, n, sz_twice, k, tol,
+                                                   __version__)
     path = os.path.join(cache, tag + ".npz") if cache else None
     basis = enumerate_sector(n, n, sz_twice)
     kin, pot = jordan_wigner(build_ppp(lat))

@@ -2,7 +2,10 @@
 
 A sector fixes the electron count and 2·S_z.  Basis states are occupation
 bitstrings packed into int64 (bit q = occupation of qubit q, interleaved
-spin ordering), sorted ascending so membership lookup is a binary search.
+spin ordering: up electrons on the even qubits 2i, down ones on 2i + 1).
+The basis order is the up-major product of the sorted single-species
+configurations, (up x down) flattened row by row, so membership lookup is
+one binary search per species.
 
 ``SectorOperator`` is the one place a Pauli sum becomes sector matrix
 elements.  All strings sharing an X-mask map |b> to |b ^ x> with a
@@ -22,20 +25,19 @@ Z-weight <= 2, all of a PPP potential, are evaluated as one quadratic form
 (``_DiagonalForm``), which also gives D(b ^ x) - D(b) from the flipped bits
 of x alone.
 
-Hopping conserves each spin species, so a sector also has a spin-factorised
-layout (``SpinLayout``, built on first use and cached on the basis): every
-state is a pair (up configuration, down configuration) with indices into the
-single-species sectors ``enumerate_sector(n, n_up, n_up)`` and
-``enumerate_sector(n, n_down, -n_down)``, and a sector vector becomes a
-C(n, n_up) x C(n, n_down) matrix Psi.  Reordering the interleaved creation
-operators into all-up-then-all-down costs a sign, the parity of the number
-of (down at site k, up at site l > k) pairs; in that gauge an up hop acts on
-the rows of Psi and a down hop on its columns, with no cross-species sign.
-An operator made of diagonal terms plus one-species hops with a full
-Jordan-Wigner chain therefore acts as K_up Psi + Psi K_down^T + D o Psi
-without a sector-size matrix, and the exponential of a pure hopping
-operator as M_up Psi M_down^T.  Every other operator acts through its CSR
-matrix, built once on first use.
+Hopping conserves each spin species, so a sector vector reshaped to
+C(n, n_up) x C(n, n_down) is a matrix over (up configuration, down
+configuration), with rows and columns indexed by the single-species sectors
+``enumerate_sector(n, n_up, n_up)`` and ``enumerate_sector(n, n_down,
+-n_down)`` (``SpinLayout``, built on first use and cached on the basis).
+Reordering the interleaved creation operators into all-up-then-all-down
+costs a sign, the parity of the number of (down at site k, up at site l > k)
+pairs; in that gauge, Psi = sign o v, an up hop acts on the rows of Psi and a
+down hop on its columns, with no cross-species sign.  An operator made of
+diagonal terms plus one-species hops with a full Jordan-Wigner chain
+therefore acts as K_up Psi + Psi K_down^T + D o Psi without a sector-size
+matrix, and the exponential of a pure hopping operator as M_up Psi M_down^T.
+Every other operator acts through its CSR matrix, built once on first use.
 
 Hopping is one-body, so M_sigma = exp(-i t K_sigma) is fixed by the n x n
 single-particle unitary u = exp(-i t k_sigma).  ``_givens_decomposition``
@@ -69,12 +71,24 @@ from .pauli import PauliSum
 DENSE_DIM_LIMIT = 5000
 
 
+# the up qubits 2i of an occupation int; its complement holds the down ones
+_UP_QUBITS = np.int64(0x5555555555555555)
+
+
+def _search(sorted_states: np.ndarray, packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(indices into ``sorted_states``, whether each entry is there)."""
+    idx = np.minimum(np.searchsorted(sorted_states, packed), len(sorted_states) - 1)
+    return idx, sorted_states[idx] == packed
+
+
 @dataclass(frozen=True)
 class SectorBasis:
     n_sites: int
     electrons: int
     sz_twice: int
-    states: np.ndarray = field(repr=False)  # sorted int64 occupation ints
+    states: np.ndarray = field(repr=False)  # int64 occupation ints, (up x down) order
+    up_states: np.ndarray = field(repr=False)  # sorted up configurations (qubits 2i)
+    down_states: np.ndarray = field(repr=False)  # sorted down configurations (2i + 1)
 
     @property
     def dim(self) -> int:
@@ -91,12 +105,15 @@ class SectorBasis:
         return idx
 
     def index_or_mask(self, packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(indices, validity mask); invalid entries get index 0."""
-        idx = np.searchsorted(self.states, packed)
-        valid = idx < self.dim
-        idx = np.where(valid, idx, 0)
-        valid &= self.states[idx] == packed
-        return idx, valid
+        """(indices, validity mask); invalid entries get index 0.
+
+        A state is in the sector when both its up and its down configuration
+        are; its index is i_up * len(down_states) + i_down.
+        """
+        i_up, up_valid = _search(self.up_states, packed & _UP_QUBITS)
+        i_down, down_valid = _search(self.down_states, packed & ~_UP_QUBITS)
+        valid = up_valid & down_valid
+        return np.where(valid, i_up * len(self.down_states) + i_down, 0), valid
 
     @cached_property
     def spin_layout(self) -> "SpinLayout":
@@ -104,8 +121,16 @@ class SectorBasis:
         return SpinLayout(self)
 
 
+def _configurations(n_sites: int, count: int, offset: int) -> np.ndarray:
+    """Sorted int64 configurations of ``count`` electrons on qubits 2i + ``offset``."""
+    return np.sort(np.fromiter(
+        (sum(1 << (2 * i + offset) for i in c) for c in combinations(range(n_sites), count)),
+        dtype=np.int64, count=comb(n_sites, count)))
+
+
 def enumerate_sector(n_sites: int, electrons: int, sz_twice: int) -> SectorBasis:
-    """All occupation states with fixed electron count and 2 S_z."""
+    """All occupation states with fixed electron count and 2 S_z, in
+    (up x down) order: the up configuration major, each species sorted."""
     if not 0 <= electrons <= 2 * n_sites:
         raise ValueError("infeasible electron count")
     if (electrons + sz_twice) % 2 != 0:
@@ -114,35 +139,22 @@ def enumerate_sector(n_sites: int, electrons: int, sz_twice: int) -> SectorBasis
     n_dn = electrons - n_up
     if not (0 <= n_up <= n_sites and 0 <= n_dn <= n_sites):
         raise ValueError("infeasible S_z for this electron count")
-
-    ups = np.fromiter(
-        (sum(1 << (2 * i) for i in c) for c in combinations(range(n_sites), n_up)),
-        dtype=np.int64,
-        count=comb(n_sites, n_up),
-    )
-    dns = np.fromiter(
-        (sum(1 << (2 * i + 1) for i in c) for c in combinations(range(n_sites), n_dn)),
-        dtype=np.int64,
-        count=comb(n_sites, n_dn),
-    )
+    ups, dns = _configurations(n_sites, n_up, 0), _configurations(n_sites, n_dn, 1)
     states = (ups[:, None] | dns[None, :]).ravel()
-    states.sort()
-    return SectorBasis(n_sites, electrons, sz_twice, states)
+    return SectorBasis(n_sites, electrons, sz_twice, states, ups, dns)
 
 
 class SpinLayout:
     """Spin-factorised view of a sector: vector v <-> matrix Psi[up, down].
 
-    ``up`` and ``down`` index each basis state's up- and down-spin
-    configuration in ``up_basis`` and ``down_basis``; ``sign`` is the gauge
-    sign (-1)^#{(down at k, up at l > k)} between the interleaved and the
-    blocked (all up, then all down) operator orderings.
-
-    Psi, flattened row by row, is the layout form of a sector vector.
-    Lanczos (``lowest_eigenpairs``) and Trotter steps (``Propagator``) run
-    on it throughout and pay ``to_matrix`` and ``from_matrix``, two gathers
-    of sector length, once at each end; a diagonal commutes with the gauge
-    sign and enters the layout form through ``to_layout_order`` alone.
+    The basis order is already (up x down), rows indexed by ``up_basis`` and
+    columns by ``down_basis``, so the layout form of v is Psi = sign o v
+    reshaped to ``shape``.  ``sign`` is the gauge sign
+    (-1)^#{(down at k, up at l > k)} between the interleaved and the blocked
+    (all up, then all down) operator orderings, the one sector-length array
+    kept here.  Lanczos (``lowest_eigenpairs``) and Trotter steps
+    (``Propagator``) run on Psi throughout and pay ``to_matrix`` and
+    ``from_matrix``, one sign product each, once at each end.
     """
 
     def __init__(self, basis: SectorBasis):
@@ -152,28 +164,18 @@ class SpinLayout:
         self.up_basis = enumerate_sector(n, n_up, n_up)
         self.down_basis = enumerate_sector(n, n_down, -n_down)
         self.shape = (self.up_basis.dim, self.down_basis.dim)
-        up_mask = sum(1 << (2 * i) for i in range(n))
-        states = basis.states
-        up = self.up_basis.index(states & np.int64(up_mask))
-        down = self.down_basis.index(states & np.int64(up_mask << 1))
-        parity = np.zeros(basis.dim, dtype=np.int64)
-        for k in range(n - 1):
-            down_k = (states >> (2 * k + 1)) & 1
-            ups_above = np.int64(up_mask & ~((1 << (2 * k + 2)) - 1))
-            parity += down_k * _popcount(states & ups_above)
-        self.sign = 1.0 - 2.0 * (parity & 1)
-        # both conversions are gathers (np.take), which beat a scatter
-        self._position = up * self.shape[1] + down
-        self._order = np.argsort(self._position)
-        self._order_sign = self.sign[self._order]
-
-    @property
-    def up(self) -> np.ndarray:
-        return self._position // self.shape[1]
-
-    @property
-    def down(self) -> np.ndarray:
-        return self._position % self.shape[1]
+        qubits = 2 * np.arange(n)
+        up_bits = (self.up_basis.states[:, None] >> qubits) & 1
+        down_bits = (self.down_basis.states[:, None] >> (qubits + 1)) & 1
+        # ups_above[u, k]: up electrons of configuration u on sites l > k
+        ups_above = up_bits[:, ::-1].cumsum(axis=1)[:, ::-1] - up_bits
+        # pair counts as one float product (exact: at most n^2), turned into
+        # the sign in place, so no second sector-length array is made
+        sign = (ups_above.astype(float) @ down_bits.T.astype(float)).reshape(-1)
+        np.remainder(sign, 2.0, out=sign)
+        sign *= -2.0
+        sign += 1.0
+        self.sign = sign
 
     @cached_property
     def species_lifts(self) -> tuple["_SpeciesLift", "_SpeciesLift"]:
@@ -182,23 +184,12 @@ class SpinLayout:
         return _SpeciesLift(self.up_basis, 0), _SpeciesLift(self.down_basis, 1)
 
     def to_matrix(self, v: np.ndarray) -> np.ndarray:
-        """Sector vector (interleaved order) -> gauged matrix Psi."""
-        return (v.take(self._order) * self._order_sign).reshape(self.shape)
+        """Sector vector -> gauged matrix Psi."""
+        return (v * self.sign).reshape(self.shape)
 
     def from_matrix(self, psi: np.ndarray) -> np.ndarray:
-        """Gauged matrix Psi (or its flattened layout form) -> sector vector
-        (interleaved order)."""
-        return psi.reshape(-1).take(self._position) * self.sign
-
-    def to_layout_order(self, values: np.ndarray) -> np.ndarray:
-        """Per-state values (interleaved order) -> a matrix in layout order,
-        without the gauge sign: the layout form of a diagonal.  A (dim, m)
-        block of columns becomes a (rows, cols, m) stack."""
-        return values.take(self._order, axis=0).reshape(self.shape + values.shape[1:])
-
-    def from_layout_order(self, psi: np.ndarray) -> np.ndarray:
-        """The inverse of ``to_layout_order``, also without the gauge sign."""
-        return psi.reshape((-1,) + psi.shape[2:]).take(self._position, axis=0)
+        """Gauged matrix Psi (or its flattened layout form) -> sector vector."""
+        return psi.reshape(-1) * self.sign
 
 
 def _givens_decomposition(u: np.ndarray):
@@ -434,19 +425,19 @@ class SectorOperator:
     ``__init__``:
 
     - diagonal terms plus one-species hops (``hops`` is then the
-      off-diagonal part): one kernel on the layout form of the spin-factorised
-      layout, ``layout_matvec``: x -> vec(K_up Psi + Psi K_down^T) + D_Psi o x,
-      with K_sigma the small single-species matrices (``species_matrices``)
-      and D_Psi the diagonal gathered once into layout order
-      (``layout_diagonal``), so no sector-size matrix is built; ``matvec``
-      is that kernel between one ``to_matrix`` and one ``from_matrix``;
+      off-diagonal part): one kernel on the layout form Psi of the
+      spin-factorised layout, ``layout_matvec``:
+      x -> vec(K_up Psi + Psi K_down^T) + D o x, with K_sigma the small
+      single-species matrices (``species_matrices``) and D the basis-order
+      diagonal, so no sector-size matrix is built; ``matvec`` is that kernel
+      between one ``to_matrix`` and one ``from_matrix``;
     - anything else: the CSR sector matrix (``sparse``), assembled from
       ``to_sparse()`` on first use and kept.
 
     ``abs_matvec`` applies the element-wise absolute matrix |O| along the
     same route, to a vector or a block of columns: ``abs`` of the CSR, or
-    |K_up|, |K_down| in the layout without the gauge sign; each absolute
-    matrix is built once, on first use.
+    |K_up|, |K_down| on the vector reshaped to the layout, without the gauge
+    sign; each absolute matrix is built once, on first use.
     """
 
     def __init__(self, op: PauliSum, basis: SectorBasis):
@@ -493,11 +484,6 @@ class SectorOperator:
         return _DiagonalForm(self.groups.get(0, _NO_TERMS))(self.basis.states)
 
     @cached_property
-    def layout_diagonal(self) -> np.ndarray:
-        """The diagonal as a matrix in layout order (no gauge sign)."""
-        return self.basis.spin_layout.to_layout_order(self.diagonal)
-
-    @cached_property
     def is_real(self) -> bool:
         return not any(np.iscomplexobj(cs) for _, cs in self.groups.values())
 
@@ -516,7 +502,7 @@ class SectorOperator:
         psi = x.reshape(self.basis.spin_layout.shape)
         out = self._hop_action(*self.species_matrices, psi)
         if 0 in self.groups:
-            out = out + self.layout_diagonal * psi
+            out = out + self.diagonal.reshape(psi.shape) * psi
         return out.reshape(-1)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
@@ -529,14 +515,13 @@ class SectorOperator:
         """|O| v for the element-wise absolute matrix |O|; v is a vector or a
         (dim, m) block of columns.
 
-        |O| does not carry the gauge sign, so the layout route moves v into
-        layout order and back without it (``to_layout_order``).
+        |O| does not carry the gauge sign, so the layout route applies
+        |K_up|, |K_down| to v reshaped to the layout, without it.
         """
         if self.hops is None:
             return self._abs_sparse @ v
-        layout = self.basis.spin_layout
-        out = layout.from_layout_order(
-            self._hop_action(*self._abs_species_matrices, layout.to_layout_order(v)))
+        psi = v.reshape(self.basis.spin_layout.shape + v.shape[1:])
+        out = self._hop_action(*self._abs_species_matrices, psi).reshape(v.shape)
         if 0 not in self.groups:
             return out
         d = np.abs(self.diagonal)
@@ -653,23 +638,21 @@ def _lanczos(sop: SectorOperator, k: int, which: str, tol: float, ncv: int | Non
     ARPACK's own work per iteration grows with ncv and, next to a cheap
     matvec, outweighs it, and scipy's default, max(2k + 1, 20), keeps 20
     vectors even for k = 1.  A factorised operator runs on ``layout_matvec`` in
-    layout form, the start vector mapped in by ``to_matrix`` and the
-    eigenvectors back by ``from_matrix``; any other runs in basis order on
-    its ``matvec``.
+    layout form, which differs from basis order by the gauge sign alone: the
+    start vector goes in as sign o v0 and the eigenvectors come back times
+    the sign.  Any other operator runs in basis order on its ``matvec``.
     """
     v0 = _start_vector(sop.dim)
-    layout = sop.basis.spin_layout if sop.hops is not None else None
-    if layout is None:
+    sign = sop.basis.spin_layout.sign if sop.hops is not None else None
+    if sign is None:
         matvec = sop.matvec
     else:
-        matvec, v0 = sop.layout_matvec, layout.to_matrix(v0).reshape(-1)
+        matvec, v0 = sop.layout_matvec, sign * v0
     lo = LinearOperator((sop.dim, sop.dim), matvec=matvec,
                         dtype=float if sop.is_real else complex)
     vals, vecs = eigsh(lo, k=k, which=which, tol=tol, maxiter=5000, v0=v0,
                        ncv=2 * k + 10 if ncv is None else ncv)
-    if layout is None:
-        return vals, vecs
-    return vals, np.column_stack([layout.from_matrix(vec) for vec in vecs.T])
+    return vals, vecs if sign is None else vecs * sign[:, None]
 
 
 def lowest_eigenpairs(op, basis: SectorBasis, k: int = 1, tol: float = 0.0,
@@ -681,7 +664,7 @@ def lowest_eigenpairs(op, basis: SectorBasis, k: int = 1, tol: float = 0.0,
     a fixed start vector, with a basis of 2k + 10 vectors unless ``ncv`` is
     given, run on the layout form of a factorised operator (see
     ``_lanczos``).  Eigenvalues ascend; the eigenvectors are columns in basis
-    (interleaved) order either way.
+    order either way.
     """
     if isinstance(op, PauliSum):
         op = SectorOperator(op, basis)
@@ -711,13 +694,13 @@ def extremal_eigenvalues(op, basis: SectorBasis) -> tuple[float, float]:
 class Propagator:
     """Applies exp(-i G t) for one Hamiltonian piece G to a state in layout
     form: the gauged matrix Psi of the basis's spin-factorised layout
-    (``SpinLayout.to_matrix``), so a Trotter step needs no gather.
+    (``SpinLayout.to_matrix``).
 
     The route follows from G:
 
-    - diagonal G: Psi -> exp(-i t D_Psi) o Psi, with the phases of the
-      diagonal in layout order (``SpinLayout.to_layout_order``) cached per
-      duration;
+    - diagonal G: Psi -> exp(-i t D) o Psi, with the phases of the
+      basis-order diagonal, reshaped to the layout, cached per duration
+      (the gauge sign commutes with a diagonal);
     - G made only of one-species hops (the kinetic factor, a tile section):
       Psi -> M_up Psi M_down^T, where M_sigma = exp(-i t K_sigma) is cached
       per duration, built exactly from the n x n one-body unitary
@@ -742,7 +725,7 @@ class Propagator:
         layout = self.basis.spin_layout
         if t not in self._exponentials:
             self._exponentials[t] = (
-                layout.to_layout_order(np.exp(-1j * t * self.sop.diagonal.real))
+                np.exp(-1j * t * self.sop.diagonal.real).reshape(layout.shape)
                 if self.diagonal_only
                 else tuple(lift.exponential(k, t) for lift, k in
                            zip(layout.species_lifts, self.sop.one_body_matrices)))

@@ -199,8 +199,9 @@ class TimeSeries:
 def compute_time_series(scheme, basis, state, n_steps, label=""):
     """g_k = <psi|U^k|psi> by repeated exact sector propagation.
 
-    The state (basis order) is converted to layout form once; every factor
-    acts on that form (``Propagator``) and g_k is taken in it.
+    The state (basis order) becomes its layout form, the gauge sign times the
+    state reshaped, once; every factor acts on that form (``Propagator``) and
+    g_k is taken in it.
     """
     psi = np.asarray(state, dtype=complex)
     norm = np.linalg.norm(psi)

@@ -1,11 +1,15 @@
 """The benchmark under perfbench/ reaches into trotterlab by name: its
 workloads import public functions, and its tracer patches every callable in
 ``SPECS``.  A rename or deletion in the package that breaks either fails
-here, not only in a benchmark run."""
+here, not only in a benchmark run.  So does a change that makes a workload's
+output checks fail: each workload runs here through its own ``setup`` and
+``run``."""
 
 import importlib.util
 from importlib import import_module
 from pathlib import Path
+
+import pytest
 
 from trotterlab import cli
 
@@ -52,3 +56,17 @@ def test_tracer_times_the_kinetic_constants(tmp_path):
         tracer.uninstall()
     layers = {span[0] for span in tracer.spans}
     assert {"freefermion.worst", "freefermion.average"} <= layers
+
+
+@pytest.mark.parametrize("workload, passes", [
+    ("gap-2acene-tile", 1),
+    ("norms-acene", 1),
+    ("desk-cli", 2),  # the second pass checks its artifacts against the first
+])
+def test_workload_checks_pass(workload, passes, tmp_path, monkeypatch):
+    monkeypatch.delenv("TROTTERLAB_CACHE", raising=False)
+    instance = _load("workloads").WORKLOADS[workload](0, tmp_path)
+    instance.setup()
+    rows = [row for index in range(passes) for row in instance.run(index)]
+    assert len(rows) == passes * instance.checks_per_pass
+    assert [row for row in rows if not row[1]] == []

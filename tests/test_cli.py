@@ -35,6 +35,19 @@ def test_config_file_with_flag_override(capsys, tmp_path):
     assert doc["n_sites"] == 10  # flag wins over the file
 
 
+def test_integral_config_values_accepted(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": "acene", "size_n": 2.0}))
+    rc, doc = _run(capsys, ["lattice", "--config", str(cfg)])
+    assert rc == 0
+    assert doc["n_sites"] == 10
+    cfg.write_text(json.dumps({"family": "acene", "size_n": "1", "samples": 500.0,
+                               "seed": "7"}))
+    rc, doc = _run(capsys, ["norms", "--config", str(cfg)])
+    assert rc == 0
+    assert doc["vtv"]["seed"] == 7 and doc["config"]["samples"] == 500
+
+
 def test_malformed_config_exits_2(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["lattice", "--family", "acene"])  # size_n missing
@@ -59,10 +72,24 @@ def test_malformed_config_exits_2(capsys, tmp_path):
     (["resources", "--x", "1.5"], "x"),
     (["resources", "--mode", "error", "--constant", "-1"], "constant"),
     (["resources", "--mode", "error", "--constant", "0"], "constant"),
+    # a dict closes the argument list: fields of a --config file, where a
+    # value that is not integral must not be truncated
+    (["lattice", {"size_n": 2.9}], "size_n"),
+    (["lattice", {"size_n": "2.5"}], "size_n"),
+    (["norms", {"samples": 500.5}], "samples"),
+    (["norms", {"seed": "7.5"}], "seed"),
+    (["spectral", "--t", "0.05", {"states": 1.5}], "states"),
+    (["spectral", "--t", "0.05", {"states": "two"}], "states"),
 ])
-def test_out_of_range_values_exit_2(capsys, argv, field):
+def test_out_of_range_values_exit_2(capsys, tmp_path, argv, field):
+    config = {"family": "acene", "size_n": 1}
+    if isinstance(argv[-1], dict):
+        config.update(argv[-1])
+        argv = argv[:-1]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
     with pytest.raises(SystemExit) as exc:
-        main(argv[:1] + ["--family", "acene", "--n", "1"] + argv[1:])
+        main(argv[:1] + ["--config", str(path)] + argv[1:])
     assert exc.value.code == 2
     record = json.loads(capsys.readouterr().err)
     assert record["field"] == field
@@ -145,6 +172,17 @@ def test_checkpoint_keyed_on_tol_and_shape_checked(tmp_path, monkeypatch):
     np.savez(path, vals=vals + 1.0, vecs=vecs)
     monkeypatch.setattr(cli, "__version__", cli.__version__ + ".post1")
     assert np.array_equal(_ground_states("acene", 1, 2, tol=1e-10)[2], vals)
+    # ... and for the basis order it was written in: a checkpoint from before
+    # the (up x down) order has the same shape but a file name without the
+    # order marker, so it is recomputed, not served
+    for stale in tmp_path.glob("eig_*.npz"):
+        stale.unlink()
+    sorted_order_tag = "eig_acene1_6_0_k2_tol1e-10_v%s" % cli.__version__
+    np.savez(tmp_path / (sorted_order_tag + ".npz"), vals=vals + 1.0, vecs=vecs[::-1])
+    _, _, got_vals, got_vecs, residuals = _ground_states("acene", 1, 2, tol=1e-10)
+    assert np.array_equal(got_vals, vals) and np.array_equal(got_vecs, vecs)
+    assert max(residuals) < 1e-10
+    assert len(list(tmp_path.glob("eig_*.npz"))) == 2
 
 
 def test_artifacts_repeat_byte_for_byte(tmp_path, monkeypatch):

@@ -110,6 +110,25 @@ def test_spectral_bound_block_route_matches_column_loop(benzene, benzene_commuta
         spectral_norm_bound(cases[2], basis).value)
 
 
+def test_spectral_bound_lanczos_route_matches_dense(benzene, benzene_commutators,
+                                                    monkeypatch):
+    """Above ``DENSE_DIM_LIMIT`` the bound is a Lanczos eigenvalue; with the
+    limit lowered below the benzene sector it must give the dense route's
+    top eigenvalue of |O|, for the structured actions and the Pauli sums."""
+    _, kin, pot, basis = benzene
+    act = HoppingCommutatorAction(kin, pot, basis)
+    cases = [SimpleNamespace(abs_matvec=act.vtv_abs_matvec),
+             SimpleNamespace(abs_matvec=act.vtt_abs_matvec), *benzene_commutators]
+    want = [spectral_norm_bound(op, basis).value for op in cases]
+    monkeypatch.setattr(norms, "DENSE_DIM_LIMIT", basis.dim - 1)
+    for op, value in zip(cases, want):
+        est = spectral_norm_bound(op, basis)
+        assert est.converged
+        assert est.value == pytest.approx(value, rel=1e-9)
+    zero = spectral_norm_bound(SimpleNamespace(abs_matvec=np.zeros_like), basis)
+    assert zero.converged and zero.value == 0.0
+
+
 def test_column_norms_squared_oracle(benzene, benzene_commutators):
     _, _, _, basis = benzene
     o_vtv, o_vtt = benzene_commutators

@@ -1,4 +1,5 @@
 import os
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -65,10 +66,39 @@ def test_infeasible_sector_rejected():
 
 
 def test_basis_deterministic_and_sorted():
-    b = enumerate_sector(4, 4, 0)
-    assert np.all(np.diff(b.states) > 0)
-    b2 = enumerate_sector(4, 4, 0)
-    assert np.array_equal(b.states, b2.states)
+    """Each species' configurations are sorted, and the basis is their
+    up-major (up x down) product: a sector vector is its layout matrix."""
+    b = enumerate_sector(5, 5, 1)
+    assert np.all(np.diff(b.up_states) > 0) and np.all(np.diff(b.down_states) > 0)
+    assert b.up_states.tolist() == sorted(
+        sum(1 << (2 * i) for i in c) for c in combinations(range(5), 3))
+    assert b.down_states.tolist() == sorted(
+        sum(1 << (2 * i + 1) for i in c) for c in combinations(range(5), 2))
+    want = [up | down for up in b.up_states.tolist() for down in b.down_states.tolist()]
+    assert b.states.tolist() == want
+    assert np.array_equal(b.states, enumerate_sector(5, 5, 1).states)
+
+
+@pytest.mark.parametrize("sector", [(6, 6, 0), (10, 4, 2), (5, 5, 1), (6, 3, 3)])
+def test_index_or_mask_matches_dict_oracle(sector):
+    """Every state in the sector maps to its position; states outside it,
+    including those with exactly one species in its single-species sector,
+    are invalid with index 0."""
+    b = enumerate_sector(*sector)
+    oracle = {state: i for i, state in enumerate(b.states.tolist())}
+    rng = np.random.default_rng(sum(sector))
+    inside = rng.permutation(b.states)
+    one_up_flipped = inside ^ np.int64(1 << 2 * rng.integers(b.n_sites))
+    one_down_flipped = inside ^ np.int64(1 << (2 * rng.integers(b.n_sites) + 1))
+    beyond = inside | np.int64(1 << (2 * b.n_sites + 1))
+    noise = rng.integers(0, 1 << (2 * b.n_sites), size=200)
+    packed = np.concatenate([inside, one_up_flipped, one_down_flipped, beyond, noise])
+    up_valid = np.isin(packed & np.int64(0x5555555555555555), b.up_states)
+    down_valid = np.isin(packed & ~np.int64(0x5555555555555555), b.down_states)
+    assert np.any(up_valid & ~down_valid) and np.any(down_valid & ~up_valid)
+    idx, valid = b.index_or_mask(packed)
+    assert valid.tolist() == [state in oracle for state in packed.tolist()]
+    assert idx.tolist() == [oracle.get(state, 0) for state in packed.tolist()]
 
 
 def test_basis_index_rejects_states_outside_the_sector():
@@ -192,8 +222,11 @@ def test_spin_layout_round_trip_and_gauge_sign():
     layout = basis.spin_layout
     assert basis.spin_layout is layout
     assert layout.shape == (comb(10, 3), comb(10, 1))
-    rebuilt = layout.up_basis.states[layout.up] | layout.down_basis.states[layout.down]
-    assert np.array_equal(rebuilt, basis.states)
+    rebuilt = layout.up_basis.states[:, None] | layout.down_basis.states[None, :]
+    assert np.array_equal(rebuilt.ravel(), basis.states)
+    sector_length = [name for name, value in vars(layout).items()
+                     if isinstance(value, np.ndarray) and value.size == basis.dim]
+    assert sector_length == ["sign"]
     v = np.random.default_rng(3).normal(size=basis.dim)
     psi = layout.to_matrix(v)
     assert psi.shape == layout.shape
@@ -561,7 +594,7 @@ def test_propagate_diagonal_phases_reused_bit_for_bit(benzene):
     phases = np.exp(-1j * 0.05 * SectorOperator(pot, basis).diagonal.real)
     layout = basis.spin_layout
     psi = layout.to_matrix(v)
-    want = layout.to_layout_order(phases) * psi
+    want = phases.reshape(layout.shape) * psi
     for _ in range(2):
         got = prop.apply(psi, 0.05)
         assert got.tobytes() == want.tobytes()
