@@ -57,7 +57,6 @@ from .spectral import (
     extract_energy,
     hopping_pauli_sum,
     pair_eigenstates,
-    section_pauli_sums,
     so_scheme,
     tile_scheme,
 )
@@ -71,5 +70,4 @@ from .resources import (
     steps_fixed_timestep,
     t_gates_per_step,
     total_cost,
-    wrapping_check,
 )

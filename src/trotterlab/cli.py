@@ -167,9 +167,10 @@ def _ground_states(family, size_n, k, sz_twice=None, tol=1e-10):
         sz_twice = n % 2
     cache = _cache_dir()
     # the PPP parameters are fixed per release, so the version stands for
-    # them; "updown" names the basis order the eigenvectors are stored in
-    tag = "eig_%s%d_%d_%d_k%d_tol%r_updown_v%s" % (family, size_n, n, sz_twice, k, tol,
-                                                   __version__)
+    # them; "blocked" names the spin-blocked qubit order the eigenvectors are
+    # stored in (an older order's vectors have the same shape, other signs)
+    tag = "eig_%s%d_%d_%d_k%d_tol%r_blocked_v%s" % (family, size_n, n, sz_twice, k, tol,
+                                                    __version__)
     path = os.path.join(cache, tag + ".npz") if cache else None
     basis = enumerate_sector(n, n, sz_twice)
     kin, pot = jordan_wigner(build_ppp(lat))

@@ -10,11 +10,16 @@ which is Hermitian and equals the plain tensor product of I/X/Y/Z letters
 Products of canonical strings pick up an integer power of i that is folded
 into the coefficient.
 
-Spin orbitals are interleaved: qubit 2i is site i spin-up, qubit 2i+1 is
-site i spin-down, so on-site density-density terms stay JW-local.
+Spin orbitals are blocked by spin: on n sites, qubit i is site i spin-up and
+qubit n + i is site i spin-down (``qubit_index``).  A hop then carries a
+Jordan-Wigner chain over its own species only, so the Hamiltonian restricted
+to fixed (N_up, N_down) is K_up (x) I + I (x) K_down + D on the product of the
+single-species configurations, and one-body rotations factor per species.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -176,18 +181,9 @@ def commutator(a: PauliSum, b: PauliSum) -> PauliSum:
 # -- Jordan-Wigner ------------------------------------------------------------
 
 
-def qubit_index(site: int, spin: int) -> int:
-    """Interleaved spin-orbital ordering: (site, spin) -> qubit."""
-    return 2 * site + spin
-
-
-def blocked_qubit_index(n_sites: int):
-    """All spin-up modes first, then all spin-down; used for ordering checks."""
-
-    def index(site: int, spin: int) -> int:
-        return site + spin * n_sites
-
-    return index
+def qubit_index(site: int, spin: int, n_sites: int) -> int:
+    """Spin-blocked ordering on ``n_sites`` sites: (site, spin) -> site + spin·n."""
+    return site + spin * n_sites
 
 
 def add_hop(op: PauliSum, p: int, q: int, coeff: float) -> None:
@@ -208,11 +204,12 @@ def jordan_wigner(fermion_hamiltonian, index_fn=None) -> tuple[PauliSum, PauliSu
 
     Kinetic: each hop c·(a†_p a_q + h.c.) becomes (c/2)(X Z..Z X + Y Z..Z Y).
     Potential: densities become I/Z polynomials; (n_i - 1)(n_j - 1) expands
-    to pure ZZ terms, on-site u n↑n↓ adds single-Z and ZZ pieces.
+    to pure ZZ terms, on-site u n↑n↓ adds single-Z and ZZ pieces.  Modes sit
+    on ``qubit_index`` unless ``index_fn(site, spin)`` gives another map.
     """
     n_sites = fermion_hamiltonian.site_count
     nq = 2 * n_sites
-    idx = index_fn or qubit_index
+    idx = index_fn or partial(qubit_index, n_sites=n_sites)
     kinetic = PauliSum(nq)
     for (i, j), spin, coeff in fermion_hamiltonian.hops():
         add_hop(kinetic, idx(i, spin), idx(j, spin), coeff)
@@ -265,8 +262,8 @@ def sz_operator(n_sites: int) -> PauliSum:
     """Total S_z = (1/2) Σ_i (n_i↑ - n_i↓)."""
     out = PauliSum(2 * n_sites)
     for i in range(n_sites):
-        out.add_term(0, 1 << qubit_index(i, 0), -0.25)
-        out.add_term(0, 1 << qubit_index(i, 1), 0.25)
+        out.add_term(0, 1 << qubit_index(i, 0, n_sites), -0.25)
+        out.add_term(0, 1 << qubit_index(i, 1, n_sites), 0.25)
     return out
 
 

@@ -277,7 +277,7 @@ def hwp_estimate(params, potential, sections=None, gap=False):
     )
 
 
-# -- extrapolation and wrapping ----------------------------------------------
+# -- extrapolation ----------------------------------------------------------
 
 
 def extrapolated_energy_constant(scheme, n_sites):
@@ -287,47 +287,3 @@ def extrapolated_energy_constant(scheme, n_sites):
         raise ValueError("no extrapolation fit for scheme %r" % scheme)
     a, b = ENERGY_CONSTANT_FITS[scheme]
     return a * n_sites**b
-
-
-@dataclass(frozen=True)
-class WrappingDiagnosis:
-    strict_pass: bool
-    window: tuple
-    spectral_span: float
-    time_step: float
-    in_weight: float | None = None
-    out_weight: float | None = None
-
-
-def wrapping_check(e_min, e_max, t, e_center, energies=None, weights=None):
-    """Eigenphase wrapping diagnosis for a time step and phase reference.
-
-    Strict condition: the whole spectrum fits one 2 pi / t period.  When a
-    state's eigenbasis weights are supplied, also report the spectral
-    weight outside the window (E_c - pi/t, E_c + pi/t).
-    """
-    if t <= 0:
-        raise ValueError("time step must be positive")
-    if e_max < e_min:
-        raise ValueError("spectrum bounds out of order")
-    span = e_max - e_min
-    window = (e_center - pi / t, e_center + pi / t)
-    in_w = out_w = None
-    if energies is not None:
-        if weights is None:
-            raise ValueError("weights required alongside energies")
-        energies = np.asarray(energies, dtype=float)
-        weights = np.asarray(weights, dtype=float)
-        if energies.shape != weights.shape:
-            raise ValueError("energies and weights must align")
-        outside = t * np.abs(energies - e_center) >= pi
-        out_w = float(weights[outside].sum())
-        in_w = float(weights[~outside].sum())
-    return WrappingDiagnosis(
-        strict_pass=bool(span * t <= 2.0 * pi),
-        window=window,
-        spectral_span=float(span),
-        time_step=float(t),
-        in_weight=in_w,
-        out_weight=out_w,
-    )

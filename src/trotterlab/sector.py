@@ -1,11 +1,11 @@
 """Symmetry-sector basis enumeration and sector-restricted linear algebra.
 
 A sector fixes the electron count and 2·S_z.  Basis states are occupation
-bitstrings packed into int64 (bit q = occupation of qubit q, interleaved
-spin ordering: up electrons on the even qubits 2i, down ones on 2i + 1).
-The basis order is the up-major product of the sorted single-species
-configurations, (up x down) flattened row by row, so membership lookup is
-one binary search per species.
+bitstrings packed into int64 (bit q = occupation of qubit q, spin-blocked
+ordering of ``pauli.qubit_index``: on n sites, up electrons on the low n
+bits, down ones on the high n).  The basis order is the up-major product of
+the sorted single-species configurations, (up x down) flattened row by row,
+so membership lookup is one binary search per species.
 
 ``SectorOperator`` is the one place a Pauli sum becomes sector matrix
 elements.  All strings sharing an X-mask map |b> to |b ^ x> with a
@@ -26,18 +26,17 @@ Z-weight <= 2, all of a PPP potential, are evaluated as one quadratic form
 of x alone.
 
 Hopping conserves each spin species, so a sector vector reshaped to
-C(n, n_up) x C(n, n_down) is a matrix over (up configuration, down
+C(n, n_up) x C(n, n_down) is a matrix Psi over (up configuration, down
 configuration), with rows and columns indexed by the single-species sectors
 ``enumerate_sector(n, n_up, n_up)`` and ``enumerate_sector(n, n_down,
 -n_down)`` (``SpinLayout``, built on first use and cached on the basis).
-Reordering the interleaved creation operators into all-up-then-all-down
-costs a sign, the parity of the number of (down at site k, up at site l > k)
-pairs; in that gauge, Psi = sign o v, an up hop acts on the rows of Psi and a
-down hop on its columns, with no cross-species sign.  An operator made of
-diagonal terms plus one-species hops with a full Jordan-Wigner chain
-therefore acts as K_up Psi + Psi K_down^T + D o Psi without a sector-size
-matrix, and the exponential of a pure hopping operator as M_up Psi M_down^T.
-Every other operator acts through its CSR matrix, built once on first use.
+With the spins blocked, a hop's Jordan-Wigner chain runs over its own
+species only, so an up hop acts on the rows of Psi and a down hop on its
+columns, with no cross-species sign.  An operator made of diagonal terms
+plus one-species hops with a full Jordan-Wigner chain therefore acts as
+K_up Psi + Psi K_down^T + D o Psi without a sector-size matrix, and the
+exponential of a pure hopping operator as M_up Psi M_down^T.  Every other
+operator acts through its CSR matrix, built once on first use.
 
 Hopping is one-body, so M_sigma = exp(-i t K_sigma) is fixed by the n x n
 single-particle unitary u = exp(-i t k_sigma).  ``_givens_decomposition``
@@ -45,8 +44,7 @@ writes u as a product of 2-mode unitaries R_1 ... R_m times a phase diagonal,
 one R_k per bond of a matching (a tile section), n(n-1)/2 for a connected
 hopping graph; ``_SpeciesLift`` turns each factor into a sparse matrix on the
 single-species sector, and M_sigma is their product, kept dense where that
-takes less memory than CSR.  Lanczos and Trotter steps stay in the layout
-form Psi from start to end (see ``SpinLayout``).
+takes less memory than CSR.
 
 Dense unitaries, a Trotter product on a small sector or a one-body product,
 have their principal log from ``principal_log_spectrum``: one Hermitian
@@ -71,10 +69,6 @@ from .pauli import PauliSum
 DENSE_DIM_LIMIT = 5000
 
 
-# the up qubits 2i of an occupation int; its complement holds the down ones
-_UP_QUBITS = np.int64(0x5555555555555555)
-
-
 def _search(sorted_states: np.ndarray, packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(indices into ``sorted_states``, whether each entry is there)."""
     idx = np.minimum(np.searchsorted(sorted_states, packed), len(sorted_states) - 1)
@@ -87,8 +81,8 @@ class SectorBasis:
     electrons: int
     sz_twice: int
     states: np.ndarray = field(repr=False)  # int64 occupation ints, (up x down) order
-    up_states: np.ndarray = field(repr=False)  # sorted up configurations (qubits 2i)
-    down_states: np.ndarray = field(repr=False)  # sorted down configurations (2i + 1)
+    up_states: np.ndarray = field(repr=False)  # sorted up configurations (bits 0 .. n-1)
+    down_states: np.ndarray = field(repr=False)  # sorted down configurations (n .. 2n-1)
 
     @property
     def dim(self) -> int:
@@ -110,8 +104,9 @@ class SectorBasis:
         A state is in the sector when both its up and its down configuration
         are; its index is i_up * len(down_states) + i_down.
         """
-        i_up, up_valid = _search(self.up_states, packed & _UP_QUBITS)
-        i_down, down_valid = _search(self.down_states, packed & ~_UP_QUBITS)
+        up_bits = np.int64((1 << self.n_sites) - 1)
+        i_up, up_valid = _search(self.up_states, packed & up_bits)
+        i_down, down_valid = _search(self.down_states, packed & ~up_bits)
         valid = up_valid & down_valid
         return np.where(valid, i_up * len(self.down_states) + i_down, 0), valid
 
@@ -122,9 +117,9 @@ class SectorBasis:
 
 
 def _configurations(n_sites: int, count: int, offset: int) -> np.ndarray:
-    """Sorted int64 configurations of ``count`` electrons on qubits 2i + ``offset``."""
+    """Sorted int64 configurations of ``count`` electrons on qubits i + ``offset``."""
     return np.sort(np.fromiter(
-        (sum(1 << (2 * i + offset) for i in c) for c in combinations(range(n_sites), count)),
+        (sum(1 << (i + offset) for i in c) for c in combinations(range(n_sites), count)),
         dtype=np.int64, count=comb(n_sites, count)))
 
 
@@ -139,7 +134,7 @@ def enumerate_sector(n_sites: int, electrons: int, sz_twice: int) -> SectorBasis
     n_dn = electrons - n_up
     if not (0 <= n_up <= n_sites and 0 <= n_dn <= n_sites):
         raise ValueError("infeasible S_z for this electron count")
-    ups, dns = _configurations(n_sites, n_up, 0), _configurations(n_sites, n_dn, 1)
+    ups, dns = _configurations(n_sites, n_up, 0), _configurations(n_sites, n_dn, n_sites)
     states = (ups[:, None] | dns[None, :]).ravel()
     return SectorBasis(n_sites, electrons, sz_twice, states, ups, dns)
 
@@ -147,14 +142,10 @@ def enumerate_sector(n_sites: int, electrons: int, sz_twice: int) -> SectorBasis
 class SpinLayout:
     """Spin-factorised view of a sector: vector v <-> matrix Psi[up, down].
 
-    The basis order is already (up x down), rows indexed by ``up_basis`` and
-    columns by ``down_basis``, so the layout form of v is Psi = sign o v
-    reshaped to ``shape``.  ``sign`` is the gauge sign
-    (-1)^#{(down at k, up at l > k)} between the interleaved and the blocked
-    (all up, then all down) operator orderings, the one sector-length array
-    kept here.  Lanczos (``lowest_eigenpairs``) and Trotter steps
-    (``Propagator``) run on Psi throughout and pay ``to_matrix`` and
-    ``from_matrix``, one sign product each, once at each end.
+    The basis order is (up x down), rows indexed by ``up_basis`` and columns
+    by ``down_basis``, so Psi is v reshaped to ``shape`` and back.  Lanczos
+    (``lowest_eigenpairs``) runs on v, Trotter steps (``Propagator``) on
+    Psi.
     """
 
     def __init__(self, basis: SectorBasis):
@@ -164,32 +155,13 @@ class SpinLayout:
         self.up_basis = enumerate_sector(n, n_up, n_up)
         self.down_basis = enumerate_sector(n, n_down, -n_down)
         self.shape = (self.up_basis.dim, self.down_basis.dim)
-        qubits = 2 * np.arange(n)
-        up_bits = (self.up_basis.states[:, None] >> qubits) & 1
-        down_bits = (self.down_basis.states[:, None] >> (qubits + 1)) & 1
-        # ups_above[u, k]: up electrons of configuration u on sites l > k
-        ups_above = up_bits[:, ::-1].cumsum(axis=1)[:, ::-1] - up_bits
-        # pair counts as one float product (exact: at most n^2), turned into
-        # the sign in place, so no second sector-length array is made
-        sign = (ups_above.astype(float) @ down_bits.T.astype(float)).reshape(-1)
-        np.remainder(sign, 2.0, out=sign)
-        sign *= -2.0
-        sign += 1.0
-        self.sign = sign
 
     @cached_property
     def species_lifts(self) -> tuple["_SpeciesLift", "_SpeciesLift"]:
-        """One-body lifts onto ``up_basis`` (qubits 2q) and ``down_basis``
-        (qubits 2q + 1), built on first use."""
-        return _SpeciesLift(self.up_basis, 0), _SpeciesLift(self.down_basis, 1)
-
-    def to_matrix(self, v: np.ndarray) -> np.ndarray:
-        """Sector vector -> gauged matrix Psi."""
-        return (v * self.sign).reshape(self.shape)
-
-    def from_matrix(self, psi: np.ndarray) -> np.ndarray:
-        """Gauged matrix Psi (or its flattened layout form) -> sector vector."""
-        return psi.reshape(-1) * self.sign
+        """One-body lifts onto ``up_basis`` (qubits q) and ``down_basis``
+        (qubits n + q), built on first use."""
+        n = self.up_basis.n_sites
+        return _SpeciesLift(self.up_basis, 0), _SpeciesLift(self.down_basis, n)
 
 
 def _givens_decomposition(u: np.ndarray):
@@ -220,7 +192,7 @@ def _givens_decomposition(u: np.ndarray):
 class _SpeciesLift:
     """Sparse images of one-body unitaries on a single-species sector.
 
-    Mode q sits on qubit 2q + ``offset``.  A 2-mode unitary R on modes j < i
+    Mode q sits on qubit q + ``offset``.  A 2-mode unitary R on modes j < i
     maps a†_j -> R_jj a†_j + R_ij a†_i and a†_i -> R_ji a†_j + R_ii a†_i, so on
     a configuration it keeps states with neither mode occupied, multiplies
     states with both by det R, and mixes each state with only j occupied with
@@ -232,7 +204,7 @@ class _SpeciesLift:
     def __init__(self, basis: SectorBasis, offset: int):
         self.basis = basis
         self.offset = offset
-        self.occupied = [(basis.states >> (2 * q + offset)) & 1 == 1
+        self.occupied = [(basis.states >> (q + offset)) & 1 == 1
                          for q in range(basis.n_sites)]
         self._pairs: dict[tuple[int, int], tuple] = {}
 
@@ -240,7 +212,7 @@ class _SpeciesLift:
         """(j-only states, their partners, JW signs, states with both)."""
         if (j, i) not in self._pairs:
             states = self.basis.states
-            bit_j, bit_i = 2 * j + self.offset, 2 * i + self.offset
+            bit_j, bit_i = j + self.offset, i + self.offset
             single = np.nonzero(self.occupied[j] & ~self.occupied[i])[0]
             moved = states[single] ^ np.int64((1 << bit_j) | (1 << bit_i))
             between = np.int64((1 << bit_i) - (1 << (bit_j + 1)))
@@ -409,13 +381,14 @@ class _DiagonalForm:
         return delta
 
 
-def _is_species_hop(x: int, z: int) -> bool:
-    """True for a string that flips two same-spin modes p < q and whose Z
-    support outside {p, q} is exactly the Jordan-Wigner chain p+1 .. q-1."""
+def _is_species_hop(x: int, z: int, n_sites: int) -> bool:
+    """True for a string that flips two same-spin modes p < q (both below
+    ``n_sites``, or both at or above it) and whose Z support outside {p, q}
+    is exactly the Jordan-Wigner chain p+1 .. q-1."""
     if x.bit_count() != 2:
         return False
     p, q = (x & -x).bit_length() - 1, x.bit_length() - 1
-    return (q - p) % 2 == 0 and z & ~x == (1 << q) - (1 << (p + 1))
+    return (p < n_sites) == (q < n_sites) and z & ~x == (1 << q) - (1 << (p + 1))
 
 
 class SectorOperator:
@@ -425,19 +398,17 @@ class SectorOperator:
     ``__init__``:
 
     - diagonal terms plus one-species hops (``hops`` is then the
-      off-diagonal part): one kernel on the layout form Psi of the
-      spin-factorised layout, ``layout_matvec``:
-      x -> vec(K_up Psi + Psi K_down^T) + D o x, with K_sigma the small
-      single-species matrices (``species_matrices``) and D the basis-order
-      diagonal, so no sector-size matrix is built; ``matvec`` is that kernel
-      between one ``to_matrix`` and one ``from_matrix``;
+      off-diagonal part): ``matvec`` is one kernel on Psi = v reshaped to
+      the spin-factorised layout, v -> vec(K_up Psi + Psi K_down^T) + D o v,
+      with K_sigma the small single-species matrices (``species_matrices``)
+      and D the diagonal, so no sector-size matrix is built;
     - anything else: the CSR sector matrix (``sparse``), assembled from
       ``to_sparse()`` on first use and kept.
 
     ``abs_matvec`` applies the element-wise absolute matrix |O| along the
     same route, to a vector or a block of columns: ``abs`` of the CSR, or
-    |K_up|, |K_down| on the vector reshaped to the layout, without the gauge
-    sign; each absolute matrix is built once, on first use.
+    |K_up|, |K_down| on the vector reshaped to the layout; each absolute
+    matrix is built once, on first use.
     """
 
     def __init__(self, op: PauliSum, basis: SectorBasis):
@@ -447,7 +418,8 @@ class SectorOperator:
         self.groups = _group_terms(op)
         self.dim = basis.dim
         hops = PauliSum(op.n_qubits, {key: c for key, c in op.terms.items() if key[0]})
-        factorisable = hops.terms and all(_is_species_hop(x, z) for x, z in hops.terms)
+        factorisable = hops.terms and all(_is_species_hop(x, z, basis.n_sites)
+                                          for x, z in hops.terms)
         self.hops = hops if factorisable else None
 
     @cached_property
@@ -496,28 +468,20 @@ class SectorOperator:
         down = k_down @ psi.swapaxes(0, 1).reshape(cols, -1)
         return up + down.reshape((cols, rows) + psi.shape[2:]).swapaxes(0, 1)
 
-    def layout_matvec(self, x: np.ndarray) -> np.ndarray:
-        """O x for a factorised O and x in layout form (flat, or the matrix
-        Psi): vec(K_up Psi + Psi K_down^T) + D_Psi o x, returned flat."""
-        psi = x.reshape(self.basis.spin_layout.shape)
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """O v; a factorised O gives vec(K_up Psi + Psi K_down^T) + D o v,
+        with Psi = v reshaped to the layout, returned in v's shape."""
+        if self.hops is None:
+            return self.sparse @ v
+        psi = v.reshape(self.basis.spin_layout.shape)
         out = self._hop_action(*self.species_matrices, psi)
         if 0 in self.groups:
             out = out + self.diagonal.reshape(psi.shape) * psi
-        return out.reshape(-1)
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        if self.hops is None:
-            return self.sparse @ v
-        layout = self.basis.spin_layout
-        return layout.from_matrix(self.layout_matvec(layout.to_matrix(v)))
+        return out.reshape(v.shape)
 
     def abs_matvec(self, v: np.ndarray) -> np.ndarray:
         """|O| v for the element-wise absolute matrix |O|; v is a vector or a
-        (dim, m) block of columns.
-
-        |O| does not carry the gauge sign, so the layout route applies
-        |K_up|, |K_down| to v reshaped to the layout, without it.
-        """
+        (dim, m) block of columns."""
         if self.hops is None:
             return self._abs_sparse @ v
         psi = v.reshape(self.basis.spin_layout.shape + v.shape[1:])
@@ -631,28 +595,19 @@ def _start_vector(dim: int) -> np.ndarray:
     return np.random.default_rng(0).standard_normal(dim)
 
 
-def _lanczos(sop: SectorOperator, k: int, which: str, tol: float, ncv: int | None = None):
-    """``eigsh`` on a sector operator from ``_start_vector``.
+def _lanczos(sop: SectorOperator, k: int, tol: float, ncv: int | None = None):
+    """The k lowest eigenpairs from ``eigsh`` on ``sop.matvec``, started at
+    ``_start_vector``.
 
     The Lanczos basis holds ncv = 2k + 10 vectors unless ``ncv`` is given:
     ARPACK's own work per iteration grows with ncv and, next to a cheap
     matvec, outweighs it, and scipy's default, max(2k + 1, 20), keeps 20
-    vectors even for k = 1.  A factorised operator runs on ``layout_matvec`` in
-    layout form, which differs from basis order by the gauge sign alone: the
-    start vector goes in as sign o v0 and the eigenvectors come back times
-    the sign.  Any other operator runs in basis order on its ``matvec``.
+    vectors even for k = 1.
     """
-    v0 = _start_vector(sop.dim)
-    sign = sop.basis.spin_layout.sign if sop.hops is not None else None
-    if sign is None:
-        matvec = sop.matvec
-    else:
-        matvec, v0 = sop.layout_matvec, sign * v0
-    lo = LinearOperator((sop.dim, sop.dim), matvec=matvec,
+    lo = LinearOperator((sop.dim, sop.dim), matvec=sop.matvec,
                         dtype=float if sop.is_real else complex)
-    vals, vecs = eigsh(lo, k=k, which=which, tol=tol, maxiter=5000, v0=v0,
-                       ncv=2 * k + 10 if ncv is None else ncv)
-    return vals, vecs if sign is None else vecs * sign[:, None]
+    return eigsh(lo, k=k, which="SA", tol=tol, maxiter=5000, v0=_start_vector(sop.dim),
+                 ncv=2 * k + 10 if ncv is None else ncv)
 
 
 def lowest_eigenpairs(op, basis: SectorBasis, k: int = 1, tol: float = 0.0,
@@ -662,30 +617,16 @@ def lowest_eigenpairs(op, basis: SectorBasis, k: int = 1, tol: float = 0.0,
     ``op`` is a PauliSum or a SectorOperator.  Dense diagonalization up to
     DENSE_DIM_LIMIT; above it, implicitly restarted Lanczos (``eigsh``) from
     a fixed start vector, with a basis of 2k + 10 vectors unless ``ncv`` is
-    given, run on the layout form of a factorised operator (see
-    ``_lanczos``).  Eigenvalues ascend; the eigenvectors are columns in basis
-    order either way.
+    given (``_lanczos``).  Eigenvalues ascend; the eigenvectors are columns.
     """
     if isinstance(op, PauliSum):
         op = SectorOperator(op, basis)
     if basis.dim > DENSE_DIM_LIMIT:
-        vals, vecs = _lanczos(op, k, "SA", tol, ncv)
+        vals, vecs = _lanczos(op, k, tol, ncv)
         order = np.argsort(vals)
         return vals[order], vecs[:, order]
     vals, vecs = eigh(op.to_dense(), driver="evd")
     return vals[:k], vecs[:, :k]
-
-
-def extremal_eigenvalues(op, basis: SectorBasis) -> tuple[float, float]:
-    """(E_min, E_max) via Lanczos at both spectrum ends (``_lanczos``)."""
-    if isinstance(op, PauliSum):
-        op = SectorOperator(op, basis)
-    if basis.dim <= DENSE_DIM_LIMIT:
-        vals = np.linalg.eigvalsh(op.to_dense())
-        return float(vals[0]), float(vals[-1])
-    lo_val, _ = _lanczos(op, 1, "SA", 1e-9)
-    hi_val, _ = _lanczos(op, 1, "LA", 1e-9)
-    return float(lo_val[0]), float(hi_val[0])
 
 
 # -- time propagation ---------------------------------------------------------
@@ -693,14 +634,13 @@ def extremal_eigenvalues(op, basis: SectorBasis) -> tuple[float, float]:
 
 class Propagator:
     """Applies exp(-i G t) for one Hamiltonian piece G to a state in layout
-    form: the gauged matrix Psi of the basis's spin-factorised layout
-    (``SpinLayout.to_matrix``).
+    form: the sector vector reshaped to the matrix Psi of the basis's
+    spin-factorised layout (``SpinLayout``).
 
     The route follows from G:
 
     - diagonal G: Psi -> exp(-i t D) o Psi, with the phases of the
-      basis-order diagonal, reshaped to the layout, cached per duration
-      (the gauge sign commutes with a diagonal);
+      diagonal, reshaped to the layout, cached per duration;
     - G made only of one-species hops (the kinetic factor, a tile section):
       Psi -> M_up Psi M_down^T, where M_sigma = exp(-i t K_sigma) is cached
       per duration, built exactly from the n x n one-body unitary
@@ -741,22 +681,22 @@ class Propagator:
 def apply_s_plus(state: np.ndarray, basis: SectorBasis):
     """S+ |psi>, landing in the sector with 2 S_z raised by 2.
 
-    With interleaved ordering the JW parity factors of a†_{i up} a_{i down}
-    cancel pairwise, so no sign bookkeeping survives.  For one site i the
-    raised states are distinct, so each site's contribution is one
-    fancy-indexed addition.
+    S+ = sum_i a†_{i up} a_{i down} moves an electron from qubit n + i to
+    qubit i, with the Jordan-Wigner sign (-1)^{#occupied qubits strictly
+    between i and n + i}.  For one site i the raised states are distinct, so
+    each site's contribution is one fancy-indexed addition.
     """
-    target = enumerate_sector(basis.n_sites, basis.electrons, basis.sz_twice + 2)
+    n = basis.n_sites
+    target = enumerate_sector(n, basis.electrons, basis.sz_twice + 2)
     out = np.zeros(target.dim, dtype=complex)
     b = basis.states
-    for i in range(basis.n_sites):
-        up_bit = np.int64(1) << np.int64(2 * i)
-        dn_bit = np.int64(1) << np.int64(2 * i + 1)
+    for i in range(n):
+        up_bit, dn_bit = np.int64(1 << i), np.int64(1 << (n + i))
         mask = ((b & dn_bit) != 0) & ((b & up_bit) == 0)
         if not np.any(mask):
             continue
-        moved = b[mask] ^ (up_bit | dn_bit)
-        out[target.index(moved)] += state[mask]
+        sign = 1.0 - 2.0 * (_popcount(b[mask] & (dn_bit - 2 * up_bit)) & 1)
+        out[target.index(b[mask] ^ (up_bit | dn_bit))] += sign * state[mask]
     return out, target
 
 

@@ -81,22 +81,13 @@ def tile_scheme(section_sums, potential, t):
 
 
 def hopping_pauli_sum(n_sites, bonds):
-    """Both-spin hopping Pauli sum for a bond subset (interleaved ordering)."""
+    """Both-spin hopping Pauli sum for a bond subset (``qubit_index`` order)."""
     tau = PppParams().tau
     out = PauliSum(2 * n_sites)
     for i, j in bonds:
         for spin in (0, 1):
-            add_hop(out, qubit_index(i, spin), qubit_index(j, spin), -tau)
+            add_hop(out, qubit_index(i, spin, n_sites), qubit_index(j, spin, n_sites), -tau)
     return out
-
-
-def section_pauli_sums(lattice, sections):
-    """One hopping Pauli sum per kinetic section (KineticSections input)."""
-    sums = []
-    for mat in sections.matrices:
-        rows, cols = np.nonzero(np.triu(mat))
-        sums.append(hopping_pauli_sum(lattice.n_sites, list(zip(rows, cols))))
-    return sums
 
 
 def default_section_order(classes):
@@ -199,15 +190,14 @@ class TimeSeries:
 def compute_time_series(scheme, basis, state, n_steps, label=""):
     """g_k = <psi|U^k|psi> by repeated exact sector propagation.
 
-    The state (basis order) becomes its layout form, the gauge sign times the
-    state reshaped, once; every factor acts on that form (``Propagator``) and
-    g_k is taken in it.
+    The state is reshaped once to its layout matrix; every factor acts on
+    that form (``Propagator``) and g_k is taken in it.
     """
     psi = np.asarray(state, dtype=complex)
     norm = np.linalg.norm(psi)
     if abs(norm - 1.0) > 1e-8:
         raise ValueError("initial state must be normalized")
-    psi = basis.spin_layout.to_matrix(psi / norm)
+    psi = (psi / norm).reshape(basis.spin_layout.shape)
     props = {}
     for op, _ in scheme.factors:
         if id(op) not in props:

@@ -172,17 +172,20 @@ def test_checkpoint_keyed_on_tol_and_shape_checked(tmp_path, monkeypatch):
     np.savez(path, vals=vals + 1.0, vecs=vecs)
     monkeypatch.setattr(cli, "__version__", cli.__version__ + ".post1")
     assert np.array_equal(_ground_states("acene", 1, 2, tol=1e-10)[2], vals)
-    # ... and for the basis order it was written in: a checkpoint from before
-    # the (up x down) order has the same shape but a file name without the
-    # order marker, so it is recomputed, not served
+    # ... and for the order it was written in: checkpoints from before the
+    # (up x down) basis order and from the interleaved qubit order have the
+    # same shape but file names without the blocked-order marker, so they
+    # are recomputed, not served
     for stale in tmp_path.glob("eig_*.npz"):
         stale.unlink()
-    sorted_order_tag = "eig_acene1_6_0_k2_tol1e-10_v%s" % cli.__version__
-    np.savez(tmp_path / (sorted_order_tag + ".npz"), vals=vals + 1.0, vecs=vecs[::-1])
+    old_tags = ["eig_acene1_6_0_k2_tol1e-10_v%s" % cli.__version__,
+                "eig_acene1_6_0_k2_tol1e-10_updown_v%s" % cli.__version__]
+    for tag, old_vecs in zip(old_tags, (vecs[::-1], -vecs)):
+        np.savez(tmp_path / (tag + ".npz"), vals=vals + 1.0, vecs=old_vecs)
     _, _, got_vals, got_vecs, residuals = _ground_states("acene", 1, 2, tol=1e-10)
     assert np.array_equal(got_vals, vals) and np.array_equal(got_vecs, vecs)
     assert max(residuals) < 1e-10
-    assert len(list(tmp_path.glob("eig_*.npz"))) == 2
+    assert len(list(tmp_path.glob("eig_*.npz"))) == 3
 
 
 def test_artifacts_repeat_byte_for_byte(tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+from functools import partial
 from importlib.resources import files
 
 import numpy as np
@@ -7,7 +8,6 @@ from trotterlab.hamiltonian import build_ppp
 from trotterlab.lattice import build_lattice
 from trotterlab.pauli import (
     PauliSum,
-    blocked_qubit_index,
     commutator,
     dense_matrix,
     jordan_wigner,
@@ -26,13 +26,19 @@ def _random_sum(rng, n_qubits, n_terms):
     return out
 
 
+def _interleaved(site, spin):
+    """The other common spin ordering: qubit 2i up, 2i + 1 down."""
+    return 2 * site + spin
+
+
 def _fermion_oracle(fh):
     """Second-quantized dense matrices in the occupation basis, bit q = mode q."""
-    nq = 2 * fh.site_count
+    n = fh.site_count
+    nq = 2 * n
     dim = 1 << nq
     T = np.zeros((dim, dim))
     for (i, j), spin, c in fh.hops():
-        p, q = qubit_index(i, spin), qubit_index(j, spin)
+        p, q = qubit_index(i, spin, n), qubit_index(j, spin, n)
         for b in range(dim):
             if (b >> q) & 1 and not (b >> p) & 1:
                 sign = (-1) ** bin(b & ((1 << q) - 1)).count("1")
@@ -42,14 +48,14 @@ def _fermion_oracle(fh):
                 T[b2, b] += c * sign
                 T[b, b2] += c * sign
     occ = np.array([[(b >> q) & 1 for q in range(nq)] for b in range(dim)])
+    up, down = occ[:, :n], occ[:, n:]
     V = np.zeros(dim)
-    n = fh.site_count
     for i in range(n):
-        V += fh.on_site[i] * occ[:, 2 * i] * occ[:, 2 * i + 1]
+        V += fh.on_site[i] * up[:, i] * down[:, i]
     for i, j in ((i, j) for i in range(n) for j in range(i + 1, n)):
         vij = fh.v[i, j]
-        ni = occ[:, 2 * i] + occ[:, 2 * i + 1]
-        nj = occ[:, 2 * j] + occ[:, 2 * j + 1]
+        ni = up[:, i] + down[:, i]
+        nj = up[:, j] + down[:, j]
         V += vij * (ni - 1) * (nj - 1)
     return T, np.diag(V)
 
@@ -146,9 +152,9 @@ def test_jw_potential_matches_add_term_build(family, n):
     """Same terms, coefficients and insertion order as the term-by-term build,
     in both spin orderings (the shift's tie-breaks depend on the order)."""
     fh = build_ppp(build_lattice(family, n))
-    for index_fn in (None, blocked_qubit_index(fh.site_count)):
+    for index_fn in (None, _interleaved):
         _, got = jordan_wigner(fh, index_fn)
-        want = _potential_by_add_term(fh, index_fn or qubit_index)
+        want = _potential_by_add_term(fh, index_fn or partial(qubit_index, n_sites=fh.site_count))
         assert list(got.terms.items()) == list(want.terms.items())
         assert all(type(c) is float for c in got.terms.values())
 
@@ -163,7 +169,7 @@ def test_adjacent_hop_has_no_z_chain():
         np.kron(np.array([[0, 1], [1, 0]]), np.array([[0, 1], [1, 0]]))
         + np.kron(np.array([[0, -1j], [1j, 0]]), np.array([[0, -1j], [1j, 0]]))
     ) / 2
-    # interleaved kron order differs only by basis relabel; compare spectra
+    # the kron order differs only by a basis relabel; compare spectra
     assert np.allclose(sorted(np.linalg.eigvalsh(mat)), sorted(np.linalg.eigvalsh(expect)))
 
 
@@ -214,17 +220,17 @@ def _block_spectrum(mat, up_qubits, down_qubits):
 
 
 def test_ordering_independence_of_counts():
-    """Blocked spin ordering gives the same term counts and spectra."""
+    """Interleaved spin ordering gives the same term counts and spectra."""
     fh = build_ppp(build_lattice("acene", 1))
     kin_a, pot_a = jordan_wigner(fh)
-    kin_b, pot_b = jordan_wigner(fh, blocked_qubit_index(fh.site_count))
+    kin_b, pot_b = jordan_wigner(fh, _interleaved)
     assert kin_a.term_count() == kin_b.term_count()
     assert pot_a.term_count() == pot_b.term_count()
     # both conserve N_up and N_down, so the full spectrum is the union of
     # the (N_up, N_down) block spectra
     n = fh.site_count
-    ea = _block_spectrum(dense_matrix(kin_a + pot_a), range(0, 2 * n, 2), range(1, 2 * n, 2))
-    eb = _block_spectrum(dense_matrix(kin_b + pot_b), range(n), range(n, 2 * n))
+    ea = _block_spectrum(dense_matrix(kin_a + pot_a), range(n), range(n, 2 * n))
+    eb = _block_spectrum(dense_matrix(kin_b + pot_b), range(0, 2 * n, 2), range(1, 2 * n, 2))
     assert len(ea) == len(eb) == 1 << (2 * n)
     assert np.allclose(ea, eb, atol=1e-8)
 

@@ -3,9 +3,8 @@ from math import ceil, pi, sqrt
 import numpy as np
 import pytest
 
-from trotterlab.hamiltonian import build_ppp, shifted_potential
+from trotterlab.hamiltonian import shifted_potential
 from trotterlab.lattice import build_lattice
-from trotterlab.pauli import jordan_wigner
 from trotterlab.resources import (
     CostParams,
     PerStepGates,
@@ -20,9 +19,7 @@ from trotterlab.resources import (
     steps_fixed_timestep,
     t_gates_per_step,
     total_cost,
-    wrapping_check,
 )
-from trotterlab.sector import SectorOperator, enumerate_sector, lowest_eigenpairs
 
 TABLE_PER_STEP = {
     ("acene", 3): (290, 52, 104),
@@ -221,36 +218,3 @@ def test_extrapolated_energy_constant():
     assert extrapolated_energy_constant("tile", 10) == pytest.approx(1.49 * 10**1.066)
     with pytest.raises(ValueError):
         extrapolated_energy_constant("other", 10)
-
-
-def test_wrapping_strict_condition():
-    d = wrapping_check(-10.0, 10.0, 0.1, 0.0)
-    assert d.strict_pass
-    d2 = wrapping_check(-100.0, 100.0, 0.1, 0.0)
-    assert not d2.strict_pass
-    assert d.window == (-pi / 0.1, pi / 0.1)
-
-
-def test_wrapping_weights_benzene():
-    lat = build_lattice("acene", 1)
-    fh = build_ppp(lat)
-    kin, pot = jordan_wigner(fh)
-    h = kin + pot
-    basis = enumerate_sector(6, 6, 0)
-    mat = SectorOperator(h, basis).to_dense()
-    vals, vecs = np.linalg.eigh(mat)
-    # exact eigenstate: no out-of-window weight when its energy is centered
-    weights = np.abs(vecs.conj().T @ vecs[:, 0]) ** 2
-    d = wrapping_check(vals[0], vals[-1], 0.05, vals[0], vals, weights)
-    assert d.out_weight == pytest.approx(0.0, abs=1e-12)
-    # random state at large t: some weight falls outside the window
-    rng = np.random.default_rng(0)
-    psi = rng.normal(size=basis.dim)
-    psi /= np.linalg.norm(psi)
-    w2 = np.abs(vecs.conj().T @ psi) ** 2
-    span = vals[-1] - vals[0]
-    t_big = 2 * pi / span * 4
-    d2 = wrapping_check(vals[0], vals[-1], t_big, vals[len(vals) // 2], vals, w2)
-    assert not d2.strict_pass
-    assert d2.out_weight > 0
-    assert d2.in_weight + d2.out_weight == pytest.approx(1.0)

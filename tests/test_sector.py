@@ -11,7 +11,14 @@ from trotterlab.freefermion import tile_sections, tiling_path
 from trotterlab.hamiltonian import build_ppp, shifted_potential
 from trotterlab.lattice import bond_orientation_classes, build_lattice
 from trotterlab.norms import nested_commutators
-from trotterlab.pauli import PauliSum, commutator, dense_matrix, jordan_wigner
+from trotterlab.pauli import (
+    PauliSum,
+    commutator,
+    dense_matrix,
+    jordan_wigner,
+    qubit_index,
+    sz_operator,
+)
 from trotterlab.sector import (
     Propagator,
     SectorOperator,
@@ -21,7 +28,6 @@ from trotterlab.sector import (
     _term_values,
     apply_s_plus,
     enumerate_sector,
-    extremal_eigenvalues,
     half_filling_sector,
     lowest_eigenpairs,
     principal_log_spectrum,
@@ -66,14 +72,15 @@ def test_infeasible_sector_rejected():
 
 
 def test_basis_deterministic_and_sorted():
-    """Each species' configurations are sorted, and the basis is their
-    up-major (up x down) product: a sector vector is its layout matrix."""
+    """Each species' configurations are sorted, up on bits 0..4 and down on
+    bits 5..9, and the basis is their up-major (up x down) product: a sector
+    vector is its layout matrix."""
     b = enumerate_sector(5, 5, 1)
     assert np.all(np.diff(b.up_states) > 0) and np.all(np.diff(b.down_states) > 0)
     assert b.up_states.tolist() == sorted(
-        sum(1 << (2 * i) for i in c) for c in combinations(range(5), 3))
+        sum(1 << i for i in c) for c in combinations(range(5), 3))
     assert b.down_states.tolist() == sorted(
-        sum(1 << (2 * i + 1) for i in c) for c in combinations(range(5), 2))
+        sum(1 << (5 + i) for i in c) for c in combinations(range(5), 2))
     want = [up | down for up in b.up_states.tolist() for down in b.down_states.tolist()]
     assert b.states.tolist() == want
     assert np.array_equal(b.states, enumerate_sector(5, 5, 1).states)
@@ -87,14 +94,15 @@ def test_index_or_mask_matches_dict_oracle(sector):
     b = enumerate_sector(*sector)
     oracle = {state: i for i, state in enumerate(b.states.tolist())}
     rng = np.random.default_rng(sum(sector))
+    n = b.n_sites
     inside = rng.permutation(b.states)
-    one_up_flipped = inside ^ np.int64(1 << 2 * rng.integers(b.n_sites))
-    one_down_flipped = inside ^ np.int64(1 << (2 * rng.integers(b.n_sites) + 1))
-    beyond = inside | np.int64(1 << (2 * b.n_sites + 1))
-    noise = rng.integers(0, 1 << (2 * b.n_sites), size=200)
+    one_up_flipped = inside ^ np.int64(1 << int(rng.integers(n)))
+    one_down_flipped = inside ^ np.int64(1 << (n + int(rng.integers(n))))
+    beyond = inside | np.int64(1 << (2 * n))
+    noise = rng.integers(0, 1 << (2 * n), size=200)
     packed = np.concatenate([inside, one_up_flipped, one_down_flipped, beyond, noise])
-    up_valid = np.isin(packed & np.int64(0x5555555555555555), b.up_states)
-    down_valid = np.isin(packed & ~np.int64(0x5555555555555555), b.down_states)
+    up_valid = np.isin(packed & np.int64((1 << n) - 1), b.up_states)
+    down_valid = np.isin(packed >> n << n, b.down_states)
     assert np.any(up_valid & ~down_valid) and np.any(down_valid & ~up_valid)
     idx, valid = b.index_or_mask(packed)
     assert valid.tolist() == [state in oracle for state in packed.tolist()]
@@ -147,15 +155,6 @@ def test_v_only_lowest_is_min_diagonal(benzene):
     assert np.isclose(vals[0], sop.diagonal.real.min(), atol=1e-10)
 
 
-def test_extremal_eigenvalues(benzene):
-    kin, pot, basis = benzene
-    H = kin + pot
-    lo, hi = extremal_eigenvalues(H, basis)
-    vals = np.linalg.eigvalsh(SectorOperator(H, basis).to_dense())
-    assert np.isclose(lo, vals[0], atol=1e-8)
-    assert np.isclose(hi, vals[-1], atol=1e-8)
-
-
 def test_table_gaps_2acene():
     """Low-lying gaps of the 10-site molecule: 2.529 and 3.611 eV."""
     fh = build_ppp(build_lattice("acene", 2))
@@ -178,15 +177,16 @@ def test_table_gaps_2acene():
 
 @pytest.mark.slow
 def test_table_gaps_3acene():
+    """S1 is the fourth state of the S_z = 0 sector, behind T1 and T2."""
     fh = build_ppp(build_lattice("acene", 3))
     kin, pot = jordan_wigner(fh)
     H = kin + pot
     b0 = enumerate_sector(14, 14, 0)
-    vals, vecs = lowest_eigenpairs(H, b0, k=3, tol=1e-8, ncv=12)
-    s2 = [total_spin_expectation(vecs[:, m], b0) for m in range(3)]
+    vals, vecs = lowest_eigenpairs(H, b0, k=4, tol=1e-8, ncv=12)
+    s2 = [total_spin_expectation(vecs[:, m], b0) for m in range(4)]
     e_s0 = vals[0]
-    e_t1 = next(vals[m] for m in range(1, 3) if abs(s2[m] - 2.0) < 0.1)
-    e_s1 = next(vals[m] for m in range(1, 3) if abs(s2[m]) < 0.1)
+    e_t1 = next(vals[m] for m in range(1, 4) if abs(s2[m] - 2.0) < 0.1)
+    e_s1 = next(vals[m] for m in range(1, 4) if abs(s2[m]) < 0.1)
     assert abs((e_t1 - e_s0) - 1.717) < 1e-3
     assert abs((e_s1 - e_s0) - 3.240) < 1e-3
 
@@ -199,24 +199,26 @@ def test_eigensolvers_repeat_bit_for_bit():
     second = lowest_eigenpairs(kin + pot, basis, k=2, tol=1e-10)
     assert np.array_equal(first[0], second[0])
     assert np.array_equal(first[1], second[1])
-    assert extremal_eigenvalues(kin + pot, basis) == extremal_eigenvalues(kin + pot, basis)
 
 
 def test_lanczos_eigenpairs_come_back_in_basis_order():
-    """eigsh runs on the layout form; its eigenvectors, mapped back, are
-    eigenpairs of the basis-order matvec, with a singlet ground state."""
+    """eigsh runs on the factorised matvec; its eigenvectors are eigenpairs
+    of the CSR matrix assembled from the Pauli terms, with a singlet ground
+    state."""
     fh = build_ppp(build_lattice("acene", 2))
     kin, pot = jordan_wigner(fh)
     basis = enumerate_sector(10, 6, 0)  # 14 400 states: Lanczos, not dense
     h = SectorOperator(kin + pot, basis)
     vals, vecs = lowest_eigenpairs(h, basis, k=2, tol=1e-10)
+    assert h.hops is not None
     for val, vec in zip(vals, vecs.T):
-        assert np.linalg.norm(h.matvec(vec) - val * vec) <= 1e-8
+        assert np.linalg.norm(h.sparse @ vec - val * vec) <= 1e-8
     assert abs(total_spin_expectation(vecs[:, 0], basis)) < 1e-8
-    assert abs(extremal_eigenvalues(h, basis)[0] - vals[0]) < 1e-8
 
 
-def test_spin_layout_round_trip_and_gauge_sign():
+def test_spin_layout_holds_no_sector_length_array():
+    """The layout is the basis reshaped: its rows and columns are the species
+    bases, and it keeps nothing as long as the sector."""
     basis = enumerate_sector(10, 4, 2)
     assert "spin_layout" not in vars(basis)  # built on first use only
     layout = basis.spin_layout
@@ -224,17 +226,8 @@ def test_spin_layout_round_trip_and_gauge_sign():
     assert layout.shape == (comb(10, 3), comb(10, 1))
     rebuilt = layout.up_basis.states[:, None] | layout.down_basis.states[None, :]
     assert np.array_equal(rebuilt.ravel(), basis.states)
-    sector_length = [name for name, value in vars(layout).items()
-                     if isinstance(value, np.ndarray) and value.size == basis.dim]
-    assert sector_length == ["sign"]
-    v = np.random.default_rng(3).normal(size=basis.dim)
-    psi = layout.to_matrix(v)
-    assert psi.shape == layout.shape
-    assert np.array_equal(layout.from_matrix(psi), v)
-    for idx, bits in enumerate(basis.states.tolist()):
-        pairs = sum((bits >> (2 * k + 1)) & (bits >> (2 * l)) & 1
-                    for k in range(10) for l in range(k + 1, 10))
-        assert layout.sign[idx] == (-1) ** pairs
+    assert not [name for name, value in vars(layout).items()
+                if isinstance(value, np.ndarray) and value.size >= basis.dim]
 
 
 def _tile_sections(lat):
@@ -255,7 +248,7 @@ def test_factorised_actions_match_dense(size_n, sector):
     v = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
     v /= np.linalg.norm(v)
     t = 0.1
-    layout = basis.spin_layout
+    psi = v.reshape(basis.spin_layout.shape)
     for op in _tile_sections(lat) + [kin]:
         prop = Propagator(op, basis)
         assert prop.hopping_only
@@ -264,7 +257,7 @@ def test_factorised_actions_match_dense(size_n, sector):
         coeffs = w.conj().T @ v
         for steps in (1, 5, -3):  # large and negative angles too
             exact = w @ (np.exp(-1j * steps * t * lam) * coeffs)
-            got = layout.from_matrix(prop.apply(layout.to_matrix(v), steps * t))
+            got = prop.apply(psi, steps * t).reshape(-1)
             assert np.abs(got - exact).max() <= 1e-12
     h = SectorOperator(kin + pot, basis)
     assert h.hops is not None
@@ -279,7 +272,7 @@ def _complex_hopping(n_sites, rng):
     for i in range(n_sites):
         for j in range(i + 1, n_sites):
             for spin in (0, 1):
-                p, q = 2 * i + spin, 2 * j + spin
+                p, q = qubit_index(i, spin, n_sites), qubit_index(j, spin, n_sites)
                 ends, chain = (1 << p) | (1 << q), (1 << q) - (1 << (p + 1))
                 real, imag = rng.normal(size=2)
                 op.add_term(ends, chain, real / 2)  # X Z..Z X
@@ -310,8 +303,7 @@ def test_full_hopping_factor_is_applied_dense():
     v = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
     v /= np.linalg.norm(v)
     exact = w @ (np.exp(-1j * t * lam) * (w.conj().T @ v))
-    layout = basis.spin_layout
-    got = layout.from_matrix(Propagator(op, basis).apply(layout.to_matrix(v), t))
+    got = Propagator(op, basis).apply(v.reshape(basis.spin_layout.shape), t).reshape(-1)
     assert np.abs(got - exact).max() <= 1e-12
 
 
@@ -399,10 +391,10 @@ def _spin_exchange(n_sites, i, j):
         return PauliSum(nq, {(1 << q, 0): 0.5, (1 << q, 1 << q): -0.5j * sign})
 
     def s_plus(site):
-        return ladder(2 * site, 1) @ ladder(2 * site + 1, -1)
+        return ladder(site, 1) @ ladder(n_sites + site, -1)
 
     def s_minus(site):
-        return ladder(2 * site + 1, 1) @ ladder(2 * site, -1)
+        return ladder(n_sites + site, 1) @ ladder(site, -1)
 
     return s_plus(i) @ s_minus(j) + s_plus(j) @ s_minus(i)
 
@@ -579,8 +571,7 @@ def test_propagate_diagonal_phase(benzene):
     prop = Propagator(pot, basis)
     v = np.zeros(basis.dim, dtype=complex)
     v[7] = 1.0
-    layout = basis.spin_layout
-    out = layout.from_matrix(prop.apply(layout.to_matrix(v), 0.3))
+    out = prop.apply(v.reshape(basis.spin_layout.shape), 0.3).reshape(-1)
     diag = SectorOperator(pot, basis).diagonal.real
     assert np.isclose(out[7], np.exp(-1j * 0.3 * diag[7]))
     assert np.isclose(np.abs(out[7]), 1.0)
@@ -592,14 +583,10 @@ def test_propagate_diagonal_phases_reused_bit_for_bit(benzene):
     prop = Propagator(pot, basis)
     v = np.random.default_rng(3).normal(size=basis.dim) + 0j
     phases = np.exp(-1j * 0.05 * SectorOperator(pot, basis).diagonal.real)
-    layout = basis.spin_layout
-    psi = layout.to_matrix(v)
-    want = phases.reshape(layout.shape) * psi
+    psi = v.reshape(basis.spin_layout.shape)
     for _ in range(2):
         got = prop.apply(psi, 0.05)
-        assert got.tobytes() == want.tobytes()
-    # in basis order the same values; the gauge sign may flip the sign of a zero
-    assert np.array_equal(layout.from_matrix(got), phases * v)
+        assert got.reshape(-1).tobytes() == (phases * v).tobytes()
 
 
 def test_propagate_matches_dense_expm(benzene):
@@ -610,11 +597,11 @@ def test_propagate_matches_dense_expm(benzene):
     v /= np.linalg.norm(v)
     t = 0.05
     exact = v
-    got = basis.spin_layout.to_matrix(v)
+    got = v.reshape(basis.spin_layout.shape)
     for op, dur in ((pot, t / 2), (kin, t), (pot, t / 2)):
         exact = expm(-1j * dur * SectorOperator(op, basis).to_dense()) @ exact
         got = Propagator(op, basis).apply(got, dur)
-    assert np.linalg.norm(exact - basis.spin_layout.from_matrix(got)) < 1e-10
+    assert np.linalg.norm(exact - got.reshape(-1)) < 1e-10
 
 
 def test_propagate_zero_time_limit(benzene):
@@ -623,10 +610,10 @@ def test_propagate_zero_time_limit(benzene):
     v = rng.normal(size=basis.dim) + 0j
     v /= np.linalg.norm(v)
     t = 1e-5
-    out = basis.spin_layout.to_matrix(v)
+    out = v.reshape(basis.spin_layout.shape)
     for op, dur in ((pot, t / 2), (kin, t), (pot, t / 2)):
         out = Propagator(op, basis).apply(out, dur)
-    fid = abs(np.vdot(v, basis.spin_layout.from_matrix(out)))
+    fid = abs(np.vdot(v, out.reshape(-1)))
     assert fid > 1 - (60.0 * t) ** 2  # ||H|| well below 60 eV
 
 
@@ -638,12 +625,12 @@ def test_unitarity_over_100_steps(benzene):
     rng = np.random.default_rng(2)
     v = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
     v /= np.linalg.norm(v)
-    psi = basis.spin_layout.to_matrix(v)
+    psi = v.reshape(basis.spin_layout.shape)
     for _ in range(100):
         psi = pv.apply(psi, t / 2)
         psi = pk.apply(psi, t)
         psi = pv.apply(psi, t / 2)
-    assert abs(np.linalg.norm(basis.spin_layout.from_matrix(psi)) - 1.0) < 1e-10
+    assert abs(np.linalg.norm(psi) - 1.0) < 1e-10
 
 
 def test_spin_labels(benzene):
@@ -653,37 +640,54 @@ def test_spin_labels(benzene):
     assert abs(total_spin_expectation(vecs[:, 1], basis) - 2.0) < 1e-8
     # closed-shell determinant: every down paired with an up
     paired = 0
-    for i in range(3):
-        paired |= 0b11 << (4 * i)  # sites 0 and 2 and 4 doubly occupied
+    for site in (0, 2, 4):  # doubly occupied
+        paired |= (1 << qubit_index(site, 0, 6)) | (1 << qubit_index(site, 1, 6))
     idx = basis.index(np.array([paired], dtype=np.int64))[0]
     det = np.zeros(basis.dim)
     det[idx] = 1.0
     assert abs(total_spin_expectation(det, basis)) < 1e-12
 
 
-def _s_plus_add_at(state, basis):
-    """S+ |psi> scattered with ``np.add.at`` (the oracle of ``apply_s_plus``)."""
-    target = enumerate_sector(basis.n_sites, basis.electrons, basis.sz_twice + 2)
-    out = np.zeros(target.dim, dtype=complex)
-    b = basis.states
-    for i in range(basis.n_sites):
-        up, dn = np.int64(1 << (2 * i)), np.int64(1 << (2 * i + 1))
-        mask = ((b & dn) != 0) & ((b & up) == 0)
-        np.add.at(out, target.index(b[mask] ^ (up | dn)), state[mask])
-    return out
+def _jw_annihilator(q, n_qubits):
+    """a_q = Z_0 ... Z_{q-1} (X_q + i Y_q) / 2 as a Pauli sum."""
+    chain = PauliSum(n_qubits, {(0, (1 << q) - 1): 1.0})
+    return chain @ PauliSum(n_qubits, {(1 << q, 0): 0.5, (1 << q, 1 << q): 0.5j})
+
+
+def _adjoint(op):
+    return PauliSum(op.n_qubits, {key: np.conj(c) for key, c in op.terms.items()})
+
+
+def _spin_operators(n_sites):
+    """(S+, S^2) as Pauli sums from Jordan-Wigner ladder operators on the
+    qubits of ``qubit_index``: S+ = sum_i a†_{i up} a_{i down} and
+    S^2 = S- S+ + S_z (S_z + 1)."""
+    nq = 2 * n_sites
+    s_plus = PauliSum(nq)
+    for i in range(n_sites):
+        up = _adjoint(_jw_annihilator(qubit_index(i, 0, n_sites), nq))
+        s_plus += up @ _jw_annihilator(qubit_index(i, 1, n_sites), nq)
+    s_z = sz_operator(n_sites)
+    s_squared = _adjoint(s_plus) @ s_plus + s_z @ s_z + s_z
+    return s_plus, s_squared
 
 
 @pytest.mark.parametrize("sector", [(6, 6, 0), (5, 5, 1)])
-def test_total_spin_matches_add_at_scatter(sector):
+def test_total_spin_matches_pauli_oracle(sector):
+    """S+ and <S^2> against Pauli sums built from Jordan-Wigner ladder
+    operators, as dense Fock-space matrices restricted to the sector."""
     basis = enumerate_sector(*sector)
+    target = enumerate_sector(basis.n_sites, basis.electrons, basis.sz_twice + 2)
+    s_plus, s_squared = _spin_operators(basis.n_sites)
+    s_plus = dense_matrix(s_plus)[np.ix_(target.states, basis.states)]
+    s_squared = dense_matrix(s_squared)[np.ix_(basis.states, basis.states)]
     rng = np.random.default_rng(11)
-    sz = basis.sz_twice / 2.0
     for state in (rng.normal(size=basis.dim),
                   rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)):
-        want = _s_plus_add_at(state, basis)
-        assert np.array_equal(apply_s_plus(state, basis)[0], want)
-        assert total_spin_expectation(state, basis) == (
-            float(np.vdot(want, want).real) + sz * (sz + 1.0))
+        state /= np.linalg.norm(state)
+        assert np.abs(apply_s_plus(state, basis)[0] - s_plus @ state).max() <= 1e-12
+        want = np.vdot(state, s_squared @ state).real
+        assert abs(total_spin_expectation(state, basis) - want) <= 1e-12 * abs(want)
 
 
 # -- principal log of a unitary -----------------------------------------------

@@ -66,10 +66,10 @@ def test_hopping_pauli_sum_matches_jordan_wigner(benzene):
 
 
 def test_hopping_pauli_sum_numpy_sites_past_64_qubits():
-    """numpy integer sites, as ``section_pauli_sums`` passes them, do not wrap."""
+    """numpy integer sites, as ``np.nonzero`` gives them, do not wrap."""
     plain = hopping_pauli_sum(34, [(0, 33)])
     assert hopping_pauli_sum(34, [(np.int64(0), np.int64(33))]).terms == plain.terms
-    assert sorted(x for x, _ in plain.terms) == [1 | 1 << 66] * 2 + [2 | 1 << 67] * 2
+    assert sorted(x for x, _ in plain.terms) == [1 | 1 << 33] * 2 + [1 << 34 | 1 << 67] * 2
 
 
 def test_scheme_unitary_dense_oracle(benzene):
