@@ -169,9 +169,9 @@ def _ground_states(family, size_n, k, sz_twice=None, tol=1e-10):
     # the PPP parameters are fixed per release, so the version stands for
     # them; "blocked" names the spin-blocked qubit order the eigenvectors are
     # stored in (an older order's vectors have the same shape, other signs)
-    tag = "eig_%s%d_%d_%d_k%d_tol%r_blocked_v%s" % (family, size_n, n, sz_twice, k, tol,
-                                                    __version__)
-    path = os.path.join(cache, tag + ".npz") if cache else None
+    key = "eig_%s%d_%d_%d_k%d_tol%r_" % (family, size_n, n, sz_twice, k, tol)
+    name = key + "blocked_v%s.npz" % __version__
+    path = os.path.join(cache, name) if cache else None
     basis = enumerate_sector(n, n, sz_twice)
     kin, pot = jordan_wigner(build_ppp(lat))
     h = SectorOperator(kin + pot, basis)
@@ -186,6 +186,10 @@ def _ground_states(family, size_n, k, sz_twice=None, tol=1e-10):
         if path:
             os.makedirs(cache, exist_ok=True)
             np.savez(path, vals=vals, vecs=vecs)
+            # the same solve written under another order marker or version
+            for stale in os.listdir(cache):
+                if stale.startswith(key) and stale != name:
+                    os.remove(os.path.join(cache, stale))
     residuals = [float(np.linalg.norm(h.matvec(vecs[:, m]) - vals[m] * vecs[:, m]))
                  for m in range(k)]
     return lat, basis, vals, vecs, residuals

@@ -12,7 +12,10 @@ element-wise absolute matrix |O| (Childs et al., PRX 11, 011020 (2021)):
 dense below ``DENSE_DIM_LIMIT``, by Lanczos above.  For a Pauli
 sum, |O| comes from ``SectorOperator.abs_matvec``.  The Frobenius norm over
 the sector (divided by sqrt(dim)) is estimated by sampling uniform basis
-states i and averaging |O |i>|².
+states i and averaging |O |i>|²; a sampled index gives its state from its
+(up, down) pair (``SectorBasis.states_at``), so sampling never lists the
+sector and runs where the sector is too large to list (2.4e9 states at
+4-acene).
 
 Because V is diagonal (matrix D) and T is a hopping operator, the
 commutators have closed-form matrix elements,
@@ -63,6 +66,7 @@ from .sector import (
     SectorOperator,
     _COLUMN_BLOCK,
     _DiagonalForm,
+    _column_sums,
     _group_terms,
     _NO_TERMS,
     _popcount,
@@ -111,19 +115,15 @@ def column_norms_squared(op: PauliSum, basis: SectorBasis, states: np.ndarray) -
     Terms sharing an X-mask scatter to the same target, and different
     X-masks scatter to orthogonal targets, so the norm splits per group.
     States go in blocks of ``_COLUMN_BLOCK``, so one group's (terms x states)
-    values stay block-sized; each state adds its terms in term order, the
-    same for any block.  numpy sums a single column pairwise instead, so a
-    one-state tail joins the block before it.
+    values stay block-sized; each state adds its terms in term order
+    (``sector._column_sums``), so its norm is the same in any block or batch.
     """
     groups = _group_terms(op).values()
-    n = len(states)
-    edges = list(range(0, n, _COLUMN_BLOCK)) + [n]
-    if len(edges) > 2 and n - edges[-2] == 1:
-        del edges[-2]
-    out = np.zeros(n)
-    for start, stop in zip(edges, edges[1:]):
+    out = np.zeros(len(states))
+    for start in range(0, len(states), _COLUMN_BLOCK):
+        block = states[start:start + _COLUMN_BLOCK]
         for group in groups:
-            out[start:stop] += np.abs(_term_values(states[start:stop], group).sum(axis=0)) ** 2
+            out[start:start + len(block)] += np.abs(_column_sums(_term_values(block, group))) ** 2
     return out
 
 
@@ -197,7 +197,7 @@ def frobenius_sampled(op, basis: SectorBasis, samples: int = 10_000,
         raise ValueError("need at least two samples")
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, basis.dim, size=samples)
-    states = basis.states[idx]
+    states = basis.states_at(idx)
     if isinstance(op, PauliSum):
         sq = column_norms_squared(op, basis, states)
     else:
@@ -268,7 +268,7 @@ class HoppingCommutatorAction:
 
     @cached_property
     def diag(self) -> np.ndarray:
-        return self._potential(self.basis.states)
+        return self._potential.diagonal(self.basis)
 
     def _hop_terms(self, states: np.ndarray) -> dict[int, np.ndarray]:
         """Per hop mask x, the values c_z (-1)^{popcount(z & b)} of its terms,
@@ -304,7 +304,7 @@ class HoppingCommutatorAction:
         delta = self._potential.flip_differences(states)
         out = np.zeros(len(states))
         for x, terms in self._hop_terms(states).items():
-            out += (delta(x) ** 2 * terms.sum(axis=0)) ** 2
+            out += (delta(x) ** 2 * _column_sums(terms)) ** 2
         return out
 
     # O_VTT = [[V,T],T]: elements sum_k T_rk T_kc (D_r - 2 D_k + D_c)
@@ -323,7 +323,7 @@ class HoppingCommutatorAction:
         # per midpoint hop x2: T[m, b] and T[m, b] delta(x2)
         first = {}
         for x2, terms2 in terms.items():
-            amp2 = terms2.sum(axis=0)
+            amp2 = _column_sums(terms2)
             first[x2] = (amp2, amp2 * delta(x2))
         out = np.zeros(len(states))
         for xor, pairs in self._hop_pairs.items():

@@ -5,7 +5,11 @@ bitstrings packed into int64 (bit q = occupation of qubit q, spin-blocked
 ordering of ``pauli.qubit_index``: on n sites, up electrons on the low n
 bits, down ones on the high n).  The basis order is the up-major product of
 the sorted single-species configurations, (up x down) flattened row by row,
-so membership lookup is one binary search per species.
+so membership lookup is one binary search per species.  A basis keeps only
+the two species lists: state i is up[i // m] | down[i % m] for m down
+configurations, so sampling takes states by index pairs, and the full
+sector-length list is built on first use, only by routes that enumerate
+the sector (the CSR matrix, exact Frobenius norms, S+).
 
 ``SectorOperator`` is the one place a Pauli sum becomes sector matrix
 elements.  All strings sharing an X-mask map |b> to |b ^ x> with a
@@ -21,15 +25,17 @@ the one sign kernel, c_z (-1)^{popcount(z & b)} per term and state, and its
 column sums are amp_x.  The (target, source, amplitude) triples of all
 X-masks form the CSR sector matrix (``to_sparse``).  The diagonal (x = 0)
 is a polynomial in the occupation signs s_q = 1 - 2 bit_q(b); its terms of
-Z-weight <= 2, all of a PPP potential, are evaluated as one quadratic form
-(``_DiagonalForm``), which also gives D(b ^ x) - D(b) from the flipped bits
-of x alone.
+Z-weight <= 2, all of a PPP potential, form one quadratic form
+(``_DiagonalForm``).  Its up-up and down-down parts are vectors over the
+species lists and its up-down part one matrix product of their sign
+matrices, so D is evaluated on the (up x down) grid without the state list;
+the form also gives D(b ^ x) - D(b) from the flipped bits of x alone.
 
 Hopping conserves each spin species, so a sector vector reshaped to
 C(n, n_up) x C(n, n_down) is a matrix Psi over (up configuration, down
 configuration), with rows and columns indexed by the single-species sectors
-``enumerate_sector(n, n_up, n_up)`` and ``enumerate_sector(n, n_down,
--n_down)`` (``SpinLayout``, built on first use and cached on the basis).
+(n, n_up, n_up) and (n, n_down, -n_down) made of the basis's own species
+lists (``SpinLayout``, built on first use and cached on the basis).
 With the spins blocked, a hop's Jordan-Wigner chain runs over its own
 species only, so an up hop acts on the rows of Psi and a down hop on its
 columns, with no cross-species sign.  An operator made of diagonal terms
@@ -55,8 +61,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import comb
-from itertools import combinations
 
 import numpy as np
 from scipy.linalg import eigh, expm
@@ -77,20 +81,40 @@ def _search(sorted_states: np.ndarray, packed: np.ndarray) -> tuple[np.ndarray, 
 
 @dataclass(frozen=True)
 class SectorBasis:
+    """A fixed (N, 2 S_z) sector, held as its two sorted species lists.
+
+    State i is ``up_states[i // m] | down_states[i % m]`` with
+    m = len(down_states), so ``dim`` is the product of the two lengths and
+    ``states_at`` gives any states by index without the full list.
+    ``states``, the whole (up x down) list, is built on first use, for the
+    routes that enumerate the sector: the CSR matrix, exact Frobenius norms,
+    S+ and whole-basis column norms.
+    """
+
     n_sites: int
     electrons: int
     sz_twice: int
-    states: np.ndarray = field(repr=False)  # int64 occupation ints, (up x down) order
     up_states: np.ndarray = field(repr=False)  # sorted up configurations (bits 0 .. n-1)
     down_states: np.ndarray = field(repr=False)  # sorted down configurations (n .. 2n-1)
 
     @property
     def dim(self) -> int:
-        return len(self.states)
+        return len(self.up_states) * len(self.down_states)
 
     @property
     def n_qubits(self) -> int:
         return 2 * self.n_sites
+
+    @cached_property
+    def states(self) -> np.ndarray:
+        """Every state as an int64 occupation int, in basis order; built on
+        first use and kept."""
+        return (self.up_states[:, None] | self.down_states[None, :]).ravel()
+
+    def states_at(self, indices: np.ndarray) -> np.ndarray:
+        """The states at the given basis indices, from their (up, down) pairs."""
+        i_up, i_down = np.divmod(indices, len(self.down_states))
+        return self.up_states[i_up] | self.down_states[i_down]
 
     def index(self, packed: np.ndarray) -> np.ndarray:
         idx, valid = self.index_or_mask(packed)
@@ -117,15 +141,27 @@ class SectorBasis:
 
 
 def _configurations(n_sites: int, count: int, offset: int) -> np.ndarray:
-    """Sorted int64 configurations of ``count`` electrons on qubits i + ``offset``."""
-    return np.sort(np.fromiter(
-        (sum(1 << (i + offset) for i in c) for c in combinations(range(n_sites), count)),
-        dtype=np.int64, count=comb(n_sites, count)))
+    """Sorted int64 configurations of ``count`` electrons on qubits i + ``offset``.
+
+    Built site by site: with sites 0 .. m-1 placed, ``by_count[j]`` holds the
+    sorted configurations of j electrons on them.  Placing site m appends to
+    each list the (j-1)-electron configurations with bit m set, all larger
+    than those without it, so every list stays sorted.  Counts that the
+    remaining sites can no longer fill up to ``count`` are dropped.
+    """
+    by_count = [np.zeros(1, dtype=np.int64)] + [np.zeros(0, dtype=np.int64)] * count
+    for m in range(n_sites):
+        bit = np.int64(1 << (m + offset))
+        lowest = max(count - (n_sites - m - 1), 0)
+        for j in range(min(m + 1, count), max(lowest, 1) - 1, -1):
+            by_count[j] = np.concatenate([by_count[j], by_count[j - 1] | bit])
+        by_count[:lowest] = [None] * lowest
+    return by_count[count]
 
 
 def enumerate_sector(n_sites: int, electrons: int, sz_twice: int) -> SectorBasis:
-    """All occupation states with fixed electron count and 2 S_z, in
-    (up x down) order: the up configuration major, each species sorted."""
+    """The sector with fixed electron count and 2 S_z, as its sorted up and
+    down configurations; the basis order is (up x down), up major."""
     if not 0 <= electrons <= 2 * n_sites:
         raise ValueError("infeasible electron count")
     if (electrons + sz_twice) % 2 != 0:
@@ -134,9 +170,8 @@ def enumerate_sector(n_sites: int, electrons: int, sz_twice: int) -> SectorBasis
     n_dn = electrons - n_up
     if not (0 <= n_up <= n_sites and 0 <= n_dn <= n_sites):
         raise ValueError("infeasible S_z for this electron count")
-    ups, dns = _configurations(n_sites, n_up, 0), _configurations(n_sites, n_dn, n_sites)
-    states = (ups[:, None] | dns[None, :]).ravel()
-    return SectorBasis(n_sites, electrons, sz_twice, states, ups, dns)
+    return SectorBasis(n_sites, electrons, sz_twice, _configurations(n_sites, n_up, 0),
+                       _configurations(n_sites, n_dn, n_sites))
 
 
 class SpinLayout:
@@ -152,8 +187,9 @@ class SpinLayout:
         n = basis.n_sites
         n_up = (basis.electrons + basis.sz_twice) // 2
         n_down = basis.electrons - n_up
-        self.up_basis = enumerate_sector(n, n_up, n_up)
-        self.down_basis = enumerate_sector(n, n_down, -n_down)
+        empty = np.zeros(1, dtype=np.int64)  # the one configuration of no electrons
+        self.up_basis = SectorBasis(n, n_up, n_up, basis.up_states, empty)
+        self.down_basis = SectorBasis(n, n_down, -n_down, empty, basis.down_states)
         self.shape = (self.up_basis.dim, self.down_basis.dim)
 
     @cached_property
@@ -295,13 +331,28 @@ def _term_values(states: np.ndarray, group: tuple[np.ndarray, np.ndarray]) -> np
     return cs[:, None] * (1.0 - 2.0 * (_popcount(states[None, :] & zs[:, None]) & 1))
 
 
-# rows per block in ``_DiagonalForm``: its (rows x qubits) float temporaries,
-# about 0.2 MB each, stay in cache and out of the page-fault path
-_DIAGONAL_BLOCK = 1024
 # states per block of ``norms.column_norms_squared``: a 190-term x-group of
 # O_VTT then holds about 6 MB of (terms x states) values, not 100 MB at the
 # 63 504-state naphthalene sector
 _COLUMN_BLOCK = 4096
+
+
+def _column_sums(values: np.ndarray) -> np.ndarray:
+    """Column sums of a (terms x states) array, adding the rows in order.
+
+    This is what ``values.sum(axis=0)`` does for two or more columns; for a
+    single column numpy sums pairwise, so a state's sum would depend on how
+    many states share the call.
+    """
+    out = np.zeros(values.shape[1], dtype=values.dtype)
+    for row in values:
+        out += row
+    return out
+
+
+def _species_signs(configurations: np.ndarray, first: int, n: int) -> np.ndarray:
+    """(configurations x n) occupation signs 1 - 2 bit_q of qubits first .. first + n - 1."""
+    return 1.0 - 2.0 * ((configurations[:, None] >> np.arange(first, first + n)) & 1)
 
 
 class _DiagonalForm:
@@ -310,11 +361,11 @@ class _DiagonalForm:
     With s_q = 1 - 2 bit_q(b), a term is c_z times the product of s_q over
     its Z support, so the terms of Z-weight <= 2 (all of a PPP potential)
     form the quadratic form c0 + h.s + s^T J s, with a weight-2 coefficient
-    split as c/2 over J[p, q] and J[q, p].  States are evaluated in fixed row
-    blocks with one ``s @ J`` matmul each; heavier terms (``heavy``, a group
-    (zs, cs) of its own) add their ``_term_values``.  The group (zs, cs) comes
-    from ``_group_terms``, and the result has the dtype of cs.
-    ``flip_differences`` gives D(b ^ x) - D(b), with D = amp_0, from the
+    split as c/2 over J[p, q] and J[q, p]; heavier terms (``heavy``, a group
+    (zs, cs) of its own) are kept as terms.  The group (zs, cs) comes from
+    ``_group_terms``, and results have the dtype of cs.  ``diagonal`` gives
+    D = amp_0 over a whole sector from its two species lists;
+    ``flip_differences`` gives D(b ^ x) - D(b) at given states from the
     flipped bits of x and the terms' values at b, without evaluating D at
     b ^ x.
     """
@@ -335,20 +386,35 @@ class _DiagonalForm:
         pair = weight == 2
         self.J[p[pair], q[pair]] = self.J[q[pair], p[pair]] = cs[pair] / 2
 
-    def __call__(self, states: np.ndarray) -> np.ndarray:
-        out = np.empty(len(states), dtype=self.dtype)
-        for start in range(0, len(states), _DIAGONAL_BLOCK):
-            block = np.ascontiguousarray(states[start:start + _DIAGONAL_BLOCK], dtype="<i8")
-            bits = np.unpackbits(block.view(np.uint8).reshape(-1, 8), axis=1,
-                                 count=self.n, bitorder="little")
-            s = bits.astype(float)
-            s *= -2.0
-            s += 1.0
-            out[start:start + len(block)] = (
-                self.c0 + s @ self.h + np.einsum("ij,ij->i", s @ self.J, s))
-        if self.heavy[0].size:
-            out += _term_values(states, self.heavy).sum(axis=0)
-        return out
+    def diagonal(self, basis: SectorBasis) -> np.ndarray:
+        """D over ``basis``, in basis order, without the sector's state list.
+
+        With s split into its up half (qubits 0 .. n-1) and down half, the
+        quadratic form is d_up(s_up) + d_down(s_down) + 2 s_up^T J_ud s_down,
+        so on the (up x down) grid D = d_up[:, None] + d_down[None, :] +
+        S_up (2 J_ud) S_down^T, with S_sigma the (configurations x n) sign
+        matrix of one species list.  A heavy term's sign is the product of
+        its up part's sign and its down part's, so the heavy terms add
+        H_up diag(c) H_down^T, one column per term; both products are one
+        matmul.
+        """
+        n = basis.n_sites
+        h = np.zeros(2 * n, dtype=self.dtype)
+        h[:self.n] = self.h
+        J = np.zeros((2 * n, 2 * n), dtype=self.dtype)
+        J[:self.n, :self.n] = self.J
+        s_up = _species_signs(basis.up_states, 0, n)
+        s_down = _species_signs(basis.down_states, n, n)
+        d_up = self.c0 + s_up @ h[:n] + np.einsum("ij,ij->i", s_up @ J[:n, :n], s_up)
+        d_down = s_down @ h[n:] + np.einsum("ij,ij->i", s_down @ J[n:, n:], s_down)
+        heavy_zs, _ = self.heavy
+        left = np.hstack([s_up @ (2.0 * J[:n, n:]), _term_values(basis.up_states, self.heavy).T])
+        right = np.hstack([s_down, _term_values(basis.down_states,
+                                                (heavy_zs, np.ones(len(heavy_zs)))).T])
+        out = left @ right.T
+        out += d_up[:, None]
+        out += d_down
+        return out.ravel()
 
     def flip_differences(self, states: np.ndarray):
         """The function x -> D(b ^ x) - D(b), an array over ``states``.
@@ -375,7 +441,7 @@ class _DiagonalForm:
             out = np.einsum("qb,qb->b", s_f, inner)
             if heavy_zs.size:
                 odd = _popcount(heavy_zs & np.int64(x)) & 1 == 1
-                out -= 2.0 * heavy[odd].sum(axis=0)
+                out -= 2.0 * _column_sums(heavy[odd])
             return out
 
         return delta
@@ -453,7 +519,7 @@ class SectorOperator:
 
     @cached_property
     def diagonal(self) -> np.ndarray:
-        return _DiagonalForm(self.groups.get(0, _NO_TERMS))(self.basis.states)
+        return _DiagonalForm(self.groups.get(0, _NO_TERMS)).diagonal(self.basis)
 
     @cached_property
     def is_real(self) -> bool:
@@ -504,7 +570,7 @@ class SectorOperator:
         for x, group in self.groups.items():
             if x == 0:
                 continue
-            amp = _term_values(states, group).sum(axis=0)
+            amp = _column_sums(_term_values(states, group))
             src = np.nonzero(amp)[0]
             tgt, valid = self.basis.index_or_mask(states[src] ^ np.int64(x))
             # out-of-sector scatter is legal only for amplitudes that are

@@ -70,3 +70,12 @@ def test_workload_checks_pass(workload, passes, tmp_path, monkeypatch):
     rows = [row for index in range(passes) for row in instance.run(index)]
     assert len(rows) == passes * instance.checks_per_pass
     assert [row for row in rows if not row[1]] == []
+
+
+def test_norms_acene_never_lists_the_anthracene_sector(tmp_path):
+    """norms-acene samples anthracene's 11 778 624-state sector through its
+    species lists; its basis holds no state list after a pass."""
+    instance = _load("workloads").WORKLOADS["norms-acene"](0, tmp_path)
+    instance.setup()
+    instance.run(0)
+    assert "states" not in vars(instance.anthracene)

@@ -114,6 +114,17 @@ def test_norms_seeded_repeatable(capsys):
     assert d1["vtv"]["converged"] is d1["vtt"]["converged"] is True
 
 
+def test_norms_sampled_at_4acene(capsys):
+    """4-acene's half-filled sector has 2 363 904 400 states, too many to
+    list; sampled norms take their states from (up, down) index pairs."""
+    rc, doc = _run(capsys, ["norms", "--family", "acene", "--n", "4", "--method", "frobenius",
+                            "--samples", "2000"])
+    assert rc == 0
+    assert doc["dim"] == 2_363_904_400
+    for name in ("vtv", "vtt"):
+        assert doc[name]["kind"] == "frobenius_sampled" and doc[name]["standard_error"] > 0
+
+
 def test_freefermion_subcommand(capsys):
     argv = ["freefermion", "--family", "acene", "--n", "3", "--samples", "200"]
     rc, doc = _run(capsys, argv + ["--seed", "1"])
@@ -175,17 +186,24 @@ def test_checkpoint_keyed_on_tol_and_shape_checked(tmp_path, monkeypatch):
     # ... and for the order it was written in: checkpoints from before the
     # (up x down) basis order and from the interleaved qubit order have the
     # same shape but file names without the blocked-order marker, so they
-    # are recomputed, not served
+    # are recomputed, not served, and the new checkpoint replaces them
     for stale in tmp_path.glob("eig_*.npz"):
         stale.unlink()
     old_tags = ["eig_acene1_6_0_k2_tol1e-10_v%s" % cli.__version__,
                 "eig_acene1_6_0_k2_tol1e-10_updown_v%s" % cli.__version__]
     for tag, old_vecs in zip(old_tags, (vecs[::-1], -vecs)):
         np.savez(tmp_path / (tag + ".npz"), vals=vals + 1.0, vecs=old_vecs)
+    # checkpoints of other solves stay
+    others = {"eig_acene1_6_0_k1_tol1e-10_blocked_v%s.npz" % cli.__version__,
+              "eig_acene1_6_0_k2_tol1e-09_blocked_v%s.npz" % cli.__version__}
+    for other in others:
+        np.savez(tmp_path / other, vals=vals, vecs=vecs)
     _, _, got_vals, got_vecs, residuals = _ground_states("acene", 1, 2, tol=1e-10)
     assert np.array_equal(got_vals, vals) and np.array_equal(got_vecs, vecs)
     assert max(residuals) < 1e-10
-    assert len(list(tmp_path.glob("eig_*.npz"))) == 3
+    fresh = "eig_acene1_6_0_k2_tol1e-10_blocked_v%s.npz" % cli.__version__
+    assert len(list(tmp_path.glob("eig_acene1_6_0_k2_tol1e-10_*.npz"))) == 1
+    assert {p.name for p in tmp_path.glob("eig_*.npz")} == others | {fresh}
 
 
 def test_artifacts_repeat_byte_for_byte(tmp_path, monkeypatch):

@@ -153,6 +153,20 @@ def test_column_norms_squared_blocks_are_bit_identical(benzene, benzene_commutat
         assert np.array_equal(column_norms_squared(op, basis, basis.states), want)
 
 
+def test_column_norms_one_state_at_a_time_match_the_batch():
+    """A state's terms add in term order whatever the batch, so the first 200
+    naphthalene states taken one at a time give the batch norms bit for bit
+    (numpy's own sum adds a single column pairwise)."""
+    lat = build_lattice("acene", 2)
+    kin, pot = jordan_wigner(build_ppp(lat))
+    _, o_vtt = nested_commutators(kin, pot)
+    basis = half_filling_sector(lat.n_sites)
+    states = basis.states_at(np.arange(200))
+    batch = column_norms_squared(o_vtt, basis, states)
+    single = [column_norms_squared(o_vtt, basis, states[i:i + 1])[0] for i in range(200)]
+    assert np.array_equal(single, batch)
+
+
 def test_frobenius_exact_oracle(benzene, benzene_commutators):
     _, _, _, basis = benzene
     o_vtv, _ = benzene_commutators
@@ -209,6 +223,28 @@ def test_structured_action_is_lazy(monkeypatch):
     HoppingCommutatorAction(kin, pot, basis)
     assert "spin_layout" not in vars(basis)
     assert assembled == []
+
+
+def test_sampled_norms_and_bound_never_list_the_sector():
+    """Sampled column norms on anthracene's 11 778 624-state sector take
+    their states from (up, down) index pairs, and the Lanczos |O_VTV| bound
+    on naphthalene runs on the diagonal over the species grid: neither
+    builds the sector's state list."""
+    lat = build_lattice("acene", 3)
+    kin, pot = jordan_wigner(build_ppp(lat))
+    basis = half_filling_sector(lat.n_sites)
+    act = HoppingCommutatorAction(kin, pot, basis)
+    for column_norm_sq in (act.vtv_column_norm_sq, act.vtt_column_norm_sq):
+        est = frobenius_sampled(SimpleNamespace(column_norm_sq=column_norm_sq), basis, 100, 1)
+        assert est.value > 0 and est.standard_error > 0
+    assert "states" not in vars(basis)
+    lat = build_lattice("acene", 2)
+    kin, pot = jordan_wigner(build_ppp(lat))
+    basis = half_filling_sector(lat.n_sites)
+    act = HoppingCommutatorAction(kin, pot, basis)
+    bound = spectral_norm_bound(SimpleNamespace(abs_matvec=act.vtv_abs_matvec), basis)
+    assert bound.converged and bound.value > 0
+    assert "states" not in vars(basis)
 
 
 def test_column_norms_match_matvecs_naphthalene():

@@ -23,6 +23,7 @@ from trotterlab.sector import (
     Propagator,
     SectorOperator,
     _DiagonalForm,
+    _configurations,
     _givens_decomposition,
     _group_terms,
     _term_values,
@@ -34,6 +35,7 @@ from trotterlab.sector import (
     total_spin_expectation,
 )
 from trotterlab.spectral import (
+    compute_time_series,
     default_section_order,
     effective_spectrum_dense,
     hopping_pauli_sum,
@@ -84,6 +86,30 @@ def test_basis_deterministic_and_sorted():
     want = [up | down for up in b.up_states.tolist() for down in b.down_states.tolist()]
     assert b.states.tolist() == want
     assert np.array_equal(b.states, enumerate_sector(5, 5, 1).states)
+
+
+def test_configurations_match_combinations_oracle():
+    """The site-by-site enumeration lists the same sorted int64 arrays as
+    itertools.combinations, for every count and both species offsets."""
+    for n in range(13):
+        for k in range(n + 1):
+            for offset in (0, n):
+                want = sorted(sum(1 << (i + offset) for i in c)
+                              for c in combinations(range(n), k))
+                got = _configurations(n, k, offset)
+                assert got.dtype == np.int64 and got.tolist() == want, (n, k, offset)
+
+
+@pytest.mark.parametrize("sector", [(6, 6, 0), (10, 4, 2), (5, 5, 1), (10, 4, 4)])
+def test_states_at_matches_states(sector):
+    """States taken by index from their (up, down) pairs are the listed
+    ones; (10, 4, 4) has no down electrons."""
+    b = enumerate_sector(*sector)
+    idx = np.concatenate([[0, b.dim - 1],
+                          np.random.default_rng(sum(sector)).integers(0, b.dim, 500)])
+    got = b.states_at(idx)
+    assert "states" not in vars(b)
+    assert got.dtype == np.int64 and np.array_equal(got, b.states[idx])
 
 
 @pytest.mark.parametrize("sector", [(6, 6, 0), (10, 4, 2), (5, 5, 1), (6, 3, 3)])
@@ -214,6 +240,19 @@ def test_lanczos_eigenpairs_come_back_in_basis_order():
     for val, vec in zip(vals, vecs.T):
         assert np.linalg.norm(h.sparse @ vec - val * vec) <= 1e-8
     assert abs(total_spin_expectation(vecs[:, 0], basis)) < 1e-8
+
+
+def test_factorised_routes_never_list_the_sector():
+    """A Lanczos solve on the factorised matvec and a tile time series work
+    from the species lists; the sector's state list is never built."""
+    lat = build_lattice("acene", 2)
+    kin, pot = jordan_wigner(build_ppp(lat))
+    basis = half_filling_sector(lat.n_sites)
+    _, vecs = lowest_eigenpairs(kin + pot, basis, k=1, tol=1e-10)
+    scheme = tile_scheme(_tile_sections(lat), pot, 0.1)
+    series = compute_time_series(scheme, basis, vecs[:, 0], 2)
+    assert np.isclose(abs(series.values[0]), 1.0)
+    assert "states" not in vars(basis)
 
 
 def test_spin_layout_holds_no_sector_length_array():
@@ -424,7 +463,7 @@ def _per_term_diagonal(states, op):
 
 
 def _check_diagonal(op, basis):
-    got = _DiagonalForm(_group_terms(op)[0])(basis.states)
+    got = _DiagonalForm(_group_terms(op)[0]).diagonal(basis)
     want = _per_term_diagonal(basis.states, op)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     assert np.array_equal(SectorOperator(op, basis).diagonal, got)
@@ -441,6 +480,9 @@ def test_diagonal_form_matches_per_term_reference(benzene):
             for op in (pot, v_shifted):
                 assert max(z.bit_count() for _, z in op.terms) == 2
                 assert _check_diagonal(op, basis).dtype == np.float64
+    # one species empty: the grid has a single row or column
+    _check_diagonal(pot, enumerate_sector(10, 4, 4))
+    _check_diagonal(pot, enumerate_sector(10, 4, -4))
     # the diagonal of O_VTT, and V^2, whose diagonal terms reach Z-weight 4
     kin, pot, basis = benzene
     _, o_vtt = nested_commutators(kin, pot)
@@ -544,17 +586,17 @@ def test_diagonal_form_coefficients_match_loop(benzene):
 
 def _check_flip_differences(op, kin, basis):
     form = _DiagonalForm(_group_terms(op)[0])
-    d = form(basis.states)
+    d = _per_term_diagonal(basis.states, op)
     delta = form.flip_differences(basis.states)
     assert np.array_equal(delta(0), np.zeros(basis.dim))
     hops = {x for x, _ in kin.terms if x}
     for x in hops | {x1 ^ x2 for x1 in hops for x2 in hops}:
-        want = form(basis.states ^ np.int64(x)) - d
+        want = _per_term_diagonal(basis.states ^ np.int64(x), op) - d
         assert np.abs(delta(x) - want).max() <= 1e-12 * np.abs(d).max()
 
 
 def test_flip_differences_match_form_at_flipped_states(benzene):
-    """D(b ^ x) - D(b) from the flipped bits against the form evaluated at
+    """D(b ^ x) - D(b) from the flipped bits against the per-term diagonal at
     b ^ x and at b, for every hop and hop-pair mask; mask 0 gives exactly 0."""
     lat = build_lattice("acene", 2)
     kin, pot = jordan_wigner(build_ppp(lat))
