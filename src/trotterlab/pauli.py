@@ -50,8 +50,6 @@ class PauliSum:
     ``split_identity``.
     """
 
-    tol = 1e-12
-
     def __init__(self, n_qubits: int, terms: dict[tuple[int, int], complex] | None = None):
         self.n_qubits = n_qubits
         self.terms: dict[tuple[int, int], complex] = dict(terms or {})
@@ -78,11 +76,9 @@ class PauliSum:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def term_count(self, include_identity: bool = False) -> int:
-        n = len(self.terms)
-        if not include_identity and (0, 0) in self.terms:
-            n -= 1
-        return n
+    def term_count(self) -> int:
+        """The number of terms other than the identity."""
+        return len(self.terms) - ((0, 0) in self.terms)
 
     def coefficient(self, x: int, z: int) -> complex:
         return self.terms.get((x, z), 0.0)

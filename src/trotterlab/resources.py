@@ -233,14 +233,11 @@ def hwp_kinetic_rotations(sections):
     return rotations, toffolis
 
 
-def hwp_estimate(params, potential, sections=None, gap=False):
+def hwp_estimate(params, potential, sections, gap=False):
     """Cost report under Hamming weight phasing with N - 1 ancillas."""
     base = total_cost(params, gap=gap)
     pot_rot, pot_tof = hwp_potential_rotations(potential)
-    if sections is not None:
-        kin_rot, kin_tof = hwp_kinetic_rotations(sections)
-    else:
-        kin_rot, kin_tof = 0, 0
+    kin_rot, kin_tof = hwp_kinetic_rotations(sections)
     rotations = pot_rot + kin_rot
     rotations = min(rotations, params.per_step.n_rotations)
     added_toffoli = pot_tof + kin_tof

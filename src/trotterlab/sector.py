@@ -32,24 +32,23 @@ matrices, so D is evaluated on the (up x down) grid without the state list;
 the form also gives D(b ^ x) - D(b) from the flipped bits of x alone.
 
 Hopping conserves each spin species, so a sector vector reshaped to
-C(n, n_up) x C(n, n_down) is a matrix Psi over (up configuration, down
-configuration), with rows and columns indexed by the single-species sectors
-(n, n_up, n_up) and (n, n_down, -n_down) made of the basis's own species
-lists (``SpinLayout``, built on first use and cached on the basis).
-With the spins blocked, a hop's Jordan-Wigner chain runs over its own
-species only, so an up hop acts on the rows of Psi and a down hop on its
-columns, with no cross-species sign.  An operator made of diagonal terms
-plus one-species hops with a full Jordan-Wigner chain therefore acts as
-K_up Psi + Psi K_down^T + D o Psi without a sector-size matrix, and the
-exponential of a pure hopping operator as M_up Psi M_down^T.  Every other
-operator acts through its CSR matrix, built once on first use.
+``SectorBasis.shape``, C(n, n_up) x C(n, n_down), is a matrix Psi over (up
+configuration, down configuration).  With the spins blocked, a hop's
+Jordan-Wigner chain runs over its own species only, so an up hop acts on
+the rows of Psi and a down hop on its columns, with no cross-species sign.
+An operator made of diagonal terms plus one-species hops with a full
+Jordan-Wigner chain therefore acts as K_up Psi + Psi K_down^T + D o Psi
+without a sector-size matrix, and the exponential of a pure hopping
+operator as M_up Psi M_down^T.  Every other operator acts through its CSR
+matrix, built once on first use.
 
-Hopping is one-body, so M_sigma = exp(-i t K_sigma) is fixed by the n x n
-single-particle unitary u = exp(-i t k_sigma).  ``_givens_decomposition``
-writes u as a product of 2-mode unitaries R_1 ... R_m times a phase diagonal,
+Hopping is one-body, so K_sigma and M_sigma = exp(-i t K_sigma) follow from
+the n x n matrix k_sigma (``SectorOperator.one_body_matrices``), lifted onto
+each species list by ``SectorBasis.species`` with one table of partners and
+Jordan-Wigner signs per mode pair.  ``_givens_decomposition`` writes
+u = exp(-i t k_sigma) as 2-mode unitaries R_1 ... R_m times a phase diagonal,
 one R_k per bond of a matching (a tile section), n(n-1)/2 for a connected
-hopping graph; ``_SpeciesLift`` turns each factor into a sparse matrix on the
-single-species sector, and M_sigma is their product, kept dense where that
+hopping graph; M_sigma is the product of their lifts, kept dense where that
 takes less memory than CSR.
 
 Dense unitaries, a Trotter product on a small sector or a one-body product,
@@ -134,10 +133,18 @@ class SectorBasis:
         valid = up_valid & down_valid
         return np.where(valid, i_up * len(self.down_states) + i_down, 0), valid
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        """(up configurations, down configurations): the shape of the layout
+        matrix Psi that a sector vector reshapes to."""
+        return len(self.up_states), len(self.down_states)
+
     @cached_property
-    def spin_layout(self) -> "SpinLayout":
-        """The (up x down) matrix layout, built on first use."""
-        return SpinLayout(self)
+    def species(self) -> tuple["_SpeciesLift", "_SpeciesLift"]:
+        """One-body lifts onto the up list (qubits q) and the down list
+        (qubits n + q), built on first use."""
+        return (_SpeciesLift(self.up_states, self.n_sites, 0),
+                _SpeciesLift(self.down_states, self.n_sites, self.n_sites))
 
 
 def _configurations(n_sites: int, count: int, offset: int) -> np.ndarray:
@@ -174,32 +181,6 @@ def enumerate_sector(n_sites: int, electrons: int, sz_twice: int) -> SectorBasis
                        _configurations(n_sites, n_dn, n_sites))
 
 
-class SpinLayout:
-    """Spin-factorised view of a sector: vector v <-> matrix Psi[up, down].
-
-    The basis order is (up x down), rows indexed by ``up_basis`` and columns
-    by ``down_basis``, so Psi is v reshaped to ``shape`` and back.  Lanczos
-    (``lowest_eigenpairs``) runs on v, Trotter steps (``Propagator``) on
-    Psi.
-    """
-
-    def __init__(self, basis: SectorBasis):
-        n = basis.n_sites
-        n_up = (basis.electrons + basis.sz_twice) // 2
-        n_down = basis.electrons - n_up
-        empty = np.zeros(1, dtype=np.int64)  # the one configuration of no electrons
-        self.up_basis = SectorBasis(n, n_up, n_up, basis.up_states, empty)
-        self.down_basis = SectorBasis(n, n_down, -n_down, empty, basis.down_states)
-        self.shape = (self.up_basis.dim, self.down_basis.dim)
-
-    @cached_property
-    def species_lifts(self) -> tuple["_SpeciesLift", "_SpeciesLift"]:
-        """One-body lifts onto ``up_basis`` (qubits q) and ``down_basis``
-        (qubits n + q), built on first use."""
-        n = self.up_basis.n_sites
-        return _SpeciesLift(self.up_basis, 0), _SpeciesLift(self.down_basis, n)
-
-
 def _givens_decomposition(u: np.ndarray):
     """u = R_1 ... R_m diag(d) for an n x n unitary u.
 
@@ -226,40 +207,63 @@ def _givens_decomposition(u: np.ndarray):
 
 
 class _SpeciesLift:
-    """Sparse images of one-body unitaries on a single-species sector.
+    """Sparse images of one-body operators on one species' sorted
+    configurations ``states``, mode q on qubit q + ``offset``.
 
-    Mode q sits on qubit q + ``offset``.  A 2-mode unitary R on modes j < i
-    maps a†_j -> R_jj a†_j + R_ij a†_i and a†_i -> R_ji a†_j + R_ii a†_i, so on
-    a configuration it keeps states with neither mode occupied, multiplies
-    states with both by det R, and mixes each state with only j occupied with
-    its partner (j moved to i) through R, times the Jordan-Wigner sign
-    (-1)^{#occupied strictly between j and i}.  A phase diagonal d becomes
-    prod_q d_q^{n_q}.  The index tables of a pair are built once, on first use.
+    A pair of modes j < i links each state with only j occupied to its
+    partner (j moved to i), with the Jordan-Wigner sign
+    (-1)^{#occupied strictly between j and i}.  A one-body matrix k lifts to
+    K[partner, single] = sign k[i, j], K[single, partner] = sign k[j, i]
+    (``operator``).  A 2-mode unitary R on (j, i) keeps states with neither
+    mode occupied, multiplies states with both by det R and mixes each pair
+    through R times the sign; a phase diagonal d becomes prod_q d_q^{n_q}
+    (``exponential``).  The tables of a pair are built once, on first use.
     """
 
-    def __init__(self, basis: SectorBasis, offset: int):
-        self.basis = basis
+    def __init__(self, states: np.ndarray, n_sites: int, offset: int):
+        self.states = states
         self.offset = offset
-        self.occupied = [(basis.states >> (q + offset)) & 1 == 1
-                         for q in range(basis.n_sites)]
+        self.occupied = [(states >> (q + offset)) & 1 == 1 for q in range(n_sites)]
         self._pairs: dict[tuple[int, int], tuple] = {}
 
     def _pair(self, j: int, i: int):
         """(j-only states, their partners, JW signs, states with both)."""
         if (j, i) not in self._pairs:
-            states = self.basis.states
+            states = self.states
             bit_j, bit_i = j + self.offset, i + self.offset
             single = np.nonzero(self.occupied[j] & ~self.occupied[i])[0]
             moved = states[single] ^ np.int64((1 << bit_j) | (1 << bit_i))
+            partner, found = _search(states, moved)
+            if not found.all():
+                raise ValueError("state outside sector")
             between = np.int64((1 << bit_i) - (1 << (bit_j + 1)))
             sign = 1.0 - 2.0 * (_popcount(states[single] & between) & 1)
             both = np.nonzero(self.occupied[j] & self.occupied[i])[0]
-            self._pairs[j, i] = (single, self.basis.index(moved), sign, both)
+            self._pairs[j, i] = (single, partner, sign, both)
         return self._pairs[j, i]
+
+    def operator(self, k: np.ndarray) -> csr_matrix:
+        """The CSR matrix K of the one-body matrix k on the species list.
+
+        Only the off-diagonal part of k is lifted: k comes from hop strings,
+        whose diagonal is zero by construction.
+        """
+        empty = np.zeros(0, dtype=np.int64)
+        rows, cols, data = [empty], [empty], [np.zeros(0, dtype=k.dtype)]
+        for j, i in np.argwhere(np.triu((k != 0) | (k != 0).T, 1)).tolist():
+            single, partner, sign, _ = self._pair(j, i)
+            rows += [partner, single]
+            cols += [single, partner]
+            data += [sign * k[i, j], sign * k[j, i]]
+        dim = len(self.states)
+        return csr_matrix(
+            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(dim, dim),
+        )
 
     def _rotation(self, j: int, i: int, r: np.ndarray) -> csr_matrix:
         single, partner, sign, both = self._pair(j, i)
-        dim = self.basis.dim
+        dim = len(self.states)
         diag = np.ones(dim, dtype=complex)
         diag[single] = r[0, 0]
         diag[partner] = r[1, 1]
@@ -281,7 +285,7 @@ class _SpeciesLift:
         matching keeps it sparse.
         """
         rotations, d = _givens_decomposition(expm(-1j * t * k))
-        phases = np.ones(self.basis.dim, dtype=complex)
+        phases = np.ones(len(self.states), dtype=complex)
         for q, occupied in enumerate(self.occupied):
             phases[occupied] *= d[q]
         out = diags_array(phases, format="csr")
@@ -466,8 +470,8 @@ class SectorOperator:
     - diagonal terms plus one-species hops (``hops`` is then the
       off-diagonal part): ``matvec`` is one kernel on Psi = v reshaped to
       the spin-factorised layout, v -> vec(K_up Psi + Psi K_down^T) + D o v,
-      with K_sigma the small single-species matrices (``species_matrices``)
-      and D the diagonal, so no sector-size matrix is built;
+      with K_sigma the small single-species matrices (``species_matrices``,
+      lifted from the one-body matrices) and D the diagonal, so no sector-size matrix is built;
     - anything else: the CSR sector matrix (``sparse``), assembled from
       ``to_sparse()`` on first use and kept.
 
@@ -490,10 +494,10 @@ class SectorOperator:
 
     @cached_property
     def species_matrices(self) -> tuple[csr_matrix, csr_matrix]:
-        """(K_up, K_down): ``hops`` restricted to the single-species sectors."""
-        layout = self.basis.spin_layout
-        return tuple(SectorOperator(self.hops, b).to_sparse()
-                     for b in (layout.up_basis, layout.down_basis))
+        """(K_up, K_down): ``hops`` on the species lists, each lifted from
+        its one-body matrix."""
+        return tuple(lift.operator(k) for lift, k in
+                     zip(self.basis.species, self.one_body_matrices))
 
     @cached_property
     def _abs_species_matrices(self) -> tuple[csr_matrix, csr_matrix]:
@@ -539,7 +543,7 @@ class SectorOperator:
         with Psi = v reshaped to the layout, returned in v's shape."""
         if self.hops is None:
             return self.sparse @ v
-        psi = v.reshape(self.basis.spin_layout.shape)
+        psi = v.reshape(self.basis.shape)
         out = self._hop_action(*self.species_matrices, psi)
         if 0 in self.groups:
             out = out + self.diagonal.reshape(psi.shape) * psi
@@ -550,7 +554,7 @@ class SectorOperator:
         (dim, m) block of columns."""
         if self.hops is None:
             return self._abs_sparse @ v
-        psi = v.reshape(self.basis.spin_layout.shape + v.shape[1:])
+        psi = v.reshape(self.basis.shape + v.shape[1:])
         out = self._hop_action(*self._abs_species_matrices, psi).reshape(v.shape)
         if 0 not in self.groups:
             return out
@@ -700,8 +704,8 @@ def lowest_eigenpairs(op, basis: SectorBasis, k: int = 1, tol: float = 0.0,
 
 class Propagator:
     """Applies exp(-i G t) for one Hamiltonian piece G to a state in layout
-    form: the sector vector reshaped to the matrix Psi of the basis's
-    spin-factorised layout (``SpinLayout``).
+    form: the sector vector reshaped to the matrix Psi of shape
+    ``basis.shape``, rows over up configurations and columns over down ones.
 
     The route follows from G:
 
@@ -711,8 +715,9 @@ class Propagator:
       Psi -> M_up Psi M_down^T, where M_sigma = exp(-i t K_sigma) is cached
       per duration, built exactly from the n x n one-body unitary
       exp(-i t k_sigma) as a product of sparse 2-mode rotations and one
-      phase diagonal (``_SpeciesLift.exponential``); it stays sparse for a
-      tile section and is dense for the full kinetic factor.
+      phase diagonal (``basis.species``, ``_SpeciesLift.exponential``); it
+      stays sparse for a tile section and is dense for the full kinetic
+      factor.
 
     Every factor of a Trotter scheme is one of the two; any other G is
     rejected with ``ValueError``.
@@ -728,13 +733,12 @@ class Propagator:
         self._exponentials: dict[float, np.ndarray | tuple] = {}
 
     def apply(self, psi: np.ndarray, t: float) -> np.ndarray:
-        layout = self.basis.spin_layout
         if t not in self._exponentials:
             self._exponentials[t] = (
-                np.exp(-1j * t * self.sop.diagonal.real).reshape(layout.shape)
+                np.exp(-1j * t * self.sop.diagonal.real).reshape(self.basis.shape)
                 if self.diagonal_only
                 else tuple(lift.exponential(k, t) for lift, k in
-                           zip(layout.species_lifts, self.sop.one_body_matrices)))
+                           zip(self.basis.species, self.sop.one_body_matrices)))
         if self.diagonal_only:
             return self._exponentials[t] * psi
         m_up, m_down = self._exponentials[t]

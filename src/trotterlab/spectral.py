@@ -197,7 +197,7 @@ def compute_time_series(scheme, basis, state, n_steps, label=""):
     norm = np.linalg.norm(psi)
     if abs(norm - 1.0) > 1e-8:
         raise ValueError("initial state must be normalized")
-    psi = (psi / norm).reshape(basis.spin_layout.shape)
+    psi = (psi / norm).reshape(basis.shape)
     props = {}
     for op, _ in scheme.factors:
         if id(op) not in props:

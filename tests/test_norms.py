@@ -214,14 +214,14 @@ def test_structured_action_matches_pauli_commutators(benzene, benzene_commutator
 
 
 def test_structured_action_is_lazy(monkeypatch):
-    """Construction builds neither the spin layout nor any CSR matrix."""
+    """Construction builds neither the species lifts nor any CSR matrix."""
     lat = build_lattice("acene", 2)
     kin, pot = jordan_wigner(build_ppp(lat))
     basis = half_filling_sector(lat.n_sites)
     assembled = []
     monkeypatch.setattr(SectorOperator, "to_sparse", lambda self: assembled.append(self))
     HoppingCommutatorAction(kin, pot, basis)
-    assert "spin_layout" not in vars(basis)
+    assert "species" not in vars(basis)
     assert assembled == []
 
 

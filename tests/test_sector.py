@@ -255,18 +255,29 @@ def test_factorised_routes_never_list_the_sector():
     assert "states" not in vars(basis)
 
 
-def test_spin_layout_holds_no_sector_length_array():
+def test_species_hold_no_sector_length_array():
     """The layout is the basis reshaped: its rows and columns are the species
-    bases, and it keeps nothing as long as the sector."""
+    lists, and the species lifts keep nothing as long as the sector."""
     basis = enumerate_sector(10, 4, 2)
-    assert "spin_layout" not in vars(basis)  # built on first use only
-    layout = basis.spin_layout
-    assert basis.spin_layout is layout
-    assert layout.shape == (comb(10, 3), comb(10, 1))
-    rebuilt = layout.up_basis.states[:, None] | layout.down_basis.states[None, :]
-    assert np.array_equal(rebuilt.ravel(), basis.states)
-    assert not [name for name, value in vars(layout).items()
-                if isinstance(value, np.ndarray) and value.size >= basis.dim]
+    assert basis.shape == (comb(10, 3), comb(10, 1))
+    assert "species" not in vars(basis)  # built on first use only
+    species = basis.species
+    assert basis.species is species
+    kin, _ = jordan_wigner(build_ppp(build_lattice("acene", 2)))
+    SectorOperator(kin, basis).species_matrices  # fills the pair tables
+    up, down = (lift.states for lift in species)
+    assert np.array_equal((up[:, None] | down[None, :]).ravel(), basis.states)
+
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, (list, tuple, dict)):
+            for item in value.values() if isinstance(value, dict) else value:
+                yield from arrays(item)
+
+    for lift in species:
+        assert lift._pairs
+        assert not [a for a in arrays(vars(lift)) if a.size >= basis.dim]
 
 
 def _tile_sections(lat):
@@ -287,7 +298,7 @@ def test_factorised_actions_match_dense(size_n, sector):
     v = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
     v /= np.linalg.norm(v)
     t = 0.1
-    psi = v.reshape(basis.spin_layout.shape)
+    psi = v.reshape(basis.shape)
     for op in _tile_sections(lat) + [kin]:
         prop = Propagator(op, basis)
         assert prop.hopping_only
@@ -328,7 +339,7 @@ def test_full_hopping_factor_is_applied_dense():
     lat = build_lattice("acene", 2)
     kin, _ = jordan_wigner(build_ppp(lat))
     basis = enumerate_sector(10, 4, 2)
-    lifts = basis.spin_layout.species_lifts
+    lifts = basis.species
     t = 0.3
     for op, dense in ((kin, True), (_tile_sections(lat)[0], False)):
         for lift, k in zip(lifts, SectorOperator(op, basis).one_body_matrices):
@@ -342,7 +353,7 @@ def test_full_hopping_factor_is_applied_dense():
     v = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
     v /= np.linalg.norm(v)
     exact = w @ (np.exp(-1j * t * lam) * (w.conj().T @ v))
-    got = Propagator(op, basis).apply(v.reshape(basis.spin_layout.shape), t).reshape(-1)
+    got = Propagator(op, basis).apply(v.reshape(basis.shape), t).reshape(-1)
     assert np.abs(got - exact).max() <= 1e-12
 
 
@@ -386,10 +397,19 @@ def _check_exponential(lift, k, t, exact):
     assert m.nnz == np.count_nonzero(np.abs(exact) > 1e-14)
 
 
+def _species_sector_matrices(op, basis):
+    """(K_up, K_down) from the general engine: ``op`` on the sectors that hold
+    only one species, with the basis's electron count of that species."""
+    n, n_up = basis.n_sites, (basis.electrons + basis.sz_twice) // 2
+    return tuple(SectorOperator(op, enumerate_sector(n, count, sign * count)).to_sparse()
+                 for count, sign in ((n_up, 1), (basis.electrons - n_up, -1)))
+
+
 def _check_species_exponentials(op, basis, t):
-    sop = SectorOperator(op, basis)
-    lifts = basis.spin_layout.species_lifts
-    for lift, k, k_sector in zip(lifts, sop.one_body_matrices, sop.species_matrices):
+    """M_sigma against dense expm of K_sigma, taken from the general engine
+    so that the oracle shares no pair tables with the lift."""
+    for lift, k, k_sector in zip(basis.species, SectorOperator(op, basis).one_body_matrices,
+                                 _species_sector_matrices(op, basis)):
         _check_exponential(lift, k, t, expm(-1j * t * k_sector.toarray()))
 
 
@@ -401,25 +421,39 @@ def test_tile_section_exponentials_match_dense(sector):
             _check_species_exponentials(op, basis, t)
 
 
+@pytest.mark.parametrize("sector", [(10, 4, 2), (10, 10, 0), (10, 4, 4)])
+def test_species_matrices_match_general_engine(sector):
+    """K_sigma lifted from the one-body matrix equals the general engine's
+    matrix on the one-species sector, entry for entry."""
+    lat = build_lattice("acene", 2)
+    kin, _ = jordan_wigner(build_ppp(lat))
+    basis = enumerate_sector(*sector)
+    ops = [kin] + _tile_sections(lat) + [_complex_hopping(10, np.random.default_rng(9))]
+    for op in ops:
+        got = SectorOperator(op, basis).species_matrices
+        for a, b in zip(got, _species_sector_matrices(op, basis)):
+            assert a.shape == b.shape and (a != b).nnz == 0
+
+
 @pytest.mark.slow
 def test_tile_section_exponentials_match_dense_3acene():
     """Every anthracene tile section against dense expm at species dimension 3432.
 
-    The half-filled sector's species sectors, enumerate_sector(14, 7, +-7), are
-    the one non-trivial species of the all-up and all-down 7-electron sectors,
-    which spares the 11.8 M-state layout; K_up and K_down are the same matrix,
-    so one dense expm serves both.
+    The half-filled sector's species lists are those of the all-up and
+    all-down 7-electron sectors, enumerate_sector(14, 7, +-7), which spares
+    the 11.8 M-state layout.  On those sectors the general engine's matrix
+    is K_sigma itself; K_up and K_down are the same matrix, so one dense
+    expm serves both.
     """
     t = 0.1
     up_only, down_only = enumerate_sector(14, 7, 7), enumerate_sector(14, 7, -7)
     for op in _tile_sections(build_lattice("acene", 3)):
-        sops = (SectorOperator(op, up_only), SectorOperator(op, down_only))
-        k_up, k_down = sops[0].species_matrices[0], sops[1].species_matrices[1]
+        k_up, k_down = (SectorOperator(op, b).to_sparse() for b in (up_only, down_only))
         assert k_up.shape == (3432, 3432) and (k_up != k_down).nnz == 0
         exact = expm(-1j * t * k_up.toarray())
-        for species, sop in enumerate(sops):
-            _check_exponential(sop.basis.spin_layout.species_lifts[species],
-                               sop.one_body_matrices[species], t, exact)
+        for species, basis in enumerate((up_only, down_only)):
+            _check_exponential(basis.species[species],
+                               SectorOperator(op, basis).one_body_matrices[species], t, exact)
 
 
 def _spin_exchange(n_sites, i, j):
@@ -613,7 +647,7 @@ def test_propagate_diagonal_phase(benzene):
     prop = Propagator(pot, basis)
     v = np.zeros(basis.dim, dtype=complex)
     v[7] = 1.0
-    out = prop.apply(v.reshape(basis.spin_layout.shape), 0.3).reshape(-1)
+    out = prop.apply(v.reshape(basis.shape), 0.3).reshape(-1)
     diag = SectorOperator(pot, basis).diagonal.real
     assert np.isclose(out[7], np.exp(-1j * 0.3 * diag[7]))
     assert np.isclose(np.abs(out[7]), 1.0)
@@ -625,7 +659,7 @@ def test_propagate_diagonal_phases_reused_bit_for_bit(benzene):
     prop = Propagator(pot, basis)
     v = np.random.default_rng(3).normal(size=basis.dim) + 0j
     phases = np.exp(-1j * 0.05 * SectorOperator(pot, basis).diagonal.real)
-    psi = v.reshape(basis.spin_layout.shape)
+    psi = v.reshape(basis.shape)
     for _ in range(2):
         got = prop.apply(psi, 0.05)
         assert got.reshape(-1).tobytes() == (phases * v).tobytes()
@@ -639,7 +673,7 @@ def test_propagate_matches_dense_expm(benzene):
     v /= np.linalg.norm(v)
     t = 0.05
     exact = v
-    got = v.reshape(basis.spin_layout.shape)
+    got = v.reshape(basis.shape)
     for op, dur in ((pot, t / 2), (kin, t), (pot, t / 2)):
         exact = expm(-1j * dur * SectorOperator(op, basis).to_dense()) @ exact
         got = Propagator(op, basis).apply(got, dur)
@@ -652,7 +686,7 @@ def test_propagate_zero_time_limit(benzene):
     v = rng.normal(size=basis.dim) + 0j
     v /= np.linalg.norm(v)
     t = 1e-5
-    out = v.reshape(basis.spin_layout.shape)
+    out = v.reshape(basis.shape)
     for op, dur in ((pot, t / 2), (kin, t), (pot, t / 2)):
         out = Propagator(op, basis).apply(out, dur)
     fid = abs(np.vdot(v, out.reshape(-1)))
@@ -667,7 +701,7 @@ def test_unitarity_over_100_steps(benzene):
     rng = np.random.default_rng(2)
     v = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
     v /= np.linalg.norm(v)
-    psi = v.reshape(basis.spin_layout.shape)
+    psi = v.reshape(basis.shape)
     for _ in range(100):
         psi = pv.apply(psi, t / 2)
         psi = pk.apply(psi, t)
