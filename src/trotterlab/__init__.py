@@ -12,7 +12,7 @@ from .hamiltonian import (
     choose_shift,
     shifted_potential,
 )
-from .pauli import PauliSum, commutator, jordan_wigner
+from .pauli import PauliSum, commutator, jordan_wigner, jw_potential
 from .sector import (
     Propagator,
     SectorBasis,

@@ -154,12 +154,14 @@ def _cache_dir():
     return os.environ.get("TROTTERLAB_CACHE")
 
 
-def _ground_states(family, size_n, k, sz_twice=None, tol=1e-10):
+def _ground_states(family, size_n, k, sz_twice=None, tol=1e-10, parity=0):
     """Lowest-k eigenpairs at half filling, checkpointed via TROTTERLAB_CACHE.
 
-    Returns (lattice, basis, energies, eigenvectors, residuals), with the
-    residual ||H v - E v|| of each pair taken by one basis-order matvec,
-    for a checkpoint as well as for a fresh solve.
+    ``parity`` +1 or -1 solves the even or the odd spin-flip half of the
+    S_z = 0 sector (``enumerate_sector``), whose eigenvectors are the half's
+    vectors.  Returns (lattice, basis, energies, eigenvectors, residuals),
+    with the residual ||H v - E v|| of each pair taken by one basis-order
+    matvec, for a checkpoint as well as for a fresh solve.
     """
     lat = build_lattice(family, size_n)
     n = lat.n_sites
@@ -168,11 +170,14 @@ def _ground_states(family, size_n, k, sz_twice=None, tol=1e-10):
     cache = _cache_dir()
     # the PPP parameters are fixed per release, so the version stands for
     # them; "blocked" names the spin-blocked qubit order the eigenvectors are
-    # stored in (an older order's vectors have the same shape, other signs)
-    key = "eig_%s%d_%d_%d_k%d_tol%r_" % (family, size_n, n, sz_twice, k, tol)
+    # stored in (an older order's vectors have the same shape, other signs).
+    # A half is marked right after its S_z ("0even", "0odd"), so the key of
+    # one sector is never a prefix of another's file name
+    half = {0: "", 1: "even", -1: "odd"}[parity]
+    key = "eig_%s%d_%d_%d%s_k%d_tol%r_" % (family, size_n, n, sz_twice, half, k, tol)
     name = key + "blocked_v%s.npz" % __version__
     path = os.path.join(cache, name) if cache else None
-    basis = enumerate_sector(n, n, sz_twice)
+    basis = enumerate_sector(n, n, sz_twice, parity)
     kin, pot = jordan_wigner(build_ppp(lat))
     h = SectorOperator(kin + pot, basis)
     vals = vecs = None
@@ -535,6 +540,10 @@ def _rep_table3():
     return rows
 
 
+# how far <S^2> of a gap's upper state may be from its S(S + 1)
+_SPIN_TOLERANCE = 0.1
+
+
 def _rep_table4(slow, molecule=None):
     ref = _reference_data()["energy_gaps"]
     targets = [molecule] if molecule else ["acene2"] + (["acene3"] if slow else [])
@@ -544,38 +553,36 @@ def _rep_table4(slow, molecule=None):
             _fail_config("molecule", "no reference gaps for %r" % name)
         family = name.rstrip("0123456789")
         n = int(name[len(family):])
-        # upper: gap -> index in vals of its upper state
+        # ground: the solve whose lowest state is S0;
+        # upper: gap -> (solve, index of the upper state, its S(S + 1))
         if site_count(family, n) % 2:
             # odd electron count: S0 is the lowest doublet (S_z = 1/2) and the
             # upper state of s0_t1 the lowest quartet, the ground state of S_z = 3/2
-            _, _, vals, _, residuals = _ground_states(family, n, 1, tol=1e-9)
-            _, _, quartet, _, quartet_residuals = _ground_states(family, n, 1, sz_twice=3,
-                                                                 tol=1e-9)
-            vals, residuals = np.append(vals, quartet), residuals + quartet_residuals
-            upper = {"s0_t1": 1}
+            ground = _ground_states(family, n, 1, tol=1e-9)
+            quartet = _ground_states(family, n, 1, sz_twice=3, tol=1e-9)
+            upper = {"s0_t1": (quartet, 0, 3.75)}
         else:
-            _, basis, vals, vecs, residuals = _ground_states(family, n, 4, tol=1e-9)
-            s2 = [float(total_spin_expectation(vecs[:, m], basis)) for m in range(4)]
-            upper = {}
-            for m in range(1, 4):
-                if abs(s2[m] - 2.0) < 0.1 and "s0_t1" not in upper:
-                    upper["s0_t1"] = m
-                if abs(s2[m]) < 0.1 and "s0_s1" not in upper:
-                    upper["s0_s1"] = m
+            # even count: S0 and S1 are the two lowest states of the even
+            # spin-flip half (S = 0, 2, ...), T1 the lowest of the odd one
+            ground = _ground_states(family, n, 2, tol=1e-9, parity=1)
+            odd = _ground_states(family, n, 1, tol=1e-9, parity=-1)
+            upper = {"s0_t1": (odd, 0, 2.0), "s0_s1": (ground, 1, 0.0)}
+        _, _, ground_vals, _, ground_residuals = ground
         for key in ("s0_t1", "s0_s1"):
             want = ref[name].get(key)
             if want is None:
                 continue
-            m = upper.get(key)
-            got = None if m is None else float(vals[m] - vals[0])
-            status = "fail"
-            if got is not None and abs(got - want) <= 1e-3:
-                status = "pass"
-            # the larger residual ||H v - E v|| of the two eigenpairs behind the gap
-            residual = residuals[0] if m is None else max(residuals[0], residuals[m])
+            (_, basis, vals, vecs, residuals), m, spin = upper[key]
+            got = float(vals[m] - ground_vals[0])
+            spin_squared = float(total_spin_expectation(vecs[:, m], basis))
+            ok = abs(got - want) <= 1e-3 and abs(spin_squared - spin) <= _SPIN_TOLERANCE
             rows.append({"molecule": name, "gap": key, "computed": got,
-                         "reference": want, "tolerance": 1e-3, "residual": residual,
-                         "status": status})
+                         "reference": want, "tolerance": 1e-3,
+                         # the larger residual ||H v - E v|| of the two eigenpairs
+                         "residual": max(ground_residuals[0], residuals[m]),
+                         # <S^2> of the upper state
+                         "spin_squared": spin_squared,
+                         "status": "pass" if ok else "fail"})
     return rows
 
 

@@ -29,7 +29,7 @@ from itertools import combinations
 import numpy as np
 
 from .lattice import Lattice
-from .pauli import PauliSum
+from .pauli import PauliSum, jw_potential
 
 COEFF_BIN_REL = 1e-9
 
@@ -175,10 +175,7 @@ def apply_shift(jw_potential: PauliSum, shift: ShiftParams, n_sites: int) -> tup
 
 def shifted_potential(lattice: Lattice):
     """Convenience: build V, choose the shift, and return (V', offset, shift, V)."""
-    from .pauli import jordan_wigner
-
-    fh = build_ppp(lattice)
-    _, v_jw = jordan_wigner(fh)
+    v_jw = jw_potential(build_ppp(lattice))
     shift = choose_shift(v_jw)
     v_shifted, offset = apply_shift(v_jw, shift, lattice.n_sites)
     return v_shifted, offset, shift, v_jw

@@ -182,6 +182,7 @@ def spectral_norm_bound(op, basis: SectorBasis, rtol: float = 1e-6) -> NormEstim
 
 
 def dense_spectral_norm(op: PauliSum, basis: SectorBasis) -> NormEstimate:
+    basis.require_whole_sector("dense_spectral_norm")
     mat = SectorOperator(op, basis).to_dense()
     val = float(np.abs(np.linalg.eigvalsh(mat)).max())
     return NormEstimate(val, 0.0, "dense_exact")
@@ -260,6 +261,7 @@ class HoppingCommutatorAction:
     def __init__(self, kinetic: PauliSum, potential: PauliSum, basis: SectorBasis):
         if not potential.is_diagonal():
             raise ValueError("potential must be diagonal")
+        basis.require_whole_sector("HoppingCommutatorAction")
         self.basis = basis
         self._potential = _DiagonalForm(_group_terms(potential).get(0, _NO_TERMS))
         self.kinetic = SectorOperator(kinetic, basis)

@@ -199,30 +199,30 @@ def jordan_wigner(fermion_hamiltonian, index_fn=None) -> tuple[PauliSum, PauliSu
     """Map a fermionic PPP Hamiltonian to (kinetic, potential) Pauli sums.
 
     Kinetic: each hop c·(a†_p a_q + h.c.) becomes (c/2)(X Z..Z X + Y Z..Z Y).
-    Potential: densities become I/Z polynomials; (n_i - 1)(n_j - 1) expands
-    to pure ZZ terms, on-site u n↑n↓ adds single-Z and ZZ pieces.  Modes sit
-    on ``qubit_index`` unless ``index_fn(site, spin)`` gives another map.
+    Potential: ``jw_potential``.  Modes sit on ``qubit_index`` unless
+    ``index_fn(site, spin)`` gives another map.
     """
-    n_sites = fermion_hamiltonian.site_count
-    nq = 2 * n_sites
-    idx = index_fn or partial(qubit_index, n_sites=n_sites)
+    nq = 2 * fermion_hamiltonian.site_count
+    idx = index_fn or partial(qubit_index, n_sites=fermion_hamiltonian.site_count)
     kinetic = PauliSum(nq)
     for (i, j), spin, coeff in fermion_hamiltonian.hops():
         add_hop(kinetic, idx(i, spin), idx(j, spin), coeff)
-    return kinetic.pruned(), _jw_potential(fermion_hamiltonian, idx).pruned()
+    return kinetic.pruned(), jw_potential(fermion_hamiltonian, index_fn)
 
 
-def _jw_potential(fermion_hamiltonian, idx) -> PauliSum:
-    """The potential's Pauli sum, built from the on-site and pair arrays.
+def jw_potential(fermion_hamiltonian, index_fn=None) -> PauliSum:
+    """The potential half of ``jordan_wigner``, built from the on-site and
+    pair arrays: densities become I/Z polynomials.
 
     u n↑n↓ = (u/4)(1 - Z↑ - Z↓ + Z↑Z↓) and
     v (n_i - 1)(n_j - 1) = (v/4)(Z_i↑ + Z_i↓)(Z_j↑ + Z_j↓).  Terms are in the
     order of a term-by-term build: the identity (the on-site u/4 summed
     site by site), then per site Z↑, Z↓, Z↑Z↓, then per pair i < j the four
-    ZZ terms; exact zeros are dropped.  Masks are Python ints, so qubits
-    past 63 do not wrap.
+    ZZ terms; exact zeros are dropped, then terms below ``PRUNE_REL`` of
+    the largest.  Masks are Python ints, so qubits past 63 do not wrap.
     """
     n = fermion_hamiltonian.site_count
+    idx = index_fn or partial(qubit_index, n_sites=n)
     up = np.array([1 << idx(i, 0) for i in range(n)], dtype=object)
     down = np.array([1 << idx(i, 1) for i in range(n)], dtype=object)
     quarter_u = fermion_hamiltonian.on_site / 4.0
@@ -242,7 +242,7 @@ def _jw_potential(fermion_hamiltonian, idx) -> PauliSum:
     ]).tolist()
     terms = {(0, 0): identity} if identity != 0 else {}
     terms.update(((0, z), c) for z, c in zip(masks, coeffs) if c != 0)
-    return PauliSum(2 * n, terms)
+    return PauliSum(2 * n, terms).pruned()
 
 
 def number_operator(n_sites: int) -> PauliSum:

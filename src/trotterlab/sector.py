@@ -9,7 +9,7 @@ so membership lookup is one binary search per species.  A basis keeps only
 the two species lists: state i is up[i // m] | down[i % m] for m down
 configurations, so sampling takes states by index pairs, and the full
 sector-length list is built on first use, only by routes that enumerate
-the sector (the CSR matrix, exact Frobenius norms, S+).
+the sector (the CSR matrix, exact Frobenius norms).
 
 ``SectorOperator`` is the one place a Pauli sum becomes sector matrix
 elements.  All strings sharing an X-mask map |b> to |b ^ x> with a
@@ -51,6 +51,18 @@ one R_k per bond of a matching (a tile section), n(n-1)/2 for a connected
 hopping graph; M_sigma is the product of their lifts, kept dense where that
 takes less memory than CSR.
 
+At S_z = 0 the two species lists coincide up to the shift by n, and the
+spin flip maps Psi to +-Psi^T (a singlet has Psi^T = Psi, a triplet
+Psi^T = -Psi).  An operator that commutes with the flip (K_up = K_down,
+D symmetric, as for the PPP Hamiltonian) therefore keeps the symmetric
+layouts (S = 0, 2, ...) and the antisymmetric ones (S = 1, 3, ...) apart.
+``enumerate_sector(n, N, 0, parity=+-1)`` gives either half as a basis of
+its own, m(m + 1)/2 or m(m - 1)/2 entries for m configurations per species
+(the triangle of Psi, ``SectorBasis.embed`` / ``restrict``), and a matvec
+on it takes one sparse product, K Psi, instead of two.  A half has no list
+of basis states, so the CSR matrix, |O|, the norms and the propagator
+refuse it; eigensolves and <S^2> take it.
+
 Dense unitaries, a Trotter product on a small sector or a one-body product,
 have their principal log from ``principal_log_spectrum``: one Hermitian
 eigensolve of the Cayley transform gives the eigenpairs of (i/t) log U.
@@ -60,6 +72,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import comb
 
 import numpy as np
 from scipy.linalg import eigh, expm
@@ -70,6 +83,9 @@ from .pauli import PauliSum
 
 # largest sector dimension handled through dense matrices
 DENSE_DIM_LIMIT = 5000
+
+# the weight of each of the two layout entries of a spin-flip half's pair
+_PAIR_WEIGHT = np.sqrt(0.5)
 
 
 def _search(sorted_states: np.ndarray, packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -86,8 +102,16 @@ class SectorBasis:
     m = len(down_states), so ``dim`` is the product of the two lengths and
     ``states_at`` gives any states by index without the full list.
     ``states``, the whole (up x down) list, is built on first use, for the
-    routes that enumerate the sector: the CSR matrix, exact Frobenius norms,
-    S+ and whole-basis column norms.
+    routes that enumerate the sector: the CSR matrix, exact Frobenius norms
+    and whole-basis column norms.
+
+    ``parity`` +1 or -1 makes the basis a spin-flip half of an S_z = 0
+    sector: the layout matrices with Psi^T = parity Psi.  Its vectors hold
+    the diagonal of Psi (even half only), then one entry x per pair i < j,
+    row by row, with Psi[i, j] = x / sqrt(2) and Psi[j, i] = parity x / sqrt(2),
+    so ``embed`` (half to whole sector) is an isometry and ``restrict`` its
+    adjoint.  A half has no list of basis states: the routes that need one
+    raise ``ValueError`` (``require_whole_sector``).
     """
 
     n_sites: int
@@ -95,23 +119,34 @@ class SectorBasis:
     sz_twice: int
     up_states: np.ndarray = field(repr=False)  # sorted up configurations (bits 0 .. n-1)
     down_states: np.ndarray = field(repr=False)  # sorted down configurations (n .. 2n-1)
+    parity: int = 0  # 0 for the whole sector, +1 / -1 for a spin-flip half
 
     @property
     def dim(self) -> int:
+        if self.parity:
+            m = len(self.up_states)
+            return m * (m + self.parity) // 2
         return len(self.up_states) * len(self.down_states)
 
     @property
     def n_qubits(self) -> int:
         return 2 * self.n_sites
 
+    def require_whole_sector(self, route: str) -> None:
+        """Raise ``ValueError`` for a route that has no meaning on a half."""
+        if self.parity:
+            raise ValueError("%s needs a whole sector, not a spin-flip half" % route)
+
     @cached_property
     def states(self) -> np.ndarray:
         """Every state as an int64 occupation int, in basis order; built on
         first use and kept."""
+        self.require_whole_sector("states")
         return (self.up_states[:, None] | self.down_states[None, :]).ravel()
 
     def states_at(self, indices: np.ndarray) -> np.ndarray:
         """The states at the given basis indices, from their (up, down) pairs."""
+        self.require_whole_sector("states_at")
         i_up, i_down = np.divmod(indices, len(self.down_states))
         return self.up_states[i_up] | self.down_states[i_down]
 
@@ -127,6 +162,7 @@ class SectorBasis:
         A state is in the sector when both its up and its down configuration
         are; its index is i_up * len(down_states) + i_down.
         """
+        self.require_whole_sector("index_or_mask")
         up_bits = np.int64((1 << self.n_sites) - 1)
         i_up, up_valid = _search(self.up_states, packed & up_bits)
         i_down, down_valid = _search(self.down_states, packed & ~up_bits)
@@ -146,39 +182,78 @@ class SectorBasis:
         return (_SpeciesLift(self.up_states, self.n_sites, 0),
                 _SpeciesLift(self.down_states, self.n_sites, self.n_sites))
 
+    @cached_property
+    def _triangle(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A half's entries as flat layout positions: the diagonal (empty for
+        the odd half), then the pairs i < j at (i, j) and at (j, i)."""
+        m = len(self.up_states)
+        i, j = np.triu_indices(m, 1)
+        diagonal = np.arange(m) * (m + 1) if self.parity > 0 else np.zeros(0, dtype=np.intp)
+        return diagonal, i * m + j, j * m + i
+
+    def embed(self, x: np.ndarray) -> np.ndarray:
+        """The whole-sector vector (or columns, along axis 0) of a half's
+        vector x; x itself on a whole sector."""
+        if not self.parity:
+            return x
+        diagonal, upper, lower = self._triangle
+        out = np.zeros((self.shape[0] ** 2,) + x.shape[1:], dtype=np.result_type(x, float))
+        out[diagonal] = x[:len(diagonal)]
+        pairs = x[len(diagonal):] * _PAIR_WEIGHT
+        out[upper] = pairs
+        out[lower] = pairs if self.parity > 0 else -pairs
+        return out
+
+    def restrict(self, v: np.ndarray) -> np.ndarray:
+        """The adjoint of ``embed``: a half's vector (or columns) from a
+        whole-sector one; v itself on a whole sector."""
+        if not self.parity:
+            return v
+        diagonal, upper, lower = self._triangle
+        pairs = v[upper] + v[lower] if self.parity > 0 else v[upper] - v[lower]
+        pairs *= _PAIR_WEIGHT
+        return np.concatenate([v[diagonal], pairs])
+
 
 def _configurations(n_sites: int, count: int, offset: int) -> np.ndarray:
     """Sorted int64 configurations of ``count`` electrons on qubits i + ``offset``.
 
-    Built site by site: with sites 0 .. m-1 placed, ``by_count[j]`` holds the
-    sorted configurations of j electrons on them.  Placing site m appends to
-    each list the (j-1)-electron configurations with bit m set, all larger
-    than those without it, so every list stays sorted.  Counts that the
-    remaining sites can no longer fill up to ``count`` are dropped.
+    With P_j the sorted j-electron configurations, the first C(t, j) entries
+    of P_j are those on sites 0 .. t-1, so the entries whose highest
+    occupied site is t are P_{j-1}[:C(t, j-1)] with bit t set, at
+    C(t, j) .. C(t+1, j) (Pascal's rule).  One array of C(n, count) entries
+    holds P_0 = [0] and then each P_j in turn, written over P_{j-1} from the
+    highest site down, so every read of P_{j-1} comes before the writes that
+    reach it.
     """
-    by_count = [np.zeros(1, dtype=np.int64)] + [np.zeros(0, dtype=np.int64)] * count
-    for m in range(n_sites):
-        bit = np.int64(1 << (m + offset))
-        lowest = max(count - (n_sites - m - 1), 0)
-        for j in range(min(m + 1, count), max(lowest, 1) - 1, -1):
-            by_count[j] = np.concatenate([by_count[j], by_count[j - 1] | bit])
-        by_count[:lowest] = [None] * lowest
-    return by_count[count]
+    out = np.zeros(comb(n_sites, count), dtype=np.int64)
+    for j in range(1, count + 1):
+        for t in range(n_sites - count + j - 1, j - 2, -1):
+            np.bitwise_or(out[:comb(t, j - 1)], np.int64(1 << (t + offset)),
+                          out=out[comb(t, j):comb(t + 1, j)])
+    return out
 
 
-def enumerate_sector(n_sites: int, electrons: int, sz_twice: int) -> SectorBasis:
+def enumerate_sector(n_sites: int, electrons: int, sz_twice: int,
+                     parity: int = 0) -> SectorBasis:
     """The sector with fixed electron count and 2 S_z, as its sorted up and
-    down configurations; the basis order is (up x down), up major."""
+    down configurations; the basis order is (up x down), up major.
+
+    ``parity`` +1 or -1 (S_z = 0 only) gives the sector's spin-flip half with
+    Psi^T = parity Psi: the states of even total spin S for +1, odd S for -1.
+    """
     if not 0 <= electrons <= 2 * n_sites:
         raise ValueError("infeasible electron count")
     if (electrons + sz_twice) % 2 != 0:
         raise ValueError("electron count and 2 S_z must have equal parity")
+    if parity not in (-1, 0, 1) or (parity and sz_twice != 0):
+        raise ValueError("a spin-flip half has parity +1 or -1 and S_z = 0")
     n_up = (electrons + sz_twice) // 2
     n_dn = electrons - n_up
     if not (0 <= n_up <= n_sites and 0 <= n_dn <= n_sites):
         raise ValueError("infeasible S_z for this electron count")
     return SectorBasis(n_sites, electrons, sz_twice, _configurations(n_sites, n_up, 0),
-                       _configurations(n_sites, n_dn, n_sites))
+                       _configurations(n_sites, n_dn, n_sites), parity)
 
 
 def _givens_decomposition(u: np.ndarray):
@@ -323,6 +398,11 @@ def _group_terms(op: PauliSum) -> dict[int, tuple[np.ndarray, np.ndarray]]:
                   cs.real if np.all(np.abs(cs.imag) < 1e-15) else cs)
     return out
 
+
+# identity columns per ``matvec`` call when ``SectorOperator.to_dense`` builds
+# a half's matrix: the embedded block is then at most 2 DENSE_DIM_LIMIT x 256
+# floats, 20 MB
+_DENSE_BLOCK = 256
 
 # the group of an operator without terms at some X-mask
 _NO_TERMS = (np.zeros(0, dtype=np.int64), np.zeros(0))
@@ -479,6 +559,14 @@ class SectorOperator:
     same route, to a vector or a block of columns: ``abs`` of the CSR, or
     |K_up|, |K_down| on the vector reshaped to the layout; each absolute
     matrix is built once, on first use.
+
+    On a spin-flip half (``basis.parity`` +-1) only the factorised route
+    exists, and only for an operator that commutes with the flip: K_up =
+    K_down = K and a symmetric D, checked on construction (``ValueError``
+    otherwise, with D - D^T allowed 1e-12 max|D| of rounding).  Then with
+    Psi^T = +-Psi, Psi K^T = +-(K Psi)^T, so H Psi = y +- y^T + D o Psi for the
+    one sparse product y = K Psi, and ``matvec`` returns the half's vector
+    2 restrict(y) + D_half o x, with D_half the half's entries of (D + D^T) / 2.
     """
 
     def __init__(self, op: PauliSum, basis: SectorBasis):
@@ -491,6 +579,21 @@ class SectorOperator:
         factorisable = hops.terms and all(_is_species_hop(x, z, basis.n_sites)
                                           for x, z in hops.terms)
         self.hops = hops if factorisable else None
+        if basis.parity:
+            self._half_diagonal = self._flip_symmetric_diagonal()
+
+    def _flip_symmetric_diagonal(self) -> np.ndarray:
+        """D_half, after checking that the operator commutes with the spin flip."""
+        if self.hops is None:
+            raise ValueError("a spin-flip half takes diagonal terms plus one-species hops only")
+        k_up, k_down = self.one_body_matrices
+        if not np.array_equal(k_up, k_down):
+            raise ValueError("operator breaks the spin flip: K_up != K_down")
+        diagonal, upper, lower = self.basis._triangle
+        grid = _DiagonalForm(self.groups.get(0, _NO_TERMS)).diagonal(self.basis)
+        if np.abs(grid[upper] - grid[lower]).max(initial=0.0) > 1e-12 * np.abs(grid).max(initial=0.0):
+            raise ValueError("operator breaks the spin flip: D is not symmetric")
+        return np.concatenate([grid[diagonal], (grid[upper] + grid[lower]) / 2])
 
     @cached_property
     def species_matrices(self) -> tuple[csr_matrix, csr_matrix]:
@@ -540,9 +643,16 @@ class SectorOperator:
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """O v; a factorised O gives vec(K_up Psi + Psi K_down^T) + D o v,
-        with Psi = v reshaped to the layout, returned in v's shape."""
+        with Psi = v reshaped to the layout, returned in v's shape.  On a
+        half, v may also be a (dim, m) block of columns."""
         if self.hops is None:
             return self.sparse @ v
+        if self.basis.parity:
+            psi = self.basis.embed(v)
+            y = self.species_matrices[0] @ psi.reshape(self.basis.shape[0], -1)
+            out = 2.0 * self.basis.restrict(y.reshape(psi.shape))
+            out += (self._half_diagonal if v.ndim == 1 else self._half_diagonal[:, None]) * v
+            return out
         psi = v.reshape(self.basis.shape)
         out = self._hop_action(*self.species_matrices, psi)
         if 0 in self.groups:
@@ -552,6 +662,7 @@ class SectorOperator:
     def abs_matvec(self, v: np.ndarray) -> np.ndarray:
         """|O| v for the element-wise absolute matrix |O|; v is a vector or a
         (dim, m) block of columns."""
+        self.basis.require_whole_sector("abs_matvec")
         if self.hops is None:
             return self._abs_sparse @ v
         psi = v.reshape(self.basis.shape + v.shape[1:])
@@ -567,6 +678,7 @@ class SectorOperator:
         Zero-amplitude entries are dropped first; they are exactly the
         states whose image under the bit flips leaves the sector.
         """
+        self.basis.require_whole_sector("to_sparse")
         states = self.basis.states
         d = self.diagonal
         nz = np.nonzero(d)[0]
@@ -590,9 +702,17 @@ class SectorOperator:
         )
 
     def to_dense(self) -> np.ndarray:
+        """The sector matrix as an array; on a half, from ``matvec`` on
+        blocks of the identity's columns."""
         if self.dim > DENSE_DIM_LIMIT:
             raise ValueError("sector too large for dense mode")
-        return self.to_sparse().toarray()
+        if not self.basis.parity:
+            return self.to_sparse().toarray()
+        out = np.empty((self.dim, self.dim), dtype=float if self.is_real else complex)
+        for start in range(0, self.dim, _DENSE_BLOCK):
+            width = min(_DENSE_BLOCK, self.dim - start)
+            out[:, start:start + width] = self.matvec(np.eye(self.dim, width, -start))
+        return out
 
 
 def hermitian_exponential(eig: tuple[np.ndarray, np.ndarray], t: float) -> np.ndarray:
@@ -684,10 +804,12 @@ def lowest_eigenpairs(op, basis: SectorBasis, k: int = 1, tol: float = 0.0,
                       ncv: int | None = None):
     """k lowest eigenpairs of a Hermitian operator on the sector.
 
-    ``op`` is a PauliSum or a SectorOperator.  Dense diagonalization up to
-    DENSE_DIM_LIMIT; above it, implicitly restarted Lanczos (``eigsh``) from
-    a fixed start vector, with a basis of 2k + 10 vectors unless ``ncv`` is
-    given (``_lanczos``).  Eigenvalues ascend; the eigenvectors are columns.
+    ``op`` is a PauliSum or a SectorOperator, and ``basis`` a whole sector
+    or a spin-flip half, whose eigenvectors are the half's vectors.  Dense
+    diagonalization up to DENSE_DIM_LIMIT; above it, implicitly restarted
+    Lanczos (``eigsh``) from a fixed start vector, with a basis of 2k + 10
+    vectors unless ``ncv`` is given (``_lanczos``).  Eigenvalues ascend; the
+    eigenvectors are columns.
     """
     if isinstance(op, PauliSum):
         op = SectorOperator(op, basis)
@@ -724,6 +846,7 @@ class Propagator:
     """
 
     def __init__(self, op: PauliSum, basis: SectorBasis):
+        basis.require_whole_sector("Propagator")
         self.sop = SectorOperator(op, basis)
         self.basis = basis
         self.diagonal_only = all(x == 0 for x in self.sop.groups)
@@ -748,26 +871,42 @@ class Propagator:
 # -- total spin ---------------------------------------------------------------
 
 
+def _ladder(states: np.ndarray, target: np.ndarray, bit: int, between: int):
+    """The configurations of one species that toggling ``bit`` takes into the
+    sorted list ``target``: (their indices, their images' indices in
+    ``target``, the signs (-1)^{popcount(configuration & between)})."""
+    moved_to, found = _search(target, states ^ np.int64(bit))
+    moved = np.nonzero(found)[0]
+    sign = 1.0 - 2.0 * (_popcount(states[moved] & np.int64(between)) & 1)
+    return moved, moved_to[moved], sign
+
+
 def apply_s_plus(state: np.ndarray, basis: SectorBasis):
     """S+ |psi>, landing in the sector with 2 S_z raised by 2.
 
     S+ = sum_i a†_{i up} a_{i down} moves an electron from qubit n + i to
     qubit i, with the Jordan-Wigner sign (-1)^{#occupied qubits strictly
-    between i and n + i}.  For one site i the raised states are distinct, so
-    each site's contribution is one fancy-indexed addition.
+    between i and n + i}: a factor (-1)^{#up electrons above site i} and a
+    factor (-1)^{#down electrons below it}.  So on the layout Psi (a half's
+    vector embedded first), site i maps row u (site i empty) to row
+    u | bit i of the raised sector's up list and column d (site i occupied)
+    to column d ^ bit n + i of its down list, each with its species' sign;
+    the images of one site are distinct, so its contribution is one
+    fancy-indexed addition of a signed block of Psi.  No sector-length list
+    of states is built.
     """
     n = basis.n_sites
     target = enumerate_sector(n, basis.electrons, basis.sz_twice + 2)
-    out = np.zeros(target.dim, dtype=complex)
-    b = basis.states
+    psi = basis.embed(state).reshape(basis.shape)
+    out = np.zeros(target.shape, dtype=np.result_type(psi, float))
     for i in range(n):
-        up_bit, dn_bit = np.int64(1 << i), np.int64(1 << (n + i))
-        mask = ((b & dn_bit) != 0) & ((b & up_bit) == 0)
-        if not np.any(mask):
-            continue
-        sign = 1.0 - 2.0 * (_popcount(b[mask] & (dn_bit - 2 * up_bit)) & 1)
-        out[target.index(b[mask] ^ (up_bit | dn_bit))] += sign * state[mask]
-    return out, target
+        up_bit, dn_bit = 1 << i, 1 << (n + i)
+        rows, up_rows, up_sign = _ladder(basis.up_states, target.up_states, up_bit,
+                                         (1 << n) - 2 * up_bit)
+        cols, dn_cols, dn_sign = _ladder(basis.down_states, target.down_states, dn_bit,
+                                         dn_bit - (1 << n))
+        out[np.ix_(up_rows, dn_cols)] += up_sign[:, None] * psi[np.ix_(rows, cols)] * dn_sign
+    return out.ravel(), target
 
 
 def total_spin_expectation(state: np.ndarray, basis: SectorBasis) -> float:

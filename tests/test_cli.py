@@ -206,6 +206,40 @@ def test_checkpoint_keyed_on_tol_and_shape_checked(tmp_path, monkeypatch):
     assert {p.name for p in tmp_path.glob("eig_*.npz")} == others | {fresh}
 
 
+def test_checkpoint_keyed_on_the_spin_flip_half(tmp_path, monkeypatch):
+    """A whole-sector solve and an even-half solve with the same k and tol
+    are other solves to the odd half: neither is served back for it, and
+    writing its checkpoint leaves both in place."""
+    monkeypatch.setenv("TROTTERLAB_CACHE", str(tmp_path))
+    _, basis, vals, vecs, residuals = _ground_states("acene", 1, 1, tol=1e-10, parity=-1)
+    assert basis.parity == -1 and max(residuals) < 1e-10
+    (odd,) = tmp_path.glob("eig_*.npz")
+    odd.unlink()
+    planted = {"eig_acene1_6_0_k1_tol1e-10_blocked_v%s.npz" % cli.__version__,
+               "eig_acene1_6_0even_k1_tol1e-10_blocked_v%s.npz" % cli.__version__}
+    for name in planted:  # arrays of the odd half's shape, energies off by 1
+        np.savez(tmp_path / name, vals=vals + 1.0, vecs=vecs)
+    _, _, got_vals, got_vecs, _ = _ground_states("acene", 1, 1, tol=1e-10, parity=-1)
+    assert np.array_equal(got_vals, vals) and np.array_equal(got_vecs, vecs)
+    assert {p.name for p in tmp_path.glob("eig_*.npz")} == planted | {odd.name}
+    assert odd.name == "eig_acene1_6_0odd_k1_tol1e-10_blocked_v%s.npz" % cli.__version__
+
+
+def test_reproduce_table4_checks_the_upper_spin(capsys, monkeypatch):
+    """Each table4 row reports <S^2> of its upper state, S1 a singlet and T1
+    a triplet; a row whose upper state has another spin fails even when its
+    gap is right."""
+    monkeypatch.delenv("TROTTERLAB_CACHE", raising=False)
+    rc, doc = _run(capsys, ["reproduce", "table4"])
+    assert rc == 0
+    spins = {r["gap"]: r["spin_squared"] for r in doc["rows"]}
+    assert abs(spins["s0_t1"] - 2.0) < 1e-8 and abs(spins["s0_s1"]) < 1e-8
+    monkeypatch.setattr(cli, "total_spin_expectation", lambda state, basis: 6.0)  # quintets
+    rc, doc = _run(capsys, ["reproduce", "table4"])
+    assert rc == 1
+    assert [r["status"] for r in doc["rows"]] == ["fail", "fail"]
+
+
 def test_artifacts_repeat_byte_for_byte(tmp_path, monkeypatch):
     """Calls whose post-processing runs per state (Fourier extraction, <S²>,
     the dense bound) write the same bytes when run twice in one process."""
@@ -288,3 +322,18 @@ def test_reproduce_table4_triangulene2_slow(capsys, tmp_path, monkeypatch):
     assert row["gap"] == "s0_t1"
     assert abs(row["computed"] - row["reference"]) <= 1e-3
     assert row["residual"] < 1e-6
+    assert abs(row["spin_squared"] - 3.75) < 0.1
+
+
+@pytest.mark.slow
+def test_reproduce_table4_acene3_slow(capsys, tmp_path, monkeypatch):
+    """14 electrons: S0 and S1 are the two lowest states of the even
+    spin-flip half (5.9 M entries) and T1 the lowest of the odd one, where S1
+    is the fourth state of the whole S_z = 0 sector, behind T1 and T2."""
+    monkeypatch.setenv("TROTTERLAB_CACHE", str(tmp_path))
+    rc, doc = _run(capsys, ["reproduce", "table4", "--molecule", "acene3"])
+    assert rc == 0
+    assert [r["gap"] for r in doc["rows"]] == ["s0_t1", "s0_s1"]
+    for row in doc["rows"]:
+        assert abs(row["computed"] - row["reference"]) <= 1e-3
+        assert row["residual"] < 1e-6

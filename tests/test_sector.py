@@ -10,9 +10,17 @@ from kinetic_oracle import effective_kinetic
 from trotterlab.freefermion import tile_sections, tiling_path
 from trotterlab.hamiltonian import build_ppp, shifted_potential
 from trotterlab.lattice import bond_orientation_classes, build_lattice
-from trotterlab.norms import nested_commutators
+from trotterlab.norms import (
+    HoppingCommutatorAction,
+    dense_spectral_norm,
+    frobenius_exact,
+    frobenius_sampled,
+    nested_commutators,
+    spectral_norm_bound,
+)
 from trotterlab.pauli import (
     PauliSum,
+    add_hop,
     commutator,
     dense_matrix,
     jordan_wigner,
@@ -20,7 +28,9 @@ from trotterlab.pauli import (
     sz_operator,
 )
 from trotterlab.sector import (
+    DENSE_DIM_LIMIT,
     Propagator,
+    SectorBasis,
     SectorOperator,
     _DiagonalForm,
     _configurations,
@@ -764,6 +774,139 @@ def test_total_spin_matches_pauli_oracle(sector):
         assert np.abs(apply_s_plus(state, basis)[0] - s_plus @ state).max() <= 1e-12
         want = np.vdot(state, s_squared @ state).real
         assert abs(total_spin_expectation(state, basis) - want) <= 1e-12 * abs(want)
+
+
+def test_total_spin_never_lists_the_sector(monkeypatch):
+    """S+ works on the layout from the species lists: <S^2> builds no
+    sector-length list of states, for the sector or for the raised one."""
+    def refuse(self):
+        raise AssertionError("a sector's state list was built")
+
+    kin, pot = jordan_wigner(build_ppp(build_lattice("acene", 2)))
+    half = enumerate_sector(10, 10, 0, parity=-1)
+    _, vecs = lowest_eigenpairs(kin + pot, half, k=1)
+    basis = enumerate_sector(10, 10, 0)
+    monkeypatch.setattr(SectorBasis, "states", property(refuse))
+    assert abs(total_spin_expectation(vecs[:, 0], half) - 2.0) < 1e-8
+    assert abs(total_spin_expectation(half.embed(vecs[:, 0]), basis) - 2.0) < 1e-8
+
+
+# -- spin-flip halves of S_z = 0 ------------------------------------------------
+
+
+def _total_spin(spin_squared):
+    """S from <S^2> = S(S + 1), checked to be integral to 1e-8."""
+    spin = round((np.sqrt(1.0 + 4.0 * spin_squared) - 1.0) / 2.0)
+    assert abs(spin_squared - spin * (spin + 1)) < 1e-8
+    return spin
+
+
+@pytest.mark.parametrize("sector", [(6, 6, 0), (6, 4, 0), (10, 8, 0), (10, 10, 0)])
+def test_half_spectra_match_whole_sector(sector):
+    """Each half holds the whole sector's states of one spin parity.
+
+    Benzene's sectors are dense: the two halves' spectra together are the
+    whole sector's, and every state of the even half has even S, every state
+    of the odd half odd S.  Naphthalene's run Lanczos: the 6 lowest states of
+    the whole sector, split by the parity of S, are the lowest states of the
+    two halves.  n_up runs over 2, 3, 4 and 5.
+    """
+    n_sites = sector[0]
+    kin, pot = jordan_wigner(build_ppp(build_lattice("acene", n_sites // 4)))
+    h = kin + pot
+    whole = enumerate_sector(*sector)
+    dense = whole.dim <= DENSE_DIM_LIMIT
+    vals, vecs = lowest_eigenpairs(h, whole, k=whole.dim if dense else 6, tol=1e-12)
+    odd = np.array([_total_spin(total_spin_expectation(v, whole)) % 2 == 1
+                    for v in vecs.T]) if not dense else None
+    halves = {}
+    for parity in (1, -1):
+        half = enumerate_sector(*sector, parity=parity)
+        m = len(half.up_states)
+        assert half.dim == m * (m + parity) // 2 and half.shape == (m, m)
+        k = half.dim if dense else int(np.sum(odd == (parity < 0)))
+        halves[parity] = lowest_eigenpairs(h, half, k=k, tol=1e-12)
+        for v in halves[parity][1].T:
+            assert _total_spin(total_spin_expectation(v, half)) % 2 == (parity < 0)
+    if dense:
+        both = np.sort(np.concatenate([halves[1][0], halves[-1][0]]))
+        assert np.abs(both - vals).max() <= 1e-10
+    else:
+        assert np.abs(halves[1][0] - vals[~odd]).max() <= 1e-10
+        assert np.abs(halves[-1][0] - vals[odd]).max() <= 1e-10
+
+
+@pytest.mark.parametrize("parity", [1, -1])
+def test_half_embed_is_an_isometry(parity):
+    """embed lands on layouts with Psi^T = parity Psi, keeps norms, and
+    restrict is its adjoint and its left inverse; the half matvec and its
+    dense matrix are restrict H embed, for vectors and blocks of columns."""
+    kin, pot = jordan_wigner(build_ppp(build_lattice("acene", 1)))
+    whole = enumerate_sector(6, 4, 0)
+    half = enumerate_sector(6, 4, 0, parity=parity)
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=half.dim)
+    v = rng.normal(size=whole.dim)
+    psi = half.embed(x).reshape(half.shape)
+    assert np.array_equal(psi.T, parity * psi)
+    assert abs(np.linalg.norm(psi) - np.linalg.norm(x)) <= 1e-14 * np.linalg.norm(x)
+    assert np.abs(half.restrict(half.embed(x)) - x).max() <= 1e-15 * np.abs(x).max()
+    assert abs(np.dot(half.embed(x), v) - np.dot(x, half.restrict(v))) <= 1e-12
+    h = SectorOperator(kin + pot, whole).to_dense()
+    block = rng.normal(size=(half.dim, 3))
+    want = half.restrict(h @ half.embed(block))
+    sop = SectorOperator(kin + pot, half)
+    assert np.abs(sop.matvec(block) - want).max() <= 1e-12
+    assert np.abs(sop.matvec(block[:, 0]) - want[:, 0]).max() <= 1e-12
+    assert np.abs(sop.matvec(block[:, :1]) - want[:, :1]).max() <= 1e-12
+    assert np.abs(sop.to_dense() - half.restrict(h @ half.embed(np.eye(half.dim)))).max() <= 1e-12
+
+
+def test_half_solves_repeat_bit_for_bit():
+    kin, pot = jordan_wigner(build_ppp(build_lattice("acene", 2)))
+    for parity in (1, -1):
+        half = enumerate_sector(10, 10, 0, parity=parity)  # Lanczos
+        first = lowest_eigenpairs(kin + pot, half, k=2, tol=1e-10)
+        second = lowest_eigenpairs(kin + pot, half, k=2, tol=1e-10)
+        assert np.array_equal(first[0], second[0])
+        assert np.array_equal(first[1], second[1])
+
+
+def test_half_refuses_what_breaks_the_flip_or_needs_states(benzene):
+    """A half exists at S_z = 0 only; operators that tell the spins apart, or
+    that need the CSR matrix, and every route that lists states, propagates
+    or takes a norm raise ``ValueError``."""
+    kin, pot, _ = benzene
+    with pytest.raises(ValueError):
+        enumerate_sector(6, 6, 2, parity=1)
+    with pytest.raises(ValueError):
+        enumerate_sector(6, 6, 0, parity=2)
+    half = enumerate_sector(6, 6, 0, parity=1)
+    up_hop = PauliSum(12)
+    add_hop(up_hop, 0, 1, -2.4)
+    spin_dependent = [
+        kin + pot + PauliSum(12, {(0, 1): 0.3}),  # a field on site 0, spin up: D != D^T
+        kin + pot + up_hop,  # K_up != K_down
+        nested_commutators(kin, pot)[0],  # no factorised route
+        pot,  # diagonal only: no factorised route either
+    ]
+    for op in spin_dependent:
+        with pytest.raises(ValueError):
+            SectorOperator(op, half)
+    sop = SectorOperator(kin + pot, half)
+    x = np.ones(half.dim)
+    state = np.array([0b111000111], dtype=np.int64)
+    for route in (lambda: half.states, lambda: half.states_at(np.arange(3)),
+                  lambda: half.index(state), lambda: half.index_or_mask(state),
+                  sop.to_sparse, lambda: sop.abs_matvec(x),
+                  lambda: Propagator(kin, half), lambda: Propagator(pot, half),
+                  lambda: frobenius_sampled(pot, half, 10),
+                  lambda: frobenius_exact(pot, half),
+                  lambda: spectral_norm_bound(kin + pot, half),
+                  lambda: dense_spectral_norm(kin + pot, half),
+                  lambda: HoppingCommutatorAction(kin, pot, half)):
+        with pytest.raises(ValueError, match="spin-flip half"):
+            route()
 
 
 # -- principal log of a unitary -----------------------------------------------
