@@ -26,7 +26,7 @@ from .freefermion import (
     worst_case_kinetic,
 )
 from .hamiltonian import apply_shift, build_ppp, choose_shift, shifted_potential
-from .lattice import FAMILIES, bond_orientation_classes, build_lattice, site_count
+from .lattice import FAMILIES, bond_orientation_classes, build_lattice
 from .norms import (
     HoppingCommutatorAction,
     average_case_constant,
@@ -154,16 +154,16 @@ def _cache_dir():
     return os.environ.get("TROTTERLAB_CACHE")
 
 
-def _ground_states(family, size_n, k, sz_twice=None, tol=1e-10, parity=0):
-    """Lowest-k eigenpairs at half filling, checkpointed via TROTTERLAB_CACHE.
+def _ground_states(lat, hamiltonian, k, sz_twice=None, tol=1e-10, parity=0):
+    """Lowest-k eigenpairs at half filling of ``hamiltonian``, the PPP model
+    of the lattice ``lat`` as a Pauli sum, checkpointed via TROTTERLAB_CACHE.
 
     ``parity`` +1 or -1 solves the even or the odd spin-flip half of the
     S_z = 0 sector (``enumerate_sector``), whose eigenvectors are the half's
-    vectors.  Returns (lattice, basis, energies, eigenvectors, residuals),
-    with the residual ||H v - E v|| of each pair taken by one basis-order
-    matvec, for a checkpoint as well as for a fresh solve.
+    vectors.  Returns (basis, energies, eigenvectors, residuals), with the
+    residual ||H v - E v|| of each pair taken by one basis-order matvec, for
+    a checkpoint as well as for a fresh solve.
     """
-    lat = build_lattice(family, size_n)
     n = lat.n_sites
     if sz_twice is None:
         sz_twice = n % 2
@@ -174,12 +174,11 @@ def _ground_states(family, size_n, k, sz_twice=None, tol=1e-10, parity=0):
     # A half is marked right after its S_z ("0even", "0odd"), so the key of
     # one sector is never a prefix of another's file name
     half = {0: "", 1: "even", -1: "odd"}[parity]
-    key = "eig_%s%d_%d_%d%s_k%d_tol%r_" % (family, size_n, n, sz_twice, half, k, tol)
+    key = "eig_%s%d_%d_%d%s_k%d_tol%r_" % (lat.family, lat.size_n, n, sz_twice, half, k, tol)
     name = key + "blocked_v%s.npz" % __version__
     path = os.path.join(cache, name) if cache else None
     basis = enumerate_sector(n, n, sz_twice, parity)
-    kin, pot = jordan_wigner(build_ppp(lat))
-    h = SectorOperator(kin + pot, basis)
+    h = SectorOperator(hamiltonian, basis)
     vals = vecs = None
     if path and os.path.exists(path):
         with np.load(path) as data:
@@ -197,7 +196,7 @@ def _ground_states(family, size_n, k, sz_twice=None, tol=1e-10, parity=0):
                     os.remove(os.path.join(cache, stale))
     residuals = [float(np.linalg.norm(h.matvec(vecs[:, m]) - vals[m] * vecs[:, m]))
                  for m in range(k)]
-    return lat, basis, vals, vecs, residuals
+    return basis, vals, vecs, residuals
 
 
 def _reference_data():
@@ -296,7 +295,7 @@ def cmd_norms(args):
 
 def cmd_freefermion(args):
     cfg = _resolve_config(
-        args, required=("family", "size_n"), optional=("samples", "seed", "tiling")
+        args, required=("family", "size_n"), optional=("seed", "tiling")
     )
     lat = build_lattice(cfg["family"], cfg["size_n"])
     tiling = cfg.get("tiling")
@@ -340,9 +339,9 @@ def cmd_spectral(args):
     if scheme_kind not in ("SO", "tile"):
         _fail_config("scheme", "scheme must be SO or tile")
     k = cfg.get("states", 2)
-    lat, basis, vals, vecs, residuals = _ground_states(cfg["family"], cfg["size_n"], k)
-    fh = build_ppp(lat)
-    kin, pot = jordan_wigner(fh)
+    lat = build_lattice(cfg["family"], cfg["size_n"])
+    kin, pot = jordan_wigner(build_ppp(lat))
+    basis, vals, vecs, residuals = _ground_states(lat, kin + pot, k)
     scheme = _build_scheme(lat, kin, pot, scheme_kind, cfg["t"])
     filt = default_filter()
     effective = []
@@ -552,27 +551,29 @@ def _rep_table4(slow, molecule=None):
         if name not in ref:
             _fail_config("molecule", "no reference gaps for %r" % name)
         family = name.rstrip("0123456789")
-        n = int(name[len(family):])
+        lat = build_lattice(family, int(name[len(family):]))
+        kin, pot = jordan_wigner(build_ppp(lat))
+        h = kin + pot
         # ground: the solve whose lowest state is S0;
         # upper: gap -> (solve, index of the upper state, its S(S + 1))
-        if site_count(family, n) % 2:
+        if lat.n_sites % 2:
             # odd electron count: S0 is the lowest doublet (S_z = 1/2) and the
             # upper state of s0_t1 the lowest quartet, the ground state of S_z = 3/2
-            ground = _ground_states(family, n, 1, tol=1e-9)
-            quartet = _ground_states(family, n, 1, sz_twice=3, tol=1e-9)
+            ground = _ground_states(lat, h, 1, tol=1e-9)
+            quartet = _ground_states(lat, h, 1, sz_twice=3, tol=1e-9)
             upper = {"s0_t1": (quartet, 0, 3.75)}
         else:
             # even count: S0 and S1 are the two lowest states of the even
             # spin-flip half (S = 0, 2, ...), T1 the lowest of the odd one
-            ground = _ground_states(family, n, 2, tol=1e-9, parity=1)
-            odd = _ground_states(family, n, 1, tol=1e-9, parity=-1)
+            ground = _ground_states(lat, h, 2, tol=1e-9, parity=1)
+            odd = _ground_states(lat, h, 1, tol=1e-9, parity=-1)
             upper = {"s0_t1": (odd, 0, 2.0), "s0_s1": (ground, 1, 0.0)}
-        _, _, ground_vals, _, ground_residuals = ground
+        _, ground_vals, _, ground_residuals = ground
         for key in ("s0_t1", "s0_s1"):
             want = ref[name].get(key)
             if want is None:
                 continue
-            (_, basis, vals, vecs, residuals), m, spin = upper[key]
+            (basis, vals, vecs, residuals), m, spin = upper[key]
             got = float(vals[m] - ground_vals[0])
             spin_squared = float(total_spin_expectation(vecs[:, m], basis))
             ok = abs(got - want) <= 1e-3 and abs(spin_squared - spin) <= _SPIN_TOLERANCE
@@ -698,7 +699,6 @@ def main(argv=None):
     sp = sub.add_parser("freefermion", help="kinetic splitting error constants")
     _add_common(sp)
     sp.add_argument("--tiling", help="tiling JSON path (default: shipped)")
-    sp.add_argument("--samples", type=int, help="ignored: A_T is exact")
     sp.add_argument("--seed", type=int, help="ignored: A_T is exact")
     sp.set_defaults(func=cmd_freefermion)
 
@@ -724,7 +724,7 @@ def main(argv=None):
     sp = sub.add_parser("reproduce", help="reference-table comparison reports")
     sp.add_argument("target",
                     choices=("table1", "table2", "table3", "table4", "fig5", "fig7"))
-    _add_common(sp)
+    _add_common(sp, molecule=False)
     sp.add_argument("--molecule", help="restrict table4 to one molecule")
     sp.add_argument("--slow", action="store_true", help="include slow rows")
     sp.set_defaults(func=cmd_reproduce)

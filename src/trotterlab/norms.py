@@ -133,9 +133,14 @@ def column_norms_squared(op: PauliSum, basis: SectorBasis, states: np.ndarray) -
 _BOUND_BLOCK = 512
 
 
-def _largest_eigenvalue(matvec, dim: int, rtol: float = 1e-6):
+# relative tolerance of the Lanczos top eigenvalue of an absolute matrix
+_BOUND_RTOL = 1e-6
+
+
+def _largest_eigenvalue(matvec, dim: int):
     """(largest eigenvalue, converged) of a symmetric nonnegative matrix given
-    by its action: Lanczos (``eigsh``) with 8 basis vectors from a fixed start.
+    by its action: Lanczos (``eigsh``) with 8 basis vectors from a fixed
+    start, to ``_BOUND_RTOL``.
 
     Not the power method: the top of an absolute commutator's spectrum
     clusters (at 3-acene |O_VTV| has 2665.18 twice and 2663.98 twice), and
@@ -149,7 +154,7 @@ def _largest_eigenvalue(matvec, dim: int, rtol: float = 1e-6):
         return 0.0, True
     lo = LinearOperator((dim, dim), matvec=matvec, dtype=float)
     try:
-        vals = eigsh(lo, k=1, which="LA", tol=rtol, ncv=8, v0=v0, maxiter=3000,
+        vals = eigsh(lo, k=1, which="LA", tol=_BOUND_RTOL, ncv=8, v0=v0, maxiter=3000,
                      return_eigenvectors=False)
     except ArpackNoConvergence as exc:
         found = exc.eigenvalues
@@ -157,7 +162,7 @@ def _largest_eigenvalue(matvec, dim: int, rtol: float = 1e-6):
     return float(vals[0]), True
 
 
-def spectral_norm_bound(op, basis: SectorBasis, rtol: float = 1e-6) -> NormEstimate:
+def spectral_norm_bound(op, basis: SectorBasis) -> NormEstimate:
     """|O| <= |abs(O)| via the largest eigenvalue of the absolute matrix.
 
     ``op`` is a PauliSum, a SectorOperator, or any object with an
@@ -177,7 +182,7 @@ def spectral_norm_bound(op, basis: SectorBasis, rtol: float = 1e-6) -> NormEstim
             mat[:, start:start + width] = action(np.eye(dim, width, -start))
         val = float(np.linalg.eigvalsh(mat)[-1])
         return NormEstimate(val, 0.0, "spectral_bound")
-    val, ok = _largest_eigenvalue(action, basis.dim, rtol=rtol)
+    val, ok = _largest_eigenvalue(action, basis.dim)
     return NormEstimate(float(val), 0.0, "spectral_bound", converged=ok)
 
 

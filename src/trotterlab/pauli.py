@@ -19,8 +19,6 @@ single-species configurations, and one-body rotations factor per species.
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
 
 PRUNE_REL = 1e-12
@@ -121,8 +119,9 @@ class PauliSum:
                 out.add_term(x1 ^ x2, z1 ^ z2, c1 * c2 * (1j**k))
         return out.pruned()
 
-    def pruned(self, rel_tol: float = PRUNE_REL) -> "PauliSum":
-        cut = rel_tol * self.max_abs_coeff()
+    def pruned(self) -> "PauliSum":
+        """Without the terms at or below ``PRUNE_REL`` of the largest."""
+        cut = PRUNE_REL * self.max_abs_coeff()
         kept = {k: v for k, v in self.terms.items() if abs(v) > cut}
         return PauliSum(self.n_qubits, kept)
 
@@ -195,22 +194,21 @@ def add_hop(op: PauliSum, p: int, q: int, coeff: float) -> None:
     op.add_term(ends, chain | ends, coeff / 2.0)
 
 
-def jordan_wigner(fermion_hamiltonian, index_fn=None) -> tuple[PauliSum, PauliSum]:
-    """Map a fermionic PPP Hamiltonian to (kinetic, potential) Pauli sums.
+def jordan_wigner(fermion_hamiltonian) -> tuple[PauliSum, PauliSum]:
+    """Map a fermionic PPP Hamiltonian to (kinetic, potential) Pauli sums,
+    with modes on ``qubit_index``.
 
     Kinetic: each hop c·(a†_p a_q + h.c.) becomes (c/2)(X Z..Z X + Y Z..Z Y).
-    Potential: ``jw_potential``.  Modes sit on ``qubit_index`` unless
-    ``index_fn(site, spin)`` gives another map.
+    Potential: ``jw_potential``.
     """
-    nq = 2 * fermion_hamiltonian.site_count
-    idx = index_fn or partial(qubit_index, n_sites=fermion_hamiltonian.site_count)
-    kinetic = PauliSum(nq)
+    n = fermion_hamiltonian.site_count
+    kinetic = PauliSum(2 * n)
     for (i, j), spin, coeff in fermion_hamiltonian.hops():
-        add_hop(kinetic, idx(i, spin), idx(j, spin), coeff)
-    return kinetic.pruned(), jw_potential(fermion_hamiltonian, index_fn)
+        add_hop(kinetic, qubit_index(i, spin, n), qubit_index(j, spin, n), coeff)
+    return kinetic.pruned(), jw_potential(fermion_hamiltonian)
 
 
-def jw_potential(fermion_hamiltonian, index_fn=None) -> PauliSum:
+def jw_potential(fermion_hamiltonian) -> PauliSum:
     """The potential half of ``jordan_wigner``, built from the on-site and
     pair arrays: densities become I/Z polynomials.
 
@@ -222,9 +220,8 @@ def jw_potential(fermion_hamiltonian, index_fn=None) -> PauliSum:
     the largest.  Masks are Python ints, so qubits past 63 do not wrap.
     """
     n = fermion_hamiltonian.site_count
-    idx = index_fn or partial(qubit_index, n_sites=n)
-    up = np.array([1 << idx(i, 0) for i in range(n)], dtype=object)
-    down = np.array([1 << idx(i, 1) for i in range(n)], dtype=object)
+    up = np.array([1 << qubit_index(i, 0, n) for i in range(n)], dtype=object)
+    down = np.array([1 << qubit_index(i, 1, n) for i in range(n)], dtype=object)
     quarter_u = fermion_hamiltonian.on_site / 4.0
     identity = 0.0
     for c in quarter_u.tolist():

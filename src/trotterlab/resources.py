@@ -14,7 +14,7 @@ variant batches same-angle rotations that act on disjoint qubits, trading
 rotations for Toffoli overhead and N - 1 ancillas.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import ceil, log2, pi, sqrt
 
 import numpy as np
@@ -238,32 +238,18 @@ def hwp_estimate(params, potential, sections, gap=False):
     base = total_cost(params, gap=gap)
     pot_rot, pot_tof = hwp_potential_rotations(potential)
     kin_rot, kin_tof = hwp_kinetic_rotations(sections)
-    rotations = pot_rot + kin_rot
-    rotations = min(rotations, params.per_step.n_rotations)
+    rotations = min(pot_rot + kin_rot, params.per_step.n_rotations)
     added_toffoli = pot_tof + kin_tof
-    hwp_params = CostParams(
-        per_step=PerStepGates(rotations, params.per_step.n_t_gates),
-        n_sites=params.n_sites,
-        epsilon=params.epsilon,
-        x=params.x,
-        mode=params.mode,
-        constant=params.constant,
-        time_step=params.time_step,
-    )
-    per_step = t_gates_per_step(hwp_params)
+    per_step = t_gates_per_step(
+        replace(params, per_step=replace(params.per_step, n_rotations=rotations)))
     total_t = base.n_runs * base.n_steps * per_step
-    total_toffoli = ceil(total_t / 2) + base.n_runs * base.n_steps * added_toffoli
     n = params.n_sites
-    return CostReport(
-        mode=params.mode,
-        n_steps=base.n_steps,
-        t_implied=base.t_implied,
+    return replace(
+        base,
         t_per_step_gates=per_step,
         total_t=total_t,
-        total_toffoli=total_toffoli,
+        total_toffoli=ceil(total_t / 2) + base.n_runs * base.n_steps * added_toffoli,
         logical_qubits=2 * n + 1 + (n - 1) + 1,
-        n_runs=base.n_runs,
-        inputs=base.inputs,
         hwp={
             "rotations_per_step": rotations,
             "added_toffoli_per_step": added_toffoli,

@@ -150,12 +150,6 @@ class SectorBasis:
         i_up, i_down = np.divmod(indices, len(self.down_states))
         return self.up_states[i_up] | self.down_states[i_down]
 
-    def index(self, packed: np.ndarray) -> np.ndarray:
-        idx, valid = self.index_or_mask(packed)
-        if not np.all(valid):
-            raise ValueError("state outside sector")
-        return idx
-
     def index_or_mask(self, packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(indices, validity mask); invalid entries get index 0.
 
@@ -609,11 +603,30 @@ class SectorOperator:
 
     @cached_property
     def one_body_matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        """(k_up, k_down): ``hops`` restricted to the one-electron sectors of
-        each species, i.e. the n x n single-particle hopping matrices."""
+        """(k_up, k_down): ``hops`` restricted to one electron of each
+        species, i.e. the n x n single-particle hopping matrices.
+
+        On one electron a hop's Jordan-Wigner chain is empty, so the group of
+        modes p < q gives k[q, p] and k[p, q] as its amplitudes at the states
+        1 << p and 1 << q.  Its amplitude at the vacuum is that of a pairing
+        term, which changes the electron count: beyond float residue of
+        exact cancellations it raises ``ValueError``.
+        """
+        if self.hops is None:
+            raise ValueError("one-body matrices need diagonal terms plus one-species hops")
         n = self.basis.n_sites
-        return tuple(SectorOperator(self.hops, enumerate_sector(n, 1, sz)).to_dense()
-                     for sz in (1, -1))
+        hop_groups = [(x, group) for x, group in self.groups.items() if x]
+        k = np.zeros((2, n, n), dtype=np.result_type(float, *(cs for _, (_, cs) in hop_groups)))
+        for x, group in hop_groups:
+            p, q = (x & -x).bit_length() - 1, x.bit_length() - 1
+            states = np.array([0, 1 << p, 1 << q], dtype=np.int64)
+            vacuum, at_p, at_q = _column_sums(_term_values(states, group))
+            if abs(vacuum) > 1e-9 * max(abs(at_p), abs(at_q)):
+                raise ValueError("operator does not preserve the sector")
+            species = p // n
+            k[species, q % n, p % n] += at_p
+            k[species, p % n, q % n] += at_q
+        return k[0], k[1]
 
     @cached_property
     def sparse(self) -> csr_matrix:
@@ -785,36 +798,34 @@ def _start_vector(dim: int) -> np.ndarray:
     return np.random.default_rng(0).standard_normal(dim)
 
 
-def _lanczos(sop: SectorOperator, k: int, tol: float, ncv: int | None = None):
+def _lanczos(sop: SectorOperator, k: int, tol: float):
     """The k lowest eigenpairs from ``eigsh`` on ``sop.matvec``, started at
     ``_start_vector``.
 
-    The Lanczos basis holds ncv = 2k + 10 vectors unless ``ncv`` is given:
-    ARPACK's own work per iteration grows with ncv and, next to a cheap
-    matvec, outweighs it, and scipy's default, max(2k + 1, 20), keeps 20
-    vectors even for k = 1.
+    The Lanczos basis holds ncv = 2k + 10 vectors: ARPACK's own work per
+    iteration grows with ncv and, next to a cheap matvec, outweighs it, and
+    scipy's default, max(2k + 1, 20), keeps 20 vectors even for k = 1.
     """
     lo = LinearOperator((sop.dim, sop.dim), matvec=sop.matvec,
                         dtype=float if sop.is_real else complex)
     return eigsh(lo, k=k, which="SA", tol=tol, maxiter=5000, v0=_start_vector(sop.dim),
-                 ncv=2 * k + 10 if ncv is None else ncv)
+                 ncv=2 * k + 10)
 
 
-def lowest_eigenpairs(op, basis: SectorBasis, k: int = 1, tol: float = 0.0,
-                      ncv: int | None = None):
+def lowest_eigenpairs(op, basis: SectorBasis, k: int = 1, tol: float = 0.0):
     """k lowest eigenpairs of a Hermitian operator on the sector.
 
     ``op`` is a PauliSum or a SectorOperator, and ``basis`` a whole sector
     or a spin-flip half, whose eigenvectors are the half's vectors.  Dense
     diagonalization up to DENSE_DIM_LIMIT; above it, implicitly restarted
     Lanczos (``eigsh``) from a fixed start vector, with a basis of 2k + 10
-    vectors unless ``ncv`` is given (``_lanczos``).  Eigenvalues ascend; the
-    eigenvectors are columns.
+    vectors (``_lanczos``).  Eigenvalues ascend; the eigenvectors are
+    columns.
     """
     if isinstance(op, PauliSum):
         op = SectorOperator(op, basis)
     if basis.dim > DENSE_DIM_LIMIT:
-        vals, vecs = _lanczos(op, k, tol, ncv)
+        vals, vecs = _lanczos(op, k, tol)
         order = np.argsort(vals)
         return vals[order], vecs[:, order]
     vals, vecs = eigh(op.to_dense(), driver="evd")

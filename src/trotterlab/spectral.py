@@ -257,7 +257,7 @@ def _objective_slope(x, series, filt, order):
     return float(-2.0 * (np.sin(ks * x) @ (kfk * g.real) + np.cos(ks * x) @ (kfk * g.imag)))
 
 
-def extract_energy(series, filt=None, prior_energy=None):
+def extract_energy(series, filt, prior_energy):
     """Effective energy from the dominant pole of the filtered series.
 
     The pole is the root of the objective's derivative, bracketed by the
@@ -269,7 +269,6 @@ def extract_energy(series, filt=None, prior_energy=None):
     prior_energy (eV) selects the 2*pi/t branch; it should come from the
     exact Hamiltonian, whose eigenvalue the effective one barely departs.
     """
-    filt = filt or default_filter()
     order = min(filt.order, len(series.values) - 1)
     grid, values = filter_objective(series, filt)
     spread = values.max() - values.min()
@@ -289,10 +288,8 @@ def extract_energy(series, filt=None, prior_energy=None):
     x_star = (a + b) / 2.0
     t = series.time_step
     energy = x_star / t
-    if prior_energy is not None:
-        period = 2.0 * np.pi / t
-        energy += period * np.round((prior_energy - energy) / period)
-    return energy
+    period = 2.0 * np.pi / t
+    return energy + period * np.round((prior_energy - energy) / period)
 
 
 # -- error constants ----------------------------------------------------------
@@ -322,13 +319,14 @@ class SpectrumReport:
     pairs: tuple
 
 
-def error_constants(exact_energies, effective_energies, t, pairs=(), labels=None):
-    """Per-state and per-pair Trotter error constants at fixed t."""
+def error_constants(exact_energies, effective_energies, t, pairs=()):
+    """Per-state and per-pair Trotter error constants at fixed t; state m is
+    labelled "m"."""
     exact = np.asarray(exact_energies, dtype=float)
     eff = np.asarray(effective_energies, dtype=float)
     if exact.shape != eff.shape:
         raise ValueError("energy arrays must align")
-    labels = labels or [str(m) for m in range(len(exact))]
+    labels = [str(m) for m in range(len(exact))]
     states = tuple(
         StateRecord(
             label=labels[m],

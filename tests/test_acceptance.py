@@ -86,11 +86,11 @@ def test_criterion1_potential_term_counts():
 # 2. exact low-lying gaps ------------------------------------------------------
 
 
-def _gaps_half_filling(family, n, k=4, tol=1e-10, ncv=None):
+def _gaps_half_filling(family, n, k=4, tol=1e-10):
     lat = build_lattice(family, n)
     kin, pot = jordan_wigner(build_ppp(lat))
     basis = enumerate_sector(lat.n_sites, lat.n_sites, lat.n_sites % 2)
-    vals, vecs = lowest_eigenpairs(kin + pot, basis, k=k, tol=tol, ncv=ncv)
+    vals, vecs = lowest_eigenpairs(kin + pot, basis, k=k, tol=tol)
     s2 = [float(total_spin_expectation(vecs[:, m], basis)) for m in range(k)]
     e_t1 = next(vals[m] for m in range(1, k) if abs(s2[m] - 2.0) < 0.1)
     e_s1 = next(vals[m] for m in range(1, k) if abs(s2[m]) < 0.1)
@@ -107,7 +107,7 @@ def test_criterion2_gaps_2acene():
 @pytest.mark.slow
 def test_criterion2_gaps_3acene_slow():
     want = _reference()["energy_gaps"]["acene3"]
-    got_t1, got_s1 = _gaps_half_filling("acene", 3, k=4, tol=1e-8, ncv=12)
+    got_t1, got_s1 = _gaps_half_filling("acene", 3, k=4, tol=1e-8)
     assert abs(got_t1 - want["s0_t1"]) < 1e-3
     assert abs(got_s1 - want["s0_s1"]) < 1e-3
 
@@ -174,8 +174,7 @@ def test_criterion4_benzene_bound_quality():
 def test_criterion4_spectral_vtv_3acene_slow(acene3_action):
     act, basis = acene3_action
     ref = _reference()["commutator_norms"]["acene3"]
-    est = spectral_norm_bound(SimpleNamespace(abs_matvec=act.vtv_abs_matvec), basis,
-                              rtol=1e-4)
+    est = spectral_norm_bound(SimpleNamespace(abs_matvec=act.vtv_abs_matvec), basis)
     assert abs(est.value - ref["spectral_vtv"]) / ref["spectral_vtv"] <= 0.01
 
 

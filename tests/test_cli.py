@@ -5,12 +5,23 @@ import pytest
 
 from trotterlab import cli
 from trotterlab.cli import _ground_states, main
+from trotterlab.hamiltonian import build_ppp
+from trotterlab.lattice import build_lattice
+from trotterlab.pauli import jordan_wigner
 
 
 def _run(capsys, argv):
     rc = main(argv)
     out = capsys.readouterr().out
     return rc, json.loads(out)
+
+
+def _benzene():
+    """(lattice, PPP Hamiltonian as a Pauli sum) of benzene, the arguments
+    of ``_ground_states``."""
+    lat = build_lattice("acene", 1)
+    kin, pot = jordan_wigner(build_ppp(lat))
+    return lat, kin + pot
 
 
 def test_lattice_output_and_idempotence(capsys, tmp_path):
@@ -126,7 +137,7 @@ def test_norms_sampled_at_4acene(capsys):
 
 
 def test_freefermion_subcommand(capsys):
-    argv = ["freefermion", "--family", "acene", "--n", "3", "--samples", "200"]
+    argv = ["freefermion", "--family", "acene", "--n", "3"]
     rc, doc = _run(capsys, argv + ["--seed", "1"])
     assert rc == 0
     assert doc["gate_counts"] == {"rotations": 52, "t_gates": 104}
@@ -137,6 +148,20 @@ def test_freefermion_subcommand(capsys):
     assert json.dumps(doc2["average_case"]) == json.dumps(doc["average_case"])
     del doc["config"], doc2["config"]
     assert doc2 == doc
+
+
+@pytest.mark.parametrize("argv", [
+    ["reproduce", "table4", "--family", "acene", "--n", "3"],
+    ["freefermion", "--family", "acene", "--n", "3", "--samples", "5"],
+])
+def test_flags_without_effect_exit_2(capsys, argv):
+    """``reproduce`` takes its molecule from --molecule and A_T is exact, so
+    neither a molecule for reproduce nor a sample count for freefermion is
+    an argument: both are refused, not ignored."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_freefermion_missing_tiling(capsys):
@@ -164,25 +189,26 @@ def test_spectral_subcommand_with_cache(capsys, tmp_path, monkeypatch):
 
 def test_checkpoint_keyed_on_tol_and_shape_checked(tmp_path, monkeypatch):
     monkeypatch.setenv("TROTTERLAB_CACHE", str(tmp_path))
-    _, basis, vals, vecs, residuals = _ground_states("acene", 1, 2, tol=1e-10)
+    benzene = _benzene()
+    basis, vals, vecs, residuals = _ground_states(*benzene, 2, tol=1e-10)
     assert max(residuals) < 1e-10
     (path,) = tmp_path.glob("eig_*.npz")
     # a planted checkpoint is served back only for the configuration it names,
     # and its residuals ||H v - E v|| show that its energies are off by 1
     np.savez(path, vals=vals + 1.0, vecs=vecs)
-    _, _, planted, _, planted_residuals = _ground_states("acene", 1, 2, tol=1e-10)
+    _, planted, _, planted_residuals = _ground_states(*benzene, 2, tol=1e-10)
     assert np.array_equal(planted, vals + 1.0)
     assert np.allclose(planted_residuals, 1.0, atol=1e-10)
-    assert np.array_equal(_ground_states("acene", 1, 2, tol=1e-9)[2], vals)
+    assert np.array_equal(_ground_states(*benzene, 2, tol=1e-9)[1], vals)
     # a checkpoint whose arrays do not fit the sector is recomputed
     np.savez(path, vals=vals, vecs=vecs[:-1])
-    _, _, got_vals, got_vecs, _ = _ground_states("acene", 1, 2, tol=1e-10)
+    _, got_vals, got_vecs, _ = _ground_states(*benzene, 2, tol=1e-10)
     assert got_vecs.shape == (basis.dim, 2)
     assert np.array_equal(got_vals, vals)
     # ... and for the package version that wrote it
     np.savez(path, vals=vals + 1.0, vecs=vecs)
     monkeypatch.setattr(cli, "__version__", cli.__version__ + ".post1")
-    assert np.array_equal(_ground_states("acene", 1, 2, tol=1e-10)[2], vals)
+    assert np.array_equal(_ground_states(*benzene, 2, tol=1e-10)[1], vals)
     # ... and for the order it was written in: checkpoints from before the
     # (up x down) basis order and from the interleaved qubit order have the
     # same shape but file names without the blocked-order marker, so they
@@ -198,7 +224,7 @@ def test_checkpoint_keyed_on_tol_and_shape_checked(tmp_path, monkeypatch):
               "eig_acene1_6_0_k2_tol1e-09_blocked_v%s.npz" % cli.__version__}
     for other in others:
         np.savez(tmp_path / other, vals=vals, vecs=vecs)
-    _, _, got_vals, got_vecs, residuals = _ground_states("acene", 1, 2, tol=1e-10)
+    _, got_vals, got_vecs, residuals = _ground_states(*benzene, 2, tol=1e-10)
     assert np.array_equal(got_vals, vals) and np.array_equal(got_vecs, vecs)
     assert max(residuals) < 1e-10
     fresh = "eig_acene1_6_0_k2_tol1e-10_blocked_v%s.npz" % cli.__version__
@@ -211,7 +237,8 @@ def test_checkpoint_keyed_on_the_spin_flip_half(tmp_path, monkeypatch):
     are other solves to the odd half: neither is served back for it, and
     writing its checkpoint leaves both in place."""
     monkeypatch.setenv("TROTTERLAB_CACHE", str(tmp_path))
-    _, basis, vals, vecs, residuals = _ground_states("acene", 1, 1, tol=1e-10, parity=-1)
+    benzene = _benzene()
+    basis, vals, vecs, residuals = _ground_states(*benzene, 1, tol=1e-10, parity=-1)
     assert basis.parity == -1 and max(residuals) < 1e-10
     (odd,) = tmp_path.glob("eig_*.npz")
     odd.unlink()
@@ -219,7 +246,7 @@ def test_checkpoint_keyed_on_the_spin_flip_half(tmp_path, monkeypatch):
                "eig_acene1_6_0even_k1_tol1e-10_blocked_v%s.npz" % cli.__version__}
     for name in planted:  # arrays of the odd half's shape, energies off by 1
         np.savez(tmp_path / name, vals=vals + 1.0, vecs=vecs)
-    _, _, got_vals, got_vecs, _ = _ground_states("acene", 1, 1, tol=1e-10, parity=-1)
+    _, got_vals, got_vecs, _ = _ground_states(*benzene, 1, tol=1e-10, parity=-1)
     assert np.array_equal(got_vals, vals) and np.array_equal(got_vecs, vecs)
     assert {p.name for p in tmp_path.glob("eig_*.npz")} == planted | {odd.name}
     assert odd.name == "eig_acene1_6_0odd_k1_tol1e-10_blocked_v%s.npz" % cli.__version__

@@ -77,7 +77,7 @@ def test_zero_shift_is_identity():
     out, offset = apply_shift(v, ShiftParams(0.0, 0.0), 6)
     assert offset == pytest.approx(complex(v.coefficient(0, 0)).real)
     body, _ = v.split_identity()
-    assert (out - body).pruned(1e-10).max_abs_coeff() < 1e-10
+    assert (out - body).max_abs_coeff() < 1e-10
 
 
 def test_shift_never_adds_terms():

@@ -1,4 +1,3 @@
-from functools import partial
 from importlib.resources import files
 
 import numpy as np
@@ -8,6 +7,7 @@ from trotterlab.hamiltonian import build_ppp
 from trotterlab.lattice import build_lattice
 from trotterlab.pauli import (
     PauliSum,
+    add_hop,
     commutator,
     dense_matrix,
     jordan_wigner,
@@ -83,7 +83,7 @@ def test_commutator_antisymmetry_and_bilinearity():
     assert np.isclose((ab + ba).max_abs_coeff(), 0.0, atol=1e-12)
     lhs = commutator(a + b, c)
     rhs = commutator(a, c) + commutator(b, c)
-    assert (lhs - rhs).pruned(1e-10).max_abs_coeff() < 1e-10
+    assert (lhs - rhs).max_abs_coeff() < 1e-10
 
 
 def test_jacobi_identity():
@@ -96,7 +96,7 @@ def test_jacobi_identity():
         + commutator(b, commutator(c, a))
         + commutator(c, commutator(a, b))
     )
-    assert total.pruned(1e-10).max_abs_coeff() < 1e-8
+    assert total.max_abs_coeff() < 1e-8
 
 
 def test_jw_benzene_against_fermion_oracle():
@@ -137,6 +137,23 @@ def _potential_by_add_term(fh, idx):
     return potential.pruned()
 
 
+def _jordan_wigner_interleaved(fh):
+    """(kinetic, potential) of ``jordan_wigner`` in the ``_interleaved`` order,
+    built hop by hop and term by term."""
+    kinetic = PauliSum(2 * fh.site_count)
+    for (i, j), spin, coeff in fh.hops():
+        add_hop(kinetic, _interleaved(i, spin), _interleaved(j, spin), coeff)
+    return kinetic.pruned(), _potential_by_add_term(fh, _interleaved)
+
+
+def _moved_to_interleaved(op, n):
+    """``op`` with qubit ``qubit_index(i, s, n)`` moved to ``_interleaved(i, s)``,
+    terms in the same order."""
+    def move(mask):
+        return sum(1 << _interleaved(q % n, q // n) for q in range(2 * n) if mask >> q & 1)
+    return PauliSum(op.n_qubits, {(move(x), move(z)): c for (x, z), c in op.terms.items()})
+
+
 def _shipped_molecules():
     """Benzene, naphthalene and every molecule with a shipped tiling."""
     out = [("acene", 1), ("acene", 2)]
@@ -149,14 +166,17 @@ def _shipped_molecules():
 
 @pytest.mark.parametrize("family,n", _shipped_molecules())
 def test_jw_potential_matches_add_term_build(family, n):
-    """Same terms, coefficients and insertion order as the term-by-term build,
-    in both spin orderings (the shift's tie-breaks depend on the order)."""
+    """Same terms, coefficients and insertion order as the term-by-term build
+    (the shift's tie-breaks depend on the order); moved onto the interleaved
+    qubits, the same as that order's term-by-term build."""
     fh = build_ppp(build_lattice(family, n))
-    for index_fn in (None, _interleaved):
-        _, got = jordan_wigner(fh, index_fn)
-        want = _potential_by_add_term(fh, index_fn or partial(qubit_index, n_sites=fh.site_count))
-        assert list(got.terms.items()) == list(want.terms.items())
-        assert all(type(c) is float for c in got.terms.values())
+    _, got = jordan_wigner(fh)
+    want = _potential_by_add_term(fh, lambda site, spin: qubit_index(site, spin, fh.site_count))
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert all(type(c) is float for c in got.terms.values())
+    moved = _moved_to_interleaved(got, fh.site_count)
+    _, interleaved = _jordan_wigner_interleaved(fh)
+    assert list(moved.terms.items()) == list(interleaved.terms.items())
 
 
 def test_adjacent_hop_has_no_z_chain():
@@ -223,7 +243,7 @@ def test_ordering_independence_of_counts():
     """Interleaved spin ordering gives the same term counts and spectra."""
     fh = build_ppp(build_lattice("acene", 1))
     kin_a, pot_a = jordan_wigner(fh)
-    kin_b, pot_b = jordan_wigner(fh, _interleaved)
+    kin_b, pot_b = _jordan_wigner_interleaved(fh)
     assert kin_a.term_count() == kin_b.term_count()
     assert pot_a.term_count() == pot_b.term_count()
     # both conserve N_up and N_down, so the full spectrum is the union of

@@ -147,12 +147,11 @@ def test_index_or_mask_matches_dict_oracle(sector):
 
 def test_basis_index_rejects_states_outside_the_sector():
     b = enumerate_sector(4, 4, 0)
-    assert np.array_equal(b.index(b.states[::-1]), np.arange(b.dim)[::-1])
+    idx, valid = b.index_or_mask(b.states[::-1])
+    assert valid.all() and np.array_equal(idx, np.arange(b.dim)[::-1])
     outside = np.array([b.states[0], b.states[-1] + 1, 0], dtype=np.int64)
-    _, valid = b.index_or_mask(outside)
-    assert valid.tolist() == [True, False, False]
-    with pytest.raises(ValueError, match="state outside sector"):
-        b.index(outside)
+    idx, valid = b.index_or_mask(outside)
+    assert valid.tolist() == [True, False, False] and idx.tolist() == [0, 0, 0]
 
 
 def test_sector_matrix_matches_full_restriction(benzene):
@@ -218,7 +217,7 @@ def test_table_gaps_3acene():
     kin, pot = jordan_wigner(fh)
     H = kin + pot
     b0 = enumerate_sector(14, 14, 0)
-    vals, vecs = lowest_eigenpairs(H, b0, k=4, tol=1e-8, ncv=12)
+    vals, vecs = lowest_eigenpairs(H, b0, k=4, tol=1e-8)
     s2 = [total_spin_expectation(vecs[:, m], b0) for m in range(4)]
     e_s0 = vals[0]
     e_t1 = next(vals[m] for m in range(1, 4) if abs(s2[m] - 2.0) < 0.1)
@@ -443,6 +442,18 @@ def test_species_matrices_match_general_engine(sector):
         got = SectorOperator(op, basis).species_matrices
         for a, b in zip(got, _species_sector_matrices(op, basis)):
             assert a.shape == b.shape and (a != b).nnz == 0
+
+
+def test_one_body_matrices_need_number_conserving_hops():
+    """An operator off the factorised route has no one-body matrices, and a
+    pairing string (X Z..Z X alone, a^dagger_p a^dagger_q + h.c. among its
+    parts) changes the electron count, so neither gives k_sigma."""
+    kin, pot = jordan_wigner(build_ppp(build_lattice("acene", 1)))
+    basis = enumerate_sector(6, 6, 0)
+    pairing = PauliSum(12, {(0b101, 0b010): 0.5})
+    for op in (pot, nested_commutators(kin, pot)[0], kin + pairing):
+        with pytest.raises(ValueError):
+            SectorOperator(op, basis).one_body_matrices
 
 
 @pytest.mark.slow
@@ -728,7 +739,8 @@ def test_spin_labels(benzene):
     paired = 0
     for site in (0, 2, 4):  # doubly occupied
         paired |= (1 << qubit_index(site, 0, 6)) | (1 << qubit_index(site, 1, 6))
-    idx = basis.index(np.array([paired], dtype=np.int64))[0]
+    (idx,), (valid,) = basis.index_or_mask(np.array([paired], dtype=np.int64))
+    assert valid
     det = np.zeros(basis.dim)
     det[idx] = 1.0
     assert abs(total_spin_expectation(det, basis)) < 1e-12
@@ -897,7 +909,7 @@ def test_half_refuses_what_breaks_the_flip_or_needs_states(benzene):
     x = np.ones(half.dim)
     state = np.array([0b111000111], dtype=np.int64)
     for route in (lambda: half.states, lambda: half.states_at(np.arange(3)),
-                  lambda: half.index(state), lambda: half.index_or_mask(state),
+                  lambda: half.index_or_mask(state),
                   sop.to_sparse, lambda: sop.abs_matvec(x),
                   lambda: Propagator(kin, half), lambda: Propagator(pot, half),
                   lambda: frobenius_sampled(pot, half, 10),

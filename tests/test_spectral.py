@@ -163,13 +163,13 @@ def test_extract_energy_stable_under_last_bit_noise():
 
     t = 0.05
     clean = _synthetic_series([-3.2, 1.7, 4.4], [0.7, 0.2, 0.1], t, 120)
-    ref = extract_energy(clean, default_filter())
+    ref = extract_energy(clean, default_filter(), -3.2)
     rng = np.random.default_rng(7)
     for _ in range(5):
         noise = rng.normal(size=121) + 1j * rng.normal(size=121)
         vals = clean.values * (1.0 + 1e-15 * noise)
         vals[0] = 1.0
-        got = extract_energy(TimeSeries(vals, t), default_filter())
+        got = extract_energy(TimeSeries(vals, t), default_filter(), -3.2)
         assert abs(got - ref) <= 1e-12 * abs(ref)
 
 
@@ -183,7 +183,7 @@ def test_extract_energy_flat_series_rejected():
     grid, values = filter_objective(series, default_filter())
     assert values.max() - values.min() < 1e-9
     with pytest.raises(ValueError):
-        extract_energy(series, default_filter())
+        extract_energy(series, default_filter(), 0.0)
 
 
 def _trig_sum_objective(series, filt):
@@ -305,8 +305,8 @@ def test_energy_error_shift_invariant(benzene):
 
 
 def test_error_constants_records():
-    rep = error_constants([1.0, 3.0], [1.01, 3.002], 0.1, pairs=[(1, 0)],
-                          labels=["S0", "T1"])
+    rep = error_constants([1.0, 3.0], [1.01, 3.002], 0.1, pairs=[(1, 0)])
+    assert [s.label for s in rep.states] == ["0", "1"]
     assert rep.states[0].signed_constant == pytest.approx(1.0)
     assert rep.states[1].constant == pytest.approx(0.2)
     pair = rep.pairs[0]
