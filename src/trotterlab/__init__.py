@@ -31,7 +31,6 @@ from .norms import (
     frobenius_sampled,
     nested_commutators,
     spectral_norm_bound,
-    tile_constant,
     worst_case_constant,
 )
 from .freefermion import (

@@ -32,7 +32,6 @@ from .norms import (
     average_case_constant,
     dense_spectral_norm,
     frobenius_sampled,
-    nested_commutators,
     spectral_norm_bound,
     worst_case_constant,
 )
@@ -256,30 +255,29 @@ def cmd_norms(args):
     method = cfg.get("method", "frobenius")
     if method not in ("frobenius", "bound", "dense"):
         _fail_config("method", "method must be frobenius, bound, or dense")
-    samples = cfg.get("samples", 10000)
-    seed = cfg.get("seed", 0)
+    if method != "frobenius":
+        for key in ("samples", "seed"):
+            if cfg.get(key) is not None:
+                _fail_config(key, "%s has no effect with method %s" % (key, method))
     lat = build_lattice(cfg["family"], cfg["size_n"])
     fh = build_ppp(lat)
     kin, pot = jordan_wigner(fh)
     basis = half_filling_sector(lat.n_sites)
     report = {"sector": [lat.n_sites, lat.n_sites, basis.sz_twice], "dim": basis.dim}
-    if method == "dense":
-        o_vtv, o_vtt = nested_commutators(kin, pot)
-        vtv = dense_spectral_norm(o_vtv, basis)
-        vtt = dense_spectral_norm(o_vtt, basis)
-        report["constant"] = worst_case_constant(vtv, vtt).value
+    act = HoppingCommutatorAction(kin, pot, basis)
+    o_vtv = SimpleNamespace(matvec=act.vtv_matvec, abs_matvec=act.vtv_abs_matvec,
+                            column_norm_sq=act.vtv_column_norm_sq)
+    o_vtt = SimpleNamespace(matvec=act.vtt_matvec, abs_matvec=act.vtt_abs_matvec,
+                            column_norm_sq=act.vtt_column_norm_sq)
+    if method == "frobenius":
+        samples, seed = cfg.get("samples", 10000), cfg.get("seed", 0)
+        vtv = frobenius_sampled(o_vtv, basis, samples, seed)
+        vtt = frobenius_sampled(o_vtt, basis, samples, seed + 1)
+        report["constant"] = average_case_constant(vtv, vtt).value
     else:
-        act = HoppingCommutatorAction(kin, pot, basis)
-        if method == "bound":
-            vtv = spectral_norm_bound(SimpleNamespace(abs_matvec=act.vtv_abs_matvec), basis)
-            vtt = spectral_norm_bound(SimpleNamespace(abs_matvec=act.vtt_abs_matvec), basis)
-            report["constant"] = worst_case_constant(vtv, vtt).value
-        else:
-            vtv = frobenius_sampled(SimpleNamespace(column_norm_sq=act.vtv_column_norm_sq),
-                                    basis, samples, seed)
-            vtt = frobenius_sampled(SimpleNamespace(column_norm_sq=act.vtt_column_norm_sq),
-                                    basis, samples, seed + 1)
-            report["constant"] = average_case_constant(vtv, vtt).value
+        norm = dense_spectral_norm if method == "dense" else spectral_norm_bound
+        vtv, vtt = norm(o_vtv, basis), norm(o_vtt, basis)
+        report["constant"] = worst_case_constant(vtv, vtt).value
     for name, est in (("vtv", vtv), ("vtt", vtt)):
         report[name] = {
             "value": est.value,

@@ -9,13 +9,14 @@ normalized sector Frobenius norms instead.
 
 The spectral norm is upper-bounded by the largest eigenvalue of the
 element-wise absolute matrix |O| (Childs et al., PRX 11, 011020 (2021)):
-dense below ``DENSE_DIM_LIMIT``, by Lanczos above.  For a Pauli
-sum, |O| comes from ``SectorOperator.abs_matvec``.  The Frobenius norm over
-the sector (divided by sqrt(dim)) is estimated by sampling uniform basis
-states i and averaging |O |i>|²; a sampled index gives its state from its
-(up, down) pair (``SectorBasis.states_at``), so sampling never lists the
-sector and runs where the sector is too large to list (2.4e9 states at
-4-acene).
+dense below ``DENSE_DIM_LIMIT``, by Lanczos above.  For a Pauli sum, |O|
+comes from ``SectorOperator.abs_matvec``.  The dense |O|, and the dense O of
+``dense_spectral_norm``, come from ``sector.dense_from_action``.  The
+Frobenius norm over the sector (divided by sqrt(dim)) is estimated by
+sampling uniform basis states i and averaging |O |i>|²; a sampled index
+gives its state from its (up, down) pair (``SectorBasis.states_at``), so
+sampling never lists the sector and runs where the sector is too large to
+list (2.4e9 states at 4-acene).
 
 Because V is diagonal (matrix D) and T is a hopping operator, the
 commutators have closed-form matrix elements,
@@ -71,6 +72,7 @@ from .sector import (
     _NO_TERMS,
     _popcount,
     _term_values,
+    dense_from_action,
 )
 
 
@@ -91,7 +93,7 @@ class NormEstimate:
 @dataclass(frozen=True)
 class ErrorConstant:
     kind: str  # "worst" | "average"
-    scheme: str  # "SO" | "tile" | "kinetic"
+    scheme: str  # "SO" | "kinetic"
     value: float
     provenance: dict = field(default_factory=dict)
 
@@ -125,12 +127,6 @@ def column_norms_squared(op: PauliSum, basis: SectorBasis, states: np.ndarray) -
         for group in groups:
             out[start:start + len(block)] += np.abs(_column_sums(_term_values(block, group))) ** 2
     return out
-
-
-# identity columns per ``abs_matvec`` call on the dense route of
-# ``spectral_norm_bound``: a block of (dim x 512) floats, 20 MB at
-# DENSE_DIM_LIMIT, bounds the temporaries of one block action
-_BOUND_BLOCK = 512
 
 
 # relative tolerance of the Lanczos top eigenvalue of an absolute matrix
@@ -168,28 +164,25 @@ def spectral_norm_bound(op, basis: SectorBasis) -> NormEstimate:
     ``op`` is a PauliSum, a SectorOperator, or any object with an
     ``abs_matvec`` method that takes a vector or a (dim, m) block of columns.
     Up to ``DENSE_DIM_LIMIT`` the absolute matrix is built densely from the
-    action on the identity's columns, ``_BOUND_BLOCK`` columns per call, and
-    its top eigenvalue taken exactly; above it, by Lanczos.
+    action (``sector.dense_from_action``) and its top eigenvalue taken
+    exactly; above it, by Lanczos.
     """
     if isinstance(op, PauliSum):
         op = SectorOperator(op, basis)
-    action = op.abs_matvec
-    dim = basis.dim
-    if dim <= DENSE_DIM_LIMIT:
-        mat = np.empty((dim, dim))
-        for start in range(0, dim, _BOUND_BLOCK):
-            width = min(_BOUND_BLOCK, dim - start)
-            mat[:, start:start + width] = action(np.eye(dim, width, -start))
-        val = float(np.linalg.eigvalsh(mat)[-1])
+    if basis.dim <= DENSE_DIM_LIMIT:
+        val = float(np.linalg.eigvalsh(dense_from_action(op.abs_matvec, basis.dim))[-1])
         return NormEstimate(val, 0.0, "spectral_bound")
-    val, ok = _largest_eigenvalue(action, basis.dim)
+    val, ok = _largest_eigenvalue(op.abs_matvec, basis.dim)
     return NormEstimate(float(val), 0.0, "spectral_bound", converged=ok)
 
 
-def dense_spectral_norm(op: PauliSum, basis: SectorBasis) -> NormEstimate:
+def dense_spectral_norm(op, basis: SectorBasis) -> NormEstimate:
+    """|O| of a Hermitian O on a whole sector from its dense matrix; ``op`` is
+    a PauliSum, a SectorOperator or any object whose ``matvec`` takes blocks."""
     basis.require_whole_sector("dense_spectral_norm")
-    mat = SectorOperator(op, basis).to_dense()
-    val = float(np.abs(np.linalg.eigvalsh(mat)).max())
+    if isinstance(op, PauliSum):
+        op = SectorOperator(op, basis)
+    val = float(np.abs(np.linalg.eigvalsh(dense_from_action(op.matvec, basis.dim))).max())
     return NormEstimate(val, 0.0, "dense_exact")
 
 
@@ -242,14 +235,6 @@ def average_case_constant(frob_vtv: NormEstimate, frob_vtt: NormEstimate) -> Err
                          {"vtv": frob_vtv, "vtt": frob_vtt})
 
 
-def tile_constant(so: ErrorConstant, kinetic: ErrorConstant) -> ErrorConstant:
-    """Upper bound for the tile formula: SO constant plus the kinetic part."""
-    if so.kind != kinetic.kind:
-        raise ValueError(f"kind mismatch: {so.kind} vs {kinetic.kind}")
-    return ErrorConstant(so.kind, "tile", so.value + kinetic.value,
-                         {"so": so, "kinetic": kinetic})
-
-
 # -- fast structured path -----------------------------------------------------
 
 
@@ -259,8 +244,9 @@ class HoppingCommutatorAction:
     Needs the kinetic Pauli sum (pure hopping) and any diagonal potential
     whose sector diagonal differs from V's by a constant (the shifted V'
     qualifies, since the commutators are shift-invariant).  Nothing
-    sector-sized is built on construction: T's spin layout on the first
-    matvec, the |O_VTT| matrix on the first ``vtt_abs_matvec``.
+    sector-sized is built on construction: T's species matrices on the first
+    matvec, the |O_VTT| matrix on the first ``vtt_abs_matvec``.  Every matvec
+    takes a vector or a (dim, m) block of columns.
     """
 
     def __init__(self, kinetic: PauliSum, potential: PauliSum, basis: SectorBasis):
@@ -297,7 +283,10 @@ class HoppingCommutatorAction:
     # O_VTV = [[V,T],V]: elements -(D_r - D_c)^2 T_rc
 
     def vtv_matvec(self, v: np.ndarray) -> np.ndarray:
-        t, d = self.kinetic.matvec, self.diag
+        """O_VTV v = -(D² T - 2 D T D + T D²) v for a vector or a (dim, m)
+        block of columns."""
+        t = self.kinetic.matvec
+        d = self.diag if v.ndim == 1 else self.diag[:, None]
         return -(d * d * t(v) - 2.0 * d * t(d * v) + t(d * d * v))
 
     def vtv_abs_matvec(self, v: np.ndarray) -> np.ndarray:
@@ -343,7 +332,10 @@ class HoppingCommutatorAction:
         return out
 
     def vtt_matvec(self, v: np.ndarray) -> np.ndarray:
-        t, d = self.kinetic.matvec, self.diag
+        """O_VTT v = (D T² - 2 T D T + T² D) v for a vector or a (dim, m)
+        block of columns."""
+        t = self.kinetic.matvec
+        d = self.diag if v.ndim == 1 else self.diag[:, None]
         tv = t(v)
         return d * t(tv) - 2.0 * t(d * tv) + t(t(d * v))
 

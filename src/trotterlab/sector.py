@@ -9,7 +9,9 @@ so membership lookup is one binary search per species.  A basis keeps only
 the two species lists: state i is up[i // m] | down[i % m] for m down
 configurations, so sampling takes states by index pairs, and the full
 sector-length list is built on first use, only by routes that enumerate
-the sector (the CSR matrix, exact Frobenius norms).
+the sector: ``to_sparse`` (the CSR matrix of a non-factorised sum, and T's
+in ``norms``' |O_VTT|) and exact Frobenius norms (structured or Pauli
+column norms of every state).
 
 ``SectorOperator`` is the one place a Pauli sum becomes sector matrix
 elements.  All strings sharing an X-mask map |b> to |b ^ x> with a
@@ -40,7 +42,8 @@ An operator made of diagonal terms plus one-species hops with a full
 Jordan-Wigner chain therefore acts as K_up Psi + Psi K_down^T + D o Psi
 without a sector-size matrix, and the exponential of a pure hopping
 operator as M_up Psi M_down^T.  Every other operator acts through its CSR
-matrix, built once on first use.
+matrix, built once on first use.  Every dense sector matrix is an action on
+blocks of the identity's columns (``dense_from_action``).
 
 Hopping is one-body, so K_sigma and M_sigma = exp(-i t K_sigma) follow from
 the n x n matrix k_sigma (``SectorOperator.one_body_matrices``), lifted onto
@@ -393,9 +396,8 @@ def _group_terms(op: PauliSum) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     return out
 
 
-# identity columns per ``matvec`` call when ``SectorOperator.to_dense`` builds
-# a half's matrix: the embedded block is then at most 2 DENSE_DIM_LIMIT x 256
-# floats, 20 MB
+# identity columns per action call in ``dense_from_action``: a block is at
+# most DENSE_DIM_LIMIT x 256 floats, 10 MB, and a half's embedded block 20 MB
 _DENSE_BLOCK = 256
 
 # the group of an operator without terms at some X-mask
@@ -542,17 +544,17 @@ class SectorOperator:
     ``__init__``:
 
     - diagonal terms plus one-species hops (``hops`` is then the
-      off-diagonal part): ``matvec`` is one kernel on Psi = v reshaped to
-      the spin-factorised layout, v -> vec(K_up Psi + Psi K_down^T) + D o v,
-      with K_sigma the small single-species matrices (``species_matrices``,
-      lifted from the one-body matrices) and D the diagonal, so no sector-size matrix is built;
+      off-diagonal part): ``matvec`` is one kernel (``_layout_action``) on
+      Psi = v reshaped to the layout, v -> vec(K_up Psi + Psi K_down^T) + D o v,
+      with K_sigma the single-species matrices (``species_matrices``, lifted
+      from the one-body matrices), so it builds no sector-size array;
     - anything else: the CSR sector matrix (``sparse``), assembled from
-      ``to_sparse()`` on first use and kept.
+      ``to_sparse()``, which lists the sector's states, on first use and kept.
 
     ``abs_matvec`` applies the element-wise absolute matrix |O| along the
-    same route, to a vector or a block of columns: ``abs`` of the CSR, or
-    |K_up|, |K_down| on the vector reshaped to the layout; each absolute
-    matrix is built once, on first use.
+    same route: ``abs`` of the CSR, or the kernel with |K_up|, |K_down| and
+    |D|.  Both take a vector or a (dim, m) block of columns, and
+    ``to_dense`` is ``matvec`` on blocks of the identity (``dense_from_action``).
 
     On a spin-flip half (``basis.parity`` +-1) only the factorised route
     exists, and only for an operator that commutes with the flip: K_up =
@@ -645,19 +647,23 @@ class SectorOperator:
     def is_real(self) -> bool:
         return not any(np.iscomplexobj(cs) for _, cs in self.groups.values())
 
-    @staticmethod
-    def _hop_action(k_up, k_down, psi: np.ndarray) -> np.ndarray:
-        """k_up Psi + Psi k_down^T, on the first two axes of Psi (a matrix, or
-        a stack of them along a third axis)."""
-        rows, cols = psi.shape[:2]
-        up = (k_up @ psi.reshape(rows, -1)).reshape(psi.shape)
-        down = k_down @ psi.swapaxes(0, 1).reshape(cols, -1)
-        return up + down.reshape((cols, rows) + psi.shape[2:]).swapaxes(0, 1)
+    def _layout_action(self, k_up, k_down, d: np.ndarray | None, v: np.ndarray) -> np.ndarray:
+        """vec(k_up Psi + Psi k_down^T) + d o v (no d for None), Psi = v
+        reshaped to the layout, a block's columns along a third axis."""
+        rows, cols = self.basis.shape
+        psi = v.reshape((rows, cols) + v.shape[1:])
+        # one expression, so both products are freed before D o v is allocated:
+        # holding them too made a (10,10,0) matvec 1.6 ms instead of 1.0 ms
+        out = ((k_up @ psi.reshape(rows, -1)).reshape(psi.shape)
+               + (k_down @ psi.swapaxes(0, 1).reshape(cols, -1))
+               .reshape((cols, rows) + psi.shape[2:]).swapaxes(0, 1)).reshape(v.shape)
+        if d is None:
+            return out
+        return out + (d if v.ndim == 1 else d[:, None]) * v
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        """O v; a factorised O gives vec(K_up Psi + Psi K_down^T) + D o v,
-        with Psi = v reshaped to the layout, returned in v's shape.  On a
-        half, v may also be a (dim, m) block of columns."""
+        """O v for a vector or a (dim, m) block of columns: the layout
+        kernel, on a half 2 restrict(K Psi) + D_half o v, or the CSR product."""
         if self.hops is None:
             return self.sparse @ v
         if self.basis.parity:
@@ -666,11 +672,8 @@ class SectorOperator:
             out = 2.0 * self.basis.restrict(y.reshape(psi.shape))
             out += (self._half_diagonal if v.ndim == 1 else self._half_diagonal[:, None]) * v
             return out
-        psi = v.reshape(self.basis.shape)
-        out = self._hop_action(*self.species_matrices, psi)
-        if 0 in self.groups:
-            out = out + self.diagonal.reshape(psi.shape) * psi
-        return out.reshape(v.shape)
+        return self._layout_action(*self.species_matrices,
+                                   self.diagonal if 0 in self.groups else None, v)
 
     def abs_matvec(self, v: np.ndarray) -> np.ndarray:
         """|O| v for the element-wise absolute matrix |O|; v is a vector or a
@@ -678,12 +681,8 @@ class SectorOperator:
         self.basis.require_whole_sector("abs_matvec")
         if self.hops is None:
             return self._abs_sparse @ v
-        psi = v.reshape(self.basis.shape + v.shape[1:])
-        out = self._hop_action(*self._abs_species_matrices, psi).reshape(v.shape)
-        if 0 not in self.groups:
-            return out
-        d = np.abs(self.diagonal)
-        return (d if v.ndim == 1 else d[:, None]) * v + out
+        return self._layout_action(*self._abs_species_matrices,
+                                   np.abs(self.diagonal) if 0 in self.groups else None, v)
 
     def to_sparse(self) -> csr_matrix:
         """The sector matrix in CSR form, assembled afresh from the x-groups.
@@ -715,17 +714,24 @@ class SectorOperator:
         )
 
     def to_dense(self) -> np.ndarray:
-        """The sector matrix as an array; on a half, from ``matvec`` on
-        blocks of the identity's columns."""
-        if self.dim > DENSE_DIM_LIMIT:
-            raise ValueError("sector too large for dense mode")
-        if not self.basis.parity:
-            return self.to_sparse().toarray()
-        out = np.empty((self.dim, self.dim), dtype=float if self.is_real else complex)
-        for start in range(0, self.dim, _DENSE_BLOCK):
-            width = min(_DENSE_BLOCK, self.dim - start)
-            out[:, start:start + width] = self.matvec(np.eye(self.dim, width, -start))
-        return out
+        """The sector matrix as an array, ``dense_from_action`` on ``matvec``."""
+        return dense_from_action(self.matvec, self.dim)
+
+
+def dense_from_action(action, dim: int) -> np.ndarray:
+    """The matrix of a linear action on (dim, m) blocks, from its images of
+    the identity's columns, ``_DENSE_BLOCK`` at a time, in the dtype of its
+    output; ``ValueError`` above ``DENSE_DIM_LIMIT``."""
+    if dim > DENSE_DIM_LIMIT:
+        raise ValueError("sector too large for dense mode")
+    out = None
+    for start in range(0, dim, _DENSE_BLOCK):
+        width = min(_DENSE_BLOCK, dim - start)
+        block = action(np.eye(dim, width, -start))
+        if out is None:
+            out = np.empty((dim, dim), dtype=block.dtype)
+        out[:, start:start + width] = block
+    return out
 
 
 def hermitian_exponential(eig: tuple[np.ndarray, np.ndarray], t: float) -> np.ndarray:

@@ -3,9 +3,12 @@ workloads import public functions, and its tracer patches every callable in
 ``SPECS``.  A rename or deletion in the package that breaks either fails
 here, not only in a benchmark run.  So does a change that makes a workload's
 output checks fail: each workload runs here through its own ``setup`` and
-``run``."""
+``run``.  The checks' self-test (``selftest.py``, whether each check can
+fail) runs here as well."""
 
 import importlib.util
+import subprocess
+import sys
 from importlib import import_module
 from pathlib import Path
 
@@ -26,6 +29,13 @@ def _load(name):
 
 def test_workloads_import():
     _load("workloads")
+
+
+def test_selftest_passes():
+    """Each output check of the workloads can fail, and only on its own row."""
+    result = subprocess.run([sys.executable, str(PERFBENCH / "selftest.py")],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stdout + result.stderr
 
 
 def test_tracer_install_and_uninstall():

@@ -91,6 +91,11 @@ def test_malformed_config_exits_2(capsys, tmp_path):
     (["norms", {"seed": "7.5"}], "seed"),
     (["spectral", "--t", "0.05", {"states": 1.5}], "states"),
     (["spectral", "--t", "0.05", {"states": "two"}], "states"),
+    # sampling settings under a method that samples nothing
+    (["norms", "--method", "dense", "--samples", "500"], "samples"),
+    (["norms", "--method", "bound", "--seed", "3"], "seed"),
+    (["norms", {"method": "dense", "seed": 3}], "seed"),
+    (["norms", "--method", "bound", {"samples": 500}], "samples"),
 ])
 def test_out_of_range_values_exit_2(capsys, tmp_path, argv, field):
     config = {"family": "acene", "size_n": 1}

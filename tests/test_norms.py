@@ -3,11 +3,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from trotterlab import norms
+from trotterlab import norms, sector
 from trotterlab.hamiltonian import build_ppp, shifted_potential
 from trotterlab.lattice import build_lattice
 from trotterlab.norms import (
-    ErrorConstant,
     HoppingCommutatorAction,
     NormEstimate,
     average_case_constant,
@@ -17,7 +16,6 @@ from trotterlab.norms import (
     frobenius_sampled,
     nested_commutators,
     spectral_norm_bound,
-    tile_constant,
     worst_case_constant,
 )
 from trotterlab.pauli import jordan_wigner
@@ -95,7 +93,7 @@ def test_spectral_bound_block_route_matches_column_loop(benzene, benzene_commuta
     the column-by-column absolute matrix and bound bit for bit."""
     _, kin, pot, basis = benzene
     if block is not None:
-        monkeypatch.setattr(norms, "_BOUND_BLOCK", block)
+        monkeypatch.setattr(sector, "_DENSE_BLOCK", block)
     act = HoppingCommutatorAction(kin, pot, basis)
     cases = [SimpleNamespace(abs_matvec=act.vtv_abs_matvec),
              SimpleNamespace(abs_matvec=act.vtt_abs_matvec),
@@ -213,6 +211,33 @@ def test_structured_action_matches_pauli_commutators(benzene, benzene_commutator
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+def test_structured_matvecs_take_square_blocks(benzene):
+    """On a (dim, dim) block D must broadcast along the rows: D[:, None].
+    Without it a square block still broadcasts, along the columns, so each
+    column must equal its own matvec bit for bit."""
+    _, kin, pot, basis = benzene
+    act = HoppingCommutatorAction(kin, pot, basis)
+    block = np.random.default_rng(9).normal(size=(basis.dim, basis.dim))
+    for action in (act.vtv_matvec, act.vtt_matvec):
+        cols = np.column_stack([action(v) for v in block.T])
+        assert np.array_equal(action(block), cols)
+
+
+@pytest.mark.parametrize("size_n, sector_key", [(1, (6, 6, 0)), (2, (10, 4, 0))])
+def test_structured_dense_matches_pauli_commutators(size_n, sector_key):
+    """The dense O_VTV and O_VTT from the structured block actions match the
+    Pauli commutators' sector matrices, and the dense norms agree."""
+    kin, pot = jordan_wigner(build_ppp(build_lattice("acene", size_n)))
+    basis = enumerate_sector(*sector_key)
+    act = HoppingCommutatorAction(kin, pot, basis)
+    for action, op in zip((act.vtv_matvec, act.vtt_matvec), nested_commutators(kin, pot)):
+        want = SectorOperator(op, basis).to_dense()
+        got = sector.dense_from_action(action, basis.dim)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert dense_spectral_norm(SimpleNamespace(matvec=action), basis).value == (
+            pytest.approx(dense_spectral_norm(op, basis).value, rel=1e-12))
+
+
 def test_structured_action_is_lazy(monkeypatch):
     """Construction builds neither the species lifts nor any CSR matrix."""
     lat = build_lattice("acene", 2)
@@ -302,17 +327,6 @@ def test_constant_arithmetic():
     a = average_case_constant(vtv, vtt)
     assert a.value == pytest.approx(2.0)
     assert a.kind == "average"
-
-
-def test_tile_constant_combines_and_checks_kind():
-    so = ErrorConstant("worst", "SO", 3.0)
-    kin = ErrorConstant("worst", "kinetic", 0.5)
-    tile = tile_constant(so, kin)
-    assert tile.value == pytest.approx(3.5)
-    assert tile.scheme == "tile"
-    bad = ErrorConstant("average", "kinetic", 0.5)
-    with pytest.raises(ValueError):
-        tile_constant(so, bad)
 
 
 def test_benzene_reference_constants(benzene, benzene_commutators):

@@ -7,6 +7,7 @@ import pytest
 from scipy.linalg import eigh, expm, schur
 
 from kinetic_oracle import effective_kinetic
+from trotterlab.cli import main
 from trotterlab.freefermion import tile_sections, tiling_path
 from trotterlab.hamiltonian import build_ppp, shifted_potential
 from trotterlab.lattice import bond_orientation_classes, build_lattice
@@ -38,6 +39,7 @@ from trotterlab.sector import (
     _group_terms,
     _term_values,
     apply_s_plus,
+    dense_from_action,
     enumerate_sector,
     half_filling_sector,
     lowest_eigenpairs,
@@ -210,22 +212,6 @@ def test_table_gaps_2acene():
     assert abs(v1[0] - e_t1) < 1e-8
 
 
-@pytest.mark.slow
-def test_table_gaps_3acene():
-    """S1 is the fourth state of the S_z = 0 sector, behind T1 and T2."""
-    fh = build_ppp(build_lattice("acene", 3))
-    kin, pot = jordan_wigner(fh)
-    H = kin + pot
-    b0 = enumerate_sector(14, 14, 0)
-    vals, vecs = lowest_eigenpairs(H, b0, k=4, tol=1e-8)
-    s2 = [total_spin_expectation(vecs[:, m], b0) for m in range(4)]
-    e_s0 = vals[0]
-    e_t1 = next(vals[m] for m in range(1, 4) if abs(s2[m] - 2.0) < 0.1)
-    e_s1 = next(vals[m] for m in range(1, 4) if abs(s2[m]) < 0.1)
-    assert abs((e_t1 - e_s0) - 1.717) < 1e-3
-    assert abs((e_s1 - e_s0) - 3.240) < 1e-3
-
-
 def test_eigensolvers_repeat_bit_for_bit():
     fh = build_ppp(build_lattice("acene", 2))
     kin, pot = jordan_wigner(fh)
@@ -322,6 +308,32 @@ def test_factorised_actions_match_dense(size_n, sector):
     assert h.hops is not None
     assert np.abs(h.matvec(v) - h.to_dense() @ v).max() <= 1e-12
     assert np.abs(h.abs_matvec(v) - np.abs(h.to_dense()) @ v).max() <= 1e-12
+
+
+@pytest.mark.parametrize("size_n, sector", [(1, (6, 6, 0)), (2, (10, 4, 2))])
+def test_whole_sector_matvec_takes_blocks(size_n, sector):
+    """The layout kernel on a (dim, m) block gives each column's matvec bit
+    for bit, for O and |O|, with real and complex hopping."""
+    kin, pot = jordan_wigner(build_ppp(build_lattice("acene", size_n)))
+    basis = enumerate_sector(*sector)
+    block = np.random.default_rng(4).normal(size=(basis.dim, 7))
+    complex_hops = _complex_hopping(sector[0], np.random.default_rng(3))
+    for op in (kin + pot, kin, complex_hops + pot):
+        sop = SectorOperator(op, basis)
+        assert sop.hops is not None
+        for action in (sop.matvec, sop.abs_matvec):
+            cols = np.column_stack([action(v) for v in block.T])
+            assert np.array_equal(action(block), cols)
+
+
+def test_dense_from_action_takes_the_action_dtype_and_refuses_large_sectors():
+    def never(block):
+        raise AssertionError("the action was applied")
+
+    with pytest.raises(ValueError, match="too large"):
+        dense_from_action(never, DENSE_DIM_LIMIT + 1)
+    mat = dense_from_action(lambda block: 1j * block, 300)  # two blocks
+    assert mat.dtype == complex and np.array_equal(mat, 1j * np.eye(300))
 
 
 def _complex_hopping(n_sites, rng):
@@ -801,6 +813,24 @@ def test_total_spin_never_lists_the_sector(monkeypatch):
     monkeypatch.setattr(SectorBasis, "states", property(refuse))
     assert abs(total_spin_expectation(vecs[:, 0], half) - 2.0) < 1e-8
     assert abs(total_spin_expectation(half.embed(vecs[:, 0]), basis) - 2.0) < 1e-8
+
+
+def test_dense_routes_never_list_the_sector(monkeypatch, tmp_path):
+    """Dense matrices of Hamiltonian pieces come from the layout kernel on
+    identity blocks: the dense eigensolve, the dense Trotter unitary,
+    ``reproduce fig5`` and ``norms --method dense`` build no state list."""
+    def refuse(self):
+        raise AssertionError("a sector's state list was built")
+
+    kin, pot = jordan_wigner(build_ppp(build_lattice("acene", 1)))
+    basis = enumerate_sector(6, 6, 0)
+    monkeypatch.setattr(SectorBasis, "states", property(refuse))
+    vals, _ = lowest_eigenpairs(kin + pot, basis, k=2)
+    energies, _ = effective_spectrum_dense(so_scheme(kin, pot, 0.05), basis)
+    assert np.abs(energies[:2] - vals).max() < 0.05  # Trotter shifts of about 0.02
+    assert main(["reproduce", "fig5", "--out", str(tmp_path / "fig5.json")]) == 0
+    assert main(["norms", "--family", "acene", "--n", "1", "--method", "dense",
+                 "--out", str(tmp_path / "norms.json")]) == 0
 
 
 # -- spin-flip halves of S_z = 0 ------------------------------------------------
