@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from math import comb
 from types import SimpleNamespace
 
 import numpy as np
@@ -338,6 +339,11 @@ def cmd_spectral(args):
         _fail_config("scheme", "scheme must be SO or tile")
     k = cfg.get("states", 2)
     lat = build_lattice(cfg["family"], cfg["size_n"])
+    # the half-filled sector _ground_states solves: C(n, n // 2) configurations
+    # per species, for even and odd n alike
+    dim = comb(lat.n_sites, lat.n_sites // 2) ** 2
+    if k > dim:
+        _fail_config("states", "states must be at most the sector dimension, %d" % dim)
     kin, pot = jordan_wigner(build_ppp(lat))
     basis, vals, vecs, residuals = _ground_states(lat, kin + pot, k)
     scheme = _build_scheme(lat, kin, pot, scheme_kind, cfg["t"])

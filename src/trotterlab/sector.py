@@ -66,6 +66,16 @@ on it takes one sparse product, K Psi, instead of two.  A half has no list
 of basis states, so the CSR matrix, |O|, the norms and the propagator
 refuse it; eigensolves and <S^2> take it.
 
+Above DENSE_DIM_LIMIT, eigensolves run Lanczos (``eigsh``) from a fixed
+start vector.  For a single state of a factorised operator it is the
+sector's free-fermion determinant plus equal-weight noise: the lowest
+orbitals of each k_sigma filled, a determinant on each species list
+(``_SpeciesLift.determinants``), and on the odd half, which holds no
+product of equal factors, its antisymmetrised HOMO -> LUMO excitation.  It
+overlaps a PPP ground state by about 0.9 where noise alone gives
+1/sqrt(dim), and the noise keeps every symmetry reachable.  k > 1 and
+the CSR route start from the noise alone.
+
 Dense unitaries, a Trotter product on a small sector or a one-body product,
 have their principal log from ``principal_log_spectrum``: one Hermitian
 eigensolve of the Cayley transform gives the eigenpairs of (i/t) log U.
@@ -290,6 +300,8 @@ class _SpeciesLift:
     mode occupied, multiplies states with both by det R and mixes each pair
     through R times the sign; a phase diagonal d becomes prod_q d_q^{n_q}
     (``exponential``).  The tables of a pair are built once, on first use.
+    A Slater determinant of n-mode orbitals takes the determinant of each
+    configuration's occupied rows (``determinants``).
     """
 
     def __init__(self, states: np.ndarray, n_sites: int, offset: int):
@@ -367,6 +379,15 @@ class _SpeciesLift:
         if csr_bytes > out.shape[0] * out.shape[1] * out.dtype.itemsize:
             return out.toarray()
         return out
+
+    def determinants(self, orbitals: np.ndarray) -> np.ndarray:
+        """The Slater determinant of the columns of ``orbitals`` (n x N, N
+        the species' electron count) on the species list: each
+        configuration's amplitude is the determinant of the rows of its
+        occupied modes, in ascending order, the order behind the lift's
+        Jordan-Wigner signs."""
+        rows = np.nonzero(np.stack(self.occupied, axis=1))[1]
+        return np.linalg.det(orbitals[rows.reshape(len(self.states), orbitals.shape[1])])
 
 
 def half_filling_sector(n_sites: int) -> SectorBasis:
@@ -799,14 +820,49 @@ def principal_log_spectrum(unitary: np.ndarray, t: float,
     return phases / t, vecs
 
 
-def _start_vector(dim: int) -> np.ndarray:
-    """Fixed Lanczos start vector, so repeated eigensolves agree bit for bit."""
-    return np.random.default_rng(0).standard_normal(dim)
+def _determinant_seed(sop: SectorOperator) -> np.ndarray:
+    """The free-fermion (Hueckel) state of ``sop``'s hopping on its sector.
+
+    Phi_sigma fills the lowest N_sigma orbitals of k_sigma (the n x n
+    one-body matrix) and is a determinant on the species list
+    (``_SpeciesLift.determinants``).  The seed is Phi_up (x) Phi_down, on
+    the even half restricted onto it; the odd half holds no symmetric
+    product, so there it is Phi (x) Phi' - Phi' (x) Phi, Phi' with the
+    highest occupied orbital swapped for the lowest empty one, whose
+    restriction is twice that of Phi (x) Phi'.  Not normalised.
+    """
+    basis = sop.basis
+    n_up = (basis.electrons + basis.sz_twice) // 2
+    columns = [np.arange(n_up), np.arange(basis.electrons - n_up)]
+    if basis.parity < 0:
+        columns[1] = np.r_[:n_up - 1, n_up]
+    up, down = (lift.determinants(eigh(k, driver="evd")[1][:, occupied]) for lift, k, occupied
+                in zip(basis.species, sop.one_body_matrices, columns))
+    return basis.restrict(np.multiply.outer(up, down).ravel())
+
+
+def _start_vector(sop: SectorOperator, k: int) -> np.ndarray:
+    """The fixed Lanczos start vector, so repeated eigensolves agree bit for bit.
+
+    r, standard normal from seed 0, reaches every eigenvector.  For k = 1 on
+    a factorised operator the start is s/|s| + r/|r|, with s the free-fermion
+    determinant (``_determinant_seed``), which overlaps the lowest state of
+    a PPP sector far more than r; k > 1 and the CSR route keep r alone.
+    """
+    r = np.random.default_rng(0).standard_normal(sop.dim)
+    if k > 1 or sop.hops is None:
+        return r
+    v0 = _determinant_seed(sop)
+    v0 /= np.linalg.norm(v0)
+    r /= np.linalg.norm(r)
+    v0 += r
+    return v0
 
 
 def _lanczos(sop: SectorOperator, k: int, tol: float):
     """The k lowest eigenpairs from ``eigsh`` on ``sop.matvec``, started at
-    ``_start_vector``.
+    ``_start_vector``: the free-fermion determinant plus noise for k = 1 on
+    a factorised operator, noise alone otherwise.
 
     The Lanczos basis holds ncv = 2k + 10 vectors: ARPACK's own work per
     iteration grows with ncv and, next to a cheap matvec, outweighs it, and
@@ -814,7 +870,7 @@ def _lanczos(sop: SectorOperator, k: int, tol: float):
     """
     lo = LinearOperator((sop.dim, sop.dim), matvec=sop.matvec,
                         dtype=float if sop.is_real else complex)
-    return eigsh(lo, k=k, which="SA", tol=tol, maxiter=5000, v0=_start_vector(sop.dim),
+    return eigsh(lo, k=k, which="SA", tol=tol, maxiter=5000, v0=_start_vector(sop, k),
                  ncv=2 * k + 10)
 
 
@@ -824,10 +880,14 @@ def lowest_eigenpairs(op, basis: SectorBasis, k: int = 1, tol: float = 0.0):
     ``op`` is a PauliSum or a SectorOperator, and ``basis`` a whole sector
     or a spin-flip half, whose eigenvectors are the half's vectors.  Dense
     diagonalization up to DENSE_DIM_LIMIT; above it, implicitly restarted
-    Lanczos (``eigsh``) from a fixed start vector, with a basis of 2k + 10
-    vectors (``_lanczos``).  Eigenvalues ascend; the eigenvectors are
-    columns.
+    Lanczos (``eigsh``) with a basis of 2k + 10 vectors (``_lanczos``),
+    from a fixed start vector: a single state on a factorised operator
+    starts at the free-fermion determinant plus noise, k > 1 at noise
+    alone.  Eigenvalues ascend; the eigenvectors are columns.  k above the
+    sector's dimension raises ``ValueError``.
     """
+    if k > basis.dim:
+        raise ValueError("%d eigenpairs asked of a %d-state sector" % (k, basis.dim))
     if isinstance(op, PauliSum):
         op = SectorOperator(op, basis)
     if basis.dim > DENSE_DIM_LIMIT:

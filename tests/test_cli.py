@@ -96,6 +96,8 @@ def test_malformed_config_exits_2(capsys, tmp_path):
     (["norms", "--method", "bound", "--seed", "3"], "seed"),
     (["norms", {"method": "dense", "seed": 3}], "seed"),
     (["norms", "--method", "bound", {"samples": 500}], "samples"),
+    # benzene's half-filled sector has 400 states
+    (["spectral", "--t", "0.05", "--states", "401"], "states"),
 ])
 def test_out_of_range_values_exit_2(capsys, tmp_path, argv, field):
     config = {"family": "acene", "size_n": 1}

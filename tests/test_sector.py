@@ -37,6 +37,8 @@ from trotterlab.sector import (
     _configurations,
     _givens_decomposition,
     _group_terms,
+    _determinant_seed,
+    _lanczos,
     _term_values,
     apply_s_plus,
     dense_from_action,
@@ -213,13 +215,63 @@ def test_table_gaps_2acene():
 
 
 def test_eigensolvers_repeat_bit_for_bit():
+    """k = 2 starts from noise, k = 1 from the determinant plus noise."""
     fh = build_ppp(build_lattice("acene", 2))
     kin, pot = jordan_wigner(fh)
     basis = enumerate_sector(10, 6, 0)  # 14 400 states: Lanczos, not dense
-    first = lowest_eigenpairs(kin + pot, basis, k=2, tol=1e-10)
-    second = lowest_eigenpairs(kin + pot, basis, k=2, tol=1e-10)
-    assert np.array_equal(first[0], second[0])
-    assert np.array_equal(first[1], second[1])
+    for k in (2, 1):
+        first = lowest_eigenpairs(kin + pot, basis, k=k, tol=1e-10)
+        second = lowest_eigenpairs(kin + pot, basis, k=k, tol=1e-10)
+        assert np.array_equal(first[0], second[0])
+        assert np.array_equal(first[1], second[1])
+
+
+def test_lowest_eigenpairs_refuses_more_states_than_the_sector(benzene):
+    """Dense (400 states) and Lanczos (63 504) routes alike."""
+    kin, pot, basis = benzene
+    with pytest.raises(ValueError):
+        lowest_eigenpairs(kin + pot, basis, k=basis.dim + 1)
+    assert lowest_eigenpairs(kin + pot, basis, k=basis.dim)[0].shape == (basis.dim,)
+    kin2, pot2 = jordan_wigner(build_ppp(build_lattice("acene", 2)))
+    big = enumerate_sector(10, 10, 0)
+    with pytest.raises(ValueError):
+        lowest_eigenpairs(kin2 + pot2, big, k=big.dim + 1)
+
+
+@pytest.mark.parametrize("sector,parity", [((10, 10, 0), 0), ((10, 10, 2), 0),
+                                           ((10, 10, 0), 1), ((10, 10, 0), -1)])
+def test_determinant_seed_is_a_hopping_eigenvector(sector, parity):
+    """With the potential off, the seed is an eigenvector of the hopping at
+    the sum of the occupied orbital energies of both species; on the odd
+    half one electron sits in the LUMO instead of the HOMO.  A wrong
+    Jordan-Wigner sign in the determinant would leave a large residual."""
+    kin, _ = jordan_wigner(build_ppp(build_lattice("acene", 2)))
+    basis = enumerate_sector(*sector, parity=parity)
+    sop = SectorOperator(kin, basis)
+    seed = _determinant_seed(sop)
+    seed /= np.linalg.norm(seed)
+    eps = np.linalg.eigvalsh(sop.one_body_matrices[0])
+    n_up = (basis.electrons + basis.sz_twice) // 2
+    energy = eps[:n_up].sum() + eps[:basis.electrons - n_up].sum()
+    if parity < 0:
+        energy += eps[n_up] - eps[n_up - 1]
+    assert np.linalg.norm(sop.matvec(seed) - energy * seed) <= 1e-10
+
+
+def test_lanczos_converges_from_a_seed_orthogonal_to_the_ground_state(benzene):
+    """Benzene's (6,4,0) ground state is a triplet, orthogonal to the
+    singlet determinant; the noise half of the start vector still finds it."""
+    kin, pot, _ = benzene
+    basis = enumerate_sector(6, 4, 0)
+    sop = SectorOperator(kin + pot, basis)
+    vals, vecs = eigh(sop.to_dense())
+    ground = vecs[:, np.abs(vals - vals[0]) <= 1e-8]
+    assert ground.shape[1] == 1
+    assert abs(total_spin_expectation(ground[:, 0], basis) - 2.0) <= 1e-10
+    seed = _determinant_seed(sop)
+    assert np.linalg.norm(ground.T @ seed) <= 1e-12 * np.linalg.norm(seed)
+    got, _ = _lanczos(sop, 1, 1e-10)
+    assert abs(got[0] - vals[0]) <= 1e-10
 
 
 def test_lanczos_eigenpairs_come_back_in_basis_order():
@@ -905,11 +957,12 @@ def test_half_embed_is_an_isometry(parity):
 
 
 def test_half_solves_repeat_bit_for_bit():
+    """k = 2 on both halves, and the seeded k = 1 solve on the odd half."""
     kin, pot = jordan_wigner(build_ppp(build_lattice("acene", 2)))
-    for parity in (1, -1):
+    for parity, k in ((1, 2), (-1, 2), (-1, 1)):
         half = enumerate_sector(10, 10, 0, parity=parity)  # Lanczos
-        first = lowest_eigenpairs(kin + pot, half, k=2, tol=1e-10)
-        second = lowest_eigenpairs(kin + pot, half, k=2, tol=1e-10)
+        first = lowest_eigenpairs(kin + pot, half, k=k, tol=1e-10)
+        second = lowest_eigenpairs(kin + pot, half, k=k, tol=1e-10)
         assert np.array_equal(first[0], second[0])
         assert np.array_equal(first[1], second[1])
 
