@@ -72,15 +72,30 @@ def _fail_config(field, message):
     sys.exit(2)
 
 
-def _integer(key, value):
-    """``value`` as an int: 2, 2.0 and "2" pass; 2.9, "2.5" and "two" exit 2."""
+def _integer(key, value, least):
+    """``value`` as an int >= ``least``: 2, 2.0 and "2" pass; 2.9, "2.5" and "two" exit 2."""
     try:
         number = float(value)
     except (TypeError, ValueError):
         number = float("nan")
     if not number.is_integer():
         _fail_config(key, "%s must be an integer" % key)
-    return int(value) if isinstance(value, int) else int(number)
+    number = int(value) if isinstance(value, int) else int(number)
+    if number < least:
+        _fail_config(key, "%s must be at least %d" % (key, least))
+    return number
+
+
+def _json_object(field, path):
+    """The JSON object in the file at ``path``; anything else exits 2 naming ``field``."""
+    try:
+        with open(path) as fh:
+            loaded = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        _fail_config(field, str(exc))
+    if not isinstance(loaded, dict):
+        _fail_config(field, "the %s file must hold a JSON object" % field)
+    return loaded
 
 
 def _resolve_config(args, required=(), optional=()):
@@ -88,14 +103,7 @@ def _resolve_config(args, required=(), optional=()):
     merged = {}
     config_path = getattr(args, "config", None)
     if config_path:
-        try:
-            with open(config_path) as fh:
-                loaded = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            _fail_config("config", str(exc))
-        if not isinstance(loaded, dict):
-            _fail_config("config", "configuration file must hold a JSON object")
-        merged.update(loaded)
+        merged.update(_json_object("config", config_path))
     for key in required + optional:
         val = getattr(args, key, None)
         if val is not None:
@@ -106,9 +114,7 @@ def _resolve_config(args, required=(), optional=()):
     if "family" in merged and merged["family"] not in FAMILIES:
         _fail_config("family", "family must be one of %s" % (FAMILIES,))
     if "size_n" in merged:
-        merged["size_n"] = _integer("size_n", merged["size_n"])
-        if merged["size_n"] < 1:
-            _fail_config("size_n", "size_n must be at least 1")
+        merged["size_n"] = _integer("size_n", merged["size_n"], 1)
     for key in ("t", "epsilon", "x", "constant"):
         if key in merged and merged[key] is not None:
             try:
@@ -121,9 +127,7 @@ def _resolve_config(args, required=(), optional=()):
         _fail_config("x", "x must be below 1")
     for key, least in (("samples", 2), ("seed", 0), ("states", 1)):
         if key in merged and merged[key] is not None:
-            merged[key] = _integer(key, merged[key])
-            if merged[key] < least:
-                _fail_config(key, "%s must be at least %d" % (key, least))
+            merged[key] = _integer(key, merged[key], least)
     return merged
 
 
@@ -401,13 +405,10 @@ def cmd_resources(args):
     secs = None
     potential = None
     if cfg.get("per_step"):
-        try:
-            with open(cfg["per_step"]) as fh:
-                ps = json.load(fh)
-            per = PerStepGates(int(ps["n_rotations"]), int(ps["n_t_gates"]))
-            n_sites = int(ps["n_sites"])
-        except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
-            _fail_config("per_step", str(exc))
+        ps = _json_object("per_step", cfg["per_step"])
+        per = PerStepGates(_integer("n_rotations", ps.get("n_rotations"), 0),
+                           _integer("n_t_gates", ps.get("n_t_gates"), 0))
+        n_sites = _integer("n_sites", ps.get("n_sites"), 1)
     elif cfg.get("family") and cfg.get("size_n"):
         lat = build_lattice(cfg["family"], cfg["size_n"])
         potential, _, _, _ = shifted_potential(lat)
@@ -459,13 +460,17 @@ def cmd_resources(args):
 # -- reproduction -------------------------------------------------------------
 
 
+def _reference_lattice(name):
+    """The lattice of a reference molecule name such as "acene3"."""
+    family = name.rstrip("0123456789")
+    return build_lattice(family, int(name[len(family):]))
+
+
 def _rep_table1():
     ref = _reference_data()["potential_term_counts"]
     rows = []
     for name, want in sorted(ref.items()):
-        family = name.rstrip("0123456789")
-        n = int(name[len(family):])
-        lat = build_lattice(family, n)
+        lat = _reference_lattice(name)
         v_shifted, _, _, v_jw = shifted_potential(lat)
         got_v = v_jw.term_count()
         got_vs = v_shifted.term_count()
@@ -524,12 +529,10 @@ def _rep_table3():
     ref = _reference_data()["per_step_gates"]
     rows = []
     for name, want in sorted(ref.items()):
-        family = name.rstrip("0123456789")
-        n = int(name[len(family):])
-        lat = build_lattice(family, n)
+        lat = _reference_lattice(name)
         v_shifted, _, _, _ = shifted_potential(lat)
         n_r_v = v_shifted.term_count()
-        secs = tile_sections(lat, tiling_path(family, n))
+        secs = tile_sections(lat, tiling_path(lat.family, lat.size_n))
         rot, tg = secs.gate_counts()
         ok = (n_r_v == want["n_r_v"] and rot == want["n_r_t"]
               and tg == want["n_t_t"] and want["n_t_v"] == 0)
@@ -554,8 +557,7 @@ def _rep_table4(slow, molecule=None):
     for name in targets:
         if name not in ref:
             _fail_config("molecule", "no reference gaps for %r" % name)
-        family = name.rstrip("0123456789")
-        lat = build_lattice(family, int(name[len(family):]))
+        lat = _reference_lattice(name)
         kin, pot = jordan_wigner(build_ppp(lat))
         h = kin + pot
         # ground: the solve whose lowest state is S0;

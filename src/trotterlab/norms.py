@@ -34,17 +34,17 @@ T (a ``SectorOperator``, matrix-free at any size) or |T| with D:
 
 |O_VTT| has no such form, since paths through different intermediates k
 cancel before the absolute value is taken; it is the one operator assembled
-as a CSR matrix, once, from T's.  Sampled column norms work per basis state
-from the hop groups and never touch a sector-size matrix.  They need only
-the differences D(b ^ x) - D(b) between each sampled state b and the states
-a hop, or a pair of hops, reaches from it.  D is a quadratic form in the
-occupation signs s_q = 1 - 2 b_q (``sector._DiagonalForm``), so such a
-difference follows from the flipped bits of x alone:
-``_DiagonalForm.flip_differences`` takes s and the gradient of the form once
-per batch of states, then each mask costs O(|x|²) per state, and D itself is
-never formed.  A hop's amplitude at a midpoint b ^ x2 comes from the values
-of its terms at b (``sector._term_values``), each negated when the term
-overlaps x2 in an odd number of bits.
+as a CSR matrix, once, from T = K_up (x) I + I (x) K_down.  Sampled column
+norms work per basis state from the hop groups and never touch a
+sector-size matrix.  They need only the differences D(b ^ x) - D(b) between
+each sampled state b and the states a hop, or a pair of hops, reaches from
+it.  D is a quadratic form in the occupation signs s_q = 1 - 2 b_q, so such
+a difference follows from the flipped bits of x alone:
+``SectorOperator.flip_differences`` takes s and the gradient of the form
+once per batch of states, then each mask costs O(|x|²) per state, and D
+itself is never formed.  A hop's amplitude at a midpoint b ^ x2 comes from
+the values of its terms at b (``sector._term_values``), each negated when
+the term overlaps x2 in an odd number of bits.
 
 Pauli-level column norms (``column_norms_squared``) sum the same term values
 per X-mask group of ``sector._group_terms``, whose coefficient dtype already
@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import diags
+from scipy.sparse import diags, identity, kron
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .pauli import PauliSum, commutator
@@ -66,10 +66,8 @@ from .sector import (
     SectorBasis,
     SectorOperator,
     _COLUMN_BLOCK,
-    _DiagonalForm,
     _column_sums,
     _group_terms,
-    _NO_TERMS,
     _popcount,
     _term_values,
     dense_from_action,
@@ -241,27 +239,27 @@ def average_case_constant(frob_vtv: NormEstimate, frob_vtt: NormEstimate) -> Err
 class HoppingCommutatorAction:
     """Nested-commutator actions using the diagonal-V structure.
 
-    Needs the kinetic Pauli sum (pure hopping) and any diagonal potential
-    whose sector diagonal differs from V's by a constant (the shifted V'
-    qualifies, since the commutators are shift-invariant).  Nothing
-    sector-sized is built on construction: T's species matrices on the first
-    matvec, the |O_VTT| matrix on the first ``vtt_abs_matvec``.  Every matvec
-    takes a vector or a (dim, m) block of columns.
+    Needs the kinetic Pauli sum (pure hopping) and a potential of Z-weight
+    <= 2, the ``SectorOperator`` that gives D and its flip differences, whose
+    diagonal differs from V's by a constant (the shifted V' qualifies, since
+    the commutators are shift-invariant).  Nothing sector-sized is built on
+    construction: T's species matrices on the first matvec, the |O_VTT|
+    matrix on the first ``vtt_abs_matvec``.  Every matvec takes a vector or
+    a (dim, m) block of columns.
     """
 
     def __init__(self, kinetic: PauliSum, potential: PauliSum, basis: SectorBasis):
-        if not potential.is_diagonal():
-            raise ValueError("potential must be diagonal")
         basis.require_whole_sector("HoppingCommutatorAction")
-        self.basis = basis
-        self._potential = _DiagonalForm(_group_terms(potential).get(0, _NO_TERMS))
+        self.potential = SectorOperator(potential, basis)
+        if self.potential.hops or not self.potential.layout:
+            raise ValueError("potential must be diagonal, with terms of Z-weight <= 2")
         self.kinetic = SectorOperator(kinetic, basis)
         # hop groups: (x-mask, (zs, cs))
         self.hops = [(x, group) for x, group in self.kinetic.groups.items() if x != 0]
 
-    @cached_property
+    @property
     def diag(self) -> np.ndarray:
-        return self._potential.diagonal(self.basis)
+        return self.potential.diagonal
 
     def _hop_terms(self, states: np.ndarray) -> dict[int, np.ndarray]:
         """Per hop mask x, the values c_z (-1)^{popcount(z & b)} of its terms,
@@ -297,7 +295,7 @@ class HoppingCommutatorAction:
 
     def vtv_column_norm_sq(self, states: np.ndarray) -> np.ndarray:
         """|O_VTV |b>|² per sampled state (targets orthogonal across hops)."""
-        delta = self._potential.flip_differences(states)
+        delta = self.potential.flip_differences(states)
         out = np.zeros(len(states))
         for x, terms in self._hop_terms(states).items():
             out += (delta(x) ** 2 * _column_sums(terms)) ** 2
@@ -314,7 +312,7 @@ class HoppingCommutatorAction:
         mask add up before squaring and different masks reach orthogonal
         targets, so one mask's sum is held at a time.
         """
-        delta = self._potential.flip_differences(states)
+        delta = self.potential.flip_differences(states)
         terms = self._hop_terms(states)
         # per midpoint hop x2: T[m, b] and T[m, b] delta(x2)
         first = {}
@@ -346,7 +344,8 @@ class HoppingCommutatorAction:
     @cached_property
     def _vtt_abs(self):
         """|O_VTT| as CSR, from O_VTT = D T² - 2 T D T + T² D."""
-        t = self.kinetic.to_sparse()
+        k_up, k_down = self.kinetic.species_matrices
+        t = (kron(k_up, identity(k_down.shape[0])) + kron(identity(k_up.shape[0]), k_down)).tocsr()
         d = diags(self.diag)
         t2 = t @ t
         return abs(d @ t2 - 2.0 * (t @ d @ t) + t2 @ d).tocsr()

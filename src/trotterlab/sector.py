@@ -9,9 +9,9 @@ so membership lookup is one binary search per species.  A basis keeps only
 the two species lists: state i is up[i // m] | down[i % m] for m down
 configurations, so sampling takes states by index pairs, and the full
 sector-length list is built on first use, only by routes that enumerate
-the sector: ``to_sparse`` (the CSR matrix of a non-factorised sum, and T's
-in ``norms``' |O_VTT|) and exact Frobenius norms (structured or Pauli
-column norms of every state).
+the sector: ``to_sparse`` (the CSR matrix of a sum off the layout route
+below) and exact Frobenius norms (structured or Pauli column norms of
+every state).
 
 ``SectorOperator`` is the one place a Pauli sum becomes sector matrix
 elements.  All strings sharing an X-mask map |b> to |b ^ x> with a
@@ -25,9 +25,9 @@ per X-mask: the Z masks as an int64 array and the phased coefficients
 c_z i^{popcount(x & z)}, float when the group is real.  ``_term_values`` is
 the one sign kernel, c_z (-1)^{popcount(z & b)} per term and state, and its
 column sums are amp_x.  The (target, source, amplitude) triples of all
-X-masks form the CSR sector matrix (``to_sparse``).  The diagonal (x = 0)
-is a polynomial in the occupation signs s_q = 1 - 2 bit_q(b); its terms of
-Z-weight <= 2, all of a PPP potential, form one quadratic form
+X-masks, x = 0 among them, form the CSR sector matrix (``to_sparse``).
+The diagonal is a polynomial in the occupation signs s_q = 1 - 2 bit_q(b);
+of Z-weight <= 2, as a PPP potential is, it is one quadratic form
 (``_DiagonalForm``).  Its up-up and down-down parts are vectors over the
 species lists and its up-down part one matrix product of their sign
 matrices, so D is evaluated on the (up x down) grid without the state list;
@@ -38,10 +38,10 @@ Hopping conserves each spin species, so a sector vector reshaped to
 configuration, down configuration).  With the spins blocked, a hop's
 Jordan-Wigner chain runs over its own species only, so an up hop acts on
 the rows of Psi and a down hop on its columns, with no cross-species sign.
-An operator made of diagonal terms plus one-species hops with a full
-Jordan-Wigner chain therefore acts as K_up Psi + Psi K_down^T + D o Psi
-without a sector-size matrix, and the exponential of a pure hopping
-operator as M_up Psi M_down^T.  Every other operator acts through its CSR
+Every PPP operator (H, T, V, V', a tile section) is one-species hops with a
+full Jordan-Wigner chain plus such a diagonal, so it acts as K_up Psi +
+Psi K_down^T + D o Psi without a sector-size matrix, and the exponential of
+a pure hopping operator as M_up Psi M_down^T.  Every other operator acts through its CSR
 matrix, built once on first use.  Every dense sector matrix is an action on
 blocks of the identity's columns (``dense_from_action``).
 
@@ -67,14 +67,14 @@ of basis states, so the CSR matrix, |O|, the norms and the propagator
 refuse it; eigensolves and <S^2> take it.
 
 Above DENSE_DIM_LIMIT, eigensolves run Lanczos (``eigsh``) from a fixed
-start vector.  For a single state of a factorised operator it is the
-sector's free-fermion determinant plus equal-weight noise: the lowest
-orbitals of each k_sigma filled, a determinant on each species list
-(``_SpeciesLift.determinants``), and on the odd half, which holds no
+start vector.  For a single state of an operator with hops on the layout
+route it is the sector's free-fermion determinant plus equal-weight noise:
+the lowest orbitals of each k_sigma filled, a determinant on each species
+list (``_SpeciesLift.determinants``), and on the odd half, which holds no
 product of equal factors, its antisymmetrised HOMO -> LUMO excitation.  It
 overlaps a PPP ground state by about 0.9 where noise alone gives
-1/sqrt(dim), and the noise keeps every symmetry reachable.  k > 1 and
-the CSR route start from the noise alone.
+1/sqrt(dim), and the noise keeps every symmetry reachable.  k > 1, a pure
+potential and the CSR route start from the noise alone.
 
 Dense unitaries, a Trotter product on a small sector or a one-body product,
 have their principal log from ``principal_log_spectrum``: one Hermitian
@@ -190,25 +190,31 @@ class SectorBasis:
                 _SpeciesLift(self.down_states, self.n_sites, self.n_sites))
 
     @cached_property
-    def _triangle(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """A half's entries as flat layout positions: the diagonal (empty for
-        the odd half), then the pairs i < j at (i, j) and at (j, i)."""
+    def _upper(self) -> np.ndarray:
+        """The (m, m) mask of a half's pairs i < j; Psi[mask] reads them row by row."""
         m = len(self.up_states)
-        i, j = np.triu_indices(m, 1)
-        diagonal = np.arange(m) * (m + 1) if self.parity > 0 else np.zeros(0, dtype=np.intp)
-        return diagonal, i * m + j, j * m + i
+        return np.arange(m)[:, None] < np.arange(m)
+
+    def _split(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """v's diagonal of Psi (none on the odd half), its pairs at (i, j) and at (j, i)."""
+        m = self.shape[0]
+        psi = v.reshape((m, m) + v.shape[1:])
+        diagonal = v[::m + 1] if self.parity > 0 else v[:0]
+        return diagonal, psi[self._upper], psi.swapaxes(0, 1)[self._upper]
 
     def embed(self, x: np.ndarray) -> np.ndarray:
         """The whole-sector vector (or columns, along axis 0) of a half's
         vector x; x itself on a whole sector."""
         if not self.parity:
             return x
-        diagonal, upper, lower = self._triangle
-        out = np.zeros((self.shape[0] ** 2,) + x.shape[1:], dtype=np.result_type(x, float))
-        out[diagonal] = x[:len(diagonal)]
-        pairs = x[len(diagonal):] * _PAIR_WEIGHT
-        out[upper] = pairs
-        out[lower] = pairs if self.parity > 0 else -pairs
+        m = self.shape[0]
+        out = np.zeros((m * m,) + x.shape[1:], dtype=np.result_type(x, float))
+        diagonal = m if self.parity > 0 else 0
+        out[::m + 1][:diagonal] = x[:diagonal]
+        pairs = x[diagonal:] * _PAIR_WEIGHT
+        psi = out.reshape((m, m) + x.shape[1:])
+        psi[self._upper] = pairs
+        psi.swapaxes(0, 1)[self._upper] = pairs if self.parity > 0 else -pairs
         return out
 
     def restrict(self, v: np.ndarray) -> np.ndarray:
@@ -216,10 +222,10 @@ class SectorBasis:
         whole-sector one; v itself on a whole sector."""
         if not self.parity:
             return v
-        diagonal, upper, lower = self._triangle
-        pairs = v[upper] + v[lower] if self.parity > 0 else v[upper] - v[lower]
+        diagonal, upper, lower = self._split(v)
+        pairs = upper + lower if self.parity > 0 else upper - lower
         pairs *= _PAIR_WEIGHT
-        return np.concatenate([v[diagonal], pairs])
+        return np.concatenate([diagonal, pairs])
 
 
 def _configurations(n_sites: int, count: int, offset: int) -> np.ndarray:
@@ -421,9 +427,6 @@ def _group_terms(op: PauliSum) -> dict[int, tuple[np.ndarray, np.ndarray]]:
 # most DENSE_DIM_LIMIT x 256 floats, 10 MB, and a half's embedded block 20 MB
 _DENSE_BLOCK = 256
 
-# the group of an operator without terms at some X-mask
-_NO_TERMS = (np.zeros(0, dtype=np.int64), np.zeros(0))
-
 
 def _term_values(states: np.ndarray, group: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """(terms x states) array of c_z (-1)^{popcount(z & b)} for one x-group
@@ -460,23 +463,22 @@ class _DiagonalForm:
     """Evaluator of the x = 0 group, amp_0(b) = sum_z c_z (-1)^{popcount(z & b)}.
 
     With s_q = 1 - 2 bit_q(b), a term is c_z times the product of s_q over
-    its Z support, so the terms of Z-weight <= 2 (all of a PPP potential)
-    form the quadratic form c0 + h.s + s^T J s, with a weight-2 coefficient
-    split as c/2 over J[p, q] and J[q, p]; heavier terms (``heavy``, a group
-    (zs, cs) of its own) are kept as terms.  The group (zs, cs) comes from
-    ``_group_terms``, and results have the dtype of cs.  ``diagonal`` gives
-    D = amp_0 over a whole sector from its two species lists;
-    ``flip_differences`` gives D(b ^ x) - D(b) at given states from the
-    flipped bits of x and the terms' values at b, without evaluating D at
-    b ^ x.
+    its Z support, so terms of Z-weight <= 2 (all of a PPP potential) form
+    the quadratic form c0 + h.s + s^T J s over all ``n_qubits``, with a
+    weight-2 coefficient split as c/2 over J[p, q] and J[q, p]; a heavier
+    term raises ``ValueError``.  The group (zs, cs) comes from
+    ``_group_terms``, and results have the dtype of cs.  ``diagonal`` gives D
+    over a sector from its two species lists; ``flip_differences`` gives
+    D(b ^ x) - D(b) at given states from the flipped bits of x alone.
     """
 
-    def __init__(self, group: tuple[np.ndarray, np.ndarray]):
+    def __init__(self, group: tuple[np.ndarray, np.ndarray], n_qubits: int):
         zs, cs = group
-        self.dtype = cs.dtype
         weight = _popcount(zs)
-        self.heavy = (zs[weight > 2], cs[weight > 2])
-        self.n = int(zs[weight <= 2].max(initial=0)).bit_length()
+        if np.any(weight > 2):
+            raise ValueError("a diagonal term of Z-weight above 2 has no quadratic form")
+        self.dtype = cs.dtype
+        self.n = n_qubits
         # the lowest set bit p of each mask and, for a pair, the other one q
         low = zs & -zs
         p, q = _popcount(low - 1), _popcount((zs ^ low) - 1)
@@ -494,25 +496,14 @@ class _DiagonalForm:
         quadratic form is d_up(s_up) + d_down(s_down) + 2 s_up^T J_ud s_down,
         so on the (up x down) grid D = d_up[:, None] + d_down[None, :] +
         S_up (2 J_ud) S_down^T, with S_sigma the (configurations x n) sign
-        matrix of one species list.  A heavy term's sign is the product of
-        its up part's sign and its down part's, so the heavy terms add
-        H_up diag(c) H_down^T, one column per term; both products are one
-        matmul.
+        matrix of one species list.
         """
-        n = basis.n_sites
-        h = np.zeros(2 * n, dtype=self.dtype)
-        h[:self.n] = self.h
-        J = np.zeros((2 * n, 2 * n), dtype=self.dtype)
-        J[:self.n, :self.n] = self.J
+        n, h, J = basis.n_sites, self.h, self.J
         s_up = _species_signs(basis.up_states, 0, n)
         s_down = _species_signs(basis.down_states, n, n)
         d_up = self.c0 + s_up @ h[:n] + np.einsum("ij,ij->i", s_up @ J[:n, :n], s_up)
         d_down = s_down @ h[n:] + np.einsum("ij,ij->i", s_down @ J[n:, n:], s_down)
-        heavy_zs, _ = self.heavy
-        left = np.hstack([s_up @ (2.0 * J[:n, n:]), _term_values(basis.up_states, self.heavy).T])
-        right = np.hstack([s_down, _term_values(basis.down_states,
-                                                (heavy_zs, np.ones(len(heavy_zs)))).T])
-        out = left @ right.T
+        out = (s_up @ (2.0 * J[:n, n:])) @ s_down.T
         out += d_up[:, None]
         out += d_down
         return out.ravel()
@@ -524,26 +515,18 @@ class _DiagonalForm:
         g = h + 2 J s the quadratic part changes by
         sum_{q in F} s_q (4 sum_{p in F} J[q, p] s_p - 2 g_q), O(|F|^2) per
         state.  s and g are taken once, qubit-major (qubits x states) so that
-        the rows s[F] are contiguous, with one ``J @ s``.  A heavy term, with
-        value c_z S_z(b) at b, changes by c_z S_z(b) ((-1)^{popcount(z & x)} - 1):
-        -2 c_z S_z(b) when z overlaps x in an odd number of bits, else 0.  Its
-        values at b are also taken once.  Mask 0 gives exactly 0.
+        the rows s[F] are contiguous, with one ``J @ s``.  Mask 0 gives
+        exactly 0.
         """
         s = 1.0 - 2.0 * ((states[None, :] >> np.arange(self.n)[:, None]) & 1)
         minus_2g = -2.0 * (self.h[:, None] + 2.0 * (self.J @ s))
-        heavy_zs = self.heavy[0]
-        heavy = _term_values(states, self.heavy)
 
         def delta(x: int) -> np.ndarray:
             flipped = [q for q in range(self.n) if x >> q & 1]
             s_f = s[flipped]
             inner = (4.0 * self.J[flipped][:, flipped]) @ s_f
             inner += minus_2g[flipped]
-            out = np.einsum("qb,qb->b", s_f, inner)
-            if heavy_zs.size:
-                odd = _popcount(heavy_zs & np.int64(x)) & 1 == 1
-                out -= 2.0 * _column_sums(heavy[odd])
-            return out
+            return np.einsum("qb,qb->b", s_f, inner)
 
         return delta
 
@@ -561,14 +544,15 @@ def _is_species_hop(x: int, z: int, n_sites: int) -> bool:
 class SectorOperator:
     """A PauliSum restricted to a sector, ready for repeated matvecs.
 
-    The operator's terms fix one of two routes; neither builds anything in
-    ``__init__``:
+    The operator's form fixes one of two routes (``layout``); neither builds
+    anything in ``__init__``:
 
-    - diagonal terms plus one-species hops (``hops`` is then the
-      off-diagonal part): ``matvec`` is one kernel (``_layout_action``) on
-      Psi = v reshaped to the layout, v -> vec(K_up Psi + Psi K_down^T) + D o v,
-      with K_sigma the single-species matrices (``species_matrices``, lifted
-      from the one-body matrices), so it builds no sector-size array;
+    - one-species hops (``hops``, or none) plus diagonal terms of Z-weight
+      <= 2, as every PPP operator: ``matvec`` is one kernel
+      (``_layout_action``) on Psi = v reshaped to the layout,
+      v -> vec(K_up Psi + Psi K_down^T) + D o v, with K_sigma lifted from
+      the one-body matrices (``species_matrices``), so it builds no
+      sector-size array; without hops it is D o v;
     - anything else: the CSR sector matrix (``sparse``), assembled from
       ``to_sparse()``, which lists the sector's states, on first use and kept.
 
@@ -577,7 +561,7 @@ class SectorOperator:
     |D|.  Both take a vector or a (dim, m) block of columns, and
     ``to_dense`` is ``matvec`` on blocks of the identity (``dense_from_action``).
 
-    On a spin-flip half (``basis.parity`` +-1) only the factorised route
+    On a spin-flip half (``basis.parity`` +-1) only the layout route
     exists, and only for an operator that commutes with the flip: K_up =
     K_down = K and a symmetric D, checked on construction (``ValueError``
     otherwise, with D - D^T allowed 1e-12 max|D| of rounding).  Then with
@@ -592,29 +576,27 @@ class SectorOperator:
         self.basis = basis
         self.groups = _group_terms(op)
         self.dim = basis.dim
-        hops = PauliSum(op.n_qubits, {key: c for key, c in op.terms.items() if key[0]})
-        factorisable = hops.terms and all(_is_species_hop(x, z, basis.n_sites)
-                                          for x, z in hops.terms)
-        self.hops = hops if factorisable else None
+        self.hops = any(x != 0 for x in self.groups)
+        self.layout = all(_is_species_hop(x, z, basis.n_sites) if x else z.bit_count() <= 2
+                          for x, z in op.terms)
         if basis.parity:
             self._half_diagonal = self._flip_symmetric_diagonal()
 
     def _flip_symmetric_diagonal(self) -> np.ndarray:
         """D_half, after checking that the operator commutes with the spin flip."""
-        if self.hops is None:
-            raise ValueError("a spin-flip half takes diagonal terms plus one-species hops only")
-        k_up, k_down = self.one_body_matrices
-        if not np.array_equal(k_up, k_down):
+        if not self.layout:
+            raise ValueError("a spin-flip half takes layout-route operators only")
+        if self.hops and not np.array_equal(*self.one_body_matrices):
             raise ValueError("operator breaks the spin flip: K_up != K_down")
-        diagonal, upper, lower = self.basis._triangle
-        grid = _DiagonalForm(self.groups.get(0, _NO_TERMS)).diagonal(self.basis)
-        if np.abs(grid[upper] - grid[lower]).max(initial=0.0) > 1e-12 * np.abs(grid).max(initial=0.0):
+        grid = self._form.diagonal(self.basis)
+        diagonal, upper, lower = self.basis._split(grid)
+        if np.abs(upper - lower).max(initial=0.0) > 1e-12 * np.abs(grid).max(initial=0.0):
             raise ValueError("operator breaks the spin flip: D is not symmetric")
-        return np.concatenate([grid[diagonal], (grid[upper] + grid[lower]) / 2])
+        return np.concatenate([diagonal, (upper + lower) / 2])
 
     @cached_property
     def species_matrices(self) -> tuple[csr_matrix, csr_matrix]:
-        """(K_up, K_down): ``hops`` on the species lists, each lifted from
+        """(K_up, K_down): the hops on the species lists, each lifted from
         its one-body matrix."""
         return tuple(lift.operator(k) for lift, k in
                      zip(self.basis.species, self.one_body_matrices))
@@ -626,7 +608,7 @@ class SectorOperator:
 
     @cached_property
     def one_body_matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        """(k_up, k_down): ``hops`` restricted to one electron of each
+        """(k_up, k_down): the hops restricted to one electron of each
         species, i.e. the n x n single-particle hopping matrices.
 
         On one electron a hop's Jordan-Wigner chain is empty, so the group of
@@ -635,8 +617,8 @@ class SectorOperator:
         term, which changes the electron count: beyond float residue of
         exact cancellations it raises ``ValueError``.
         """
-        if self.hops is None:
-            raise ValueError("one-body matrices need diagonal terms plus one-species hops")
+        if not (self.layout and self.hops):
+            raise ValueError("one-body matrices need one-species hops on the layout route")
         n = self.basis.n_sites
         hop_groups = [(x, group) for x, group in self.groups.items() if x]
         k = np.zeros((2, n, n), dtype=np.result_type(float, *(cs for _, (_, cs) in hop_groups)))
@@ -661,8 +643,19 @@ class SectorOperator:
         return abs(self.sparse)
 
     @cached_property
+    def _form(self) -> _DiagonalForm:
+        """The diagonal's quadratic form; ``ValueError`` above Z-weight 2."""
+        no_terms = (np.zeros(0, dtype=np.int64), np.zeros(0))
+        return _DiagonalForm(self.groups.get(0, no_terms), self.basis.n_qubits)
+
+    @cached_property
     def diagonal(self) -> np.ndarray:
-        return _DiagonalForm(self.groups.get(0, _NO_TERMS)).diagonal(self.basis)
+        """D over the sector from the quadratic form, without the state list."""
+        return self._form.diagonal(self.basis)
+
+    def flip_differences(self, states: np.ndarray):
+        """x -> D(b ^ x) - D(b) over ``states``, from the quadratic form."""
+        return self._form.flip_differences(states)
 
     @cached_property
     def is_real(self) -> bool:
@@ -683,10 +676,14 @@ class SectorOperator:
         return out + (d if v.ndim == 1 else d[:, None]) * v
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        """O v for a vector or a (dim, m) block of columns: the layout
-        kernel, on a half 2 restrict(K Psi) + D_half o v, or the CSR product."""
-        if self.hops is None:
+        """O v for a vector or a (dim, m) block of columns: D o v without
+        hops, the layout kernel (on a half 2 restrict(K Psi) + D_half o v), or
+        the CSR product."""
+        if not self.layout:
             return self.sparse @ v
+        if not self.hops:
+            d = self._half_diagonal if self.basis.parity else self.diagonal
+            return (d if v.ndim == 1 else d[:, None]) * v
         if self.basis.parity:
             psi = self.basis.embed(v)
             y = self.species_matrices[0] @ psi.reshape(self.basis.shape[0], -1)
@@ -700,25 +697,25 @@ class SectorOperator:
         """|O| v for the element-wise absolute matrix |O|; v is a vector or a
         (dim, m) block of columns."""
         self.basis.require_whole_sector("abs_matvec")
-        if self.hops is None:
+        if not self.layout:
             return self._abs_sparse @ v
+        if not self.hops:
+            return (np.abs(self.diagonal) if v.ndim == 1 else np.abs(self.diagonal)[:, None]) * v
         return self._layout_action(*self._abs_species_matrices,
                                    np.abs(self.diagonal) if 0 in self.groups else None, v)
 
     def to_sparse(self) -> csr_matrix:
-        """The sector matrix in CSR form, assembled afresh from the x-groups.
+        """The sector matrix in CSR form, assembled afresh from the x-groups,
+        the diagonal x = 0 among them, as their term values' column sums.
 
-        Zero-amplitude entries are dropped first; they are exactly the
-        states whose image under the bit flips leaves the sector.
+        Zero amplitudes are dropped first; off the diagonal they are exactly
+        the states whose image under the bit flips leaves the sector.
         """
         self.basis.require_whole_sector("to_sparse")
         states = self.basis.states
-        d = self.diagonal
-        nz = np.nonzero(d)[0]
-        rows, cols, data = [nz], [nz], [d[nz]]
+        empty = np.zeros(0, dtype=np.int64)
+        rows, cols, data = [empty], [empty], [np.zeros(0)]
         for x, group in self.groups.items():
-            if x == 0:
-                continue
             amp = _column_sums(_term_values(states, group))
             src = np.nonzero(amp)[0]
             tgt, valid = self.basis.index_or_mask(states[src] ^ np.int64(x))
@@ -845,12 +842,12 @@ def _start_vector(sop: SectorOperator, k: int) -> np.ndarray:
     """The fixed Lanczos start vector, so repeated eigensolves agree bit for bit.
 
     r, standard normal from seed 0, reaches every eigenvector.  For k = 1 on
-    a factorised operator the start is s/|s| + r/|r|, with s the free-fermion
-    determinant (``_determinant_seed``), which overlaps the lowest state of
-    a PPP sector far more than r; k > 1 and the CSR route keep r alone.
+    hops on the layout route the start is s/|s| + r/|r|, with s the
+    free-fermion determinant (``_determinant_seed``), which overlaps the
+    lowest state of a PPP sector far more than r; otherwise r alone.
     """
     r = np.random.default_rng(0).standard_normal(sop.dim)
-    if k > 1 or sop.hops is None:
+    if k > 1 or not (sop.layout and sop.hops):
         return r
     v0 = _determinant_seed(sop)
     v0 /= np.linalg.norm(v0)
@@ -862,7 +859,7 @@ def _start_vector(sop: SectorOperator, k: int) -> np.ndarray:
 def _lanczos(sop: SectorOperator, k: int, tol: float):
     """The k lowest eigenpairs from ``eigsh`` on ``sop.matvec``, started at
     ``_start_vector``: the free-fermion determinant plus noise for k = 1 on
-    a factorised operator, noise alone otherwise.
+    an operator with hops on the layout route, noise alone otherwise.
 
     The Lanczos basis holds ncv = 2k + 10 vectors: ARPACK's own work per
     iteration grows with ncv and, next to a cheap matvec, outweighs it, and
@@ -881,9 +878,9 @@ def lowest_eigenpairs(op, basis: SectorBasis, k: int = 1, tol: float = 0.0):
     or a spin-flip half, whose eigenvectors are the half's vectors.  Dense
     diagonalization up to DENSE_DIM_LIMIT; above it, implicitly restarted
     Lanczos (``eigsh``) with a basis of 2k + 10 vectors (``_lanczos``),
-    from a fixed start vector: a single state on a factorised operator
-    starts at the free-fermion determinant plus noise, k > 1 at noise
-    alone.  Eigenvalues ascend; the eigenvectors are columns.  k above the
+    from a fixed start vector: a single state of an operator with hops on
+    the layout route starts at the free-fermion determinant plus noise,
+    k > 1 at noise alone.  Eigenvalues ascend; the eigenvectors are columns.  k above the
     sector's dimension raises ``ValueError``.
     """
     if k > basis.dim:
@@ -908,7 +905,7 @@ class Propagator:
 
     The route follows from G:
 
-    - diagonal G: Psi -> exp(-i t D) o Psi, with the phases of the
+    - diagonal G (V, V'): Psi -> exp(-i t D) o Psi, with the phases of the
       diagonal, reshaped to the layout, cached per duration;
     - G made only of one-species hops (the kinetic factor, a tile section):
       Psi -> M_up Psi M_down^T, where M_sigma = exp(-i t K_sigma) is cached
@@ -926,8 +923,8 @@ class Propagator:
         basis.require_whole_sector("Propagator")
         self.sop = SectorOperator(op, basis)
         self.basis = basis
-        self.diagonal_only = all(x == 0 for x in self.sop.groups)
-        self.hopping_only = self.sop.hops is not None and 0 not in self.sop.groups
+        self.diagonal_only = self.sop.layout and not self.sop.hops
+        self.hopping_only = self.sop.layout and self.sop.hops and 0 not in self.sop.groups
         if not (self.diagonal_only or self.hopping_only):
             raise ValueError("Propagator needs a diagonal or a hopping-only operator")
         self._exponentials: dict[float, np.ndarray | tuple] = {}

@@ -98,12 +98,22 @@ def test_malformed_config_exits_2(capsys, tmp_path):
     (["norms", "--method", "bound", {"samples": 500}], "samples"),
     # benzene's half-filled sector has 400 states
     (["spectral", "--t", "0.05", "--states", "401"], "states"),
+    # a --per-step file's contents, written next to the config
+    (["resources", {"per_step": [342, 104, 14]}], "per_step"),
+    (["resources", {"per_step": {"n_rotations": 342, "n_t_gates": 104, "n_sites": -3}}],
+     "n_sites"),
+    (["resources", {"per_step": {"n_rotations": 2.9, "n_t_gates": 104, "n_sites": 14}}],
+     "n_rotations"),
 ])
 def test_out_of_range_values_exit_2(capsys, tmp_path, argv, field):
     config = {"family": "acene", "size_n": 1}
     if isinstance(argv[-1], dict):
         config.update(argv[-1])
         argv = argv[:-1]
+    if "per_step" in config:
+        per_step = tmp_path / "per_step.json"
+        per_step.write_text(json.dumps(config["per_step"]))
+        config["per_step"] = str(per_step)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     with pytest.raises(SystemExit) as exc:

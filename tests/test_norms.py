@@ -78,7 +78,7 @@ def test_spectral_bound_dominates_exact(benzene, benzene_commutators):
         assert bound >= exact - 1e-9
         # the bound is the top eigenvalue of |O| element-wise
         sop = SectorOperator(op, basis)
-        assert sop.hops is None  # CSR route, not the spin-factorised one
+        assert not sop.layout  # CSR route, not the layout kernel
         mat = np.abs(sop.to_dense())
         want = np.linalg.eigvalsh(mat)[-1]
         assert bound == pytest.approx(want, rel=1e-9)
@@ -292,19 +292,14 @@ def test_column_norms_match_matvecs_naphthalene():
     assert act.vtt_column_norm_sq(states) == pytest.approx(want_vtt, rel=1e-10)
 
 
-def test_column_norms_with_heavy_potential_match_matvecs(benzene):
-    """Column norms against |O e_b|² from the matvecs on every benzene state,
-    for the potential V @ V, whose diagonal terms reach Z-weight 4."""
+def test_heavy_potential_is_refused(benzene):
+    """The actions take D and its flip differences from the potential's
+    quadratic form, so V @ V, whose diagonal terms reach Z-weight 4, raises
+    ``ValueError``, as does a potential with hops."""
     _, kin, pot, basis = benzene
-    act = HoppingCommutatorAction(kin, pot @ pot, basis)
-    want_vtv, want_vtt = [], []
-    for j in range(basis.dim):
-        e = np.zeros(basis.dim)
-        e[j] = 1.0
-        want_vtv.append(np.sum(act.vtv_matvec(e) ** 2))
-        want_vtt.append(np.sum(act.vtt_matvec(e) ** 2))
-    assert act.vtv_column_norm_sq(basis.states) == pytest.approx(want_vtv, rel=1e-10)
-    assert act.vtt_column_norm_sq(basis.states) == pytest.approx(want_vtt, rel=1e-10)
+    for potential in (pot @ pot, kin + pot):
+        with pytest.raises(ValueError, match="potential must be diagonal"):
+            HoppingCommutatorAction(kin, potential, basis)
 
 
 def test_structured_action_shift_invariant(benzene):

@@ -8,7 +8,7 @@ from scipy.linalg import eigh, expm, schur
 
 from kinetic_oracle import effective_kinetic
 from trotterlab.cli import main
-from trotterlab.freefermion import tile_sections, tiling_path
+from trotterlab.freefermion import load_tiling, tile_sections, tiling_path
 from trotterlab.hamiltonian import build_ppp, shifted_potential
 from trotterlab.lattice import bond_orientation_classes, build_lattice
 from trotterlab.norms import (
@@ -283,7 +283,7 @@ def test_lanczos_eigenpairs_come_back_in_basis_order():
     basis = enumerate_sector(10, 6, 0)  # 14 400 states: Lanczos, not dense
     h = SectorOperator(kin + pot, basis)
     vals, vecs = lowest_eigenpairs(h, basis, k=2, tol=1e-10)
-    assert h.hops is not None
+    assert h.layout
     for val, vec in zip(vals, vecs.T):
         assert np.linalg.norm(h.sparse @ vec - val * vec) <= 1e-8
     assert abs(total_spin_expectation(vecs[:, 0], basis)) < 1e-8
@@ -357,7 +357,7 @@ def test_factorised_actions_match_dense(size_n, sector):
             got = prop.apply(psi, steps * t).reshape(-1)
             assert np.abs(got - exact).max() <= 1e-12
     h = SectorOperator(kin + pot, basis)
-    assert h.hops is not None
+    assert h.layout
     assert np.abs(h.matvec(v) - h.to_dense() @ v).max() <= 1e-12
     assert np.abs(h.abs_matvec(v) - np.abs(h.to_dense()) @ v).max() <= 1e-12
 
@@ -372,7 +372,7 @@ def test_whole_sector_matvec_takes_blocks(size_n, sector):
     complex_hops = _complex_hopping(sector[0], np.random.default_rng(3))
     for op in (kin + pot, kin, complex_hops + pot):
         sop = SectorOperator(op, basis)
-        assert sop.hops is not None
+        assert sop.layout
         for action in (sop.matvec, sop.abs_matvec):
             cols = np.column_stack([action(v) for v in block.T])
             assert np.array_equal(action(block), cols)
@@ -509,8 +509,8 @@ def test_species_matrices_match_general_engine(sector):
 
 
 def test_one_body_matrices_need_number_conserving_hops():
-    """An operator off the factorised route has no one-body matrices, and a
-    pairing string (X Z..Z X alone, a^dagger_p a^dagger_q + h.c. among its
+    """An operator without hops on the layout route has no one-body
+    matrices, and a pairing string (X Z..Z X alone, a^dagger_p a^dagger_q + h.c. among its
     parts) changes the electron count, so neither gives k_sigma."""
     kin, pot = jordan_wigner(build_ppp(build_lattice("acene", 1)))
     basis = enumerate_sector(6, 6, 0)
@@ -563,7 +563,7 @@ def test_non_factorisable_ops_fall_back(benzene):
     v = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
     v /= np.linalg.norm(v)
     flip = _spin_exchange(6, 0, 3)
-    assert SectorOperator(flip, basis).hops is None
+    assert not SectorOperator(flip, basis).layout
     for op in (kin + pot, flip):
         dense = SectorOperator(op, basis).to_dense()
         assert np.abs(SectorOperator(op, basis).matvec(v) - dense @ v).max() <= 1e-12
@@ -581,11 +581,14 @@ def _per_term_diagonal(states, op):
     return out
 
 
-def _check_diagonal(op, basis):
-    got = _DiagonalForm(_group_terms(op)[0]).diagonal(basis)
+def _check_diagonal(op, basis, layout=True):
+    """D against the per-term reference: from the quadratic form on the
+    layout route, from the CSR matrix's diagonal on the other."""
+    sop = SectorOperator(op, basis)
+    assert sop.layout == layout
+    got = sop.diagonal if layout else sop.sparse.diagonal()
     want = _per_term_diagonal(basis.states, op)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-    assert np.array_equal(SectorOperator(op, basis).diagonal, got)
     return got
 
 
@@ -602,18 +605,21 @@ def test_diagonal_form_matches_per_term_reference(benzene):
     # one species empty: the grid has a single row or column
     _check_diagonal(pot, enumerate_sector(10, 4, 4))
     _check_diagonal(pot, enumerate_sector(10, 4, -4))
-    # the diagonal of O_VTT, and V^2, whose diagonal terms reach Z-weight 4
+    # the diagonal of O_VTT, and V^2, whose diagonal terms reach Z-weight 4,
+    # come from the CSR route's term values
     kin, pot, basis = benzene
     _, o_vtt = nested_commutators(kin, pot)
-    assert _check_diagonal(o_vtt, basis).dtype == np.float64
+    assert _check_diagonal(o_vtt, basis, layout=False).dtype == np.float64
     v_squared = pot @ pot
     assert max(z.bit_count() for _, z in v_squared.terms) == 4
     d = _check_diagonal(pot, basis)
-    assert np.abs(_check_diagonal(v_squared, basis) - d * d).max() <= 1e-12 * (d * d).max()
-    # a complex coefficient gives a complex diagonal
-    hand = PauliSum(12, {(0, 0): 0.5, (0, 0b10): 1.5, (0, 0b100001): 2.0 - 1.0j,
-                         (0, 0b1011): -0.75, (1, 1): 3.0})
-    assert _check_diagonal(hand, basis).dtype == np.complex128
+    got = _check_diagonal(v_squared, basis, layout=False)
+    assert np.abs(got - d * d).max() <= 1e-12 * (d * d).max()
+    # a complex coefficient gives a complex diagonal, on either route
+    hand = {(0, 0): 0.5, (0, 0b10): 1.5, (0, 0b100001): 2.0 - 1.0j}
+    assert _check_diagonal(PauliSum(12, hand), basis).dtype == np.complex128
+    heavy = PauliSum(12, {**hand, (0, 0b1011): -0.75})
+    assert _check_diagonal(heavy, basis, layout=False).dtype == np.complex128
 
 
 def _amplitude_loop(states, op, x):
@@ -675,7 +681,7 @@ def _quadratic_form_loop(op):
     real = all(abs(c.imag) < 1e-15 for _, c in quadratic)
     quadratic = [(z, c.real if real else c) for z, c in quadratic if z.bit_count() <= 2]
     dtype = float if real else complex
-    n = max((z.bit_length() for z, _ in quadratic), default=0)
+    n = op.n_qubits
     c0, h, J = dtype(0), np.zeros(n, dtype=dtype), np.zeros((n, n), dtype=dtype)
     for z, c in quadratic:
         support = [q for q in range(n) if z >> q & 1]
@@ -694,19 +700,17 @@ def test_diagonal_form_coefficients_match_loop(benzene):
     kin, pot, basis = benzene
     lat = build_lattice("acene", 1)
     hand = PauliSum(12, {(0, 0): 0.5, (0, 0b10): 1.5, (0, 0b100001): 2.0 - 1.0j,
-                         (0, 0b1011): -0.75})
-    for op in (pot, shifted_potential(lat)[0], nested_commutators(kin, pot)[1],
-               pot @ pot, hand):
-        form = _DiagonalForm(_group_terms(op)[0])
+                         (0, 0b1100): -0.75})
+    for op in (pot, shifted_potential(lat)[0], hand):
+        form = _DiagonalForm(_group_terms(op)[0], op.n_qubits)
         c0, h, J = _quadratic_form_loop(op)
         assert form.c0 == c0 and form.h.dtype == h.dtype and form.J.dtype == J.dtype
         assert np.array_equal(form.h, h) and np.array_equal(form.J, J)
 
 
 def _check_flip_differences(op, kin, basis):
-    form = _DiagonalForm(_group_terms(op)[0])
     d = _per_term_diagonal(basis.states, op)
-    delta = form.flip_differences(basis.states)
+    delta = SectorOperator(op, basis).flip_differences(basis.states)
     assert np.array_equal(delta(0), np.zeros(basis.dim))
     hops = {x for x, _ in kin.terms if x}
     for x in hops | {x1 ^ x2 for x1 in hops for x2 in hops}:
@@ -714,17 +718,12 @@ def _check_flip_differences(op, kin, basis):
         assert np.abs(delta(x) - want).max() <= 1e-12 * np.abs(d).max()
 
 
-def test_flip_differences_match_form_at_flipped_states(benzene):
+def test_flip_differences_match_form_at_flipped_states():
     """D(b ^ x) - D(b) from the flipped bits against the per-term diagonal at
     b ^ x and at b, for every hop and hop-pair mask; mask 0 gives exactly 0."""
     lat = build_lattice("acene", 2)
     kin, pot = jordan_wigner(build_ppp(lat))
     _check_flip_differences(pot, kin, enumerate_sector(10, 4, 0))
-    # V @ V: diagonal terms of Z-weight 3 and 4 take the per-term route
-    kin, pot, basis = benzene
-    v_squared = pot @ pot
-    assert {3, 4} <= {z.bit_count() for _, z in v_squared.terms}
-    _check_flip_differences(v_squared, kin, basis)
 
 
 def test_propagate_diagonal_phase(benzene):
@@ -870,19 +869,85 @@ def test_total_spin_never_lists_the_sector(monkeypatch):
 def test_dense_routes_never_list_the_sector(monkeypatch, tmp_path):
     """Dense matrices of Hamiltonian pieces come from the layout kernel on
     identity blocks: the dense eigensolve, the dense Trotter unitary,
-    ``reproduce fig5`` and ``norms --method dense`` build no state list."""
+    ``reproduce fig5`` and ``norms --method dense`` build no state list.  A
+    pure potential (V, V') is D o v on the layout route, so its actions,
+    dense matrix, eigensolve and propagator list nothing either, and
+    ``norms --method bound`` assembles |O_VTT| from T's species matrices."""
     def refuse(self):
         raise AssertionError("a sector's state list was built")
 
-    kin, pot = jordan_wigner(build_ppp(build_lattice("acene", 1)))
+    lat = build_lattice("acene", 1)
+    kin, pot = jordan_wigner(build_ppp(lat))
     basis = enumerate_sector(6, 6, 0)
     monkeypatch.setattr(SectorBasis, "states", property(refuse))
     vals, _ = lowest_eigenpairs(kin + pot, basis, k=2)
     energies, _ = effective_spectrum_dense(so_scheme(kin, pot, 0.05), basis)
     assert np.abs(energies[:2] - vals).max() < 0.05  # Trotter shifts of about 0.02
+    x = np.random.default_rng(13).normal(size=basis.dim)
+    for op in (pot, shifted_potential(lat)[0]):
+        sop = SectorOperator(op, basis)
+        d = sop.diagonal
+        assert np.array_equal(sop.matvec(x), d * x)
+        assert np.array_equal(sop.abs_matvec(x), np.abs(d) * x)
+        assert np.array_equal(sop.to_dense(), np.diag(d))
+        assert lowest_eigenpairs(op, basis, k=1)[0][0] == d.min()
+    Propagator(pot, basis).apply(x.reshape(basis.shape), 0.1)
     assert main(["reproduce", "fig5", "--out", str(tmp_path / "fig5.json")]) == 0
-    assert main(["norms", "--family", "acene", "--n", "1", "--method", "dense",
-                 "--out", str(tmp_path / "norms.json")]) == 0
+    for method in ("dense", "bound"):
+        assert main(["norms", "--family", "acene", "--n", "1", "--method", method,
+                     "--out", str(tmp_path / ("norms_%s.json" % method))]) == 0
+
+
+def _route_cases():
+    """(label, Pauli sum, n_sites, takes the layout route) for every PPP
+    operator and for sums that need the CSR matrix."""
+    cases = []
+    for n_acene in (1, 2, 3):
+        lat = build_lattice("acene", n_acene)
+        kin, pot = jordan_wigner(build_ppp(lat))
+        v_shifted = shifted_potential(lat)[0]
+        ops = {"H": kin + pot, "T": kin, "V": pot, "V'": v_shifted, "T + V'": kin + v_shifted}
+        classes = default_section_order(bond_orientation_classes(lat).values())
+        ops.update(("default section %d" % m, hopping_pauli_sum(lat.n_sites, c))
+                   for m, c in enumerate(classes))
+        cases += [("acene%d %s" % (n_acene, label), op, lat.n_sites, True)
+                  for label, op in ops.items()]
+    cases += [("acene3 shipped section " + section["name"],
+               hopping_pauli_sum(14, section["bonds"]), 14, True)
+              for section in load_tiling(tiling_path("acene", 3))["sections"]]
+    kin, pot = jordan_wigner(build_ppp(build_lattice("acene", 1)))
+    o_vtv, o_vtt = nested_commutators(kin, pot)
+    cases += [("O_VTV", o_vtv, 6, False), ("O_VTT", o_vtt, 6, False),
+              ("V @ V", pot @ pot, 6, False), ("spin exchange", _spin_exchange(6, 0, 3), 6, False)]
+    return cases
+
+
+def test_route_follows_the_operator_form():
+    """Every PPP operator (H, T, V, V', T + V', the default-order tile
+    sections and the shipped acene3 tiling's sections) takes the layout
+    route, pure potentials included; the nested commutators, V @ V (a
+    diagonal of Z-weight 4) and a spin exchange take the CSR route."""
+    for label, op, n_sites, layout in _route_cases():
+        sop = SectorOperator(op, enumerate_sector(n_sites, 2, 0))
+        assert sop.layout is layout, label
+
+
+def test_heavy_diagonal_terms_have_no_quadratic_form(benzene):
+    """A diagonal term of Z-weight above 2 is refused wherever D is taken
+    from the quadratic form: the form itself, D and the flip differences of
+    the operator, and its propagator (``test_norms`` checks the commutator
+    actions with V @ V as the potential)."""
+    _, pot, basis = benzene
+    v_squared = pot @ pot
+    with pytest.raises(ValueError, match="Z-weight"):
+        _DiagonalForm(_group_terms(v_squared)[0], v_squared.n_qubits)
+    sop = SectorOperator(v_squared, basis)
+    with pytest.raises(ValueError, match="Z-weight"):
+        sop.diagonal
+    with pytest.raises(ValueError, match="Z-weight"):
+        sop.flip_differences(basis.states_at(np.arange(3)))
+    with pytest.raises(ValueError, match="Propagator"):
+        Propagator(v_squared, basis)
 
 
 # -- spin-flip halves of S_z = 0 ------------------------------------------------
@@ -956,6 +1021,29 @@ def test_half_embed_is_an_isometry(parity):
     assert np.abs(sop.to_dense() - half.restrict(h @ half.embed(np.eye(half.dim)))).max() <= 1e-12
 
 
+@pytest.mark.parametrize("parity", [1, -1])
+def test_half_layout_order_matches_index_reference(parity):
+    """embed and restrict, on vectors and blocks, give the bytes of the
+    flat-index form: the diagonal (even half only), then the pairs i < j row
+    by row (``np.triu_indices``) at (i, j) and at (j, i)."""
+    half = enumerate_sector(6, 4, 0, parity=parity)
+    m = half.shape[0]
+    i, j = np.triu_indices(m, 1)
+    diagonal = np.arange(m) * (m + 1) if parity > 0 else np.zeros(0, dtype=np.intp)
+    upper, lower = i * m + j, j * m + i
+    rng = np.random.default_rng(14)
+    for shape in ((), (3,)):
+        x = rng.normal(size=(half.dim,) + shape)
+        want = np.zeros((m * m,) + shape)
+        want[diagonal] = x[:len(diagonal)]
+        want[upper] = x[len(diagonal):] * np.sqrt(0.5)
+        want[lower] = parity * x[len(diagonal):] * np.sqrt(0.5)
+        assert half.embed(x).tobytes() == want.tobytes()
+        v = rng.normal(size=(m * m,) + shape)
+        pairs = (v[upper] + parity * v[lower]) * np.sqrt(0.5)
+        assert half.restrict(v).tobytes() == np.concatenate([v[diagonal], pairs]).tobytes()
+
+
 def test_half_solves_repeat_bit_for_bit():
     """k = 2 on both halves, and the seeded k = 1 solve on the odd half."""
     kin, pot = jordan_wigner(build_ppp(build_lattice("acene", 2)))
@@ -970,8 +1058,9 @@ def test_half_solves_repeat_bit_for_bit():
 def test_half_refuses_what_breaks_the_flip_or_needs_states(benzene):
     """A half exists at S_z = 0 only; operators that tell the spins apart, or
     that need the CSR matrix, and every route that lists states, propagates
-    or takes a norm raise ``ValueError``."""
-    kin, pot, _ = benzene
+    or takes a norm raise ``ValueError``.  A pure potential takes the
+    layout route: its half matvec is D_half o x."""
+    kin, pot, whole = benzene
     with pytest.raises(ValueError):
         enumerate_sector(6, 6, 2, parity=1)
     with pytest.raises(ValueError):
@@ -979,15 +1068,20 @@ def test_half_refuses_what_breaks_the_flip_or_needs_states(benzene):
     half = enumerate_sector(6, 6, 0, parity=1)
     up_hop = PauliSum(12)
     add_hop(up_hop, 0, 1, -2.4)
-    spin_dependent = [
+    refused = [
         kin + pot + PauliSum(12, {(0, 1): 0.3}),  # a field on site 0, spin up: D != D^T
         kin + pot + up_hop,  # K_up != K_down
-        nested_commutators(kin, pot)[0],  # no factorised route
-        pot,  # diagonal only: no factorised route either
+        nested_commutators(kin, pot)[0],  # not on the layout route
+        pot @ pot,  # diagonal terms of Z-weight 4: not on the layout route either
     ]
-    for op in spin_dependent:
+    for op in refused:
         with pytest.raises(ValueError):
             SectorOperator(op, half)
+    grid = SectorOperator(pot, whole).diagonal.reshape(half.shape)
+    i, j = np.triu_indices(half.shape[0], 1)
+    d_half = np.concatenate([np.diag(grid), (grid[i, j] + grid[j, i]) / 2])
+    x = np.random.default_rng(12).normal(size=half.dim)
+    assert np.array_equal(SectorOperator(pot, half).matvec(x), d_half * x)
     sop = SectorOperator(kin + pot, half)
     x = np.ones(half.dim)
     state = np.array([0b111000111], dtype=np.int64)
