@@ -73,7 +73,10 @@ def _fail_config(field, message):
 
 
 def _integer(key, value, least):
-    """``value`` as an int >= ``least``: 2, 2.0 and "2" pass; 2.9, "2.5" and "two" exit 2."""
+    """``value`` as an int >= ``least``: 2, 2.0 and "2" pass; 2.9, "2.5", "two"
+    and a JSON boolean exit 2."""
+    if isinstance(value, bool):
+        _fail_config(key, "%s must be an integer" % key)
     try:
         number = float(value)
     except (TypeError, ValueError):
@@ -117,6 +120,8 @@ def _resolve_config(args, required=(), optional=()):
         merged["size_n"] = _integer("size_n", merged["size_n"], 1)
     for key in ("t", "epsilon", "x", "constant"):
         if key in merged and merged[key] is not None:
+            if isinstance(merged[key], bool):
+                _fail_config(key, "%s must be a number" % key)
             try:
                 merged[key] = float(merged[key])
             except (TypeError, ValueError):

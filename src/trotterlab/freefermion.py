@@ -57,10 +57,6 @@ class KineticSections:
     def n_sections(self):
         return len(self.matrices)
 
-    @property
-    def full_matrix(self):
-        return sum(self.matrices)
-
     def gate_counts(self):
         """(rotations, T gates) per Trotter step of U_T, both spins."""
         n_rot = 0

@@ -137,23 +137,6 @@ class PauliSum:
             out[key] = complex(c).real
         return PauliSum(self.n_qubits, out)
 
-    # -- state action ---------------------------------------------------------
-
-    def apply_to_basis_state(self, bits: int) -> dict[int, complex]:
-        """Action on a computational basis state given as an occupation int.
-
-        Bit q of ``bits`` is the occupation of qubit q.  Returns the sparse
-        output vector as {bits: amplitude}.
-        """
-        out: dict[int, complex] = {}
-        for (x, z), c in self.terms.items():
-            amp = c * (1j ** ((x & z).bit_count() % 4))
-            if (z & bits).bit_count() % 2:
-                amp = -amp
-            target = bits ^ x
-            out[target] = out.get(target, 0.0) + amp
-        return {b: a for b, a in out.items() if a != 0}
-
 
 def commutator(a: PauliSum, b: PauliSum) -> PauliSum:
     """[a, b] = ab - ba, using term-pairwise cancellation.
@@ -240,33 +223,3 @@ def jw_potential(fermion_hamiltonian) -> PauliSum:
     terms = {(0, 0): identity} if identity != 0 else {}
     terms.update(((0, z), c) for z, c in zip(masks, coeffs) if c != 0)
     return PauliSum(2 * n, terms).pruned()
-
-
-def number_operator(n_sites: int) -> PauliSum:
-    """Total electron number N̂ = Σ (1 - Z_q)/2 as a Pauli sum."""
-    nq = 2 * n_sites
-    out = PauliSum(nq, {(0, 0): float(nq) / 2.0})
-    for q in range(nq):
-        out.add_term(0, 1 << q, -0.5)
-    return out
-
-
-def sz_operator(n_sites: int) -> PauliSum:
-    """Total S_z = (1/2) Σ_i (n_i↑ - n_i↓)."""
-    out = PauliSum(2 * n_sites)
-    for i in range(n_sites):
-        out.add_term(0, 1 << qubit_index(i, 0, n_sites), -0.25)
-        out.add_term(0, 1 << qubit_index(i, 1, n_sites), 0.25)
-    return out
-
-
-def dense_matrix(op: PauliSum) -> np.ndarray:
-    """Dense matrix in the full 2^n computational basis (small n only)."""
-    dim = 1 << op.n_qubits
-    if op.n_qubits > 14:
-        raise ValueError("dense matrix limited to 14 qubits")
-    mat = np.zeros((dim, dim), dtype=complex)
-    for b in range(dim):
-        for tgt, amp in op.apply_to_basis_state(b).items():
-            mat[tgt, b] += amp
-    return mat

@@ -901,7 +901,8 @@ def lowest_eigenpairs(op, basis: SectorBasis, k: int = 1, tol: float = 0.0):
 class Propagator:
     """Applies exp(-i G t) for one Hamiltonian piece G to a state in layout
     form: the sector vector reshaped to the matrix Psi of shape
-    ``basis.shape``, rows over up configurations and columns over down ones.
+    ``basis.shape``, rows over up configurations and columns over down ones,
+    or a block of them along a third axis, as (dim, m) columns reshape.
 
     The route follows from G:
 
@@ -937,9 +938,14 @@ class Propagator:
                 else tuple(lift.exponential(k, t) for lift, k in
                            zip(self.basis.species, self.sop.one_body_matrices)))
         if self.diagonal_only:
-            return self._exponentials[t] * psi
+            phases = self._exponentials[t]
+            return (phases if psi.ndim == 2 else phases[..., None]) * psi
         m_up, m_down = self._exponentials[t]
-        return m_up @ (m_down @ psi.T).T
+        if psi.ndim == 2:
+            return m_up @ (m_down @ psi.T).T
+        rows, cols, width = psi.shape
+        half = (m_down @ psi.swapaxes(0, 1).reshape(cols, -1)).reshape(cols, rows, width)
+        return (m_up @ half.swapaxes(0, 1).reshape(rows, -1)).reshape(psi.shape)
 
 
 # -- total spin ---------------------------------------------------------------

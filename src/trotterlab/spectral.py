@@ -2,29 +2,22 @@
 
 A second-order product formula U at time step t equals exp(-i H_eff t) for a
 Hermitian effective Hamiltonian H_eff whose eigenvalues are what phase
-estimation measures.  Small sectors build U densely (hopping factors
-exponentiated from one Hermitian eigensolve each) and take the spectrum of
-H_eff = (i/t) log U from one more, of the Cayley transform of U; larger ones
-go through the time-series route: build g_k = <psi|U^k|psi> with exact
-sector propagation and locate the dominant pole of a Gaussian-filtered
-Fourier reconstruction.
+estimation measures.  Both routes take one Trotter step, every factor by its
+``Propagator`` on layout matrices (``_trotter_step``).  Small sectors build U
+as that step on identity blocks and take the spectrum of H_eff = (i/t) log U
+from one Hermitian eigensolve of its Cayley transform; larger ones build
+g_k = <psi|U^k|psi> step by step and locate the dominant pole of a
+Gaussian-filtered Fourier reconstruction.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .hamiltonian import PppParams
 from .pauli import PauliSum, add_hop, qubit_index
 from .resources import CHEMICAL_ACCURACY  # noqa: F401  re-exported
-from .sector import (
-    DENSE_DIM_LIMIT,
-    Propagator,
-    SectorOperator,
-    hermitian_exponential,
-    principal_log_spectrum,
-)
+from .sector import Propagator, dense_from_action, principal_log_spectrum
 
 _GRID_POINTS = 8192
 # Gaussian filter width (radians) of every energy extraction
@@ -106,30 +99,30 @@ def default_section_order(classes):
 # -- dense effective Hamiltonian ----------------------------------------------
 
 
-def scheme_unitary_dense(scheme, basis):
-    """Sector-restricted dense unitary of the product formula.
+def _trotter_step(scheme, basis):
+    """The product formula's step on a layout matrix or a block of them, one
+    ``Propagator`` per distinct factor, built here: a factor or a basis that
+    they refuse raises ``ValueError`` before any state is touched."""
+    props = {}
+    for op, _ in scheme.factors:
+        if id(op) not in props:
+            props[id(op)] = Propagator(op, basis)
 
-    Each distinct hopping factor is diagonalised once and exponentiated per
-    duration from its eigenpairs; potential factors are diagonal phases.
-    """
-    if basis.dim > DENSE_DIM_LIMIT:
-        raise ValueError("sector too large for the dense route")
-    unitary = np.eye(basis.dim, dtype=complex)
-    operators, eigenpairs, exponentials = {}, {}, {}
-    for op, dur in scheme.factors:
-        key = id(op)
-        if key not in operators:
-            operators[key] = SectorOperator(op, basis)
-        sop = operators[key]
-        if op.is_diagonal():
-            unitary = np.exp(-1j * dur * np.real(sop.diagonal))[:, None] * unitary
-            continue
-        if key not in eigenpairs:
-            eigenpairs[key] = eigh(sop.to_dense(), driver="evd")
-        if (key, dur) not in exponentials:
-            exponentials[key, dur] = hermitian_exponential(eigenpairs[key], dur)
-        unitary = exponentials[key, dur] @ unitary
-    return unitary
+    def step(psi):
+        for op, dur in scheme.factors:
+            psi = props[id(op)].apply(psi, dur)
+        return psi
+
+    return step
+
+
+def scheme_unitary_dense(scheme, basis):
+    """Sector-restricted dense unitary of the product formula: the time
+    series' own step (``_trotter_step``) on blocks of the identity's columns
+    (``dense_from_action``), each reshaped to a block of layout matrices."""
+    step = _trotter_step(scheme, basis)
+    return dense_from_action(
+        lambda block: step(block.reshape(*basis.shape, -1)).reshape(block.shape), basis.dim)
 
 
 def effective_spectrum_dense(scheme, basis):
@@ -190,23 +183,19 @@ class TimeSeries:
 def compute_time_series(scheme, basis, state, n_steps, label=""):
     """g_k = <psi|U^k|psi> by repeated exact sector propagation.
 
-    The state is reshaped once to its layout matrix; every factor acts on
-    that form (``Propagator``) and g_k is taken in it.
+    The state is reshaped once to its layout matrix; each step
+    (``_trotter_step``) acts on that form and g_k is taken in it.
     """
+    step = _trotter_step(scheme, basis)
     psi = np.asarray(state, dtype=complex)
     norm = np.linalg.norm(psi)
     if abs(norm - 1.0) > 1e-8:
         raise ValueError("initial state must be normalized")
     psi = (psi / norm).reshape(basis.shape)
-    props = {}
-    for op, _ in scheme.factors:
-        if id(op) not in props:
-            props[id(op)] = Propagator(op, basis)
     values = [1.0 + 0.0j]
     current = psi
     for _ in range(n_steps):
-        for op, dur in scheme.factors:
-            current = props[id(op)].apply(current, dur)
+        current = step(current)
         values.append(complex(np.vdot(psi, current)))
     return TimeSeries(np.array(values), scheme.time_step, label, scheme.kind)
 

@@ -12,6 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.linalg import eigh
 
+from fock_oracle import full_matrix
 from trotterlab.sector import hermitian_exponential, principal_log_spectrum
 
 BRANCH_MARGIN = 1e-6
@@ -41,7 +42,7 @@ def effective_kinetic(sections, t):
     if sections.n_sections == 1:
         matrix = np.zeros((n, n))
     else:
-        prod = hermitian_exponential(eigh(sections.full_matrix, driver="evd"), -t)
+        prod = hermitian_exponential(eigh(full_matrix(sections), driver="evd"), -t)
         halves = [hermitian_exponential(eigh(mat, driver="evd"), t / 2)
                   for mat in sections.matrices]
         for half in halves + halves[::-1]:

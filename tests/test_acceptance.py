@@ -203,6 +203,9 @@ def test_criterion5_benzene_error_correlation():
 
 
 def _series_vs_dense(kin, pot, basis, ground_state, exact_energy, t):
+    # both routes take the same Trotter step, so this compares the two
+    # extractions of H_eff's energy: U itself is checked against expm
+    # products (test_spectral's unitary oracles, test_propagate_matches_dense_expm)
     scheme = so_scheme(kin, pot, t)
     eff_vals, eff_vecs = effective_spectrum_dense(scheme, basis)
     m = int(np.argmax(np.abs(eff_vecs.conj().T @ ground_state) ** 2))

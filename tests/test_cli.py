@@ -104,6 +104,12 @@ def test_malformed_config_exits_2(capsys, tmp_path):
      "n_sites"),
     (["resources", {"per_step": {"n_rotations": 2.9, "n_t_gates": 104, "n_sites": 14}}],
      "n_rotations"),
+    # JSON booleans are neither integers nor numbers
+    (["lattice", {"size_n": True}], "size_n"),
+    (["spectral", {"t": True}], "t"),
+    (["norms", {"seed": False}], "seed"),
+    (["resources", {"per_step": {"n_rotations": 342, "n_t_gates": 104, "n_sites": True}}],
+     "n_sites"),
 ])
 def test_out_of_range_values_exit_2(capsys, tmp_path, argv, field):
     config = {"family": "acene", "size_n": 1}

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from fock_oracle import full_matrix
 from kinetic_oracle import effective_kinetic
 from trotterlab.freefermion import (
     KineticSections,
@@ -111,7 +112,8 @@ def test_single_section_is_exact():
     lat = build_lattice("acene", 1)
     secs = single_section(lat)
     assert secs.n_sections == 1
-    assert np.allclose(np.abs(secs.full_matrix[secs.full_matrix != 0]), 2.4)
+    full = full_matrix(secs)
+    assert np.allclose(np.abs(full[full != 0]), 2.4)
     eff = effective_kinetic(secs, 0.05)
     assert np.abs(eff.matrix).max() == 0.0
     assert worst_case_kinetic(secs).value == 0.0
@@ -135,7 +137,7 @@ def test_fock_eigenphases_match_occupation_sums():
     secs = _sections_from_matrices(mats, n)
     t = 0.2
     eff = effective_kinetic(secs, t)
-    exact = expm(1j * _fock_quadratic(secs.full_matrix) * t)
+    exact = expm(1j * _fock_quadratic(full_matrix(secs)) * t)
     for mat in mats:
         exact = exact @ expm(-1j * _fock_quadratic(mat) * t / 2)
     for mat in reversed(mats):
@@ -196,8 +198,8 @@ def test_shipped_tilings_match_table_counts(family, n):
     secs = tile_sections(lat, tiling_path(family, n))
     assert secs.gate_counts() == TABLE_GATE_COUNTS[(family, n)]
     # the sections partition the hopping matrix exactly
-    full = single_section(lat).full_matrix
-    assert np.abs(secs.full_matrix - full).max() < 1e-12
+    full = full_matrix(single_section(lat))
+    assert np.abs(full_matrix(secs) - full).max() < 1e-12
 
 
 def test_worst_case_tile_ratio_3acene():
@@ -236,7 +238,7 @@ def _exhaustive_mean_square(modes, filling):
 def test_average_case_matches_exhaustive_mean():
     """A_T^2 = <T_2^2> equals the mean over every joint occupation."""
     lat = build_lattice("acene", 1)
-    full = single_section(lat).full_matrix
+    full = full_matrix(single_section(lat))
     m1 = np.zeros_like(full)
     for i, j in [(0, 1), (2, 3), (4, 5)]:
         m1[i, j] = m1[j, i] = full[i, j]

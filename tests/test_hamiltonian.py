@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fock_oracle import dense_matrix, number_operator
 from trotterlab.hamiltonian import (
     PppParams,
     ShiftParams,
@@ -11,7 +12,7 @@ from trotterlab.hamiltonian import (
     shifted_potential,
 )
 from trotterlab.lattice import build_lattice
-from trotterlab.pauli import dense_matrix, jordan_wigner, number_operator
+from trotterlab.pauli import jordan_wigner
 
 TERM_COUNTS = {
     ("acene", 3): (406, 290),

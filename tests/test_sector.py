@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh, expm, schur
 
+from fock_oracle import dense_matrix, full_matrix, sz_operator
 from kinetic_oracle import effective_kinetic
 from trotterlab.cli import main
 from trotterlab.freefermion import load_tiling, tile_sections, tiling_path
@@ -23,10 +24,8 @@ from trotterlab.pauli import (
     PauliSum,
     add_hop,
     commutator,
-    dense_matrix,
     jordan_wigner,
     qubit_index,
-    sz_operator,
 )
 from trotterlab.sector import (
     DENSE_DIM_LIMIT,
@@ -1089,6 +1088,8 @@ def test_half_refuses_what_breaks_the_flip_or_needs_states(benzene):
                   lambda: half.index_or_mask(state),
                   sop.to_sparse, lambda: sop.abs_matvec(x),
                   lambda: Propagator(kin, half), lambda: Propagator(pot, half),
+                  lambda: effective_spectrum_dense(so_scheme(kin, pot, 0.05), half),
+                  lambda: compute_time_series(so_scheme(kin, pot, 0.05), half, x, 2),
                   lambda: frobenius_sampled(pot, half, 10),
                   lambda: frobenius_exact(pot, half),
                   lambda: spectral_norm_bound(kin + pot, half),
@@ -1176,7 +1177,7 @@ def test_effective_kinetic_matches_schur_log(family, n):
     """A_delta eigenmodes against the Schur log of the Pade product."""
     secs = tile_sections(build_lattice(family, n), tiling_path(family, n))
     for t in (0.01, 0.05):
-        prod = expm(1j * t * secs.full_matrix)
+        prod = expm(1j * t * full_matrix(secs))
         halves = [expm(-1j * (t / 2) * mat) for mat in secs.matrices]
         for half in halves + halves[::-1]:
             prod = prod @ half

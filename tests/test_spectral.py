@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import eigh, expm
 
 from trotterlab import spectral
 from trotterlab.hamiltonian import build_ppp, shifted_potential
@@ -256,8 +256,10 @@ def test_time_series_matches_dense_effective(benzene):
 
 @pytest.mark.parametrize("kind", ["SO", "tile"])
 def test_time_series_matches_dense_unitary_powers(kind):
-    """g_k from layout-form propagation against <psi|U^k|psi> with the dense
-    product-formula unitary, on naphthalene's 2025-state (10, 4, 0) sector."""
+    """g_k from layout-form propagation against <psi|U^k|psi> on naphthalene's
+    2025-state (10, 4, 0) sector, with U applied without ``Propagator``: each
+    distinct hopping factor from one eigensolve of its dense sector matrix,
+    W exp(-i dur lambda) W^dagger, and the potential as exp(-i dur D)."""
     lat = build_lattice("acene", 2)
     kin, pot = jordan_wigner(build_ppp(lat))
     basis = enumerate_sector(10, 4, 0)
@@ -272,12 +274,36 @@ def test_time_series_matches_dense_unitary_powers(kind):
     psi /= np.linalg.norm(psi)
     steps = 6
     got = compute_time_series(scheme, basis, psi, steps).values
-    unitary = scheme_unitary_dense(scheme, basis)
+    spectra = {}
+    for op, _ in scheme.factors:
+        if id(op) not in spectra:
+            sop = SectorOperator(op, basis)
+            spectra[id(op)] = ((sop.diagonal.real, None) if op.is_diagonal()
+                               else eigh(sop.to_dense(), driver="evd"))
     want, current = [1.0], psi
     for _ in range(steps):
-        current = unitary @ current
+        for op, dur in scheme.factors:
+            vals, vecs = spectra[id(op)]
+            phases = np.exp(-1j * dur * vals)
+            if vecs is None:
+                current = phases * current
+            else:
+                current = vecs @ (phases * (vecs.conj().T @ current))
         want.append(np.vdot(psi, current))
     assert np.abs(got - np.array(want)).max() <= 1e-10
+
+
+def test_dense_route_refuses_what_the_series_refuses(benzene):
+    """Both routes take the same Trotter step, so a factor that no
+    ``Propagator`` takes, a diagonal of Z-weight 4, fails each alike."""
+    _, kin, pot, basis = benzene
+    scheme = so_scheme(kin, pot @ pot, 0.05)
+    state = np.eye(basis.dim)[0]
+    with pytest.raises(ValueError, match="Propagator needs") as series_error:
+        compute_time_series(scheme, basis, state, 2)
+    with pytest.raises(ValueError) as dense_error:
+        effective_spectrum_dense(scheme, basis)
+    assert str(dense_error.value) == str(series_error.value)
 
 
 def test_sector_trace_identity(benzene):
