@@ -45,6 +45,7 @@ from .resources import (
     total_cost,
 )
 from .sector import (
+    DENSE_DIM_LIMIT,
     SectorOperator,
     enumerate_sector,
     half_filling_sector,
@@ -208,6 +209,13 @@ def _ground_states(lat, hamiltonian, k, sz_twice=None, tol=1e-10, parity=0):
     return basis, vals, vecs, residuals
 
 
+def _half_filled_dim(n_sites):
+    """The dimension of the half-filled sector (``half_filling_sector``)
+    without building it: C(n, n // 2) configurations per species, for even
+    and odd n alike."""
+    return comb(n_sites, n_sites // 2) ** 2
+
+
 def _reference_data():
     from importlib.resources import files
 
@@ -270,6 +278,10 @@ def cmd_norms(args):
             if cfg.get(key) is not None:
                 _fail_config(key, "%s has no effect with method %s" % (key, method))
     lat = build_lattice(cfg["family"], cfg["size_n"])
+    dim = _half_filled_dim(lat.n_sites)
+    if method == "dense" and dim > DENSE_DIM_LIMIT:
+        _fail_config("method", "method dense takes at most %d states; this sector has %d"
+                     % (DENSE_DIM_LIMIT, dim))
     fh = build_ppp(lat)
     kin, pot = jordan_wigner(fh)
     basis = half_filling_sector(lat.n_sites)
@@ -348,9 +360,7 @@ def cmd_spectral(args):
         _fail_config("scheme", "scheme must be SO or tile")
     k = cfg.get("states", 2)
     lat = build_lattice(cfg["family"], cfg["size_n"])
-    # the half-filled sector _ground_states solves: C(n, n // 2) configurations
-    # per species, for even and odd n alike
-    dim = comb(lat.n_sites, lat.n_sites // 2) ** 2
+    dim = _half_filled_dim(lat.n_sites)
     if k > dim:
         _fail_config("states", "states must be at most the sector dimension, %d" % dim)
     kin, pot = jordan_wigner(build_ppp(lat))
@@ -405,6 +415,10 @@ def cmd_resources(args):
     mode = cfg.get("mode", "gap")
     if mode not in ("gap", "error"):
         _fail_config("mode", "mode must be gap or error")
+    # the time step of gap mode, the error constant of error mode
+    unused = "constant" if mode == "gap" else "t"
+    if cfg.get(unused) is not None:
+        _fail_config(unused, "%s has no effect in %s mode" % (unused, mode))
     epsilon = cfg.get("epsilon", CHEMICAL_ACCURACY)
     x = cfg.get("x", 0.02)
     secs = None
@@ -414,6 +428,8 @@ def cmd_resources(args):
         per = PerStepGates(_integer("n_rotations", ps.get("n_rotations"), 0),
                            _integer("n_t_gates", ps.get("n_t_gates"), 0))
         n_sites = _integer("n_sites", ps.get("n_sites"), 1)
+        if cfg.get("family") or cfg.get("size_n"):
+            _fail_config("per_step", "pass --per-step or --family/--n, not both")
     elif cfg.get("family") and cfg.get("size_n"):
         lat = build_lattice(cfg["family"], cfg["size_n"])
         potential, _, _, _ = shifted_potential(lat)
@@ -647,6 +663,13 @@ def cmd_reproduce(args):
     cfg = _resolve_config(args, optional=("molecule",))
     target = args.target
     slow = bool(args.slow)
+    molecule = cfg.get("molecule")
+    if molecule is not None and target != "table4":
+        _fail_config("molecule", "molecule has no effect on %s" % target)
+    # the slow rows: table2's spectral bound and table4's acene3 gaps
+    if slow and not (target == "table2" or (target == "table4" and molecule is None)):
+        _fail_config("slow", "slow has no effect on %s%s"
+                     % (target, " with a molecule" if molecule is not None else ""))
     if target == "table1":
         rows = _rep_table1()
     elif target == "table2":
@@ -654,7 +677,7 @@ def cmd_reproduce(args):
     elif target == "table3":
         rows = _rep_table3()
     elif target == "table4":
-        rows = _rep_table4(slow, cfg.get("molecule"))
+        rows = _rep_table4(slow, molecule)
     elif target == "fig5":
         rows = _rep_fig5()
     elif target == "fig7":

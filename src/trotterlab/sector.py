@@ -77,8 +77,10 @@ overlaps a PPP ground state by about 0.9 where noise alone gives
 potential and the CSR route start from the noise alone.
 
 Dense unitaries, a Trotter product on a small sector or a one-body product,
-have their principal log from ``principal_log_spectrum``: one Hermitian
-eigensolve of the Cayley transform gives the eigenpairs of (i/t) log U.
+have their principal log from ``principal_log_spectrum``.  Each is a
+palindromic product of exponentials of real symmetric matrices, so
+U = U^T, and its Cayley transform is real symmetric: one real solve and one
+real eigensolve give the eigenpairs of (i/t) log U, with real eigenvectors.
 """
 
 from __future__ import annotations
@@ -752,53 +754,49 @@ def dense_from_action(action, dim: int) -> np.ndarray:
     return out
 
 
-def hermitian_exponential(eig: tuple[np.ndarray, np.ndarray], t: float) -> np.ndarray:
-    """exp(-i t H) = W exp(-i t lambda) W^dagger from eig = (lambda, W) of H."""
-    vals, vecs = eig
-    return (vecs * np.exp(-1j * t * vals)) @ vecs.conj().T
-
-
 # the Cayley transform of U loses about eps / (pi - |phi|) of accuracy, so a
 # phase closer than this to its pole at +-pi moves the pole into a spectral gap
 _POLE_DISTANCE = 1e-2
 
+# phases this close to +-pi leave the branch of log U ambiguous
+_BRANCH_MARGIN = 1e-9
+
 
 def _cayley_phases(unitary: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """(phi, V) with U = V exp(-i phi) V^dagger and phi in (alpha - pi, alpha + pi).
+    """(phi, V) with U = V exp(-i phi) V^T, V real, and phi in (alpha - pi, alpha + pi).
 
-    C = -i (I + W)^-1 (I - W) of the unitary W = exp(i alpha) U is Hermitian,
-    with eigenvalues tan((phi - alpha)/2).  A complex symmetric W, such as a
-    palindromic product of exponentials of real symmetric matrices, gives a
-    real C; its imaginary part is dropped when it is no larger than the
-    rounding that Hermitising C drops, and the eigensolve runs in real
-    arithmetic.  A singular I + W raises ``LinAlgError``.
+    W = exp(i alpha) U is a complex symmetric unitary, so W = A + i B with A
+    and B real symmetric, commuting, A^2 + B^2 = I, and its Cayley transform
+    C = -i (I + W)^-1 (I - W) = -(I + A)^-1 B is real symmetric, with W's
+    real eigenvectors and eigenvalues tan((phi - alpha)/2): one real solve
+    and one real eigensolve.  A singular I + A raises ``LinAlgError``.
     """
-    eye = np.eye(len(unitary))
     rotated = np.exp(1j * alpha) * unitary
-    cayley = -1j * np.linalg.solve(eye + rotated, eye - rotated)
-    hermitian = (cayley + cayley.conj().T) / 2
-    if np.abs(hermitian.imag).max(initial=0.0) <= np.abs(cayley - hermitian).max(initial=0.0):
-        hermitian = hermitian.real
-    mu, vecs = eigh(hermitian, driver="evd")
+    cayley = np.linalg.solve(np.eye(len(unitary)) + rotated.real, -rotated.imag)
+    mu, vecs = eigh((cayley + cayley.T) / 2, driver="evd")
     return alpha + 2.0 * np.arctan(mu), vecs
 
 
-def principal_log_spectrum(unitary: np.ndarray, t: float,
-                           margin: float) -> tuple[np.ndarray, np.ndarray]:
+def principal_log_spectrum(unitary: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of H = (i/t) log U on the principal branch: U = exp(-i t H).
 
-    The Cayley transform C = -i (I + U)^-1 (I - U) of a unitary U is
-    Hermitian, with the eigenvectors of U and eigenvalues tan(phi/2) where
-    U = V exp(-i phi) V^dagger (Higham, Functions of Matrices, 2008), so one
-    Hermitian eigensolve gives phi = 2 arctan(mu) and E = phi / t.  When a
-    phase comes within ``_POLE_DISTANCE`` of +-pi, the transform is taken
-    once more with its pole rotated into the widest gap between the phases.
-    Phases within ``margin`` of +-pi, or an eigenvalue -1 (a singular
-    I + U), leave the branch ambiguous; a U that is not normal, so that
-    V exp(-i phi) V^dagger misses it by more than 1e-10, has no such log.
-    Each raises ``ValueError``.  Returns (energies ascending, orthonormal
-    eigenvectors as columns).
+    U must be a complex symmetric unitary, as every palindromic product of
+    exponentials of real symmetric matrices is.  Its Cayley transform is
+    then real symmetric, with the eigenvectors of U and eigenvalues
+    tan(phi/2) where U = V exp(-i phi) V^T (Higham, Functions of Matrices,
+    2008), so one real eigensolve gives phi = 2 arctan(mu) and E = phi / t
+    (``_cayley_phases``).  When a phase
+    comes within ``_POLE_DISTANCE`` of +-pi, the transform is taken once
+    more with its pole rotated into the widest gap between the phases.
+    A U with U - U^T above 1e-12 max|U| is refused before any solve.
+    Phases within ``_BRANCH_MARGIN`` of +-pi, or an eigenvalue -1 (a
+    singular I + Re U), leave the branch ambiguous; a U that is not unitary,
+    so that U V = V exp(-i phi) misses by more than 1e-10 in its real or
+    its imaginary part, has no such log.  Each raises ``ValueError``.
+    Returns (energies ascending, real orthonormal eigenvectors as columns).
     """
+    if np.abs(unitary - unitary.T).max(initial=0.0) > 1e-12 * np.abs(unitary).max(initial=0.0):
+        raise ValueError("unitary is not symmetric: its log needs U = U^T")
     try:
         phases, vecs = _cayley_phases(unitary, 0.0)
         if np.abs(phases).max(initial=0.0) > np.pi - _POLE_DISTANCE:
@@ -810,10 +808,11 @@ def principal_log_spectrum(unitary: np.ndarray, t: float,
             phases, vecs = phases[order], vecs[:, order]
     except np.linalg.LinAlgError:
         raise ValueError("unitary has an eigenvalue -1: log branch ambiguity") from None
-    if np.abs(phases).max(initial=0.0) >= np.pi - margin:
+    if np.abs(phases).max(initial=0.0) >= np.pi - _BRANCH_MARGIN:
         raise ValueError("time step too large: log branch ambiguity")
-    if np.abs(hermitian_exponential((phases, vecs), 1.0) - unitary).max(initial=0.0) > 1e-10:
-        raise ValueError("unitary is not normal to tolerance: its log does not reproduce it")
+    if (np.abs(unitary.real @ vecs - vecs * np.cos(phases)).max(initial=0.0) > 1e-10
+            or np.abs(unitary.imag @ vecs + vecs * np.sin(phases)).max(initial=0.0) > 1e-10):
+        raise ValueError("matrix is not unitary to tolerance: U V != V exp(-i phi)")
     return phases / t, vecs
 
 
@@ -899,18 +898,17 @@ def lowest_eigenpairs(op, basis: SectorBasis, k: int = 1, tol: float = 0.0):
 
 
 class Propagator:
-    """Applies exp(-i G t) for one Hamiltonian piece G to a state in layout
-    form: the sector vector reshaped to the matrix Psi of shape
-    ``basis.shape``, rows over up configurations and columns over down ones,
-    or a block of them along a third axis, as (dim, m) columns reshape.
+    """Applies exp(-i G t) for one Hamiltonian piece G to a sector vector or
+    a (dim, m) block of columns, as ``SectorOperator.matvec`` takes them.
 
     The route follows from G:
 
-    - diagonal G (V, V'): Psi -> exp(-i t D) o Psi, with the phases of the
-      diagonal, reshaped to the layout, cached per duration;
+    - diagonal G (V, V'): v -> exp(-i t D) o v, with the phases of the
+      diagonal cached per duration;
     - G made only of one-species hops (the kinetic factor, a tile section):
-      Psi -> M_up Psi M_down^T, where M_sigma = exp(-i t K_sigma) is cached
-      per duration, built exactly from the n x n one-body unitary
+      Psi -> M_up Psi M_down^T on v's layout matrix Psi (``basis.shape``, a
+      block's columns along a third axis), where M_sigma = exp(-i t K_sigma)
+      is cached per duration, built exactly from the n x n one-body unitary
       exp(-i t k_sigma) as a product of sparse 2-mode rotations and one
       phase diagonal (``basis.species``, ``_SpeciesLift.exponential``); it
       stays sparse for a tile section and is dense for the full kinetic
@@ -930,22 +928,21 @@ class Propagator:
             raise ValueError("Propagator needs a diagonal or a hopping-only operator")
         self._exponentials: dict[float, np.ndarray | tuple] = {}
 
-    def apply(self, psi: np.ndarray, t: float) -> np.ndarray:
+    def apply(self, v: np.ndarray, t: float) -> np.ndarray:
         if t not in self._exponentials:
             self._exponentials[t] = (
-                np.exp(-1j * t * self.sop.diagonal.real).reshape(self.basis.shape)
+                np.exp(-1j * t * self.sop.diagonal.real)
                 if self.diagonal_only
                 else tuple(lift.exponential(k, t) for lift, k in
                            zip(self.basis.species, self.sop.one_body_matrices)))
         if self.diagonal_only:
             phases = self._exponentials[t]
-            return (phases if psi.ndim == 2 else phases[..., None]) * psi
+            return (phases if v.ndim == 1 else phases[:, None]) * v
         m_up, m_down = self._exponentials[t]
-        if psi.ndim == 2:
-            return m_up @ (m_down @ psi.T).T
-        rows, cols, width = psi.shape
-        half = (m_down @ psi.swapaxes(0, 1).reshape(cols, -1)).reshape(cols, rows, width)
-        return (m_up @ half.swapaxes(0, 1).reshape(rows, -1)).reshape(psi.shape)
+        rows, cols = self.basis.shape
+        psi = v.reshape(rows, cols, -1)
+        half = (m_down @ psi.swapaxes(0, 1).reshape(cols, -1)).reshape(cols, rows, -1)
+        return (m_up @ half.swapaxes(0, 1).reshape(rows, -1)).reshape(v.shape)
 
 
 # -- total spin ---------------------------------------------------------------

@@ -3,9 +3,10 @@
 A second-order product formula U at time step t equals exp(-i H_eff t) for a
 Hermitian effective Hamiltonian H_eff whose eigenvalues are what phase
 estimation measures.  Both routes take one Trotter step, every factor by its
-``Propagator`` on layout matrices (``_trotter_step``).  Small sectors build U
+``Propagator`` on sector vectors (``_trotter_step``).  Small sectors build U
 as that step on identity blocks and take the spectrum of H_eff = (i/t) log U
-from one Hermitian eigensolve of its Cayley transform; larger ones build
+from one real eigensolve of its Cayley transform, real symmetric because a
+palindromic scheme's U is complex symmetric; larger ones build
 g_k = <psi|U^k|psi> step by step and locate the dominant pole of a
 Gaussian-filtered Fourier reconstruction.
 """
@@ -24,8 +25,6 @@ _GRID_POINTS = 8192
 _FILTER_WIDTH = 0.05
 # matched eigenstates with a smaller squared overlap are flagged
 _MIN_OVERLAP = 0.9
-# phases this close to +-pi leave the branch of log U ambiguous
-_BRANCH_MARGIN = 1e-9
 
 
 # -- schemes ------------------------------------------------------------------
@@ -100,7 +99,7 @@ def default_section_order(classes):
 
 
 def _trotter_step(scheme, basis):
-    """The product formula's step on a layout matrix or a block of them, one
+    """The product formula's step on a sector vector or a (dim, w) block, one
     ``Propagator`` per distinct factor, built here: a factor or a basis that
     they refuse raises ``ValueError`` before any state is touched."""
     props = {}
@@ -119,28 +118,27 @@ def _trotter_step(scheme, basis):
 def scheme_unitary_dense(scheme, basis):
     """Sector-restricted dense unitary of the product formula: the time
     series' own step (``_trotter_step``) on blocks of the identity's columns
-    (``dense_from_action``), each reshaped to a block of layout matrices."""
-    step = _trotter_step(scheme, basis)
-    return dense_from_action(
-        lambda block: step(block.reshape(*basis.shape, -1)).reshape(block.shape), basis.dim)
+    (``dense_from_action``)."""
+    return dense_from_action(_trotter_step(scheme, basis), basis.dim)
 
 
 def effective_spectrum_dense(scheme, basis):
     """Eigenpairs of H_eff = (i/t) log U on the sector, branch-checked.
 
-    Returns (energies ascending, orthonormal eigenvectors as columns) from
-    one Hermitian eigensolve of the Cayley transform of U
-    (``sector.principal_log_spectrum``).
+    A scheme is palindromic and each factor's exponential is symmetric, so
+    U = U^T: its Cayley transform is real symmetric, and one real
+    eigensolve of it (``sector.principal_log_spectrum``) gives (energies
+    ascending, real orthonormal eigenvectors as columns).
     """
-    return principal_log_spectrum(scheme_unitary_dense(scheme, basis), scheme.time_step,
-                                  _BRANCH_MARGIN)
+    return principal_log_spectrum(scheme_unitary_dense(scheme, basis), scheme.time_step)
 
 
 def effective_hamiltonian_dense(scheme, basis):
-    """H_eff = (i/t) log U on the sector as a dense Hermitian matrix."""
+    """H_eff = (i/t) log U on the sector as a dense real symmetric matrix,
+    from the real eigenvectors of ``effective_spectrum_dense``."""
     energies, vecs = effective_spectrum_dense(scheme, basis)
-    h_eff = (vecs * energies) @ vecs.conj().T
-    return (h_eff + h_eff.conj().T) / 2
+    h_eff = (vecs * energies) @ vecs.T
+    return (h_eff + h_eff.T) / 2
 
 
 def pair_eigenstates(vecs_exact, vecs_effective):
@@ -181,17 +179,14 @@ class TimeSeries:
 
 
 def compute_time_series(scheme, basis, state, n_steps, label=""):
-    """g_k = <psi|U^k|psi> by repeated exact sector propagation.
-
-    The state is reshaped once to its layout matrix; each step
-    (``_trotter_step``) acts on that form and g_k is taken in it.
-    """
+    """g_k = <psi|U^k|psi> by repeated exact sector propagation, one
+    ``_trotter_step`` per k."""
     step = _trotter_step(scheme, basis)
     psi = np.asarray(state, dtype=complex)
     norm = np.linalg.norm(psi)
     if abs(norm - 1.0) > 1e-8:
         raise ValueError("initial state must be normalized")
-    psi = (psi / norm).reshape(basis.shape)
+    psi = psi / norm
     values = [1.0 + 0.0j]
     current = psi
     for _ in range(n_steps):

@@ -1,8 +1,8 @@
 """Finite-t oracle for the kinetic splitting error.
 
 ``effective_kinetic`` forms A_delta(t) = (i/t) log of the sectioned product
-times exp(i A t) directly, one matrix exponential per factor and one
-Hermitian log, and ``eigenmodes`` reads its spectrum.  The package takes
+between two factors exp(i A t / 2) directly, one matrix exponential per
+factor and one log, and ``eigenmodes`` reads its spectrum.  The package takes
 W_T and A_T as t -> 0 limits from A_2 instead; the tests hold those limits
 against this oracle.
 """
@@ -13,9 +13,13 @@ import numpy as np
 from scipy.linalg import eigh
 
 from fock_oracle import full_matrix
-from trotterlab.sector import hermitian_exponential, principal_log_spectrum
+from trotterlab.sector import principal_log_spectrum
 
-BRANCH_MARGIN = 1e-6
+
+def _exponential(matrix, t):
+    """exp(-i t M) of a real symmetric M from its eigenpairs."""
+    vals, vecs = eigh(matrix, driver="evd")
+    return (vecs * np.exp(-1j * t * vals)) @ vecs.T
 
 
 def eigenmodes(matrix):
@@ -32,9 +36,11 @@ def eigenmodes(matrix):
 def effective_kinetic(sections, t):
     """A_delta at time step t as ``matrix`` with its ``eigenmodes``.
 
-    Every factor of the product is exponentiated from the eigenpairs of its
-    real symmetric matrix, and A_delta = (i/t) log of the product comes from
-    one Hermitian eigensolve (``sector.principal_log_spectrum``).
+    Every factor is exponentiated from the eigenpairs of its real symmetric
+    matrix.  The product exp(i A t / 2) S exp(i A t / 2), S the palindromic
+    section product, is similar to exp(i A t) S, so it has the same
+    spectrum, and it is symmetric, so A_delta = (i/t) log of it comes from
+    one real eigensolve (``sector.principal_log_spectrum``).
     """
     if t <= 0:
         raise ValueError("time step must be positive")
@@ -42,12 +48,12 @@ def effective_kinetic(sections, t):
     if sections.n_sections == 1:
         matrix = np.zeros((n, n))
     else:
-        prod = hermitian_exponential(eigh(full_matrix(sections), driver="evd"), -t)
-        halves = [hermitian_exponential(eigh(mat, driver="evd"), t / 2)
-                  for mat in sections.matrices]
-        for half in halves + halves[::-1]:
-            prod = prod @ half
-        modes, vecs = principal_log_spectrum(prod, t, BRANCH_MARGIN)
-        gen = (vecs * modes) @ vecs.conj().T
-        matrix = (gen + gen.conj().T) / 2
+        undo = _exponential(full_matrix(sections), -t / 2)
+        halves = [_exponential(mat, t / 2) for mat in sections.matrices]
+        prod = undo
+        for factor in halves + halves[::-1] + [undo]:
+            prod = prod @ factor
+        modes, vecs = principal_log_spectrum(prod, t)
+        gen = (vecs * modes) @ vecs.T
+        matrix = (gen + gen.T) / 2
     return SimpleNamespace(matrix=matrix, eigenmodes=eigenmodes(matrix))

@@ -110,6 +110,18 @@ def test_malformed_config_exits_2(capsys, tmp_path):
     (["norms", {"seed": False}], "seed"),
     (["resources", {"per_step": {"n_rotations": 342, "n_t_gates": 104, "n_sites": True}}],
      "n_sites"),
+    # values that change nothing: a per-step file beside the config's
+    # family/n, a constant in gap mode, a time step in error mode
+    (["resources", {"per_step": {"n_rotations": 342, "n_t_gates": 104, "n_sites": 14}}],
+     "per_step"),
+    (["resources", "--constant", "5"], "constant"),
+    (["resources", "--mode", "error", "--constant", "5", "--t", "0.1"], "t"),
+    # a molecule for a target other than table4; --slow where no row is slow
+    (["reproduce", "table1", "--molecule", "acene3"], "molecule"),
+    (["reproduce", "table1", "--slow"], "slow"),
+    (["reproduce", "table4", "--molecule", "acene2", "--slow"], "slow"),
+    # naphthalene's half-filled sector has 63 504 states, above DENSE_DIM_LIMIT
+    (["norms", "--method", "dense", {"size_n": 2}], "method"),
 ])
 def test_out_of_range_values_exit_2(capsys, tmp_path, argv, field):
     config = {"family": "acene", "size_n": 1}

@@ -344,7 +344,6 @@ def test_factorised_actions_match_dense(size_n, sector):
     v = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
     v /= np.linalg.norm(v)
     t = 0.1
-    psi = v.reshape(basis.shape)
     for op in _tile_sections(lat) + [kin]:
         prop = Propagator(op, basis)
         assert prop.hopping_only
@@ -353,7 +352,7 @@ def test_factorised_actions_match_dense(size_n, sector):
         coeffs = w.conj().T @ v
         for steps in (1, 5, -3):  # large and negative angles too
             exact = w @ (np.exp(-1j * steps * t * lam) * coeffs)
-            got = prop.apply(psi, steps * t).reshape(-1)
+            got = prop.apply(v, steps * t)
             assert np.abs(got - exact).max() <= 1e-12
     h = SectorOperator(kin + pot, basis)
     assert h.layout
@@ -364,7 +363,8 @@ def test_factorised_actions_match_dense(size_n, sector):
 @pytest.mark.parametrize("size_n, sector", [(1, (6, 6, 0)), (2, (10, 4, 2))])
 def test_whole_sector_matvec_takes_blocks(size_n, sector):
     """The layout kernel on a (dim, m) block gives each column's matvec bit
-    for bit, for O and |O|, with real and complex hopping."""
+    for bit, for O and |O|, with real and complex hopping; a propagator's
+    block gives each column's image to rounding."""
     kin, pot = jordan_wigner(build_ppp(build_lattice("acene", size_n)))
     basis = enumerate_sector(*sector)
     block = np.random.default_rng(4).normal(size=(basis.dim, 7))
@@ -375,6 +375,10 @@ def test_whole_sector_matvec_takes_blocks(size_n, sector):
         for action in (sop.matvec, sop.abs_matvec):
             cols = np.column_stack([action(v) for v in block.T])
             assert np.array_equal(action(block), cols)
+    for op in (kin, pot):
+        prop = Propagator(op, basis)
+        cols = np.column_stack([prop.apply(v, 0.1) for v in block.T])
+        assert np.abs(prop.apply(block, 0.1) - cols).max() <= 1e-14
 
 
 def test_dense_from_action_takes_the_action_dtype_and_refuses_large_sectors():
@@ -425,7 +429,7 @@ def test_full_hopping_factor_is_applied_dense():
     v = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
     v /= np.linalg.norm(v)
     exact = w @ (np.exp(-1j * t * lam) * (w.conj().T @ v))
-    got = Propagator(op, basis).apply(v.reshape(basis.shape), t).reshape(-1)
+    got = Propagator(op, basis).apply(v, t)
     assert np.abs(got - exact).max() <= 1e-12
 
 
@@ -730,7 +734,7 @@ def test_propagate_diagonal_phase(benzene):
     prop = Propagator(pot, basis)
     v = np.zeros(basis.dim, dtype=complex)
     v[7] = 1.0
-    out = prop.apply(v.reshape(basis.shape), 0.3).reshape(-1)
+    out = prop.apply(v, 0.3)
     diag = SectorOperator(pot, basis).diagonal.real
     assert np.isclose(out[7], np.exp(-1j * 0.3 * diag[7]))
     assert np.isclose(np.abs(out[7]), 1.0)
@@ -742,10 +746,9 @@ def test_propagate_diagonal_phases_reused_bit_for_bit(benzene):
     prop = Propagator(pot, basis)
     v = np.random.default_rng(3).normal(size=basis.dim) + 0j
     phases = np.exp(-1j * 0.05 * SectorOperator(pot, basis).diagonal.real)
-    psi = v.reshape(basis.shape)
     for _ in range(2):
-        got = prop.apply(psi, 0.05)
-        assert got.reshape(-1).tobytes() == (phases * v).tobytes()
+        got = prop.apply(v, 0.05)
+        assert got.tobytes() == (phases * v).tobytes()
 
 
 def test_propagate_matches_dense_expm(benzene):
@@ -755,12 +758,11 @@ def test_propagate_matches_dense_expm(benzene):
     v = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
     v /= np.linalg.norm(v)
     t = 0.05
-    exact = v
-    got = v.reshape(basis.shape)
+    exact = got = v
     for op, dur in ((pot, t / 2), (kin, t), (pot, t / 2)):
         exact = expm(-1j * dur * SectorOperator(op, basis).to_dense()) @ exact
         got = Propagator(op, basis).apply(got, dur)
-    assert np.linalg.norm(exact - got.reshape(-1)) < 1e-10
+    assert np.linalg.norm(exact - got) < 1e-10
 
 
 def test_propagate_zero_time_limit(benzene):
@@ -769,10 +771,10 @@ def test_propagate_zero_time_limit(benzene):
     v = rng.normal(size=basis.dim) + 0j
     v /= np.linalg.norm(v)
     t = 1e-5
-    out = v.reshape(basis.shape)
+    out = v
     for op, dur in ((pot, t / 2), (kin, t), (pot, t / 2)):
         out = Propagator(op, basis).apply(out, dur)
-    fid = abs(np.vdot(v, out.reshape(-1)))
+    fid = abs(np.vdot(v, out))
     assert fid > 1 - (60.0 * t) ** 2  # ||H|| well below 60 eV
 
 
@@ -784,7 +786,7 @@ def test_unitarity_over_100_steps(benzene):
     rng = np.random.default_rng(2)
     v = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
     v /= np.linalg.norm(v)
-    psi = v.reshape(basis.shape)
+    psi = v
     for _ in range(100):
         psi = pv.apply(psi, t / 2)
         psi = pk.apply(psi, t)
@@ -890,7 +892,7 @@ def test_dense_routes_never_list_the_sector(monkeypatch, tmp_path):
         assert np.array_equal(sop.abs_matvec(x), np.abs(d) * x)
         assert np.array_equal(sop.to_dense(), np.diag(d))
         assert lowest_eigenpairs(op, basis, k=1)[0][0] == d.min()
-    Propagator(pot, basis).apply(x.reshape(basis.shape), 0.1)
+    Propagator(pot, basis).apply(x, 0.1)
     assert main(["reproduce", "fig5", "--out", str(tmp_path / "fig5.json")]) == 0
     for method in ("dense", "bound"):
         assert main(["norms", "--family", "acene", "--n", "1", "--method", method,
@@ -1102,27 +1104,33 @@ def test_half_refuses_what_breaks_the_flip_or_needs_states(benzene):
 # -- principal log of a unitary -----------------------------------------------
 
 
-def _unitary_with_phases(phases, seed=0):
-    """V exp(-i phases) V^dagger for a random unitary V."""
+def _unitary_with_phases(phases, seed=0, vecs_dtype=float):
+    """V exp(-i phases) V^dagger for a random real orthogonal V, so the
+    unitary is symmetric, or with ``vecs_dtype=complex`` a random unitary V."""
     rng = np.random.default_rng(seed)
     n = len(phases)
-    vecs, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    noise = rng.normal(size=(n, n))
+    if vecs_dtype is complex:
+        noise = noise + 1j * rng.normal(size=(n, n))
+    vecs, _ = np.linalg.qr(noise)
     return (vecs * np.exp(-1j * np.asarray(phases))) @ vecs.conj().T
 
 
-@pytest.mark.parametrize("phases,margin", [
-    ([-2.5, -1.0, -1.0, -1.0, 0.0, 0.3, 0.3, 1e-9, 2.0, 2.9], 1e-6),
-    ([np.pi - 2e-6, -(np.pi - 2e-6), 0.5, 0.5, -3.0, 1.0], 1e-6),
-    ([np.pi - 2e-9, 0.1, -0.1, -0.1], 1e-9),
+@pytest.mark.parametrize("phases", [
+    [-2.5, -1.0, -1.0, -1.0, 0.0, 0.3, 0.3, 1e-9, 2.0, 2.9],
+    [np.pi - 2e-9, -(np.pi - 2e-9), 0.5, 0.5, -3.0, 1.0],
+    [np.pi - 2e-9, 0.1, -0.1, -0.1],
 ])
-def test_principal_log_spectrum_known_phases(phases, margin):
-    """Degenerate phases and phases just inside the margin come back as E = phi / t."""
+def test_principal_log_spectrum_known_phases(phases):
+    """Degenerate phases and phases just inside the branch margin (1e-9)
+    come back as E = phi / t, with real eigenvectors."""
     t = 0.3
     unitary = _unitary_with_phases(phases)
-    energies, vecs = principal_log_spectrum(unitary, t, margin)
+    energies, vecs = principal_log_spectrum(unitary, t)
+    assert vecs.dtype == float
     assert np.abs(energies - np.sort(phases) / t).max() < 1e-10
-    assert np.abs(vecs.conj().T @ vecs - np.eye(len(phases))).max() < 1e-12
-    rebuilt = (vecs * np.exp(-1j * t * energies)) @ vecs.conj().T
+    assert np.abs(vecs.T @ vecs - np.eye(len(phases))).max() < 1e-12
+    rebuilt = (vecs * np.exp(-1j * t * energies)) @ vecs.T
     assert np.abs(rebuilt - unitary).max() < 1e-12
 
 
@@ -1132,7 +1140,7 @@ def test_principal_log_spectrum_symmetric_unitary_solves_in_real_arithmetic():
     a = rng.normal(size=(12, 12))
     a = (a + a.T) / 2
     t = 0.4
-    energies, vecs = principal_log_spectrum(expm(-1j * t * a), t, 1e-9)
+    energies, vecs = principal_log_spectrum(expm(-1j * t * a), t)
     assert vecs.dtype == float
     assert np.abs(energies - np.linalg.eigvalsh(a)).max() < 1e-10
 
@@ -1141,13 +1149,25 @@ def test_principal_log_spectrum_rejects_non_normal_and_branch():
     non_normal = np.diag(np.exp(-1j * np.array([0.1, 0.2, 0.3]))).astype(complex)
     non_normal[0, 2] = 1e-6
     with pytest.raises(ValueError):
-        principal_log_spectrum(non_normal, 1.0, 1e-6)
-    beyond = _unitary_with_phases([np.pi - 1e-7, 0.2, -1.0], seed=1)
+        principal_log_spectrum(non_normal, 1.0)
+    beyond = _unitary_with_phases([np.pi - 1e-10, 0.2, -1.0], seed=1)
     with pytest.raises(ValueError):
-        principal_log_spectrum(beyond, 1.0, 1e-6)
+        principal_log_spectrum(beyond, 1.0)
     minus_one = np.diag([-1.0, 1.0, 1j])
     with pytest.raises(ValueError):
-        principal_log_spectrum(minus_one, 1.0, 1e-6)
+        principal_log_spectrum(minus_one, 1.0)
+
+
+def test_principal_log_spectrum_takes_symmetric_unitaries_only():
+    """A normal unitary with complex eigenvectors is not symmetric, and is
+    refused before any solve; a symmetric matrix that is not unitary fails
+    the residual U V = V exp(-i phi)."""
+    normal = _unitary_with_phases([0.3, -0.2, 1.0, 0.5], vecs_dtype=complex)
+    with pytest.raises(ValueError, match="not symmetric"):
+        principal_log_spectrum(normal, 1.0)
+    scaled = 1.001 * _unitary_with_phases([0.3, -0.2, 1.0, 0.5])
+    with pytest.raises(ValueError, match="not unitary"):
+        principal_log_spectrum(scaled, 1.0)
 
 
 def _schur_log_energies(unitary, t):
