@@ -3,17 +3,22 @@
 Every subcommand emits a JSON document embedding the resolved
 configuration and package version, so artifacts are self-describing and
 reruns with the same configuration are byte-identical.  Configuration can
-come from flags or from a JSON file via --config; flags win.  Malformed or
-out-of-range configuration exits with code 2 and an error record naming
-the offending field.  The environment variable TROTTERLAB_CACHE names a
-directory for eigenvector checkpoints reused across runs.
+come from flags or from a JSON file via --config; flags win.  Each field has
+one rule (``_FIELDS``), which its flag's string and its file value pass
+alike, and a file's keys must be fields of the subcommand (``_COMMANDS``),
+hwp and slow included.  A value that fails its rule, a JSON null, a number
+that is not finite and a key the subcommand does not take exit with code 2
+and an error record naming the offending field.  freefermion's seed is the
+one field with no effect.  The environment variable TROTTERLAB_CACHE names
+a directory for eigenvector checkpoints reused across runs.
 """
 
 import argparse
 import json
+import math
 import os
 import sys
-from math import comb
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -46,6 +51,7 @@ from .resources import (
 )
 from .sector import (
     DENSE_DIM_LIMIT,
+    MAX_SECTOR_SITES,
     SectorOperator,
     enumerate_sector,
     half_filling_sector,
@@ -73,21 +79,79 @@ def _fail_config(field, message):
     sys.exit(2)
 
 
-def _integer(key, value, least):
-    """``value`` as an int >= ``least``: 2, 2.0 and "2" pass; 2.9, "2.5", "two"
-    and a JSON boolean exit 2."""
+def _real(value):
+    """``value`` as a float; NaN for a JSON boolean or anything that is no number."""
     if isinstance(value, bool):
-        _fail_config(key, "%s must be an integer" % key)
+        return math.nan
     try:
-        number = float(value)
-    except (TypeError, ValueError):
-        number = float("nan")
-    if not number.is_integer():
-        _fail_config(key, "%s must be an integer" % key)
-    number = int(value) if isinstance(value, int) else int(number)
-    if number < least:
-        _fail_config(key, "%s must be at least %d" % (key, least))
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        return math.nan
+
+
+def _integer(key, value, least):
+    """``value`` as an int >= ``least``: 2, 2.0, "2" and "2.0" pass, an integer
+    string exactly; 2.9, "2.5", "two", null and a JSON boolean exit 2."""
+    if isinstance(value, str):
+        try:
+            value = int(value)
+        except ValueError:
+            value = _real(value)
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if type(value) is not int or value < least:
+        _fail_config(key, "%s must be an integer of at least %d" % (key, least))
+    return value
+
+
+def _number(key, value, below=math.inf):
+    """``value`` as a float in the open interval (0, ``below``)."""
+    number = _real(value)
+    if not 0 < number < below:
+        _fail_config(key, "%s must be a number in (0, %g)" % (key, below))
     return number
+
+
+def _choice(key, value, options):
+    if value not in options:
+        _fail_config(key, "%s must be one of %s" % (key, ", ".join(options)))
+    return value
+
+
+def _path_or_name(key, value):
+    if not isinstance(value, str) or not value:
+        _fail_config(key, "%s must be a non-empty string" % key)
+    return value
+
+
+def _boolean(key, value):
+    if not isinstance(value, bool):
+        _fail_config(key, "%s must be true or false" % key)
+    return value
+
+
+# every configuration field: (flag, check, help).  A flag's string and a
+# --config value pass the same check; null fails every check
+_FIELDS = {
+    "family": ("--family", partial(_choice, options=FAMILIES), ", ".join(FAMILIES)),
+    "size_n": ("--n", partial(_integer, least=1), "molecule size"),
+    "method": ("--method", partial(_choice, options=("frobenius", "bound", "dense")),
+               "frobenius (default), bound or dense"),
+    "samples": ("--samples", partial(_integer, least=2), "sampled states per norm"),
+    "seed": ("--seed", partial(_integer, least=0), "no effect on freefermion: A_T is exact"),
+    "tiling": ("--tiling", _path_or_name, "tiling JSON path (default: shipped)"),
+    "scheme": ("--scheme", partial(_choice, options=("SO", "tile")), "SO (default) or tile"),
+    "t": ("--t", _number, "Trotter time step"),
+    "states": ("--states", partial(_integer, least=1), "lowest states (default 2)"),
+    "per_step": ("--per-step", _path_or_name, "JSON with n_rotations, n_t_gates, n_sites"),
+    "mode": ("--mode", partial(_choice, options=("gap", "error")), "gap (default) or error"),
+    "epsilon": ("--epsilon", _number, "accuracy budget in eV"),
+    "x": ("--x", partial(_number, below=1.0), "share of epsilon for rotation synthesis"),
+    "constant": ("--constant", _number, "error constant of error mode"),
+    "hwp": ("--hwp", _boolean, "cost with Hamming-weight phasing"),
+    "molecule": ("--molecule", _path_or_name, "restrict table4 to one molecule"),
+    "slow": ("--slow", _boolean, "include slow rows"),
+}
 
 
 def _json_object(field, path):
@@ -102,39 +166,20 @@ def _json_object(field, path):
     return loaded
 
 
-def _resolve_config(args, required=(), optional=()):
-    """Merge --config JSON with CLI flags (flags win) and validate fields."""
-    merged = {}
-    config_path = getattr(args, "config", None)
-    if config_path:
-        merged.update(_json_object("config", config_path))
-    for key in required + optional:
-        val = getattr(args, key, None)
-        if val is not None:
-            merged[key] = val
+def _resolve_config(args):
+    """The subcommand's fields from --config JSON and flags (flags win), each
+    through its one check; a key the subcommand does not take exits 2."""
+    _, _, required, optional = _COMMANDS[args.command]
+    merged = _json_object("config", args.config) if args.config else {}
+    for key in merged:
+        if key not in required + optional:
+            _fail_config(key, "%s takes no field %s" % (args.command, key))
+    merged.update({key: getattr(args, key) for key in required + optional
+                   if getattr(args, key) is not None})
     for key in required:
-        if merged.get(key) is None:
+        if key not in merged:
             _fail_config(key, "required field is missing")
-    if "family" in merged and merged["family"] not in FAMILIES:
-        _fail_config("family", "family must be one of %s" % (FAMILIES,))
-    if "size_n" in merged:
-        merged["size_n"] = _integer("size_n", merged["size_n"], 1)
-    for key in ("t", "epsilon", "x", "constant"):
-        if key in merged and merged[key] is not None:
-            if isinstance(merged[key], bool):
-                _fail_config(key, "%s must be a number" % key)
-            try:
-                merged[key] = float(merged[key])
-            except (TypeError, ValueError):
-                _fail_config(key, "%s must be a number" % key)
-            if merged[key] <= 0:
-                _fail_config(key, "%s must be positive" % key)
-    if merged.get("x") is not None and merged["x"] >= 1:
-        _fail_config("x", "x must be below 1")
-    for key, least in (("samples", 2), ("seed", 0), ("states", 1)):
-        if key in merged and merged[key] is not None:
-            merged[key] = _integer(key, merged[key], least)
-    return merged
+    return {key: _FIELDS[key][1](key, value) for key, value in merged.items()}
 
 
 def _emit(payload, config, out=None):
@@ -212,8 +257,12 @@ def _ground_states(lat, hamiltonian, k, sz_twice=None, tol=1e-10, parity=0):
 def _half_filled_dim(n_sites):
     """The dimension of the half-filled sector (``half_filling_sector``)
     without building it: C(n, n // 2) configurations per species, for even
-    and odd n alike."""
-    return comb(n_sites, n_sites // 2) ** 2
+    and odd n alike.  Above ``MAX_SECTOR_SITES`` sites it exits 2 naming
+    ``size_n``, before anything is built."""
+    if n_sites > MAX_SECTOR_SITES:
+        _fail_config("size_n", "the molecule has %d sites; a sector has at most %d"
+                     % (n_sites, MAX_SECTOR_SITES))
+    return math.comb(n_sites, n_sites // 2) ** 2
 
 
 def _reference_data():
@@ -227,7 +276,7 @@ def _reference_data():
 
 
 def cmd_lattice(args):
-    cfg = _resolve_config(args, required=("family", "size_n"))
+    cfg = _resolve_config(args)
     lat = build_lattice(cfg["family"], cfg["size_n"])
     classes = bond_orientation_classes(lat)
     _emit(
@@ -247,7 +296,7 @@ def cmd_lattice(args):
 
 
 def cmd_hamiltonian(args):
-    cfg = _resolve_config(args, required=("family", "size_n"))
+    cfg = _resolve_config(args)
     lat = build_lattice(cfg["family"], cfg["size_n"])
     kin, pot = jordan_wigner(build_ppp(lat))
     shift = choose_shift(pot)
@@ -267,15 +316,11 @@ def cmd_hamiltonian(args):
 
 
 def cmd_norms(args):
-    cfg = _resolve_config(
-        args, required=("family", "size_n"), optional=("samples", "seed", "method")
-    )
+    cfg = _resolve_config(args)
     method = cfg.get("method", "frobenius")
-    if method not in ("frobenius", "bound", "dense"):
-        _fail_config("method", "method must be frobenius, bound, or dense")
     if method != "frobenius":
         for key in ("samples", "seed"):
-            if cfg.get(key) is not None:
+            if key in cfg:
                 _fail_config(key, "%s has no effect with method %s" % (key, method))
     lat = build_lattice(cfg["family"], cfg["size_n"])
     dim = _half_filled_dim(lat.n_sites)
@@ -314,9 +359,7 @@ def cmd_norms(args):
 
 
 def cmd_freefermion(args):
-    cfg = _resolve_config(
-        args, required=("family", "size_n"), optional=("seed", "tiling")
-    )
+    cfg = _resolve_config(args)
     lat = build_lattice(cfg["family"], cfg["size_n"])
     tiling = cfg.get("tiling")
     if tiling is None:
@@ -350,14 +393,8 @@ def _build_scheme(lat, kin, pot, scheme_kind, t):
 
 
 def cmd_spectral(args):
-    cfg = _resolve_config(
-        args,
-        required=("family", "size_n", "t"),
-        optional=("scheme", "states"),
-    )
+    cfg = _resolve_config(args)
     scheme_kind = cfg.get("scheme", "SO")
-    if scheme_kind not in ("SO", "tile"):
-        _fail_config("scheme", "scheme must be SO or tile")
     k = cfg.get("states", 2)
     lat = build_lattice(cfg["family"], cfg["size_n"])
     dim = _half_filled_dim(lat.n_sites)
@@ -407,14 +444,8 @@ def cmd_spectral(args):
 
 
 def cmd_resources(args):
-    cfg = _resolve_config(
-        args,
-        optional=("family", "size_n", "per_step", "mode", "t", "epsilon",
-                  "x", "constant"),
-    )
+    cfg = _resolve_config(args)
     mode = cfg.get("mode", "gap")
-    if mode not in ("gap", "error"):
-        _fail_config("mode", "mode must be gap or error")
     # the time step of gap mode, the error constant of error mode
     unused = "constant" if mode == "gap" else "t"
     if cfg.get(unused) is not None:
@@ -453,7 +484,7 @@ def cmd_resources(args):
         params = CostParams(per_step=per, n_sites=n_sites, epsilon=epsilon, x=x,
                             mode="fixed_error", constant=cfg["constant"])
         gap = False
-    if args.hwp:
+    if cfg.get("hwp"):
         if potential is None:
             _fail_config("hwp", "hwp needs --family/--n to build the potential")
         report = hwp_estimate(params, potential, secs, gap=gap)
@@ -660,38 +691,25 @@ def _rep_fig7():
 
 
 def cmd_reproduce(args):
-    cfg = _resolve_config(args, optional=("molecule",))
-    target = args.target
-    slow = bool(args.slow)
-    molecule = cfg.get("molecule")
+    cfg = _resolve_config(args)
+    # every reproduce artifact records its target and whether slow rows ran
+    cfg.update(target=args.target, slow=cfg.get("slow", False))
+    target, slow, molecule = cfg["target"], cfg["slow"], cfg.get("molecule")
     if molecule is not None and target != "table4":
         _fail_config("molecule", "molecule has no effect on %s" % target)
     # the slow rows: table2's spectral bound and table4's acene3 gaps
     if slow and not (target == "table2" or (target == "table4" and molecule is None)):
         _fail_config("slow", "slow has no effect on %s%s"
                      % (target, " with a molecule" if molecule is not None else ""))
-    if target == "table1":
-        rows = _rep_table1()
-    elif target == "table2":
-        rows = _rep_table2(slow)
-    elif target == "table3":
-        rows = _rep_table3()
-    elif target == "table4":
-        rows = _rep_table4(slow, molecule)
-    elif target == "fig5":
-        rows = _rep_fig5()
-    elif target == "fig7":
-        rows = _rep_fig7()
-    else:
-        _fail_config("target", "unknown reproduction target %r" % target)
+    rows = {"table1": _rep_table1, "table2": lambda: _rep_table2(slow),
+            "table3": _rep_table3, "table4": lambda: _rep_table4(slow, molecule),
+            "fig5": _rep_fig5, "fig7": _rep_fig7}[target]()
     statuses = {row["status"] for row in rows}
     overall = "pass"
     if "fail" in statuses:
         overall = "fail"
     elif statuses == {"skipped"}:
         overall = "skipped"
-    cfg["target"] = target
-    cfg["slow"] = slow
     _emit({"rows": rows, "overall": overall}, cfg, args.out)
     return 0 if overall != "fail" else 1
 
@@ -699,71 +717,49 @@ def cmd_reproduce(args):
 # -- entry point --------------------------------------------------------------
 
 
-def _add_common(sp, molecule=True):
-    sp.add_argument("--config", help="JSON configuration file; flags override it")
-    sp.add_argument("--out", help="output JSON path (default stdout)")
-    if molecule:
-        sp.add_argument("--family", choices=FAMILIES)
-        sp.add_argument("--n", dest="size_n", type=int)
+# every subcommand: (function, help, required fields, optional fields)
+_MOLECULE = ("family", "size_n")
+_COMMANDS = {
+    "lattice": (cmd_lattice, "emit lattice geometry and bond classes", _MOLECULE, ()),
+    "hamiltonian": (cmd_hamiltonian, "emit operator term counts and shift", _MOLECULE, ()),
+    "norms": (cmd_norms, "commutator norms and error constants", _MOLECULE,
+              ("method", "samples", "seed")),
+    "freefermion": (cmd_freefermion, "kinetic splitting error constants", _MOLECULE,
+                    ("tiling", "seed")),
+    "spectral": (cmd_spectral, "effective energies and gap errors", _MOLECULE + ("t",),
+                 ("scheme", "states")),
+    "resources": (cmd_resources, "phase-estimation gate costs", (),
+                  _MOLECULE + ("per_step", "mode", "t", "epsilon", "x", "constant", "hwp")),
+    "reproduce": (cmd_reproduce, "reference-table comparison reports", (),
+                  ("molecule", "slow")),
+}
+
+
+def _parser():
+    """Every subcommand's flags: --config, --out and one per field, whose value
+    argparse passes on unconverted for ``_resolve_config`` to check."""
+    parser = argparse.ArgumentParser(
+        prog="trotterlab", description="PPP nanographene Trotter error and gate-cost toolkit")
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (func, text, required, optional) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=text)
+        if command == "reproduce":
+            sp.add_argument("target",
+                            choices=("table1", "table2", "table3", "table4", "fig5", "fig7"))
+        sp.add_argument("--config", help="JSON configuration file; flags override it")
+        sp.add_argument("--out", help="output JSON path (default stdout)")
+        for key in required + optional:
+            flag, check, text = _FIELDS[key]
+            # a flag left out is None, so the --config file's value stands
+            sp.add_argument(flag, dest=key, default=None, help=text,
+                            action="store_true" if check is _boolean else "store")
+        sp.set_defaults(func=func)
+    return parser
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="trotterlab",
-        description="PPP nanographene Trotter error and gate-cost toolkit",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("lattice", help="emit lattice geometry and bond classes")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_lattice)
-
-    sp = sub.add_parser("hamiltonian", help="emit operator term counts and shift")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_hamiltonian)
-
-    sp = sub.add_parser("norms", help="commutator norms and error constants")
-    _add_common(sp)
-    sp.add_argument("--method", choices=("frobenius", "bound", "dense"))
-    sp.add_argument("--samples", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.set_defaults(func=cmd_norms)
-
-    sp = sub.add_parser("freefermion", help="kinetic splitting error constants")
-    _add_common(sp)
-    sp.add_argument("--tiling", help="tiling JSON path (default: shipped)")
-    sp.add_argument("--seed", type=int, help="ignored: A_T is exact")
-    sp.set_defaults(func=cmd_freefermion)
-
-    sp = sub.add_parser("spectral", help="effective energies and gap errors")
-    _add_common(sp)
-    sp.add_argument("--scheme", choices=("SO", "tile"))
-    sp.add_argument("--t", type=float)
-    sp.add_argument("--states", type=int)
-    sp.set_defaults(func=cmd_spectral)
-
-    sp = sub.add_parser("resources", help="phase-estimation gate costs")
-    _add_common(sp)
-    sp.add_argument("--per-step", dest="per_step",
-                    help="JSON with n_rotations, n_t_gates, n_sites")
-    sp.add_argument("--mode", choices=("gap", "error"))
-    sp.add_argument("--t", type=float)
-    sp.add_argument("--epsilon", type=float)
-    sp.add_argument("--x", type=float)
-    sp.add_argument("--constant", type=float)
-    sp.add_argument("--hwp", action="store_true")
-    sp.set_defaults(func=cmd_resources)
-
-    sp = sub.add_parser("reproduce", help="reference-table comparison reports")
-    sp.add_argument("target",
-                    choices=("table1", "table2", "table3", "table4", "fig5", "fig7"))
-    _add_common(sp, molecule=False)
-    sp.add_argument("--molecule", help="restrict table4 to one molecule")
-    sp.add_argument("--slow", action="store_true", help="include slow rows")
-    sp.set_defaults(func=cmd_reproduce)
-
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

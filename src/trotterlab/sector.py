@@ -99,6 +99,10 @@ from .pauli import PauliSum
 # largest sector dimension handled through dense matrices
 DENSE_DIM_LIMIT = 5000
 
+# most sites a sector can have: configurations are int64 masks with the down
+# spin of site i on bit i + n, so 32 sites would need the sign bit 63
+MAX_SECTOR_SITES = 31
+
 # the weight of each of the two layout entries of a spin-flip half's pair
 _PAIR_WEIGHT = np.sqrt(0.5)
 
@@ -256,7 +260,12 @@ def enumerate_sector(n_sites: int, electrons: int, sz_twice: int,
 
     ``parity`` +1 or -1 (S_z = 0 only) gives the sector's spin-flip half with
     Psi^T = parity Psi: the states of even total spin S for +1, odd S for -1.
+    More than ``MAX_SECTOR_SITES`` sites raise ValueError before anything is
+    allocated.
     """
+    if n_sites > MAX_SECTOR_SITES:
+        raise ValueError("a sector has at most %d sites; asked for %d"
+                         % (MAX_SECTOR_SITES, n_sites))
     if not 0 <= electrons <= 2 * n_sites:
         raise ValueError("infeasible electron count")
     if (electrons + sz_twice) % 2 != 0:

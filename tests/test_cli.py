@@ -1,4 +1,9 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,11 +57,15 @@ def test_integral_config_values_accepted(capsys, tmp_path):
     rc, doc = _run(capsys, ["lattice", "--config", str(cfg)])
     assert rc == 0
     assert doc["n_sites"] == 10
+    rc, doc = _run(capsys, ["lattice", "--family", "acene", "--n", "2.0"])
+    assert rc == 0 and doc["n_sites"] == 10  # a flag passes the same check
+    # an integer string converts exactly, not through a float (2**53 + 1)
     cfg.write_text(json.dumps({"family": "acene", "size_n": "1", "samples": 500.0,
-                               "seed": "7"}))
+                               "seed": "9007199254740993"}))
     rc, doc = _run(capsys, ["norms", "--config", str(cfg)])
     assert rc == 0
-    assert doc["vtv"]["seed"] == 7 and doc["config"]["samples"] == 500
+    assert doc["vtv"]["seed"] == doc["config"]["seed"] == 9007199254740993
+    assert doc["config"]["samples"] == 500
 
 
 def test_malformed_config_exits_2(capsys, tmp_path):
@@ -122,9 +131,23 @@ def test_malformed_config_exits_2(capsys, tmp_path):
     (["reproduce", "table4", "--molecule", "acene2", "--slow"], "slow"),
     # naphthalene's half-filled sector has 63 504 states, above DENSE_DIM_LIMIT
     (["norms", "--method", "dense", {"size_n": 2}], "method"),
+    # a key the subcommand does not take
+    (["norms", {"samlpes": 5}], "samlpes"),
+    (["reproduce", "table1", {"slow": True}], "slow"),
+    # null, and numbers that are not finite
+    (["resources", {"t": None}], "t"),
+    (["spectral", "--t", "nan"], "t"),
+    (["resources", "--t", "inf"], "t"),
+    (["resources", "--x", "inf"], "x"),
+    (["resources", {"hwp": "yes"}], "hwp"),
+    # flag values pass the field's check, not argparse's
+    (["lattice", "--family", "grahpene"], "family"),
+    (["norms", "--method", "exact"], "method"),
+    (["lattice", "--n", "two"], "size_n"),
 ])
 def test_out_of_range_values_exit_2(capsys, tmp_path, argv, field):
-    config = {"family": "acene", "size_n": 1}
+    # every subcommand but reproduce takes a molecule
+    config = {} if argv[0] == "reproduce" else {"family": "acene", "size_n": 1}
     if isinstance(argv[-1], dict):
         config.update(argv[-1])
         argv = argv[:-1]
@@ -139,6 +162,44 @@ def test_out_of_range_values_exit_2(capsys, tmp_path, argv, field):
     assert exc.value.code == 2
     record = json.loads(capsys.readouterr().err)
     assert record["field"] == field
+
+
+def test_every_flag_is_one_field_of_the_table():
+    """Each subcommand's flags are --config, --out and exactly its fields, and
+    argparse converts and restricts none of them, so every value reaches its
+    field's one check."""
+    (sub,) = [a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == set(cli._COMMANDS)
+    for command, (_, _, required, optional) in cli._COMMANDS.items():
+        options = [a for a in sub.choices[command]._actions if a.option_strings]
+        flags = {a.dest: a.option_strings for a in options
+                 if a.dest not in ("help", "config", "out")}
+        assert flags == {key: [cli._FIELDS[key][0]] for key in required + optional}
+        assert all(a.type is None and a.choices is None for a in options)
+
+
+@pytest.mark.parametrize("code", [
+    "from trotterlab.sector import enumerate_sector\n"
+    "try:\n    enumerate_sector(32, 32, 0)\nexcept ValueError:\n    sys.exit(2)",
+    "from trotterlab.cli import main\nmain(['norms', '--family', 'acene', '--n', '8'])",
+    "from trotterlab.cli import main\n"
+    "main(['spectral', '--family', 'triangulene', '--n', '4', '--t', '0.1'])",
+], ids=["enumerate_sector", "norms_acene8", "spectral_triangulene4"])
+def test_sectors_above_31_sites_are_refused_before_allocating(code):
+    """At 32 sites the down-spin masks would need int64's sign bit, and the
+    first species list of acene8 (34 sites) alone is 18.7 GB.  Both are
+    refused before anything is allocated: under a 3 GB address-space limit
+    the call exits 2 (the CLI naming size_n), not with MemoryError."""
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = "1"
+    limit = "import resource, sys\nresource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
+    proc = subprocess.run([sys.executable, "-c", limit + code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    if "cli" in code:
+        assert json.loads(proc.stderr)["field"] == "size_n"
 
 
 def test_hamiltonian_counts(capsys):
@@ -335,13 +396,21 @@ def test_resources_per_step_file(capsys, tmp_path):
     assert record["field"] == "constant"
 
 
-def test_resources_hwp_from_molecule(capsys):
+def test_resources_hwp_from_molecule(capsys, tmp_path):
     rc, doc = _run(capsys, ["resources", "--family", "triangulene", "--n", "2",
                             "--hwp"])
     assert rc == 0
     assert doc["hwp"]["rotations_per_step"] < doc["inputs"]["n_rotations"]
     n = 13  # 2-triangulene sites
     assert doc["logical_qubits"] == 2 * n + 1 + (n - 1) + 1
+    # "hwp": true in a --config file is the flag, to the byte
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": "triangulene", "size_n": 2, "hwp": True}))
+    flag, config = tmp_path / "flag.json", tmp_path / "config.json"
+    assert main(["resources", "--family", "triangulene", "--n", "2", "--hwp",
+                 "--out", str(flag)]) == 0
+    assert main(["resources", "--config", str(cfg), "--out", str(config)]) == 0
+    assert flag.read_bytes() == config.read_bytes()
 
 
 def test_reproduce_table1(capsys):
