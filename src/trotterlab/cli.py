@@ -18,7 +18,7 @@ import json
 import math
 import os
 import sys
-from functools import partial
+from functools import cache, partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -169,7 +169,7 @@ def _json_object(field, path):
 def _resolve_config(args):
     """The subcommand's fields from --config JSON and flags (flags win), each
     through its one check; a key the subcommand does not take exits 2."""
-    _, _, required, optional = _COMMANDS[args.command]
+    _, required, optional = _COMMANDS[args.command]
     merged = _json_object("config", args.config) if args.config else {}
     for key in merged:
         if key not in required + optional:
@@ -717,32 +717,33 @@ def cmd_reproduce(args):
 # -- entry point --------------------------------------------------------------
 
 
-# every subcommand: (function, help, required fields, optional fields)
+# every subcommand: (help, required fields, optional fields); ``main`` runs
+# the module's function cmd_<subcommand>
 _MOLECULE = ("family", "size_n")
 _COMMANDS = {
-    "lattice": (cmd_lattice, "emit lattice geometry and bond classes", _MOLECULE, ()),
-    "hamiltonian": (cmd_hamiltonian, "emit operator term counts and shift", _MOLECULE, ()),
-    "norms": (cmd_norms, "commutator norms and error constants", _MOLECULE,
+    "lattice": ("emit lattice geometry and bond classes", _MOLECULE, ()),
+    "hamiltonian": ("emit operator term counts and shift", _MOLECULE, ()),
+    "norms": ("commutator norms and error constants", _MOLECULE,
               ("method", "samples", "seed")),
-    "freefermion": (cmd_freefermion, "kinetic splitting error constants", _MOLECULE,
-                    ("tiling", "seed")),
-    "spectral": (cmd_spectral, "effective energies and gap errors", _MOLECULE + ("t",),
+    "freefermion": ("kinetic splitting error constants", _MOLECULE, ("tiling", "seed")),
+    "spectral": ("effective energies and gap errors", _MOLECULE + ("t",),
                  ("scheme", "states")),
-    "resources": (cmd_resources, "phase-estimation gate costs", (),
+    "resources": ("phase-estimation gate costs", (),
                   _MOLECULE + ("per_step", "mode", "t", "epsilon", "x", "constant", "hwp")),
-    "reproduce": (cmd_reproduce, "reference-table comparison reports", (),
-                  ("molecule", "slow")),
+    "reproduce": ("reference-table comparison reports", (), ("molecule", "slow")),
 }
 
 
+@cache
 def _parser():
     """Every subcommand's flags: --config, --out and one per field, whose value
-    argparse passes on unconverted for ``_resolve_config`` to check."""
+    argparse passes on unconverted for ``_resolve_config`` to check.  Built
+    once per process: it holds no state between parses."""
     parser = argparse.ArgumentParser(
         prog="trotterlab", description="PPP nanographene Trotter error and gate-cost toolkit")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (func, text, required, optional) in _COMMANDS.items():
+    for command, (text, required, optional) in _COMMANDS.items():
         sp = sub.add_parser(command, help=text)
         if command == "reproduce":
             sp.add_argument("target",
@@ -754,13 +755,13 @@ def _parser():
             # a flag left out is None, so the --config file's value stands
             sp.add_argument(flag, dest=key, default=None, help=text,
                             action="store_true" if check is _boolean else "store")
-        sp.set_defaults(func=func)
     return parser
 
 
 def main(argv=None):
     args = _parser().parse_args(argv)
-    return args.func(args)
+    # looked up at each call, so a rebound cmd_<subcommand> is the one that runs
+    return globals()["cmd_" + args.command](args)
 
 
 if __name__ == "__main__":

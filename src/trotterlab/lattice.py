@@ -77,20 +77,17 @@ def build_lattice(family: str, size_n: int) -> Lattice:
     if size_n < 1:
         raise ValueError(f"size_n must be >= 1, got {size_n}")
 
-    corners = []
-    for cx, cy in _hexagon_centers(family, size_n):
-        for k in range(6):
-            ang = np.pi / 6 + k * np.pi / 3
-            corners.append((cx + BOND_LENGTH * np.cos(ang), cy + BOND_LENGTH * np.sin(ang)))
+    angles = [np.pi / 6 + k * np.pi / 3 for k in range(6)]
+    ring = BOND_LENGTH * np.array([(np.cos(ang), np.sin(ang)) for ang in angles])
+    centers = np.array(_hexagon_centers(family, size_n))
+    corners = (centers[:, None, :] + ring).reshape(-1, 2)
 
-    # Deduplicate shared corners between fused hexagons.
-    sites: list[tuple[float, float]] = []
-    for x, y in corners:
-        for sx, sy in sites:
-            if (x - sx) ** 2 + (y - sy) ** 2 < (0.5 * BOND_LENGTH) ** 2:
-                break
-        else:
-            sites.append((x, y))
+    # Deduplicate shared corners between fused hexagons: corners closer than
+    # half a bond coincide, and each cluster keeps its first corner.
+    diff = corners[:, None, :] - corners[None, :, :]
+    close = (diff**2).sum(axis=-1) < (0.5 * BOND_LENGTH) ** 2
+    first = ~np.tril(close, -1).any(axis=1)
+    sites = corners[first].tolist()
     coords = np.array(sorted(sites, key=lambda p: (round(p[1], 6), round(p[0], 6))))
 
     n = len(coords)
@@ -100,12 +97,8 @@ def build_lattice(family: str, size_n: int) -> Lattice:
 
     diff = coords[:, None, :] - coords[None, :, :]
     dist = np.sqrt((diff**2).sum(axis=-1))
-    bonds = tuple(
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if abs(dist[i, j] - BOND_LENGTH) < _BOND_TOL
-    )
+    i, j = np.nonzero(np.triu(np.abs(dist - BOND_LENGTH) < _BOND_TOL, 1))
+    bonds = tuple(zip(i.tolist(), j.tolist()))
 
     lat = Lattice(family=family, size_n=size_n, sites=coords, bonds=bonds, distances=dist)
     _check_invariants(lat)

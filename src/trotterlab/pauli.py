@@ -19,6 +19,9 @@ single-species configurations, and one-body rotations factor per species.
 
 from __future__ import annotations
 
+from itertools import compress, repeat
+from operator import itemgetter
+
 import numpy as np
 
 PRUNE_REL = 1e-12
@@ -127,15 +130,44 @@ class PauliSum:
 
     def require_real(self, context: str = "operator") -> "PauliSum":
         """Drop numerically-zero imaginary parts, error on genuine ones."""
-        scale = self.max_abs_coeff() or 1.0
-        out = {}
-        for key, c in self.terms.items():
-            if abs(c.imag if isinstance(c, complex) else 0.0) > 1e-9 * scale:
-                raise ValueError(
-                    f"{context}: non-real coefficient {c} on term {key}"
-                )
-            out[key] = complex(c).real
-        return PauliSum(self.n_qubits, out)
+        keys = list(self.terms)
+        coeffs = real_coefficients(keys, np.array(list(self.terms.values())), context)
+        return PauliSum(self.n_qubits, dict(zip(keys, coeffs.tolist())))
+
+    def diagonal_weights(self) -> np.ndarray:
+        """Per term, in order: the number of Z of a diagonal string, -1 for a
+        string with an X or a Y."""
+        weights = np.fromiter(map(int.bit_count, map(itemgetter(1), self.terms)), np.intp,
+                              len(self))
+        if any(map(itemgetter(0), self.terms)):
+            weights[np.fromiter(map(bool, map(itemgetter(0), self.terms)), bool, len(self))] = -1
+        return weights
+
+
+def real_coefficients(keys: list, coeffs: np.ndarray, context: str = "operator") -> np.ndarray:
+    """The real parts of ``coeffs``, the coefficients of ``keys``.
+
+    An imaginary part above 1e-9 of the largest |coefficient| (1 if all are
+    zero) raises ValueError naming the first such term.
+    """
+    if coeffs.dtype.kind != "c":
+        return np.asarray(coeffs, dtype=float)
+    values = coeffs.tolist()
+    scale = max(map(abs, values), default=0.0) or 1.0
+    genuine = np.abs(coeffs.imag) > 1e-9 * scale
+    if genuine.any():
+        first = int(np.argmax(genuine))
+        raise ValueError(f"{context}: non-real coefficient {values[first]} on term {keys[first]}")
+    return coeffs.real
+
+
+def pruned_real(n_qubits: int, keys, coeffs: np.ndarray) -> PauliSum:
+    """The Pauli sum of the real ``coeffs`` on ``keys``, in order, without the
+    terms at or below ``PRUNE_REL`` of the largest (exact zeros included),
+    built in one pass."""
+    magnitudes = np.abs(coeffs)
+    kept = magnitudes > PRUNE_REL * magnitudes.max(initial=0.0)
+    return PauliSum(n_qubits, dict(zip(compress(keys, kept), coeffs[kept].tolist())))
 
 
 def commutator(a: PauliSum, b: PauliSum) -> PauliSum:
@@ -199,8 +231,9 @@ def jw_potential(fermion_hamiltonian) -> PauliSum:
     v (n_i - 1)(n_j - 1) = (v/4)(Z_i↑ + Z_i↓)(Z_j↑ + Z_j↓).  Terms are in the
     order of a term-by-term build: the identity (the on-site u/4 summed
     site by site), then per site Z↑, Z↓, Z↑Z↓, then per pair i < j the four
-    ZZ terms; exact zeros are dropped, then terms below ``PRUNE_REL`` of
-    the largest.  Masks are Python ints, so qubits past 63 do not wrap.
+    ZZ terms; exact zeros and terms at or below ``PRUNE_REL`` of the largest
+    are dropped (``pruned_real``).  Masks are Python ints, so qubits past 63
+    do not wrap.
     """
     n = fermion_hamiltonian.site_count
     up = np.array([1 << qubit_index(i, 0, n) for i in range(n)], dtype=object)
@@ -212,14 +245,14 @@ def jw_potential(fermion_hamiltonian) -> PauliSum:
     i, j = np.triu_indices(n, 1)
     quarter_v = fermion_hamiltonian.v[i, j] / 4.0
     masks = np.concatenate([
+        [0],
         np.stack([up, down, up | down], axis=1).ravel(),
         np.stack([up[i] | up[j], up[i] | down[j],
                   down[i] | up[j], down[i] | down[j]], axis=1).ravel(),
     ]).tolist()
     coeffs = np.concatenate([
+        [identity],
         np.stack([-quarter_u, -quarter_u, quarter_u], axis=1).ravel(),
         np.repeat(quarter_v, 4),
-    ]).tolist()
-    terms = {(0, 0): identity} if identity != 0 else {}
-    terms.update(((0, z), c) for z, c in zip(masks, coeffs) if c != 0)
-    return PauliSum(2 * n, terms).pruned()
+    ])
+    return pruned_real(2 * n, zip(repeat(0), masks), coeffs)

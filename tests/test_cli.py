@@ -170,7 +170,7 @@ def test_every_flag_is_one_field_of_the_table():
     field's one check."""
     (sub,) = [a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)]
     assert set(sub.choices) == set(cli._COMMANDS)
-    for command, (_, _, required, optional) in cli._COMMANDS.items():
+    for command, (_, required, optional) in cli._COMMANDS.items():
         options = [a for a in sub.choices[command]._actions if a.option_strings]
         flags = {a.dest: a.option_strings for a in options
                  if a.dest not in ("help", "config", "out")}
@@ -411,6 +411,32 @@ def test_resources_hwp_from_molecule(capsys, tmp_path):
                  "--out", str(flag)]) == 0
     assert main(["resources", "--config", str(cfg), "--out", str(config)]) == 0
     assert flag.read_bytes() == config.read_bytes()
+
+
+def test_parser_reuse_leaks_no_state(tmp_path):
+    """main parses with one parser per process: a call without --hwp and
+    --config after one with both writes the bytes of a fresh process."""
+    assert cli._parser() is cli._parser()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": "triangulene", "size_n": 2}))
+    first, second, fresh = (tmp_path / name for name in ("first.json", "second.json",
+                                                          "fresh.json"))
+    molecule = ["--family", "triangulene", "--n", "2"]
+    assert main(["resources", "--config", str(cfg), "--hwp", "--out", str(first)]) == 0
+    assert main(["resources", *molecule, "--out", str(second)]) == 0
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-m", "trotterlab.cli", "resources", *molecule,
+                    "--out", str(fresh)], env=env, check=True, timeout=120)
+    assert second.read_bytes() == fresh.read_bytes()
+    assert json.loads(first.read_text())["hwp"] and not json.loads(second.read_text())["hwp"]
+
+
+def test_main_runs_the_module_attribute(monkeypatch):
+    """A rebound cmd_<subcommand> is what main runs, as a tracer rebinds it."""
+    monkeypatch.setattr(cli, "cmd_lattice", lambda args: ("rebound", args.size_n))
+    assert main(["lattice", "--family", "acene", "--n", "1"]) == ("rebound", "1")
 
 
 def test_reproduce_table1(capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fock_oracle import dense_matrix, number_operator
+from test_pauli import _shipped_molecules
 from trotterlab.hamiltonian import (
     PppParams,
     ShiftParams,
@@ -12,7 +13,7 @@ from trotterlab.hamiltonian import (
     shifted_potential,
 )
 from trotterlab.lattice import build_lattice
-from trotterlab.pauli import jordan_wigner
+from trotterlab.pauli import PauliSum, jordan_wigner
 
 TERM_COUNTS = {
     ("acene", 3): (406, 290),
@@ -115,21 +116,73 @@ def _apply_shift_by_algebra(v, shift, n_sites):
     return body, float(complex(offset).real)
 
 
-@pytest.mark.parametrize("family,n", [("acene", 1), ("triangulene", 2),
-                                      ("rhombene", 3), ("acene", 7)])
+def _assert_apply_shift_matches_algebra(v, shifts, n_sites):
+    for shift in shifts:
+        body, offset = apply_shift(v, shift, n_sites)
+        want_body, want_offset = _apply_shift_by_algebra(v, shift, n_sites)
+        # same terms in the same order, every float equal bit for bit
+        assert list(body.terms.items()) == list(want_body.terms.items())
+        assert all(type(c) is float for c in body.terms.values())
+        assert offset == want_offset and type(offset) is float
+
+
+@pytest.mark.parametrize("family,n", _shipped_molecules())
 def test_apply_shift_matches_pauli_algebra(family, n):
+    """At every size the CLI builds V' for, rhombene5's 140 qubits included
+    (masks past bit 63)."""
     lat = build_lattice(family, n)
     _, v = jordan_wigner(build_ppp(lat))
     # the last shift cancels every single-Z term of V + c1 N̂, and N̂² brings them back
     shifts = (choose_shift(v), ShiftParams(0.0, 0.0), ShiftParams(0.3, -0.7),
               ShiftParams(2.0 * v.coefficient(0, 1), 0.3))
-    for shift in shifts:
-        body, offset = apply_shift(v, shift, lat.n_sites)
-        want_body, want_offset = _apply_shift_by_algebra(v, shift, lat.n_sites)
-        # same terms in the same order, every float equal bit for bit
-        assert list(body.terms.items()) == list(want_body.terms.items())
-        assert all(type(c) is float for c in body.terms.values())
-        assert offset == want_offset
+    _assert_apply_shift_matches_algebra(v, shifts, lat.n_sites)
+
+
+@pytest.mark.parametrize("family,n", [("acene", 1), ("triangulene", 2)])
+def test_apply_shift_adds_the_terms_v_lacks(family, n):
+    """A V without its identity and every third term: the shift's new
+    identity, single-Z and pair terms go to the end in the algebra's order."""
+    lat = build_lattice(family, n)
+    _, full = jordan_wigner(build_ppp(lat))
+    v = PauliSum(full.n_qubits, {key: c for k, (key, c) in enumerate(full.terms.items()) if k % 3})
+    shifts = (choose_shift(full), ShiftParams(0.3, 0.0), ShiftParams(0.0, -0.7),
+              ShiftParams(2.0 * full.coefficient(0, 1), 0.3))
+    _assert_apply_shift_matches_algebra(v, shifts, lat.n_sites)
+
+
+def _benzene_potential():
+    _, v = jordan_wigner(build_ppp(build_lattice("acene", 1)))
+    return v
+
+
+def test_apply_shift_rejects_imaginary_coefficients():
+    v = _benzene_potential()
+    shift = choose_shift(v)
+    body, offset = apply_shift(v, shift, 6)
+    scale = max(body.max_abs_coeff(), abs(offset))
+    # 1e-9 of the largest |coefficient| of V', its identity included, is the
+    # line; below it the imaginary part is dropped and the real parts are unchanged
+    below = PauliSum(v.n_qubits, v.terms)
+    below.terms[0, 3] = complex(v.terms[0, 3], 1e-10 * scale)
+    (got, got_offset), (want, want_offset) = apply_shift(below, shift, 6), apply_shift(v, shift, 6)
+    assert list(got.terms.items()) == list(want.terms.items()) and got_offset == want_offset
+    above = PauliSum(v.n_qubits, v.terms)
+    above.terms[0, 3] = complex(v.terms[0, 3], 1e-8 * scale)
+    with pytest.raises(ValueError, match="non-real coefficient"):
+        apply_shift(above, shift, 6)
+
+
+def test_apply_shift_rejects_qubit_count_mismatch():
+    v = _benzene_potential()
+    with pytest.raises(ValueError, match="qubit count mismatch"):
+        apply_shift(v, choose_shift(v), 7)
+
+
+def test_choose_shift_rejects_inhomogeneous_single_z():
+    v = _benzene_potential()
+    v.terms[0, 1] += 1.0
+    with pytest.raises(ValueError, match="not homogeneous"):
+        choose_shift(v)
 
 
 def test_bin_coefficients_empty_and_single_class():

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from trotterlab.lattice import (
+    _BOND_TOL,
     BOND_LENGTH,
     Lattice,
+    _hexagon_centers,
     bond_orientation_classes,
     build_lattice,
     site_count,
@@ -42,6 +44,37 @@ def test_families_n1_to_8(family, n):
     assert len(lat.bonds) == int(np.sum(np.abs(d - BOND_LENGTH) < 1e-6)) // 2
     deg = lat.degrees()
     assert np.all((deg == 2) | (deg == 3))
+
+
+def _lattice_by_loops(family, n):
+    """(sites, bonds, distances) the pair-loop way: each hexagon corner is
+    kept unless a site already kept lies within half a bond, and each pair
+    i < j at one bond length is a bond."""
+    sites = []
+    for cx, cy in _hexagon_centers(family, n):
+        for k in range(6):
+            ang = np.pi / 6 + k * np.pi / 3
+            x, y = cx + BOND_LENGTH * np.cos(ang), cy + BOND_LENGTH * np.sin(ang)
+            if all((x - sx) ** 2 + (y - sy) ** 2 >= (0.5 * BOND_LENGTH) ** 2
+                   for sx, sy in sites):
+                sites.append((x, y))
+    coords = np.array(sorted(sites, key=lambda p: (round(p[1], 6), round(p[0], 6))))
+    dist = np.sqrt(((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=-1))
+    bonds = tuple((i, j) for i in range(len(coords)) for j in range(i + 1, len(coords))
+                  if abs(dist[i, j] - BOND_LENGTH) < _BOND_TOL)
+    return coords, bonds, dist
+
+
+@pytest.mark.parametrize("family,n", [("acene", n) for n in (1, 2, 3, 4, 5, 7, 9, 13)]
+                         + [(family, n) for family in ("rhombene", "triangulene")
+                            for n in range(1, 6)])
+def test_build_lattice_matches_pair_loops(family, n):
+    """Sites, bond order and distances bit for bit."""
+    lat = build_lattice(family, n)
+    coords, bonds, dist = _lattice_by_loops(family, n)
+    assert lat.sites.tobytes() == coords.tobytes()
+    assert lat.bonds == bonds and all(type(i) is int for bond in lat.bonds for i in bond)
+    assert lat.distances.tobytes() == dist.tobytes()
 
 
 def test_distance_matrix_benzene():
