@@ -103,10 +103,32 @@ def tiling_path(family, size_n):
 def load_tiling(path):
     with open(path) as fh:
         spec = json.load(fh)
+    if not isinstance(spec, dict):
+        raise ValueError("tiling spec must be a JSON object")
     for key in ("family", "size_n", "sections"):
         if key not in spec:
             raise ValueError("tiling spec missing field %r" % key)
     return spec
+
+
+def _integer(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_section(section):
+    """``ValueError`` unless a tiling section has a string name, bonds that
+    are a list of integer pairs, and non-negative integer gate counts."""
+    if not isinstance(section, dict) or not isinstance(section.get("name"), str):
+        raise ValueError("tiling section %r has no string name" % (section,))
+    bonds = section.get("bonds")
+    if not (isinstance(bonds, list) and all(isinstance(b, (list, tuple)) and len(b) == 2
+                                            and all(map(_integer, b)) for b in bonds)):
+        raise ValueError("tiling section %r: bonds must be a list of integer pairs"
+                         % section["name"])
+    for key in ("rotations", "t_gates"):
+        if not (_integer(section.get(key)) and section[key] >= 0):
+            raise ValueError("tiling section %r: %s must be a non-negative integer"
+                             % (section["name"], key))
 
 
 def tile_sections(lattice, tiling_spec):
@@ -123,7 +145,10 @@ def tile_sections(lattice, tiling_spec):
     bond_set = {tuple(sorted(b)) for b in lattice.bonds}
     seen = set()
     matrices, names, rotations, t_gates = [], [], [], []
+    if not isinstance(tiling_spec["sections"], list):
+        raise ValueError("tiling sections must be a list")
     for section in tiling_spec["sections"]:
+        _check_section(section)
         mat = np.zeros((lattice.n_sites, lattice.n_sites))
         for raw in section["bonds"]:
             bond = tuple(sorted(raw))
@@ -136,8 +161,8 @@ def tile_sections(lattice, tiling_spec):
             mat[i, j] = mat[j, i] = -tau
         matrices.append(mat)
         names.append(section["name"])
-        rotations.append(int(section["rotations"]))
-        t_gates.append(int(section["t_gates"]))
+        rotations.append(section["rotations"])
+        t_gates.append(section["t_gates"])
     missing = bond_set - seen
     if missing:
         raise ValueError("tiling leaves %d bonds uncovered" % len(missing))

@@ -35,20 +35,19 @@ T (a ``SectorOperator``, matrix-free at any size) or |T| with D:
 |O_VTT| has no such form, since paths through different intermediates k
 cancel before the absolute value is taken; it is the one operator assembled
 as a CSR matrix, once, from T = K_up (x) I + I (x) K_down.  Sampled column
-norms work per basis state from the hop groups and never touch a
-sector-size matrix.  They need only the differences D(b ^ x) - D(b) between
-each sampled state b and the states a hop, or a pair of hops, reaches from
-it.  D is a quadratic form in the occupation signs s_q = 1 - 2 b_q, so such
-a difference follows from the flipped bits of x alone:
-``SectorOperator.flip_differences`` takes s and the gradient of the form
-once per batch of states, then each mask costs O(|x|²) per state, and D
-itself is never formed.  A hop's amplitude at a midpoint b ^ x2 comes from
-the values of its terms at b (``sector._term_values``), each negated when
-the term overlaps x2 in an odd number of bits.
+norms work per basis state from the batch's occupation signs
+s_q = 1 - 2 b_q and never touch a sector-size matrix.  D is a quadratic
+form in s, so its change D(b ^ x) - D(b) under a hop or a pair of hops x
+follows from the flipped bits alone (``sector._DiagonalForm``), O(|x|²) per
+state.  A hop on qubits a < b with element k of the kinetic's n x n
+``one_body_matrices`` has amplitude k prod_{a<r<b} s_r (1 - s_a s_b)/2 at
+b, exactly +-k or 0, its chain product from one ``cumprod`` of s.  At a
+midpoint b ^ x2 the chain product gains (-1)^{|chain & x2|}, and an x2
+sharing one qubit with the hop flips s_a s_b.
 
-Pauli-level column norms (``column_norms_squared``) sum the same term values
-per X-mask group of ``sector._group_terms``, whose coefficient dtype already
-says whether the group is real.
+Pauli-level column norms (``column_norms_squared``) sum term values
+(``sector._term_values``) per X-mask group of ``sector._group_terms``, whose
+coefficient dtype already says whether the group is real.
 """
 
 from __future__ import annotations
@@ -68,7 +67,6 @@ from .sector import (
     _COLUMN_BLOCK,
     _column_sums,
     _group_terms,
-    _popcount,
     _term_values,
     dense_from_action,
 )
@@ -239,13 +237,12 @@ def average_case_constant(frob_vtv: NormEstimate, frob_vtt: NormEstimate) -> Err
 class HoppingCommutatorAction:
     """Nested-commutator actions using the diagonal-V structure.
 
-    Needs the kinetic Pauli sum (pure hopping) and a potential of Z-weight
-    <= 2, the ``SectorOperator`` that gives D and its flip differences, whose
-    diagonal differs from V's by a constant (the shifted V' qualifies, since
-    the commutators are shift-invariant).  Nothing sector-sized is built on
-    construction: T's species matrices on the first matvec, the |O_VTT|
-    matrix on the first ``vtt_abs_matvec``.  Every matvec takes a vector or
-    a (dim, m) block of columns.
+    Needs a kinetic of real one-species hops only and a potential of Z-weight
+    <= 2 whose diagonal D differs from V's by a constant (the shifted V'
+    qualifies, since the commutators are shift-invariant).  Nothing
+    sector-sized is built on construction: T's species matrices on the first
+    matvec, the |O_VTT| matrix on the first ``vtt_abs_matvec``.  Every
+    matvec takes a vector or a (dim, m) block of columns.
     """
 
     def __init__(self, kinetic: PauliSum, potential: PauliSum, basis: SectorBasis):
@@ -254,28 +251,36 @@ class HoppingCommutatorAction:
         if self.potential.hops or not self.potential.layout:
             raise ValueError("potential must be diagonal, with terms of Z-weight <= 2")
         self.kinetic = SectorOperator(kinetic, basis)
-        # hop groups: (x-mask, (zs, cs))
-        self.hops = [(x, group) for x, group in self.kinetic.groups.items() if x != 0]
+        if not (self.kinetic.layout and self.kinetic.hops and 0 not in self.kinetic.groups
+                and self.kinetic.is_real):
+            raise ValueError("kinetic must be real one-species hops only")
 
     @property
     def diag(self) -> np.ndarray:
         return self.potential.diagonal
 
-    def _hop_terms(self, states: np.ndarray) -> dict[int, np.ndarray]:
-        """Per hop mask x, the values c_z (-1)^{popcount(z & b)} of its terms,
-        (terms x states); their column sums are the amplitudes amp_x(b)."""
-        return {x: _term_values(states, group) for x, group in self.hops}
+    @cached_property
+    def _hops(self) -> list[tuple[int, int, int, float]]:
+        """(mask x, qubits a < b, one-body element k) per hop, in group order."""
+        n, k = self.kinetic.basis.n_sites, self.kinetic.one_body_matrices
+        bits = [(x, (x & -x).bit_length() - 1, x.bit_length() - 1) for x in self.kinetic.groups]
+        return [(x, a, b, k[a // n][b % n, a % n]) for x, a, b in bits]
+
+    def _flips(self, states: np.ndarray):
+        """(s, x -> D(b ^ x) - D(b)) for the signs s_q = 1 - 2 bit_q(b), qubits x states."""
+        s = 1.0 - 2.0 * ((states[None, :] >> np.arange(self.potential.basis.n_qubits)[:, None]) & 1)
+        return s, self.potential._form.flip_differences(s)
 
     @cached_property
     def _hop_pairs(self) -> dict[int, list]:
-        """Hop pairs (x1, x2) by target mask x1 ^ x2, each with the signs
-        (-1)^{popcount(z & x2)} of x1's terms, so that
-        amp_x1(b ^ x2) = signs @ (x1's term values at b)."""
+        """Hop pairs (x1, x2) by target mask x1 ^ x2: ``_hops`` indices, 1 if they
+        share one qubit, and np.subtract if x2 meets x1's chain oddly, else np.add."""
         pairs: dict[int, list] = {}
-        for x1, (zs1, _) in self.hops:
-            for x2, _ in self.hops:
-                signs = 1.0 - 2.0 * (_popcount(zs1 & np.int64(x2)) & 1)
-                pairs.setdefault(x1 ^ x2, []).append((x1, x2, signs))
+        for i1, (x1, a, b, _) in enumerate(self._hops):
+            chain = (1 << b) - (1 << (a + 1))
+            for i2, (x2, _, _, _) in enumerate(self._hops):
+                sign = np.subtract if (chain & x2).bit_count() % 2 else np.add
+                pairs.setdefault(x1 ^ x2, []).append((i1, i2, (x1 & x2).bit_count() % 2, sign))
         return pairs
 
     # O_VTV = [[V,T],V]: elements -(D_r - D_c)^2 T_rc
@@ -294,11 +299,12 @@ class HoppingCommutatorAction:
         return d * d * t(v) - 2.0 * d * t(d * v) + t(d * d * v)
 
     def vtv_column_norm_sq(self, states: np.ndarray) -> np.ndarray:
-        """|O_VTV |b>|² per sampled state (targets orthogonal across hops)."""
-        delta = self.potential.flip_differences(states)
+        """|O_VTV |b>|² = sum_x (k_x delta(x)²)² (1 - s_a s_b)/2 per sampled
+        state: targets are orthogonal across hops, so no sign enters."""
+        s, delta = self._flips(states)
         out = np.zeros(len(states))
-        for x, terms in self._hop_terms(states).items():
-            out += (delta(x) ** 2 * _column_sums(terms)) ** 2
+        for x, a, b, k in self._hops:
+            out += (delta(x) ** 2 * k) ** 2 * (0.5 - 0.5 * (s[a] * s[b]))
         return out
 
     # O_VTT = [[V,T],T]: elements sum_k T_rk T_kc (D_r - 2 D_k + D_c)
@@ -310,22 +316,24 @@ class HoppingCommutatorAction:
         weight D_r - 2 D_m + D_b = delta(x1 ^ x2) - 2 delta(x2) for the flip
         differences delta(x) = D(b ^ x) - D(b).  Pairs with the same target
         mask add up before squaring and different masks reach orthogonal
-        targets, so one mask's sum is held at a time.
+        targets, so one mask's sum is held at a time.  x1's amplitude at m
+        is +- its amplitude at b, with s_a s_b flipped if x2 shares one qubit.
         """
-        delta = self.potential.flip_differences(states)
-        terms = self._hop_terms(states)
-        # per midpoint hop x2: T[m, b] and T[m, b] delta(x2)
-        first = {}
-        for x2, terms2 in terms.items():
-            amp2 = _column_sums(terms2)
-            first[x2] = (amp2, amp2 * delta(x2))
+        s, delta = self._flips(states)
+        prefix = np.cumprod(s, axis=0)
+        forms, first = [], []  # per hop: (at b, s_a s_b flipped), (T[m, b], T[m, b] delta)
+        for x, a, b, k in self._hops:
+            signed = k * (prefix[b - 1] * prefix[a])
+            at_b = signed * (0.5 - 0.5 * (s[a] * s[b]))
+            forms.append((at_b, signed - at_b))
+            first.append((at_b, at_b * delta(x)))
         out = np.zeros(len(states))
         for xor, pairs in self._hop_pairs.items():
             delta_r = delta(xor)
             amp = np.zeros(len(states))
-            for x1, x2, signs in pairs:
-                amp2, amp2_delta = first[x2]
-                amp += (signs @ terms[x1]) * (amp2 * delta_r - 2.0 * amp2_delta)
+            for i1, i2, shared, sign in pairs:
+                amp2, amp2_delta = first[i2]
+                sign(amp, forms[i1][shared] * (amp2 * delta_r - 2.0 * amp2_delta), out=amp)
             out += amp**2
         return out
 

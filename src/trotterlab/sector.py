@@ -31,7 +31,7 @@ of Z-weight <= 2, as a PPP potential is, it is one quadratic form
 (``_DiagonalForm``).  Its up-up and down-down parts are vectors over the
 species lists and its up-down part one matrix product of their sign
 matrices, so D is evaluated on the (up x down) grid without the state list;
-the form also gives D(b ^ x) - D(b) from the flipped bits of x alone.
+the form also gives D(b ^ x) - D(b) from a batch's signs s and x's bits alone.
 
 Hopping conserves each spin species, so a sector vector reshaped to
 ``SectorBasis.shape``, C(n, n_up) x C(n, n_down), is a matrix Psi over (up
@@ -480,7 +480,7 @@ class _DiagonalForm:
     term raises ``ValueError``.  The group (zs, cs) comes from
     ``_group_terms``, and results have the dtype of cs.  ``diagonal`` gives D
     over a sector from its two species lists; ``flip_differences`` gives
-    D(b ^ x) - D(b) at given states from the flipped bits of x alone.
+    D(b ^ x) - D(b) at states given by their occupation signs.
     """
 
     def __init__(self, group: tuple[np.ndarray, np.ndarray], n_qubits: int):
@@ -519,17 +519,16 @@ class _DiagonalForm:
         out += d_down
         return out.ravel()
 
-    def flip_differences(self, states: np.ndarray):
-        """The function x -> D(b ^ x) - D(b), an array over ``states``.
+    def flip_differences(self, s: np.ndarray):
+        """The function x -> D(b ^ x) - D(b) over the states b whose
+        occupation signs s_q = 1 - 2 bit_q(b) are the columns of ``s``
+        (qubits x states, so that the rows s[F] are contiguous).
 
         Flipping the bits F of x negates s_q for q in F, so with
         g = h + 2 J s the quadratic part changes by
         sum_{q in F} s_q (4 sum_{p in F} J[q, p] s_p - 2 g_q), O(|F|^2) per
-        state.  s and g are taken once, qubit-major (qubits x states) so that
-        the rows s[F] are contiguous, with one ``J @ s``.  Mask 0 gives
-        exactly 0.
+        state, with g from one ``J @ s``.  Mask 0 gives exactly 0.
         """
-        s = 1.0 - 2.0 * ((states[None, :] >> np.arange(self.n)[:, None]) & 1)
         minus_2g = -2.0 * (self.h[:, None] + 2.0 * (self.J @ s))
 
         def delta(x: int) -> np.ndarray:
@@ -663,10 +662,6 @@ class SectorOperator:
     def diagonal(self) -> np.ndarray:
         """D over the sector from the quadratic form, without the state list."""
         return self._form.diagonal(self.basis)
-
-    def flip_differences(self, states: np.ndarray):
-        """x -> D(b ^ x) - D(b) over ``states``, from the quadratic form."""
-        return self._form.flip_differences(states)
 
     @cached_property
     def is_real(self) -> bool:

@@ -10,6 +10,7 @@ import pytest
 
 from trotterlab import cli
 from trotterlab.cli import _ground_states, main
+from trotterlab.freefermion import tiling_path
 from trotterlab.hamiltonian import build_ppp
 from trotterlab.lattice import build_lattice
 from trotterlab.pauli import jordan_wigner
@@ -266,6 +267,44 @@ def test_freefermion_missing_tiling(capsys):
     assert exc.value.code == 2
     record = json.loads(capsys.readouterr().err)
     assert record["field"] == "tiling"
+
+
+def _spoil_name(spec):
+    del spec["sections"][0]["name"]
+
+
+def _spoil_rotations(spec):
+    del spec["sections"][0]["rotations"]
+
+
+def _spoil_bond(spec):
+    spec["sections"][0]["bonds"][0] = 3
+
+
+def _spoil_sections(spec):
+    spec["sections"] = {"red": spec["sections"][0]}
+
+
+def _spoil_count(spec):
+    spec["sections"][0]["rotations"] = -4
+
+
+@pytest.mark.parametrize("spoil", [_spoil_name, _spoil_rotations, _spoil_bond,
+                                   _spoil_sections, _spoil_count])
+def test_freefermion_malformed_tiling_exits_2(capsys, tmp_path, spoil):
+    """A tiling file whose section lacks a name or its rotations, has a bond
+    that is not a pair, whose sections are no list, or whose gate count is
+    negative is a configuration error naming ``tiling``, with no artifact."""
+    spec = json.loads(Path(tiling_path("acene", 3)).read_text())
+    spoil(spec)
+    path = tmp_path / "tiling.json"
+    path.write_text(json.dumps(spec))
+    with pytest.raises(SystemExit) as exc:
+        main(["freefermion", "--family", "acene", "--n", "3", "--tiling", str(path)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.err)["field"] == "tiling"
+    assert captured.out == ""
 
 
 def test_spectral_subcommand_with_cache(capsys, tmp_path, monkeypatch):

@@ -18,7 +18,7 @@ from trotterlab.norms import (
     spectral_norm_bound,
     worst_case_constant,
 )
-from trotterlab.pauli import jordan_wigner
+from trotterlab.pauli import PauliSum, jordan_wigner
 from trotterlab.sector import (
     SectorOperator,
     _group_terms,
@@ -274,8 +274,10 @@ def test_sampled_norms_and_bound_never_list_the_sector():
 
 def test_column_norms_match_matvecs_naphthalene():
     """Sampled column norms against |O e_b|² from the matvecs on seeded
-    naphthalene states; both take the potential's change under each mask
-    from the flipped bits, never D at the target."""
+    naphthalene states.  The column norms take each hop's amplitude from the
+    occupation signs and the one-body matrix and D's change under each mask
+    from the flipped bits, never D at the target; the matvecs take T from
+    the lifted species matrices and D over the whole sector."""
     lat = build_lattice("acene", 2)
     kin, pot = jordan_wigner(build_ppp(lat))
     basis = half_filling_sector(lat.n_sites)
@@ -290,6 +292,52 @@ def test_column_norms_match_matvecs_naphthalene():
     states = basis.states[idx]
     assert act.vtv_column_norm_sq(states) == pytest.approx(want_vtv, rel=1e-10)
     assert act.vtt_column_norm_sq(states) == pytest.approx(want_vtt, rel=1e-10)
+
+
+@pytest.mark.parametrize("family, size_n, sector_key", [
+    ("acene", 2, (10, 10, 2)), ("triangulene", 2, (13, 13, 1))])
+def test_column_norms_match_pauli_commutators_off_sz0(family, size_n, sector_key):
+    """Away from S_z = 0, on 200 seeded states of naphthalene's S_z = 1 sector
+    and of triangulene2's odd-N sector, the structured column norms equal
+    those of the Pauli commutators to 1e-12 relative."""
+    kin, pot = jordan_wigner(build_ppp(build_lattice(family, size_n)))
+    basis = enumerate_sector(*sector_key)
+    act = HoppingCommutatorAction(kin, pot, basis)
+    states = basis.states_at(np.random.default_rng(5).integers(0, basis.dim, size=200))
+    for column_norm_sq, op in zip((act.vtv_column_norm_sq, act.vtt_column_norm_sq),
+                                  nested_commutators(kin, pot)):
+        want = column_norms_squared(op, basis, states)
+        assert np.all(want > 0)
+        assert np.abs(column_norm_sq(states) - want).max() <= 1e-12 * want.max()
+
+
+def test_structured_column_norms_read_no_pauli_term_values(monkeypatch):
+    """The structured column norms take hop amplitudes from the occupation
+    signs and the one-body matrices, so with the Pauli term-value kernel
+    disabled in ``norms`` both still run on naphthalene."""
+    def refuse(*_):
+        raise AssertionError("Pauli term values read")
+
+    monkeypatch.setattr(norms, "_term_values", refuse)
+    lat = build_lattice("acene", 2)
+    kin, pot = jordan_wigner(build_ppp(lat))
+    basis = half_filling_sector(lat.n_sites)
+    act = HoppingCommutatorAction(kin, pot, basis)
+    states = basis.states_at(np.arange(0, basis.dim, 997))
+    assert np.all(act.vtv_column_norm_sq(states) > 0)
+    assert np.all(act.vtt_column_norm_sq(states) > 0)
+
+
+def test_kinetic_beyond_real_hopping_is_refused(benzene):
+    """The column norms sum hop amplitudes only, as real numbers: a kinetic
+    with diagonal Z terms, or with a hop of imaginary amplitude (X Y on
+    qubits 0 and 1), raises ``ValueError``."""
+    _, kin, pot, basis = benzene
+    z_terms = PauliSum(kin.n_qubits, {(0, 0b1): 0.5, (0, 0b100): 0.25})
+    imaginary_hop = PauliSum(kin.n_qubits, {(0b11, 0b10): 0.5})
+    for kinetic in (kin + z_terms, kin + imaginary_hop, pot):
+        with pytest.raises(ValueError, match="kinetic must be"):
+            HoppingCommutatorAction(kinetic, pot, basis)
 
 
 def test_heavy_potential_is_refused(benzene):

@@ -713,7 +713,8 @@ def test_diagonal_form_coefficients_match_loop(benzene):
 
 def _check_flip_differences(op, kin, basis):
     d = _per_term_diagonal(basis.states, op)
-    delta = SectorOperator(op, basis).flip_differences(basis.states)
+    signs = 1.0 - 2.0 * ((basis.states[None, :] >> np.arange(op.n_qubits)[:, None]) & 1)
+    delta = SectorOperator(op, basis)._form.flip_differences(signs)
     assert np.array_equal(delta(0), np.zeros(basis.dim))
     hops = {x for x, _ in kin.terms if x}
     for x in hops | {x1 ^ x2 for x1 in hops for x2 in hops}:
@@ -722,8 +723,9 @@ def _check_flip_differences(op, kin, basis):
 
 
 def test_flip_differences_match_form_at_flipped_states():
-    """D(b ^ x) - D(b) from the flipped bits against the per-term diagonal at
-    b ^ x and at b, for every hop and hop-pair mask; mask 0 gives exactly 0."""
+    """D(b ^ x) - D(b) from the states' occupation signs and the flipped bits
+    against the per-term diagonal at b ^ x and at b, for every hop and
+    hop-pair mask; mask 0 gives exactly 0."""
     lat = build_lattice("acene", 2)
     kin, pot = jordan_wigner(build_ppp(lat))
     _check_flip_differences(pot, kin, enumerate_sector(10, 4, 0))
@@ -935,8 +937,8 @@ def test_route_follows_the_operator_form():
 
 def test_heavy_diagonal_terms_have_no_quadratic_form(benzene):
     """A diagonal term of Z-weight above 2 is refused wherever D is taken
-    from the quadratic form: the form itself, D and the flip differences of
-    the operator, and its propagator (``test_norms`` checks the commutator
+    from the quadratic form: the form itself, the operator's D and its
+    form's flip differences, and its propagator (``test_norms`` checks the commutator
     actions with V @ V as the potential)."""
     _, pot, basis = benzene
     v_squared = pot @ pot
@@ -946,7 +948,7 @@ def test_heavy_diagonal_terms_have_no_quadratic_form(benzene):
     with pytest.raises(ValueError, match="Z-weight"):
         sop.diagonal
     with pytest.raises(ValueError, match="Z-weight"):
-        sop.flip_differences(basis.states_at(np.arange(3)))
+        sop._form.flip_differences(np.ones((v_squared.n_qubits, 3)))
     with pytest.raises(ValueError, match="Propagator"):
         Propagator(v_squared, basis)
 
