@@ -7,9 +7,7 @@ from .hamiltonian import (
     FermionHamiltonian,
     PppParams,
     ShiftParams,
-    apply_shift,
     build_ppp,
-    choose_shift,
     shifted_potential,
 )
 from .pauli import PauliSum, commutator, jordan_wigner, jw_potential

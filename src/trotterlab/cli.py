@@ -31,7 +31,7 @@ from .freefermion import (
     tiling_path,
     worst_case_kinetic,
 )
-from .hamiltonian import apply_shift, build_ppp, choose_shift, shifted_potential
+from .hamiltonian import build_ppp, shifted_potential
 from .lattice import FAMILIES, bond_orientation_classes, build_lattice
 from .norms import (
     HoppingCommutatorAction,
@@ -298,9 +298,8 @@ def cmd_lattice(args):
 def cmd_hamiltonian(args):
     cfg = _resolve_config(args)
     lat = build_lattice(cfg["family"], cfg["size_n"])
-    kin, pot = jordan_wigner(build_ppp(lat))
-    shift = choose_shift(pot)
-    v_shifted, offset = apply_shift(pot, shift, lat.n_sites)
+    kin = hopping_pauli_sum(lat.n_sites, lat.bonds)
+    v_shifted, offset, shift, pot = shifted_potential(lat)
     _emit(
         {
             "n_sites": lat.n_sites,

@@ -20,7 +20,6 @@ single-species configurations, and one-body rotations factor per species.
 from __future__ import annotations
 
 from itertools import compress, repeat
-from operator import itemgetter
 
 import numpy as np
 
@@ -129,45 +128,34 @@ class PauliSum:
         return PauliSum(self.n_qubits, kept)
 
     def require_real(self, context: str = "operator") -> "PauliSum":
-        """Drop numerically-zero imaginary parts, error on genuine ones."""
+        """Drop numerically-zero imaginary parts, error on genuine ones.
+
+        An imaginary part above 1e-9 of the largest |coefficient| (1 if all
+        are zero) raises ValueError naming the first such term.
+        """
         keys = list(self.terms)
-        coeffs = real_coefficients(keys, np.array(list(self.terms.values())), context)
-        return PauliSum(self.n_qubits, dict(zip(keys, coeffs.tolist())))
-
-    def diagonal_weights(self) -> np.ndarray:
-        """Per term, in order: the number of Z of a diagonal string, -1 for a
-        string with an X or a Y."""
-        weights = np.fromiter(map(int.bit_count, map(itemgetter(1), self.terms)), np.intp,
-                              len(self))
-        if any(map(itemgetter(0), self.terms)):
-            weights[np.fromiter(map(bool, map(itemgetter(0), self.terms)), bool, len(self))] = -1
-        return weights
-
-
-def real_coefficients(keys: list, coeffs: np.ndarray, context: str = "operator") -> np.ndarray:
-    """The real parts of ``coeffs``, the coefficients of ``keys``.
-
-    An imaginary part above 1e-9 of the largest |coefficient| (1 if all are
-    zero) raises ValueError naming the first such term.
-    """
-    if coeffs.dtype.kind != "c":
-        return np.asarray(coeffs, dtype=float)
-    values = coeffs.tolist()
-    scale = max(map(abs, values), default=0.0) or 1.0
-    genuine = np.abs(coeffs.imag) > 1e-9 * scale
-    if genuine.any():
-        first = int(np.argmax(genuine))
-        raise ValueError(f"{context}: non-real coefficient {values[first]} on term {keys[first]}")
-    return coeffs.real
+        coeffs = np.array(list(self.terms.values()))
+        if coeffs.dtype.kind == "c":
+            genuine = np.abs(coeffs.imag) > 1e-9 * (self.max_abs_coeff() or 1.0)
+            if genuine.any():
+                key = keys[int(np.argmax(genuine))]
+                raise ValueError(f"{context}: non-real coefficient {self.terms[key]} on term {key}")
+        values = np.asarray(coeffs.real, dtype=float).tolist()
+        return PauliSum(self.n_qubits, dict(zip(keys, values)))
 
 
 def pruned_real(n_qubits: int, keys, coeffs: np.ndarray) -> PauliSum:
     """The Pauli sum of the real ``coeffs`` on ``keys``, in order, without the
     terms at or below ``PRUNE_REL`` of the largest (exact zeros included),
     built in one pass."""
-    magnitudes = np.abs(coeffs)
-    kept = magnitudes > PRUNE_REL * magnitudes.max(initial=0.0)
+    kept = _above_prune(coeffs)
     return PauliSum(n_qubits, dict(zip(compress(keys, kept), coeffs[kept].tolist())))
+
+
+def _above_prune(coeffs: np.ndarray) -> np.ndarray:
+    """Which of the real ``coeffs`` are above ``PRUNE_REL`` of the largest."""
+    magnitudes = np.abs(coeffs)
+    return magnitudes > PRUNE_REL * magnitudes.max(initial=0.0)
 
 
 def commutator(a: PauliSum, b: PauliSum) -> PauliSum:
@@ -229,12 +217,21 @@ def jw_potential(fermion_hamiltonian) -> PauliSum:
 
     u n↑n↓ = (u/4)(1 - Z↑ - Z↓ + Z↑Z↓) and
     v (n_i - 1)(n_j - 1) = (v/4)(Z_i↑ + Z_i↓)(Z_j↑ + Z_j↓).  Terms are in the
-    order of a term-by-term build: the identity (the on-site u/4 summed
-    site by site), then per site Z↑, Z↓, Z↑Z↓, then per pair i < j the four
-    ZZ terms; exact zeros and terms at or below ``PRUNE_REL`` of the largest
-    are dropped (``pruned_real``).  Masks are Python ints, so qubits past 63
-    do not wrap.
+    order of a term-by-term build, each with its Z-weight: the identity (the
+    on-site u/4 summed site by site; weight 0), then per site Z↑, Z↓
+    (weight 1) and Z↑Z↓ (weight 2), then per pair i < j the four ZZ terms
+    (weight 2): the identity, all 2n single Z and all C(2n, 2) qubit
+    pairs.  Exact zeros and terms at or below ``PRUNE_REL`` of the largest
+    are dropped.  ``_potential_terms`` hands the keys, coefficients and
+    Z-weights on as arrays, for the shifted potential.  Masks are Python
+    ints, so qubits past 63 do not wrap.
     """
+    keys, coeffs, _ = _potential_terms(fermion_hamiltonian)
+    return PauliSum(2 * fermion_hamiltonian.site_count, dict(zip(keys, coeffs.tolist())))
+
+
+def _potential_terms(fermion_hamiltonian) -> tuple[list, np.ndarray, np.ndarray]:
+    """``jw_potential``'s terms as (keys, real coefficients, Z-weights)."""
     n = fermion_hamiltonian.site_count
     up = np.array([1 << qubit_index(i, 0, n) for i in range(n)], dtype=object)
     down = np.array([1 << qubit_index(i, 1, n) for i in range(n)], dtype=object)
@@ -255,4 +252,6 @@ def jw_potential(fermion_hamiltonian) -> PauliSum:
         np.stack([-quarter_u, -quarter_u, quarter_u], axis=1).ravel(),
         np.repeat(quarter_v, 4),
     ])
-    return pruned_real(2 * n, zip(repeat(0), masks), coeffs)
+    weights = np.concatenate([[0], np.tile([1, 1, 2], n), np.full(len(quarter_v) * 4, 2)])
+    kept = _above_prune(coeffs)
+    return list(compress(zip(repeat(0), masks), kept)), coeffs[kept], weights[kept]

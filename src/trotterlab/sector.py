@@ -991,11 +991,19 @@ def apply_s_plus(state: np.ndarray, basis: SectorBasis):
 
 
 def total_spin_expectation(state: np.ndarray, basis: SectorBasis) -> float:
-    """<S²> = |S+ psi|² + s_z (s_z + 1)."""
+    """<S²> = |S+ psi|² + s_z (s_z + 1).
+
+    S+ psi is zero when the raised sector does not exist: every site holds
+    an up electron, or none holds a down one.  A ``state`` whose length is not
+    ``basis.dim`` raises ValueError.
+    """
+    if np.shape(state) != (basis.dim,):
+        raise ValueError("a state of %d entries on a basis of %d"
+                         % (np.size(state), basis.dim))
     sz = basis.sz_twice / 2.0
-    try:
+    n_up = (basis.electrons + basis.sz_twice) // 2
+    s_plus_sq = 0.0
+    if n_up < basis.n_sites and n_up < basis.electrons:
         plus, _ = apply_s_plus(state, basis)
         s_plus_sq = float(np.vdot(plus, plus).real)
-    except ValueError:
-        s_plus_sq = 0.0  # raised sector infeasible, so S+ annihilates psi
     return s_plus_sq + sz * (sz + 1.0)

@@ -2,18 +2,10 @@ import numpy as np
 import pytest
 
 from fock_oracle import dense_matrix, number_operator
-from test_pauli import _shipped_molecules
-from trotterlab.hamiltonian import (
-    PppParams,
-    ShiftParams,
-    apply_shift,
-    bin_coefficients,
-    build_ppp,
-    choose_shift,
-    shifted_potential,
-)
+from trotterlab import hamiltonian
+from trotterlab.hamiltonian import PppParams, bin_coefficients, build_ppp, shifted_potential
 from trotterlab.lattice import build_lattice
-from trotterlab.pauli import PauliSum, jordan_wigner
+from trotterlab.pauli import jw_potential
 
 TERM_COUNTS = {
     ("acene", 3): (406, 290),
@@ -73,15 +65,6 @@ def test_benzene_shift_tie_break():
     assert np.isclose(shift.c2, -p.ohno(1.4) / 2.0, rtol=1e-9)
 
 
-def test_zero_shift_is_identity():
-    lat = build_lattice("acene", 1)
-    _, v = jordan_wigner(build_ppp(lat))
-    out, offset = apply_shift(v, ShiftParams(0.0, 0.0), 6)
-    assert offset == pytest.approx(complex(v.coefficient(0, 0)).real)
-    body, _ = v.split_identity()
-    assert (out - body).max_abs_coeff() < 1e-10
-
-
 def test_shift_never_adds_terms():
     for family, n in [("acene", 1), ("acene", 3), ("triangulene", 2)]:
         lat = build_lattice(family, n)
@@ -116,73 +99,35 @@ def _apply_shift_by_algebra(v, shift, n_sites):
     return body, float(complex(offset).real)
 
 
-def _assert_apply_shift_matches_algebra(v, shifts, n_sites):
-    for shift in shifts:
-        body, offset = apply_shift(v, shift, n_sites)
-        want_body, want_offset = _apply_shift_by_algebra(v, shift, n_sites)
-        # same terms in the same order, every float equal bit for bit
-        assert list(body.terms.items()) == list(want_body.terms.items())
-        assert all(type(c) is float for c in body.terms.values())
-        assert offset == want_offset and type(offset) is float
+SHIFTED_MOLECULES = ([("acene", n) for n in (*range(1, 10), 13)]
+                     + [(family, n) for family in ("rhombene", "triangulene") for n in range(1, 6)])
 
 
-@pytest.mark.parametrize("family,n", _shipped_molecules())
+@pytest.mark.parametrize("family,n", SHIFTED_MOLECULES)
 def test_apply_shift_matches_pauli_algebra(family, n):
-    """At every size the CLI builds V' for, rhombene5's 140 qubits included
-    (masks past bit 63)."""
+    """``shifted_potential``'s V' is V + c1 N̂ + c2 N̂² by Pauli algebra, at
+    every size the CLI builds V' for and more, rhombene5's 140 qubits
+    included (masks past bit 63)."""
     lat = build_lattice(family, n)
-    _, v = jordan_wigner(build_ppp(lat))
-    # the last shift cancels every single-Z term of V + c1 N̂, and N̂² brings them back
-    shifts = (choose_shift(v), ShiftParams(0.0, 0.0), ShiftParams(0.3, -0.7),
-              ShiftParams(2.0 * v.coefficient(0, 1), 0.3))
-    _assert_apply_shift_matches_algebra(v, shifts, lat.n_sites)
+    body, offset, shift, v = shifted_potential(lat)
+    want_body, want_offset = _apply_shift_by_algebra(v, shift, lat.n_sites)
+    # same terms in the same order, every float equal bit for bit
+    assert list(body.terms.items()) == list(want_body.terms.items())
+    assert all(type(c) is float for c in body.terms.values())
+    assert offset == want_offset and type(offset) is float
+    assert list(v.terms.items()) == list(jw_potential(build_ppp(lat)).terms.items())
 
 
-@pytest.mark.parametrize("family,n", [("acene", 1), ("triangulene", 2)])
-def test_apply_shift_adds_the_terms_v_lacks(family, n):
-    """A V without its identity and every third term: the shift's new
-    identity, single-Z and pair terms go to the end in the algebra's order."""
-    lat = build_lattice(family, n)
-    _, full = jordan_wigner(build_ppp(lat))
-    v = PauliSum(full.n_qubits, {key: c for k, (key, c) in enumerate(full.terms.items()) if k % 3})
-    shifts = (choose_shift(full), ShiftParams(0.3, 0.0), ShiftParams(0.0, -0.7),
-              ShiftParams(2.0 * full.coefficient(0, 1), 0.3))
-    _assert_apply_shift_matches_algebra(v, shifts, lat.n_sites)
+def test_choose_shift_rejects_inhomogeneous_single_z(monkeypatch):
+    """One site with on-site u + 1 leaves V + c2 N̂² two single-Z values."""
+    def uneven_ppp(lattice):
+        fh = build_ppp(lattice)
+        fh.on_site[0] += 1.0
+        return fh
 
-
-def _benzene_potential():
-    _, v = jordan_wigner(build_ppp(build_lattice("acene", 1)))
-    return v
-
-
-def test_apply_shift_rejects_imaginary_coefficients():
-    v = _benzene_potential()
-    shift = choose_shift(v)
-    body, offset = apply_shift(v, shift, 6)
-    scale = max(body.max_abs_coeff(), abs(offset))
-    # 1e-9 of the largest |coefficient| of V', its identity included, is the
-    # line; below it the imaginary part is dropped and the real parts are unchanged
-    below = PauliSum(v.n_qubits, v.terms)
-    below.terms[0, 3] = complex(v.terms[0, 3], 1e-10 * scale)
-    (got, got_offset), (want, want_offset) = apply_shift(below, shift, 6), apply_shift(v, shift, 6)
-    assert list(got.terms.items()) == list(want.terms.items()) and got_offset == want_offset
-    above = PauliSum(v.n_qubits, v.terms)
-    above.terms[0, 3] = complex(v.terms[0, 3], 1e-8 * scale)
-    with pytest.raises(ValueError, match="non-real coefficient"):
-        apply_shift(above, shift, 6)
-
-
-def test_apply_shift_rejects_qubit_count_mismatch():
-    v = _benzene_potential()
-    with pytest.raises(ValueError, match="qubit count mismatch"):
-        apply_shift(v, choose_shift(v), 7)
-
-
-def test_choose_shift_rejects_inhomogeneous_single_z():
-    v = _benzene_potential()
-    v.terms[0, 1] += 1.0
+    monkeypatch.setattr(hamiltonian, "build_ppp", uneven_ppp)
     with pytest.raises(ValueError, match="not homogeneous"):
-        choose_shift(v)
+        shifted_potential(build_lattice("acene", 1))
 
 
 def test_bin_coefficients_empty_and_single_class():
@@ -209,11 +154,11 @@ def test_bin_coefficients_first_seen_member():
 
 
 def test_benzene_count_tie_goes_to_larger_coefficient():
-    _, v = jordan_wigner(build_ppp(build_lattice("acene", 1)))
+    _, _, shift, v = shifted_potential(build_lattice("acene", 1))
     zz = [c for (x, z), c in v.terms.items() if x == 0 and z.bit_count() == 2]
     ids, first = bin_coefficients(zz, 1e-9)
     counts = np.bincount(ids)
     tied = np.flatnonzero(counts == counts.max())
     assert len(tied) == 2
     larger = max(zz[first[k]] for k in tied)
-    assert choose_shift(v).c2 == -2.0 * larger
+    assert shift.c2 == -2.0 * larger

@@ -8,6 +8,7 @@ from trotterlab.hamiltonian import build_ppp
 from trotterlab.lattice import build_lattice
 from trotterlab.pauli import (
     PauliSum,
+    _potential_terms,
     add_hop,
     commutator,
     jordan_wigner,
@@ -175,6 +176,9 @@ def test_jw_potential_matches_add_term_build(family, n):
     moved = _moved_to_interleaved(got, fh.site_count)
     _, interleaved = _jordan_wigner_interleaved(fh)
     assert list(moved.terms.items()) == list(interleaved.terms.items())
+    # the Z-weights handed to the shift are those of the keys
+    keys, _, weights = _potential_terms(fh)
+    assert keys == list(got.terms) and weights.tolist() == [z.bit_count() for _, z in keys]
 
 
 def test_adjacent_hop_has_no_z_chain():

@@ -854,6 +854,20 @@ def test_total_spin_matches_pauli_oracle(sector):
         assert abs(total_spin_expectation(state, basis) - want) <= 1e-12 * abs(want)
 
 
+def test_total_spin_refuses_a_vector_of_another_basis():
+    """A vector that is not of the basis raises, and S+ psi is zero only when
+    the raised sector cannot exist."""
+    whole = enumerate_sector(6, 6, 0)
+    odd = enumerate_sector(6, 6, 0, parity=-1)
+    for state, basis in ((np.full(403, 403 ** -0.5), whole), (np.full(400, 0.05), odd)):
+        with pytest.raises(ValueError, match="a state of"):
+            total_spin_expectation(state, basis)
+    assert total_spin_expectation(np.ones(1), enumerate_sector(6, 6, 6)) == 12.0  # S = 3
+    assert total_spin_expectation(np.ones(1), enumerate_sector(6, 0, 0)) == 0.0
+    # one down electron: S+ takes each of the 6 states to its own up state
+    assert total_spin_expectation(np.ones(6), enumerate_sector(6, 1, -1)) == 6.0 - 0.25
+
+
 def test_total_spin_never_lists_the_sector(monkeypatch):
     """S+ works on the layout from the species lists: <S^2> builds no
     sector-length list of states, for the sector or for the raised one."""
