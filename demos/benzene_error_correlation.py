@@ -14,7 +14,7 @@ from trotterlab import (
     build_lattice,
     build_ppp,
     effective_spectrum_dense,
-    enumerate_sector,
+    half_filling_sector,
     jordan_wigner,
     pair_eigenstates,
     so_scheme,
@@ -29,7 +29,7 @@ def main():
 
     lat = build_lattice("acene", 1)
     kin, pot = jordan_wigner(build_ppp(lat))
-    basis = enumerate_sector(6, 6, 0)
+    basis = half_filling_sector(lat.n_sites)
     h_mat = SectorOperator(kin + pot, basis).to_dense()
     vals, vecs = np.linalg.eigh(h_mat)
     eff_vals, eff_vecs = effective_spectrum_dense(so_scheme(kin, pot, args.t), basis)

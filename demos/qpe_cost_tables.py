@@ -37,7 +37,7 @@ def main():
     for family, n in MOLECULES:
         lat = build_lattice(family, n)
         v_shifted, _, _, _ = shifted_potential(lat)
-        n_r_v = sum(1 for (x, z) in v_shifted.terms if z != 0)
+        n_r_v = v_shifted.term_count()
         secs = tile_sections(lat, tiling_path(family, n))
         rot, tg = secs.gate_counts()
         params = CostParams(

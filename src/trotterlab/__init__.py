@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .lattice import Lattice, bond_orientation_classes, build_lattice, site_count
 from .hamiltonian import (
     FermionHamiltonian,
-    PppParams,
     ShiftParams,
     build_ppp,
     shifted_potential,

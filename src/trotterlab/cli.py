@@ -54,7 +54,9 @@ from .sector import (
     MAX_SECTOR_SITES,
     SectorOperator,
     enumerate_sector,
+    half_filling,
     half_filling_sector,
+    half_filling_sz_twice,
     lowest_eigenpairs,
     total_spin_expectation,
 )
@@ -221,7 +223,7 @@ def _ground_states(lat, hamiltonian, k, sz_twice=None, tol=1e-10, parity=0):
     """
     n = lat.n_sites
     if sz_twice is None:
-        sz_twice = n % 2
+        sz_twice = half_filling_sz_twice(n)
     cache = _cache_dir()
     # the PPP parameters are fixed per release, so the version stands for
     # them; "blocked" names the spin-blocked qubit order the eigenvectors are
@@ -255,14 +257,14 @@ def _ground_states(lat, hamiltonian, k, sz_twice=None, tol=1e-10, parity=0):
 
 
 def _half_filled_dim(n_sites):
-    """The dimension of the half-filled sector (``half_filling_sector``)
-    without building it: C(n, n // 2) configurations per species, for even
-    and odd n alike.  Above ``MAX_SECTOR_SITES`` sites it exits 2 naming
-    ``size_n``, before anything is built."""
+    """The dimension of the ``half_filling_sector`` without building it:
+    C(n, n_up) C(n, n_down).  Above ``MAX_SECTOR_SITES`` sites it exits 2
+    naming ``size_n``, before anything is built."""
     if n_sites > MAX_SECTOR_SITES:
         _fail_config("size_n", "the molecule has %d sites; a sector has at most %d"
                      % (n_sites, MAX_SECTOR_SITES))
-    return math.comb(n_sites, n_sites // 2) ** 2
+    n_up, n_down = half_filling(n_sites)
+    return math.comb(n_sites, n_up) * math.comb(n_sites, n_down)
 
 
 def _reference_data():
@@ -541,7 +543,7 @@ def _rep_table2(slow):
     lat = build_lattice("acene", 3)
     fh = build_ppp(lat)
     kin, pot = jordan_wigner(fh)
-    basis = enumerate_sector(14, 14, 0)
+    basis = half_filling_sector(lat.n_sites)
     act = HoppingCommutatorAction(kin, pot, basis)
     samples = 10000
     rows = []
@@ -613,7 +615,7 @@ def _rep_table4(slow, molecule=None):
         h = kin + pot
         # ground: the solve whose lowest state is S0;
         # upper: gap -> (solve, index of the upper state, its S(S + 1))
-        if lat.n_sites % 2:
+        if half_filling_sz_twice(lat.n_sites):
             # odd electron count: S0 is the lowest doublet (S_z = 1/2) and the
             # upper state of s0_t1 the lowest quartet, the ground state of S_z = 3/2
             ground = _ground_states(lat, h, 1, tol=1e-9)
@@ -649,7 +651,7 @@ def _rep_fig5():
     lat = build_lattice("acene", 1)
     fh = build_ppp(lat)
     kin, pot = jordan_wigner(fh)
-    basis = enumerate_sector(6, 6, 0)
+    basis = half_filling_sector(lat.n_sites)
     h = kin + pot
     h_mat = SectorOperator(h, basis).to_dense()
     vals, vecs = np.linalg.eigh(h_mat)

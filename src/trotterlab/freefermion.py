@@ -23,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import PppParams
+from .hamiltonian import hopping_matrix
 from .norms import ErrorConstant
+from .sector import half_filling
 
 
 @dataclass(frozen=True)
@@ -68,22 +69,12 @@ class KineticSections:
         return 2 * n_rot, 2 * n_t
 
 
-def default_filling(n_sites):
-    """Per-spin electron counts at half filling (N electrons in N sites)."""
-    n_up = (n_sites + 1) // 2
-    return n_up, n_sites - n_up
-
-
 def single_section(lattice):
     """The trivial S=1 sectioning: one section holding all of T."""
-    tau = PppParams().tau
-    mat = np.zeros((lattice.n_sites, lattice.n_sites))
-    for i, j in lattice.bonds:
-        mat[i, j] = mat[j, i] = -tau
     n_bonds = len(lattice.bonds)
     return KineticSections(
         n_modes=lattice.n_sites,
-        matrices=(mat,),
+        matrices=(hopping_matrix(lattice.n_sites, lattice.bonds),),
         names=("all",),
         rotations=(n_bonds,),
         t_gates=(2 * n_bonds,),
@@ -136,7 +127,6 @@ def tile_sections(lattice, tiling_spec):
     file (``str``, ``bytes`` or ``os.PathLike``) read by ``load_tiling``."""
     if not isinstance(tiling_spec, dict):
         tiling_spec = load_tiling(tiling_spec)
-    tau = PppParams().tau
     if tiling_spec["family"] != lattice.family or tiling_spec["size_n"] != lattice.size_n:
         raise ValueError(
             "tiling spec is for %s-%d, lattice is %s-%d"
@@ -149,7 +139,6 @@ def tile_sections(lattice, tiling_spec):
         raise ValueError("tiling sections must be a list")
     for section in tiling_spec["sections"]:
         _check_section(section)
-        mat = np.zeros((lattice.n_sites, lattice.n_sites))
         for raw in section["bonds"]:
             bond = tuple(sorted(raw))
             if bond not in bond_set:
@@ -157,9 +146,7 @@ def tile_sections(lattice, tiling_spec):
             if bond in seen:
                 raise ValueError("tiling bond %s assigned twice" % (bond,))
             seen.add(bond)
-            i, j = bond
-            mat[i, j] = mat[j, i] = -tau
-        matrices.append(mat)
+        matrices.append(hopping_matrix(lattice.n_sites, section["bonds"]))
         names.append(section["name"])
         rotations.append(section["rotations"])
         t_gates.append(section["t_gates"])
@@ -206,7 +193,7 @@ def worst_case_kinetic(sections):
     summed over the spin species (the t -> 0 limit of
     |1 - exp(-i ||T_delta|| t)| / t^3)."""
     modes = np.sort(np.linalg.eigvalsh(second_order_matrix(sections)))[::-1]
-    value = sum(float(modes[:k].sum()) for k in default_filling(sections.n_modes))
+    value = sum(float(modes[:k].sum()) for k in half_filling(sections.n_modes))
     return ErrorConstant(kind="worst", scheme="kinetic", value=value,
                          provenance={"method": "top-filling eigenmode sum of A_2"})
 
@@ -220,7 +207,7 @@ def average_case_kinetic(sections):
     species, and the species are independent with zero mean each.
     """
     n = sections.n_modes
-    share = sum(k * (n - k) for k in default_filling(n)) / (n * (n - 1))
+    share = sum(k * (n - k) for k in half_filling(n)) / (n * (n - 1))
     value = float(np.linalg.norm(second_order_matrix(sections)) * np.sqrt(share))
     return ErrorConstant(kind="average", scheme="kinetic", value=value,
                          provenance={"method": "fixed-filling trace of T_2^2"})

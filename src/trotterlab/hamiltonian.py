@@ -1,13 +1,17 @@
-"""PPP Hamiltonian construction and the symmetry-shifted potential.
+"""The PPP model and the symmetry-shifted potential.
 
-The model is H = T + V with nearest-neighbor hopping
+The model is H = T + V with hopping ``TAU`` on the bonds,
 
-    T = -tau sum_{<ij>,sigma} (a†_{i sigma} a_{j sigma} + h.c.)
+    T = sum_{ij,sigma} h_ij a†_{i sigma} a_{j sigma},   h_ij = -TAU on a bond, else 0,
 
 and a density-density potential screened by the Ohno formula
 
-    V = u sum_i n_{i up} n_{i down}
-        + sum_{i<j} v_ij (n_i - 1)(n_j - 1),   v_ij = u / sqrt(1 + alpha r_ij²).
+    V = U sum_i n_{i up} n_{i down}
+        + sum_{i<j} v_ij (n_i - 1)(n_j - 1),   v_ij = U / sqrt(1 + ALPHA r_ij²).
+
+``TAU``, ``U`` and ``ALPHA`` are fixed; ``build_ppp`` is the one place that
+turns a lattice into the arrays (h, on-site U, v) of ``FermionHamiltonian``,
+and ``hopping_matrix`` the one place that puts -TAU on a list of bonds.
 
 The shifted potential V' = V + c1 N̂ + c2 N̂² has the same fixed-filling
 spectra up to a constant but far fewer Pauli terms: a suitable c2 removes
@@ -36,21 +40,10 @@ from .pauli import PauliSum, _potential_terms, pruned_real
 COEFF_BIN_REL = 1e-9
 
 
-@dataclass(frozen=True)
-class PppParams:
-    """Standard PPP parameters (energies in eV, alpha in 1/Å²)."""
-
-    tau: float = 2.4
-    u: float = 11.13
-    alpha: float = 0.6117
-
-    def __post_init__(self):
-        for name in ("tau", "u", "alpha"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-
-    def ohno(self, r: float) -> float:
-        return self.u / np.sqrt(1.0 + self.alpha * r * r)
+# Standard PPP parameters: hopping and on-site energy in eV, Ohno alpha in 1/Å²
+TAU = 2.4
+U = 11.13
+ALPHA = 0.6117
 
 
 @dataclass(frozen=True)
@@ -59,34 +52,37 @@ class ShiftParams:
     c2: float
 
 
+@dataclass(frozen=True)
 class FermionHamiltonian:
-    """Second-quantized PPP Hamiltonian on a lattice.
+    """The PPP Hamiltonian of one molecule as arrays: the n x n one-body
+    hopping matrix ``h`` (spin-independent, zero diagonal), the on-site U of
+    each site and the n x n Ohno pair matrix ``v`` (zero diagonal)."""
 
-    Stores hopping coefficients per bond (spin-independent), on-site u per
-    site, and the full pairwise Ohno matrix.
-    """
+    h: np.ndarray
+    on_site: np.ndarray
+    v: np.ndarray
 
-    def __init__(self, lattice: Lattice, params: PppParams):
-        self.lattice = lattice
-        self.params = params
-        self.site_count = lattice.n_sites
-        self.bonds = list(lattice.bonds)
-        self.hop_coeff = -params.tau
-        self.on_site = np.full(self.site_count, params.u)
-        d = lattice.distances
-        self.v = params.ohno(d)
-        np.fill_diagonal(self.v, 0.0)
+    @property
+    def site_count(self) -> int:
+        return len(self.h)
 
-    def hops(self):
-        """Yield ((site_i, site_j), spin, coefficient) for every hopping term."""
-        for i, j in self.bonds:
-            for spin in (0, 1):
-                yield (i, j), spin, self.hop_coeff
+
+def hopping_matrix(n_sites: int, bonds) -> np.ndarray:
+    """The n x n hopping matrix with -TAU on each of ``bonds``, both ways round."""
+    h = np.zeros((n_sites, n_sites))
+    for i, j in bonds:
+        h[i, j] = h[j, i] = -TAU
+    return h
 
 
 def build_ppp(lattice: Lattice) -> FermionHamiltonian:
-    """The PPP Hamiltonian of a lattice with the standard ``PppParams``."""
-    return FermionHamiltonian(lattice, PppParams())
+    """The PPP Hamiltonian of a lattice: -TAU on its bonds, U on every site and
+    the Ohno v_ij = U / sqrt(1 + ALPHA r_ij²) between distinct sites."""
+    r = lattice.distances
+    v = U / np.sqrt(1.0 + ALPHA * r * r)
+    np.fill_diagonal(v, 0.0)
+    return FermionHamiltonian(hopping_matrix(lattice.n_sites, lattice.bonds),
+                              np.full(lattice.n_sites, U), v)
 
 
 def bin_coefficients(values, rel_tol: float) -> tuple[np.ndarray, np.ndarray]:

@@ -80,9 +80,6 @@ class PauliSum:
         """The number of terms other than the identity."""
         return len(self.terms) - ((0, 0) in self.terms)
 
-    def coefficient(self, x: int, z: int) -> complex:
-        return self.terms.get((x, z), 0.0)
-
     def is_diagonal(self) -> bool:
         return all(x == 0 for x, _ in self.terms)
 
@@ -197,18 +194,26 @@ def add_hop(op: PauliSum, p: int, q: int, coeff: float) -> None:
     op.add_term(ends, chain | ends, coeff / 2.0)
 
 
-def jordan_wigner(fermion_hamiltonian) -> tuple[PauliSum, PauliSum]:
-    """Map a fermionic PPP Hamiltonian to (kinetic, potential) Pauli sums,
-    with modes on ``qubit_index``.
+def one_body_pauli_sum(h) -> PauliSum:
+    """The two-spin Jordan-Wigner sum of sum_{ij,sigma} h_ij a†_{i sigma} a_{j sigma}
+    for a real symmetric n x n one-body matrix ``h`` with zero diagonal, modes
+    on ``qubit_index``: one ``add_hop`` per nonzero h_ij with i < j, row by
+    row, spin up then down, each with its Python-float coefficient."""
+    n = len(h)
+    out = PauliSum(2 * n)
+    rows, cols = np.nonzero(np.triu(h, 1))
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        coeff = float(h[i, j])
+        for spin in (0, 1):
+            add_hop(out, qubit_index(i, spin, n), qubit_index(j, spin, n), coeff)
+    return out
 
-    Kinetic: each hop c·(a†_p a_q + h.c.) becomes (c/2)(X Z..Z X + Y Z..Z Y).
-    Potential: ``jw_potential``.
-    """
-    n = fermion_hamiltonian.site_count
-    kinetic = PauliSum(2 * n)
-    for (i, j), spin, coeff in fermion_hamiltonian.hops():
-        add_hop(kinetic, qubit_index(i, spin, n), qubit_index(j, spin, n), coeff)
-    return kinetic.pruned(), jw_potential(fermion_hamiltonian)
+
+def jordan_wigner(fermion_hamiltonian) -> tuple[PauliSum, PauliSum]:
+    """(kinetic, potential) Pauli sums of a ``FermionHamiltonian``, modes on
+    ``qubit_index``: the ``one_body_pauli_sum`` of its hopping matrix h and
+    ``jw_potential``."""
+    return one_body_pauli_sum(fermion_hamiltonian.h), jw_potential(fermion_hamiltonian)
 
 
 def jw_potential(fermion_hamiltonian) -> PauliSum:

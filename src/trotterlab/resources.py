@@ -171,12 +171,12 @@ def total_cost(params, gap=False):
 # -- Hamming weight phasing ---------------------------------------------------
 
 
-def rotation_groups(potential, rel_tol=COEFF_BIN_REL):
+def rotation_groups(potential):
     """Same-angle rotation groups of a diagonal potential operator.
 
     Returns a list of (group_size, max_qubit_occurrence) over coefficient
     classes of the non-identity terms, in ascending coefficient order;
-    coefficients are binned with a relative tolerance (``bin_coefficients``).
+    coefficients are binned within ``COEFF_BIN_REL`` (``bin_coefficients``).
     """
     if not potential.is_diagonal():
         raise ValueError("potential must be diagonal")
@@ -187,7 +187,7 @@ def rotation_groups(potential, rel_tol=COEFF_BIN_REL):
             coeffs.append(complex(c).real)
     if not zs:
         return []
-    ids, first = bin_coefficients(coeffs, rel_tol)
+    ids, first = bin_coefficients(coeffs, COEFF_BIN_REL)
     width = (potential.n_qubits + 7) // 8
     raw = np.frombuffer(b"".join(z.to_bytes(width, "little") for z in zs), dtype=np.uint8)
     term, qubit = np.nonzero(np.unpackbits(raw.reshape(len(zs), width), axis=1,

@@ -407,10 +407,21 @@ class _SpeciesLift:
         return np.linalg.det(orbitals[rows.reshape(len(self.states), orbitals.shape[1])])
 
 
+def half_filling(n_sites: int) -> tuple[int, int]:
+    """(n_up, n_down) at half filling, the filling used throughout: n_sites
+    electrons on n_sites sites, the odd one up."""
+    return (n_sites + 1) // 2, n_sites // 2
+
+
+def half_filling_sz_twice(n_sites: int) -> int:
+    """2 S_z at ``half_filling``: 0, or 1 for odd n_sites."""
+    n_up, n_down = half_filling(n_sites)
+    return n_up - n_down
+
+
 def half_filling_sector(n_sites: int) -> SectorBasis:
-    """The sector used throughout: half filling, S_z = 0 (or 1/2 for odd N)."""
-    sz = n_sites % 2
-    return enumerate_sector(n_sites, n_sites, sz)
+    """The sector used throughout, at ``half_filling``."""
+    return enumerate_sector(n_sites, n_sites, half_filling_sz_twice(n_sites))
 
 
 def _popcount(arr: np.ndarray) -> np.ndarray:

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hamiltonian import PppParams
-from .pauli import PauliSum, add_hop, qubit_index
+from .hamiltonian import hopping_matrix
+from .pauli import one_body_pauli_sum
 from .resources import CHEMICAL_ACCURACY  # noqa: F401  re-exported
 from .sector import Propagator, dense_from_action, principal_log_spectrum
 
@@ -73,13 +73,9 @@ def tile_scheme(section_sums, potential, t):
 
 
 def hopping_pauli_sum(n_sites, bonds):
-    """Both-spin hopping Pauli sum for a bond subset (``qubit_index`` order)."""
-    tau = PppParams().tau
-    out = PauliSum(2 * n_sites)
-    for i, j in bonds:
-        for spin in (0, 1):
-            add_hop(out, qubit_index(i, spin, n_sites), qubit_index(j, spin, n_sites), -tau)
-    return out
+    """Both-spin hopping Pauli sum of a bond subset: ``one_body_pauli_sum`` of
+    its ``hopping_matrix``, terms in the matrix's row-major order."""
+    return one_body_pauli_sum(hopping_matrix(n_sites, bonds))
 
 
 def default_section_order(classes):

@@ -10,7 +10,6 @@ from kinetic_oracle import effective_kinetic
 from trotterlab.freefermion import (
     KineticSections,
     average_case_kinetic,
-    default_filling,
     second_order_matrix,
     single_section,
     tile_sections,
@@ -18,6 +17,7 @@ from trotterlab.freefermion import (
 )
 from trotterlab.freefermion import tiling_path
 from trotterlab.lattice import build_lattice
+from trotterlab.sector import half_filling, half_filling_sz_twice
 
 TABLE_GATE_COUNTS = {
     ("acene", 3): (52, 104),
@@ -247,7 +247,7 @@ def test_average_case_matches_exhaustive_mean():
         cases.append(tile_sections(build_lattice(family, n), tiling_path(family, n)))
     for secs in cases:
         modes = np.linalg.eigvalsh(second_order_matrix(secs))
-        want = _exhaustive_mean_square(modes, default_filling(secs.n_modes))
+        want = _exhaustive_mean_square(modes, half_filling(secs.n_modes))
         assert want > 0
         assert average_case_kinetic(secs).value ** 2 == pytest.approx(want, rel=1e-12, abs=0)
 
@@ -290,5 +290,6 @@ def test_branch_guard_rejects_large_t():
 
 
 def test_default_filling():
-    assert default_filling(14) == (7, 7)
-    assert default_filling(13) == (7, 6)
+    """The one half-filling rule: n electrons on n sites, the odd one up."""
+    assert half_filling(14) == (7, 7) and half_filling_sz_twice(14) == 0
+    assert half_filling(13) == (7, 6) and half_filling_sz_twice(13) == 1

@@ -3,7 +3,7 @@ import pytest
 
 from fock_oracle import dense_matrix, number_operator
 from trotterlab import hamiltonian
-from trotterlab.hamiltonian import PppParams, bin_coefficients, build_ppp, shifted_potential
+from trotterlab.hamiltonian import bin_coefficients, build_ppp, shifted_potential
 from trotterlab.lattice import build_lattice
 from trotterlab.pauli import jw_potential
 
@@ -18,30 +18,34 @@ TERM_COUNTS = {
 
 
 def test_default_params():
-    p = PppParams()
-    assert p.tau == 2.4 and p.u == 11.13
-    assert np.isclose(p.ohno(1.4), 11.13 / np.sqrt(1 + 0.6117 * 1.96))
-    assert np.isclose(p.ohno(1.4), 7.506, atol=5e-4)
-    with pytest.raises(ValueError):
-        PppParams(tau=-1.0)
+    assert (hamiltonian.TAU, hamiltonian.U, hamiltonian.ALPHA) == (2.4, 11.13, 0.6117)
+    fh = build_ppp(build_lattice("acene", 1))
+    bonded = fh.v[fh.h != 0]  # every pair at 1.4 Å
+    assert len(bonded) == 12
+    assert np.allclose(bonded, 11.13 / np.sqrt(1 + 0.6117 * 1.96), rtol=1e-12, atol=0)
+    assert np.allclose(bonded, 7.506, rtol=0, atol=5e-4)
 
 
 def test_build_ppp_structure():
     lat = build_lattice("acene", 3)
     fh = build_ppp(lat)
-    hops = list(fh.hops())
-    assert len(hops) == 2 * len(lat.bonds)
-    assert all(c == -2.4 for _, _, c in hops)
-    assert fh.on_site.shape == (14,)
+    want_h = np.zeros((14, 14))
+    for i, j in lat.bonds:
+        want_h[i, j] = want_h[j, i] = -2.4
+    assert fh.site_count == 14
+    assert np.array_equal(fh.h, want_h)
+    assert np.array_equal(fh.on_site, np.full(14, 11.13))
+    assert np.all(np.diag(fh.v) == 0.0)
     for i in range(14):
         for j in range(i + 1, 14):
             r = lat.distances[i, j]
-            assert np.isclose(fh.v[i, j], fh.params.ohno(r), rtol=1e-12)
+            assert np.isclose(fh.v[i, j], 11.13 / np.sqrt(1 + 0.6117 * r * r), rtol=1e-12)
+            assert fh.v[j, i] == fh.v[i, j]
 
 
 def test_benzene_hopping_count():
     fh = build_ppp(build_lattice("acene", 1))
-    assert len(list(fh.hops())) == 12
+    assert np.count_nonzero(fh.h) == 12  # 6 bonds, both ways round
 
 
 @pytest.mark.parametrize("key", sorted(TERM_COUNTS))
@@ -61,8 +65,7 @@ def test_benzene_shift_tie_break():
     vp, _, shift, v = shifted_potential(lat)
     assert v.term_count() == 78
     assert vp.term_count() == 42
-    p = PppParams()
-    assert np.isclose(shift.c2, -p.ohno(1.4) / 2.0, rtol=1e-9)
+    assert np.isclose(shift.c2, -11.13 / np.sqrt(1 + 0.6117 * 1.96) / 2.0, rtol=1e-9)
 
 
 def test_shift_never_adds_terms():

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from fock_oracle import apply_to_basis_state, dense_matrix, number_operator, sz_operator
+from trotterlab.freefermion import load_tiling, single_section, tile_sections, tiling_path
 from trotterlab.hamiltonian import build_ppp
-from trotterlab.lattice import build_lattice
+from trotterlab.lattice import bond_orientation_classes, build_lattice
 from trotterlab.pauli import (
     PauliSum,
     _potential_terms,
@@ -14,6 +15,7 @@ from trotterlab.pauli import (
     jordan_wigner,
     qubit_index,
 )
+from trotterlab.spectral import default_section_order, hopping_pauli_sum
 
 
 def _random_sum(rng, n_qubits, n_terms):
@@ -30,13 +32,19 @@ def _interleaved(site, spin):
     return 2 * site + spin
 
 
-def _fermion_oracle(fh):
-    """Second-quantized dense matrices in the occupation basis, bit q = mode q."""
+def _bond_hops(lat):
+    """((i, j), spin, -2.4) for every bond of ``lat`` and both spins."""
+    return [((i, j), spin, -2.4) for i, j in lat.bonds for spin in (0, 1)]
+
+
+def _fermion_oracle(lat, fh):
+    """Second-quantized dense matrices in the occupation basis, bit q = mode q:
+    the hops of ``lat``'s bonds and the potential of ``fh``."""
     n = fh.site_count
     nq = 2 * n
     dim = 1 << nq
     T = np.zeros((dim, dim))
-    for (i, j), spin, c in fh.hops():
+    for (i, j), spin, c in _bond_hops(lat):
         p, q = qubit_index(i, spin, n), qubit_index(j, spin, n)
         for b in range(dim):
             if (b >> q) & 1 and not (b >> p) & 1:
@@ -99,9 +107,10 @@ def test_jacobi_identity():
 
 
 def test_jw_benzene_against_fermion_oracle():
-    fh = build_ppp(build_lattice("acene", 1))
+    lat = build_lattice("acene", 1)
+    fh = build_ppp(lat)
     kin, pot = jordan_wigner(fh)
-    T, V = _fermion_oracle(fh)
+    T, V = _fermion_oracle(lat, fh)
     assert np.abs(dense_matrix(kin) - T).max() < 1e-10
     assert np.abs(dense_matrix(pot) - V).max() < 1e-10
 
@@ -136,11 +145,11 @@ def _potential_by_add_term(fh, idx):
     return potential.pruned()
 
 
-def _jordan_wigner_interleaved(fh):
+def _jordan_wigner_interleaved(lat, fh):
     """(kinetic, potential) of ``jordan_wigner`` in the ``_interleaved`` order,
-    built hop by hop and term by term."""
+    built hop by hop over ``lat``'s bonds and term by term from ``fh``."""
     kinetic = PauliSum(2 * fh.site_count)
-    for (i, j), spin, coeff in fh.hops():
+    for (i, j), spin, coeff in _bond_hops(lat):
         add_hop(kinetic, _interleaved(i, spin), _interleaved(j, spin), coeff)
     return kinetic.pruned(), _potential_by_add_term(fh, _interleaved)
 
@@ -168,17 +177,58 @@ def test_jw_potential_matches_add_term_build(family, n):
     """Same terms, coefficients and insertion order as the term-by-term build
     (the shift's tie-breaks depend on the order); moved onto the interleaved
     qubits, the same as that order's term-by-term build."""
-    fh = build_ppp(build_lattice(family, n))
+    lat = build_lattice(family, n)
+    fh = build_ppp(lat)
     _, got = jordan_wigner(fh)
     want = _potential_by_add_term(fh, lambda site, spin: qubit_index(site, spin, fh.site_count))
     assert list(got.terms.items()) == list(want.terms.items())
     assert all(type(c) is float for c in got.terms.values())
     moved = _moved_to_interleaved(got, fh.site_count)
-    _, interleaved = _jordan_wigner_interleaved(fh)
+    _, interleaved = _jordan_wigner_interleaved(lat, fh)
     assert list(moved.terms.items()) == list(interleaved.terms.items())
     # the Z-weights handed to the shift are those of the keys
     keys, _, weights = _potential_terms(fh)
     assert keys == list(got.terms) and weights.tolist() == [z.bit_count() for _, z in keys]
+
+
+def _hops_by_bond(n_sites, bonds):
+    """Both-spin hopping sum built bond by bond with ``add_hop`` and -2.4."""
+    out = PauliSum(2 * n_sites)
+    for i, j in bonds:
+        for spin in (0, 1):
+            add_hop(out, qubit_index(i, spin, n_sites), qubit_index(j, spin, n_sites), -2.4)
+    return out
+
+
+def _matrix_by_bond(n_sites, bonds):
+    mat = np.zeros((n_sites, n_sites))
+    for i, j in bonds:
+        mat[i, j] = mat[j, i] = -2.4
+    return mat
+
+
+@pytest.mark.parametrize("family,n", _shipped_molecules())
+def test_kinetic_forms_match_bond_by_bond_build(family, n):
+    """Every kinetic form read off the hopping matrix (``jordan_wigner``,
+    ``hopping_pauli_sum`` per orientation class, the ``single_section`` and
+    shipped ``tile_sections`` matrices) equals its bond-by-bond build: same
+    keys, order and float bits."""
+    lat = build_lattice(family, n)
+    kin, _ = jordan_wigner(build_ppp(lat))
+    pairs = [(kin, _hops_by_bond(lat.n_sites, lat.bonds))]
+    for bonds in default_section_order(bond_orientation_classes(lat).values()):
+        pairs.append((hopping_pauli_sum(lat.n_sites, bonds), _hops_by_bond(lat.n_sites, bonds)))
+    for got, want in pairs:
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert all(type(c) is float for c in got.terms.values())
+    sections = [(single_section(lat), [lat.bonds])]
+    if (family, n) not in (("acene", 1), ("acene", 2)):
+        spec = load_tiling(tiling_path(family, n))
+        sections.append((tile_sections(lat, spec), [s["bonds"] for s in spec["sections"]]))
+    for secs, section_bonds in sections:
+        assert len(secs.matrices) == len(section_bonds)
+        for mat, bonds in zip(secs.matrices, section_bonds):
+            assert mat.tobytes() == _matrix_by_bond(lat.n_sites, bonds).tobytes()
 
 
 def test_adjacent_hop_has_no_z_chain():
@@ -243,9 +293,10 @@ def _block_spectrum(mat, up_qubits, down_qubits):
 
 def test_ordering_independence_of_counts():
     """Interleaved spin ordering gives the same term counts and spectra."""
-    fh = build_ppp(build_lattice("acene", 1))
+    lat = build_lattice("acene", 1)
+    fh = build_ppp(lat)
     kin_a, pot_a = jordan_wigner(fh)
-    kin_b, pot_b = _jordan_wigner_interleaved(fh)
+    kin_b, pot_b = _jordan_wigner_interleaved(lat, fh)
     assert kin_a.term_count() == kin_b.term_count()
     assert pot_a.term_count() == pot_b.term_count()
     # both conserve N_up and N_down, so the full spectrum is the union of

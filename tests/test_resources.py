@@ -3,7 +3,8 @@ from math import ceil, pi, sqrt
 import numpy as np
 import pytest
 
-from trotterlab.hamiltonian import shifted_potential
+from trotterlab import resources
+from trotterlab.hamiltonian import COEFF_BIN_REL, shifted_potential
 from trotterlab.lattice import build_lattice
 from trotterlab.resources import (
     CostParams,
@@ -178,12 +179,14 @@ def _rotation_groups_by_loop(potential, rel_tol):
 
 @pytest.mark.parametrize("family,n", [("acene", 1), ("triangulene", 2),
                                       ("rhombene", 3), ("acene", 7)])
-def test_rotation_groups_match_loop(family, n):
+def test_rotation_groups_match_loop(family, n, monkeypatch):
     lat = build_lattice(family, n)
     v_shifted, _, _, v = shifted_potential(lat)
-    for op in (v_shifted, v):
-        for rel_tol in (1e-9, 1e-2):
-            assert rotation_groups(op, rel_tol) == _rotation_groups_by_loop(op, rel_tol)
+    # the coarse 1e-2 merges classes of distinct coefficients
+    for rel_tol in (COEFF_BIN_REL, 1e-2):
+        monkeypatch.setattr(resources, "COEFF_BIN_REL", rel_tol)
+        for op in (v_shifted, v):
+            assert rotation_groups(op) == _rotation_groups_by_loop(op, rel_tol)
 
 
 def test_hwp_kinetic_one_rotation_per_section():
