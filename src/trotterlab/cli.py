@@ -227,14 +227,17 @@ def _ground_states(lat, hamiltonian, k, sz_twice=None, tol=1e-10, parity=0):
     cache = _cache_dir()
     # the PPP parameters are fixed per release, so the version stands for
     # them; "blocked" names the spin-blocked qubit order the eigenvectors are
-    # stored in (an older order's vectors have the same shape, other signs).
+    # stored in (an older order's vectors have the same shape, other signs),
+    # and the solver of ``lowest_eigenpairs`` that computed them follows it,
+    # dense "eigh" or "trlanczos", so no other solver's results are served.
     # A half is marked right after its S_z ("0even", "0odd"), so the key of
     # one sector is never a prefix of another's file name
     half = {0: "", 1: "even", -1: "odd"}[parity]
     key = "eig_%s%d_%d_%d%s_k%d_tol%r_" % (lat.family, lat.size_n, n, sz_twice, half, k, tol)
-    name = key + "blocked_v%s.npz" % __version__
-    path = os.path.join(cache, name) if cache else None
     basis = enumerate_sector(n, n, sz_twice, parity)
+    solver = "eigh" if basis.dim <= DENSE_DIM_LIMIT else "trlanczos"
+    name = key + "blocked_%s_v%s.npz" % (solver, __version__)
+    path = os.path.join(cache, name) if cache else None
     h = SectorOperator(hamiltonian, basis)
     vals = vecs = None
     if path and os.path.exists(path):
@@ -247,7 +250,7 @@ def _ground_states(lat, hamiltonian, k, sz_twice=None, tol=1e-10, parity=0):
         if path:
             os.makedirs(cache, exist_ok=True)
             np.savez(path, vals=vals, vecs=vecs)
-            # the same solve written under another order marker or version
+            # the same solve written under another order, solver or version
             for stale in os.listdir(cache):
                 if stale.startswith(key) and stale != name:
                     os.remove(os.path.join(cache, stale))

@@ -9,14 +9,15 @@ normalized sector Frobenius norms instead.
 
 The spectral norm is upper-bounded by the largest eigenvalue of the
 element-wise absolute matrix |O| (Childs et al., PRX 11, 011020 (2021)):
-dense below ``DENSE_DIM_LIMIT``, by Lanczos above.  For a Pauli sum, |O|
-comes from ``SectorOperator.abs_matvec``.  The dense |O|, and the dense O of
-``dense_spectral_norm``, come from ``sector.dense_from_action``.  The
-Frobenius norm over the sector (divided by sqrt(dim)) is estimated by
-sampling uniform basis states i and averaging |O |i>|²; a sampled index
-gives its state from its (up, down) pair (``SectorBasis.states_at``), so
-sampling never lists the sector and runs where the sector is too large to
-list (2.4e9 states at 4-acene).
+dense below ``DENSE_DIM_LIMIT``, above it as the lowest eigenvalue of -|O|
+by the package's one Lanczos (``sector.thick_restart_lanczos``).  For a
+Pauli sum, |O| comes from ``SectorOperator.abs_matvec``.  The dense |O|, and
+the dense O of ``dense_spectral_norm``, come from
+``sector.dense_from_action``.  The Frobenius norm over the sector (divided
+by sqrt(dim)) is estimated by sampling uniform basis states i and averaging
+|O |i>|²; a sampled index gives its state from its (up, down) pair
+(``SectorBasis.states_at``), so sampling never lists the sector and runs
+where the sector is too large to list (2.4e9 states at 4-acene).
 
 Because V is diagonal (matrix D) and T is a hopping operator, the
 commutators have closed-form matrix elements,
@@ -57,7 +58,6 @@ from functools import cached_property
 
 import numpy as np
 from scipy.sparse import diags, identity, kron
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .pauli import PauliSum, commutator
 from .sector import (
@@ -69,6 +69,7 @@ from .sector import (
     _group_terms,
     _term_values,
     dense_from_action,
+    thick_restart_lanczos,
 )
 
 
@@ -131,27 +132,29 @@ _BOUND_RTOL = 1e-6
 
 def _largest_eigenvalue(matvec, dim: int):
     """(largest eigenvalue, converged) of a symmetric nonnegative matrix given
-    by its action: Lanczos (``eigsh``) with 8 basis vectors from a fixed
-    start, to ``_BOUND_RTOL``.
+    by its action: the lowest eigenvalue of its negative by
+    ``sector.thick_restart_lanczos`` with 8 basis vectors from a fixed start,
+    to ``_BOUND_RTOL``.  A solve that has not converged within the Lanczos
+    matvec budget gives its best Ritz value with converged False.
 
     Not the power method: the top of an absolute commutator's spectrum
     clusters (at 3-acene |O_VTV| has 2665.18 twice and 2663.98 twice), and
     below such a cluster the power method stops, at a 1e-4 rule, anywhere
     from 2589 to 2656 depending on its start vector.  Lanczos reaches
-    2665.17 there in 25 matvecs.  With 4 basis vectors ARPACK misses the
-    top of benzene's |O_VTV| in 3000 restarts.
+    2665.17 there in 50 matvecs.  Fewer basis vectors cost more: the top of
+    benzene's |O_VTV| takes 42 matvecs with 8, 531 with 6, 8409 with 4, and
+    with 3 it is not reached within the budget.
     """
     v0 = np.random.default_rng(12345).random(dim) + 0.1
     if not np.any(matvec(v0)):  # a nonnegative matrix that kills v0 > 0 is 0
         return 0.0, True
-    lo = LinearOperator((dim, dim), matvec=matvec, dtype=float)
-    try:
-        vals = eigsh(lo, k=1, which="LA", tol=_BOUND_RTOL, ncv=8, v0=v0, maxiter=3000,
-                     return_eigenvectors=False)
-    except ArpackNoConvergence as exc:
-        found = exc.eigenvalues
-        return (float(found.max()) if found.size else float("nan")), False
-    return float(vals[0]), True
+
+    def negated(v):
+        out = matvec(v)
+        return np.negative(out, out=out)
+
+    vals, _, converged = thick_restart_lanczos(negated, v0, 1, 8, _BOUND_RTOL)
+    return -float(vals[0]), converged
 
 
 def spectral_norm_bound(op, basis: SectorBasis) -> NormEstimate:

@@ -66,15 +66,18 @@ on it takes one sparse product, K Psi, instead of two.  A half has no list
 of basis states, so the CSR matrix, |O|, the norms and the propagator
 refuse it; eigensolves and <S^2> take it.
 
-Above DENSE_DIM_LIMIT, eigensolves run Lanczos (``eigsh``) from a fixed
-start vector.  For a single state of an operator with hops on the layout
-route it is the sector's free-fermion determinant plus equal-weight noise:
-the lowest orbitals of each k_sigma filled, a determinant on each species
-list (``_SpeciesLift.determinants``), and on the odd half, which holds no
-product of equal factors, its antisymmetrised HOMO -> LUMO excitation.  It
-overlaps a PPP ground state by about 0.9 where noise alone gives
-1/sqrt(dim), and the noise keeps every symmetry reachable.  k > 1, a pure
-potential and the CSR route start from the noise alone.
+Above DENSE_DIM_LIMIT, eigensolves run the package's one Lanczos,
+``thick_restart_lanczos``: a thick-restart Lanczos on a callable matvec,
+whose basis is one preallocated array and whose own work per step is a few
+in-place BLAS calls, so the matvecs it drives dominate its time.  It starts
+from a fixed vector.  For a single state of an operator with hops on the
+layout route it is the sector's free-fermion determinant plus equal-weight
+noise: the lowest orbitals of each k_sigma filled, a determinant on each
+species list (``_SpeciesLift.determinants``), and on the odd half, which
+holds no product of equal factors, its antisymmetrised HOMO -> LUMO
+excitation.  It overlaps a PPP ground state by about 0.9 where noise alone
+gives 1/sqrt(dim), and the noise keeps every symmetry reachable.  k > 1, a
+pure potential and the CSR route start from the noise alone.
 
 Dense unitaries, a Trotter product on a small sector or a one-body product,
 have their principal log from ``principal_log_spectrum``.  Each is a
@@ -90,9 +93,8 @@ from functools import cached_property
 from math import comb
 
 import numpy as np
-from scipy.linalg import eigh, expm
+from scipy.linalg import eigh, expm, get_blas_funcs
 from scipy.sparse import csr_matrix, diags_array
-from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .pauli import PauliSum
 
@@ -870,19 +872,101 @@ def _start_vector(sop: SectorOperator, k: int) -> np.ndarray:
     return v0
 
 
-def _lanczos(sop: SectorOperator, k: int, tol: float):
-    """The k lowest eigenpairs from ``eigsh`` on ``sop.matvec``, started at
-    ``_start_vector``: the free-fermion determinant plus noise for k = 1 on
-    an operator with hops on the layout route, noise alone otherwise.
+# matvecs a Lanczos solve may spend before it counts as not converged: a
+# converging solve of this package takes 20 to 150
+_LANCZOS_BUDGET = 10_000
 
-    The Lanczos basis holds ncv = 2k + 10 vectors: ARPACK's own work per
-    iteration grows with ncv and, next to a cheap matvec, outweighs it, and
-    scipy's default, max(2k + 1, 20), keeps 20 vectors even for k = 1.
+# basis columns per block of the in-place restart rotation, so its temporary
+# holds a few thousand columns, not the kept vectors whole
+_ROTATE_BLOCK = 4096
+
+
+def thick_restart_lanczos(matvec, v0: np.ndarray, k: int, ncv: int, tol: float):
+    """The k lowest eigenpairs of the Hermitian operator with action
+    ``matvec``, by thick-restart Lanczos (Wu & Simon, SIAM J. Matrix Anal.
+    Appl. 22, 602 (2000)) from ``v0``, whose dtype the basis takes.
+
+    The basis is one row-major (ncv + 1, dim) array.  Each step is the
+    three-term recurrence in place, then one pair of gemv calls that
+    orthogonalises the new vector against the Ritz vectors kept at the last
+    restart (the directions in which converged Ritz vectors make a Lanczos
+    basis lose orthogonality, Parlett & Scott, Math. Comp. 33, 217 (1979));
+    right after a restart that pair also removes the kept vectors' coupling.
+    When the basis is full, the max(ncv // 2, k) lowest Ritz vectors are
+    kept, rotated in place, and the projected matrix restarts as their Ritz
+    values bordered by the coupling beta y[-1, i] (an arrowhead).  After
+    every step, Ritz pair i counts as converged when |beta y[-1, i]| <=
+    tol max(|theta_i|, eps^(2/3)), ARPACK's rule, with tol = 0 meaning
+    machine epsilon, so a solve can stop mid-cycle.
+
+    ``matvec`` must return a new array, which the solver overwrites.
+    Returns (eigenvalues ascending, eigenvectors as the columns of a
+    Fortran-ordered (dim, k) array, converged).  After ``_LANCZOS_BUDGET``
+    matvecs it returns its current Ritz pairs with converged False; a start
+    vector whose Krylov space holds fewer than k states raises
+    ``ValueError``.
     """
-    lo = LinearOperator((sop.dim, sop.dim), matvec=sop.matvec,
-                        dtype=float if sop.is_real else complex)
-    return eigsh(lo, k=k, which="SA", tol=tol, maxiter=5000, v0=_start_vector(sop, k),
-                 ncv=2 * k + 10)
+    eps = np.finfo(float).eps
+    tol = tol or eps
+    basis = np.empty((ncv + 1, len(v0)), dtype=v0.dtype)
+    gemv, axpy, nrm2 = get_blas_funcs(("gemv", "axpy", "nrm2"), (basis,))
+    np.multiply(v0, 1.0 / nrm2(v0), out=basis[0])
+    projected = np.zeros((ncv, ncv))
+    kept = j = matvecs = 0
+    beta = 0.0
+    while True:
+        w = matvec(basis[j])
+        matvecs += 1
+        alpha = np.vdot(basis[j], w).real
+        w = axpy(basis[j], w, a=-alpha)
+        if j > kept:
+            w = axpy(basis[j - 1], w, a=-beta)
+        if kept:
+            ritz = basis[:kept].T
+            w = gemv(-1.0, ritz, gemv(1.0, ritz, w, trans=2), beta=1.0, y=w, overwrite_y=True)
+        beta = nrm2(w)
+        projected[j, j] = alpha
+        theta, y = np.linalg.eigh(projected[:j + 1, :j + 1])
+        if j + 1 >= k:
+            residual = np.abs(beta * y[j, :k])
+            converged = bool(np.all(residual <= tol * np.maximum(np.abs(theta[:k]),
+                                                                 eps ** (2 / 3))))
+            if converged or matvecs >= _LANCZOS_BUDGET:
+                vecs = (y[:, :k].T @ basis[:j + 1]).T
+                return theta[:k], vecs, converged
+        if beta <= eps * np.abs(theta).max():
+            raise ValueError("the start vector spans an invariant subspace of "
+                             "fewer than %d states" % k)
+        if j + 1 < ncv:
+            projected[j, j + 1] = projected[j + 1, j] = beta
+            np.multiply(w, 1.0 / beta, out=basis[j + 1])
+            j += 1
+            continue
+        kept = max(ncv // 2, k)
+        rotation = y[:, :kept].T
+        for start in range(0, basis.shape[1], _ROTATE_BLOCK):
+            block = basis[:ncv, start:start + _ROTATE_BLOCK]
+            block[:kept] = rotation @ block
+        np.multiply(w, 1.0 / beta, out=basis[kept])
+        projected[:] = 0.0
+        projected[:kept, :kept] = np.diag(theta[:kept])
+        projected[kept, :kept] = projected[:kept, kept] = beta * y[ncv - 1, :kept]
+        j = kept
+
+
+def _lanczos(sop: SectorOperator, k: int, tol: float):
+    """The k lowest eigenpairs by ``thick_restart_lanczos`` on ``sop.matvec``
+    with a basis of 2k + 10 vectors, started at ``_start_vector``: the
+    free-fermion determinant plus noise for k = 1 on an operator with hops on
+    the layout route, noise alone otherwise.  The basis is float for a real
+    operator and complex otherwise.  A solve that has not converged after
+    ``_LANCZOS_BUDGET`` matvecs raises ``RuntimeError``.
+    """
+    v0 = _start_vector(sop, k).astype(float if sop.is_real else complex, copy=False)
+    vals, vecs, converged = thick_restart_lanczos(sop.matvec, v0, k, 2 * k + 10, tol)
+    if not converged:
+        raise RuntimeError("Lanczos did not converge in %d matvecs" % _LANCZOS_BUDGET)
+    return vals, vecs
 
 
 def lowest_eigenpairs(op, basis: SectorBasis, k: int = 1, tol: float = 0.0):
@@ -890,21 +974,21 @@ def lowest_eigenpairs(op, basis: SectorBasis, k: int = 1, tol: float = 0.0):
 
     ``op`` is a PauliSum or a SectorOperator, and ``basis`` a whole sector
     or a spin-flip half, whose eigenvectors are the half's vectors.  Dense
-    diagonalization up to DENSE_DIM_LIMIT; above it, implicitly restarted
-    Lanczos (``eigsh``) with a basis of 2k + 10 vectors (``_lanczos``),
-    from a fixed start vector: a single state of an operator with hops on
-    the layout route starts at the free-fermion determinant plus noise,
-    k > 1 at noise alone.  Eigenvalues ascend; the eigenvectors are columns.  k above the
-    sector's dimension raises ``ValueError``.
+    diagonalization up to DENSE_DIM_LIMIT; above it, thick-restart Lanczos
+    with a basis of 2k + 10 vectors (``_lanczos``) to the relative residual
+    ``tol`` (0 for machine epsilon), from a fixed start vector: a single
+    state of an operator with hops on the layout route starts at the
+    free-fermion determinant plus noise, k > 1 at noise alone.  Eigenvalues
+    ascend; the eigenvectors are columns.  k above the sector's dimension
+    raises ``ValueError``, and a Lanczos solve that does not converge
+    ``RuntimeError``.
     """
     if k > basis.dim:
         raise ValueError("%d eigenpairs asked of a %d-state sector" % (k, basis.dim))
     if isinstance(op, PauliSum):
         op = SectorOperator(op, basis)
     if basis.dim > DENSE_DIM_LIMIT:
-        vals, vecs = _lanczos(op, k, tol)
-        order = np.argsort(vals)
-        return vals[order], vecs[:, order]
+        return _lanczos(op, k, tol)
     vals, vecs = eigh(op.to_dense(), driver="evd")
     return vals[:k], vecs[:, :k]
 

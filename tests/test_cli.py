@@ -14,6 +14,7 @@ from trotterlab.freefermion import tiling_path
 from trotterlab.hamiltonian import build_ppp
 from trotterlab.lattice import build_lattice
 from trotterlab.pauli import jordan_wigner
+from trotterlab.sector import DENSE_DIM_LIMIT
 
 
 def _run(capsys, argv):
@@ -355,14 +356,14 @@ def test_checkpoint_keyed_on_tol_and_shape_checked(tmp_path, monkeypatch):
     for tag, old_vecs in zip(old_tags, (vecs[::-1], -vecs)):
         np.savez(tmp_path / (tag + ".npz"), vals=vals + 1.0, vecs=old_vecs)
     # checkpoints of other solves stay
-    others = {"eig_acene1_6_0_k1_tol1e-10_blocked_v%s.npz" % cli.__version__,
-              "eig_acene1_6_0_k2_tol1e-09_blocked_v%s.npz" % cli.__version__}
+    others = {"eig_acene1_6_0_k1_tol1e-10_blocked_eigh_v%s.npz" % cli.__version__,
+              "eig_acene1_6_0_k2_tol1e-09_blocked_eigh_v%s.npz" % cli.__version__}
     for other in others:
         np.savez(tmp_path / other, vals=vals, vecs=vecs)
     _, got_vals, got_vecs, residuals = _ground_states(*benzene, 2, tol=1e-10)
     assert np.array_equal(got_vals, vals) and np.array_equal(got_vecs, vecs)
     assert max(residuals) < 1e-10
-    fresh = "eig_acene1_6_0_k2_tol1e-10_blocked_v%s.npz" % cli.__version__
+    fresh = "eig_acene1_6_0_k2_tol1e-10_blocked_eigh_v%s.npz" % cli.__version__
     assert len(list(tmp_path.glob("eig_acene1_6_0_k2_tol1e-10_*.npz"))) == 1
     assert {p.name for p in tmp_path.glob("eig_*.npz")} == others | {fresh}
 
@@ -377,14 +378,34 @@ def test_checkpoint_keyed_on_the_spin_flip_half(tmp_path, monkeypatch):
     assert basis.parity == -1 and max(residuals) < 1e-10
     (odd,) = tmp_path.glob("eig_*.npz")
     odd.unlink()
-    planted = {"eig_acene1_6_0_k1_tol1e-10_blocked_v%s.npz" % cli.__version__,
-               "eig_acene1_6_0even_k1_tol1e-10_blocked_v%s.npz" % cli.__version__}
+    planted = {"eig_acene1_6_0_k1_tol1e-10_blocked_eigh_v%s.npz" % cli.__version__,
+               "eig_acene1_6_0even_k1_tol1e-10_blocked_eigh_v%s.npz" % cli.__version__}
     for name in planted:  # arrays of the odd half's shape, energies off by 1
         np.savez(tmp_path / name, vals=vals + 1.0, vecs=vecs)
     _, got_vals, got_vecs, _ = _ground_states(*benzene, 1, tol=1e-10, parity=-1)
     assert np.array_equal(got_vals, vals) and np.array_equal(got_vecs, vecs)
     assert {p.name for p in tmp_path.glob("eig_*.npz")} == planted | {odd.name}
-    assert odd.name == "eig_acene1_6_0odd_k1_tol1e-10_blocked_v%s.npz" % cli.__version__
+    assert odd.name == "eig_acene1_6_0odd_k1_tol1e-10_blocked_eigh_v%s.npz" % cli.__version__
+
+
+def test_checkpoint_keyed_on_the_solver(tmp_path, monkeypatch):
+    """A checkpoint of the same solve under the name without a solver marker,
+    as ARPACK's eigenvectors were stored, is not served to the thick-restart
+    Lanczos that solves naphthalene's 63 504-state sector; the fresh solve
+    replaces it under a name that says "trlanczos"."""
+    monkeypatch.setenv("TROTTERLAB_CACHE", str(tmp_path))
+    lat = build_lattice("acene", 2)
+    kin, pot = jordan_wigner(build_ppp(lat))
+    basis, vals, vecs, residuals = _ground_states(lat, kin + pot, 1, tol=1e-10)
+    assert basis.dim > DENSE_DIM_LIMIT and max(residuals) < 1e-8
+    (fresh,) = tmp_path.glob("eig_*.npz")
+    assert fresh.name == "eig_acene2_10_0_k1_tol1e-10_blocked_trlanczos_v%s.npz" % cli.__version__
+    fresh.unlink()
+    old = tmp_path / ("eig_acene2_10_0_k1_tol1e-10_blocked_v%s.npz" % cli.__version__)
+    np.savez(old, vals=vals + 1.0, vecs=vecs)  # the sector's shape, energy off by 1
+    _, got_vals, got_vecs, _ = _ground_states(lat, kin + pot, 1, tol=1e-10)
+    assert np.array_equal(got_vals, vals) and np.array_equal(got_vecs, vecs)
+    assert [p.name for p in tmp_path.glob("eig_*.npz")] == [fresh.name]
 
 
 def test_reproduce_table4_checks_the_upper_spin(capsys, monkeypatch):

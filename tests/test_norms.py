@@ -127,6 +127,20 @@ def test_spectral_bound_lanczos_route_matches_dense(benzene, benzene_commutators
     assert zero.converged and zero.value == 0.0
 
 
+def test_spectral_bound_lanczos_budget_exhausted(benzene, monkeypatch):
+    """A bound whose Lanczos runs out of matvecs says so: converged False,
+    with its best Ritz value, finite and below the dense top eigenvalue of
+    |O| (a Ritz value of a symmetric matrix never exceeds it)."""
+    _, kin, pot, basis = benzene
+    op = SimpleNamespace(abs_matvec=HoppingCommutatorAction(kin, pot, basis).vtv_abs_matvec)
+    top = spectral_norm_bound(op, basis).value
+    monkeypatch.setattr(norms, "DENSE_DIM_LIMIT", basis.dim - 1)
+    monkeypatch.setattr(sector, "_LANCZOS_BUDGET", 5)
+    est = spectral_norm_bound(op, basis)
+    assert not est.converged
+    assert np.isfinite(est.value) and 0.0 < est.value < top
+
+
 def test_column_norms_squared_oracle(benzene, benzene_commutators):
     _, _, _, basis = benzene
     o_vtv, o_vtt = benzene_commutators

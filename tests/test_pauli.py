@@ -210,12 +210,15 @@ def _matrix_by_bond(n_sites, bonds):
 @pytest.mark.parametrize("family,n", _shipped_molecules())
 def test_kinetic_forms_match_bond_by_bond_build(family, n):
     """Every kinetic form read off the hopping matrix (``jordan_wigner``,
-    ``hopping_pauli_sum`` per orientation class, the ``single_section`` and
-    shipped ``tile_sections`` matrices) equals its bond-by-bond build: same
-    keys, order and float bits."""
+    ``hopping_pauli_sum`` of all bonds and per orientation class, the
+    ``single_section`` and shipped ``tile_sections`` matrices) equals its
+    bond-by-bond build: same keys, order and float bits.  So
+    ``hopping_pauli_sum`` of the lattice's bonds is ``jordan_wigner``'s
+    kinetic bit for bit."""
     lat = build_lattice(family, n)
     kin, _ = jordan_wigner(build_ppp(lat))
-    pairs = [(kin, _hops_by_bond(lat.n_sites, lat.bonds))]
+    pairs = [(kin, _hops_by_bond(lat.n_sites, lat.bonds)),
+             (hopping_pauli_sum(lat.n_sites, lat.bonds), _hops_by_bond(lat.n_sites, lat.bonds))]
     for bonds in default_section_order(bond_orientation_classes(lat).values()):
         pairs.append((hopping_pauli_sum(lat.n_sites, bonds), _hops_by_bond(lat.n_sites, bonds)))
     for got, want in pairs:

@@ -8,6 +8,7 @@ from scipy.linalg import eigh, expm, schur
 
 from fock_oracle import dense_matrix, full_matrix, sz_operator
 from kinetic_oracle import effective_kinetic
+from trotterlab import sector
 from trotterlab.cli import main
 from trotterlab.freefermion import load_tiling, tile_sections, tiling_path
 from trotterlab.hamiltonian import build_ppp, shifted_potential
@@ -45,6 +46,7 @@ from trotterlab.sector import (
     half_filling_sector,
     lowest_eigenpairs,
     principal_log_spectrum,
+    thick_restart_lanczos,
     total_spin_expectation,
 )
 from trotterlab.spectral import (
@@ -274,7 +276,7 @@ def test_lanczos_converges_from_a_seed_orthogonal_to_the_ground_state(benzene):
 
 
 def test_lanczos_eigenpairs_come_back_in_basis_order():
-    """eigsh runs on the factorised matvec; its eigenvectors are eigenpairs
+    """Lanczos runs on the factorised matvec; its eigenvectors are eigenpairs
     of the CSR matrix assembled from the Pauli terms, with a singlet ground
     state."""
     fh = build_ppp(build_lattice("acene", 2))
@@ -286,6 +288,50 @@ def test_lanczos_eigenpairs_come_back_in_basis_order():
     for val, vec in zip(vals, vecs.T):
         assert np.linalg.norm(h.sparse @ vec - val * vec) <= 1e-8
     assert abs(total_spin_expectation(vecs[:, 0], basis)) < 1e-8
+
+
+@pytest.mark.parametrize("parity", [0, 1, -1])
+@pytest.mark.parametrize("hopping", ["real", "complex"])
+def test_thick_restart_lanczos_matches_dense(parity, hopping):
+    """``_lanczos`` on naphthalene's (10,4,0) sector (2025 states) and its two
+    spin-flip halves, small enough for dense ``eigh`` as the oracle, with the
+    PPP hopping and with complex hopping that keeps the spin flip: for k = 1,
+    2 and 4 the eigenvalues equal the dense ones and the eigenvectors are
+    orthonormal eigenvectors, complex for the complex operator."""
+    kin, pot = jordan_wigner(build_ppp(build_lattice("acene", 2)))
+    if hopping == "complex":
+        kin = _complex_hopping(10, np.random.default_rng(11), same_spins=True)
+    basis = enumerate_sector(10, 4, 0, parity=parity)
+    sop = SectorOperator(kin + pot, basis)
+    want = np.linalg.eigvalsh(sop.to_dense())
+    for k in (1, 2, 4):
+        vals, vecs = _lanczos(sop, k, 1e-12)
+        assert vecs.shape == (basis.dim, k) and np.iscomplexobj(vecs) == (hopping == "complex")
+        assert np.abs(vals - want[:k]).max() <= 1e-10
+        assert np.abs(vecs.conj().T @ vecs - np.eye(k)).max() <= 1e-12
+        for val, vec in zip(vals, vecs.T):
+            assert np.linalg.norm(sop.matvec(vec) - val * vec) <= 1e-9
+
+
+def test_lanczos_budget_exhausted_raises(monkeypatch):
+    """A sector solve that has not converged when the matvec budget runs out
+    raises; it never comes back as plain numbers."""
+    kin, pot = jordan_wigner(build_ppp(build_lattice("acene", 2)))
+    basis = enumerate_sector(10, 6, 0)  # 14 400 states: Lanczos, not dense
+    monkeypatch.setattr(sector, "_LANCZOS_BUDGET", 5)
+    with pytest.raises(RuntimeError, match="did not converge in 5 matvecs"):
+        lowest_eigenpairs(kin + pot, basis, k=1, tol=1e-10)
+
+
+def test_thick_restart_lanczos_on_an_invariant_start():
+    """A start vector that spans an invariant subspace gives its eigenpair at
+    once, and asking that subspace for more states raises."""
+    v0 = np.arange(1.0, 7.0)
+    vals, vecs, converged = thick_restart_lanczos(lambda v: 3.0 * v, v0, 1, 12, 0.0)
+    assert converged and vals.shape == (1,) and abs(vals[0] - 3.0) <= 1e-14
+    assert np.abs(vecs[:, 0] - v0 / np.linalg.norm(v0)).max() <= 1e-15
+    with pytest.raises(ValueError, match="fewer than 2 states"):
+        thick_restart_lanczos(lambda v: 3.0 * v, v0, 2, 14, 0.0)
 
 
 def test_factorised_routes_never_list_the_sector():
@@ -391,16 +437,19 @@ def test_dense_from_action_takes_the_action_dtype_and_refuses_large_sectors():
     assert mat.dtype == complex and np.array_equal(mat, 1j * np.eye(300))
 
 
-def _complex_hopping(n_sites, rng):
+def _complex_hopping(n_sites, rng, same_spins=False):
     """One-species hops with random complex amplitudes between every pair of
-    sites, both spins: a Hermitian K_sigma that is not symmetric."""
+    sites, both spins: a Hermitian K_sigma that is not symmetric.  With
+    ``same_spins`` both spins take one amplitude per pair, K_up = K_down, so
+    the operator commutes with the spin flip."""
     op = PauliSum(2 * n_sites)
     for i in range(n_sites):
         for j in range(i + 1, n_sites):
             for spin in (0, 1):
                 p, q = qubit_index(i, spin, n_sites), qubit_index(j, spin, n_sites)
                 ends, chain = (1 << p) | (1 << q), (1 << q) - (1 << (p + 1))
-                real, imag = rng.normal(size=2)
+                if not (same_spins and spin):
+                    real, imag = rng.normal(size=2)
                 op.add_term(ends, chain, real / 2)  # X Z..Z X
                 op.add_term(ends, chain | ends, real / 2)  # Y Z..Z Y
                 op.add_term(ends, chain | (1 << p), imag / 2)  # Y Z..Z X

@@ -57,14 +57,6 @@ def test_scheme_validation(benzene):
     assert s.kind == "SO" and len(s.factors) == 3
 
 
-def test_hopping_pauli_sum_matches_jordan_wigner(benzene):
-    lat, kin, _, basis = benzene
-    rebuilt = hopping_pauli_sum(lat.n_sites, lat.bonds)
-    a = SectorOperator(kin, basis).to_dense()
-    b = SectorOperator(rebuilt, basis).to_dense()
-    assert np.abs(a - b).max() < 1e-12
-
-
 def test_hopping_pauli_sum_numpy_sites_past_64_qubits():
     """numpy integer sites, as ``np.nonzero`` gives them, do not wrap."""
     plain = hopping_pauli_sum(34, [(0, 33)])
