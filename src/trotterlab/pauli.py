@@ -198,7 +198,17 @@ def one_body_pauli_sum(h) -> PauliSum:
     """The two-spin Jordan-Wigner sum of sum_{ij,sigma} h_ij a†_{i sigma} a_{j sigma}
     for a real symmetric n x n one-body matrix ``h`` with zero diagonal, modes
     on ``qubit_index``: one ``add_hop`` per nonzero h_ij with i < j, row by
-    row, spin up then down, each with its Python-float coefficient."""
+    row, spin up then down, each with its Python-float coefficient.  An h
+    that is not real, not symmetric or has a nonzero diagonal raises
+    ``ValueError``."""
+    h = np.asarray(h)
+    if np.iscomplexobj(h) and h.imag.any():
+        raise ValueError("one-body matrix is not real")
+    h = h.real
+    if not np.array_equal(h, h.T):
+        raise ValueError("one-body matrix is not symmetric")
+    if np.diag(h).any():
+        raise ValueError("one-body matrix has a nonzero diagonal")
     n = len(h)
     out = PauliSum(2 * n)
     rows, cols = np.nonzero(np.triu(h, 1))

@@ -52,9 +52,12 @@ Jordan-Wigner signs per mode pair.  ``_givens_decomposition`` writes
 u = exp(-i t k_sigma) as 2-mode unitaries R_1 ... R_m times a phase diagonal,
 one R_k per bond of a matching (a tile section), n(n-1)/2 for a connected
 hopping graph; M_sigma is the product of their lifts, kept dense where that
-takes less memory than CSR.
+takes less memory than CSR.  Up and down products commute, so a run of
+hopping factors takes every down product after one transpose of Psi and
+every up product after one transpose back (``species_products``).
 
-At S_z = 0 the two species lists coincide up to the shift by n, and the
+At S_z = 0 the two species lists coincide up to the shift by n, so a
+hopping factor with K_up = K_down has one M for both species, and the
 spin flip maps Psi to +-Psi^T (a singlet has Psi^T = Psi, a triplet
 Psi^T = -Psi).  An operator that commutes with the flip (K_up = K_down,
 D symmetric, as for the PPP Hamiltonian) therefore keeps the symmetric
@@ -1006,15 +1009,19 @@ class Propagator:
       diagonal cached per duration;
     - G made only of one-species hops (the kinetic factor, a tile section):
       Psi -> M_up Psi M_down^T on v's layout matrix Psi (``basis.shape``, a
-      block's columns along a third axis), where M_sigma = exp(-i t K_sigma)
-      is cached per duration, built exactly from the n x n one-body unitary
-      exp(-i t k_sigma) as a product of sparse 2-mode rotations and one
-      phase diagonal (``basis.species``, ``_SpeciesLift.exponential``); it
-      stays sparse for a tile section and is dense for the full kinetic
-      factor.
+      block's columns along a third axis, ``species_products``), where
+      M_sigma = exp(-i t K_sigma) is cached per duration, built exactly from
+      the n x n one-body unitary exp(-i t k_sigma) as a product of sparse
+      2-mode rotations and one phase diagonal (``basis.species``,
+      ``_SpeciesLift.exponential``); it stays sparse for a tile section and
+      is dense for the full kinetic factor.  When the two species lists
+      coincide up to the qubit offset and k_up = k_down, as in every
+      S_z = 0 sector, one M serves both species.
 
-    Every factor of a Trotter scheme is one of the two; any other G is
-    rejected with ``ValueError``.
+    ``exponentials(t)`` hands out the cached phases or (M_up, M_down), so a
+    run of hopping factors can take one species pass.  Every factor of a
+    Trotter scheme is one of the two; any other G is rejected with
+    ``ValueError``.
     """
 
     def __init__(self, op: PauliSum, basis: SectorBasis):
@@ -1025,23 +1032,48 @@ class Propagator:
         self.hopping_only = self.sop.layout and self.sop.hops and 0 not in self.sop.groups
         if not (self.diagonal_only or self.hopping_only):
             raise ValueError("Propagator needs a diagonal or a hopping-only operator")
+        self._shared = self.hopping_only and (
+            np.array_equal(basis.up_states << np.int64(basis.n_sites), basis.down_states)
+            and np.array_equal(*self.sop.one_body_matrices))
         self._exponentials: dict[float, np.ndarray | tuple] = {}
 
-    def apply(self, v: np.ndarray, t: float) -> np.ndarray:
+    def exponentials(self, t: float) -> np.ndarray | tuple:
+        """exp(-i t D) as phases for a diagonal G, else (M_up, M_down), one
+        object twice when the species share it; built once per duration."""
         if t not in self._exponentials:
-            self._exponentials[t] = (
-                np.exp(-1j * t * self.sop.diagonal.real)
-                if self.diagonal_only
-                else tuple(lift.exponential(k, t) for lift, k in
-                           zip(self.basis.species, self.sop.one_body_matrices)))
+            if self.diagonal_only:
+                self._exponentials[t] = np.exp(-1j * t * self.sop.diagonal.real)
+            else:
+                (up, down), (k_up, k_down) = self.basis.species, self.sop.one_body_matrices
+                m_up = up.exponential(k_up, t)
+                self._exponentials[t] = (m_up, m_up if self._shared
+                                         else down.exponential(k_down, t))
+        return self._exponentials[t]
+
+    def apply(self, v: np.ndarray, t: float) -> np.ndarray:
         if self.diagonal_only:
-            phases = self._exponentials[t]
+            phases = self.exponentials(t)
             return (phases if v.ndim == 1 else phases[:, None]) * v
-        m_up, m_down = self._exponentials[t]
-        rows, cols = self.basis.shape
-        psi = v.reshape(rows, cols, -1)
-        half = (m_down @ psi.swapaxes(0, 1).reshape(cols, -1)).reshape(cols, rows, -1)
-        return (m_up @ half.swapaxes(0, 1).reshape(rows, -1)).reshape(v.shape)
+        return species_products(self.basis, [self.exponentials(t)], v)
+
+
+def species_products(basis: SectorBasis, pairs, v: np.ndarray) -> np.ndarray:
+    """vec(M_r^up ... M_1^up Psi (M_r^down ... M_1^down)^T) for the
+    (M_up, M_down) ``pairs`` of a run of hopping factors, applied first to
+    last, on a sector vector or a (dim, m) block v.
+
+    Up and down products act on different indices of Psi, so they commute:
+    one transpose puts the down configurations on the rows for every down
+    product, one transpose back puts the up ones there for every up product.
+    """
+    rows, cols = basis.shape
+    psi = v.reshape(rows, cols, -1).swapaxes(0, 1).reshape(cols, -1)
+    for _, m_down in pairs:
+        psi = m_down @ psi
+    psi = psi.reshape(cols, rows, -1).swapaxes(0, 1).reshape(rows, -1)
+    for m_up, _ in pairs:
+        psi = m_up @ psi
+    return psi.reshape(v.shape)
 
 
 # -- total spin ---------------------------------------------------------------

@@ -3,22 +3,26 @@
 A second-order product formula U at time step t equals exp(-i H_eff t) for a
 Hermitian effective Hamiltonian H_eff whose eigenvalues are what phase
 estimation measures.  Both routes take one Trotter step, every factor by its
-``Propagator`` on sector vectors (``_trotter_step``).  Small sectors build U
-as that step on identity blocks and take the spectrum of H_eff = (i/t) log U
-from one real eigensolve of its Cayley transform, real symmetric because a
-palindromic scheme's U is complex symmetric; larger ones build
-g_k = <psi|U^k|psi> step by step and locate the dominant pole of a
-Gaussian-filtered Fourier reconstruction.
+``Propagator`` on sector vectors and each run of hopping factors as one
+species pass (``_trotter_step``), which refuses a factor whose sector matrix
+is not real.  A palindromic product of real symmetric factors' exponentials
+is complex symmetric, U = U^T, and both routes rest on that.  Small sectors
+build U as that step on identity blocks and take the spectrum of
+H_eff = (i/t) log U from one real eigensolve of its Cayley transform;
+larger ones build g_k = <psi|U^k|psi>, g_2k and g_(2k+1) both from U^k psi
+and U^(k+1) psi, so n values take ceil(n/2) steps, and locate the dominant
+pole of a Gaussian-filtered Fourier reconstruction.
 """
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
 from .hamiltonian import hopping_matrix
 from .pauli import one_body_pauli_sum
 from .resources import CHEMICAL_ACCURACY  # noqa: F401  re-exported
-from .sector import Propagator, dense_from_action, principal_log_spectrum
+from .sector import Propagator, dense_from_action, principal_log_spectrum, species_products
 
 _GRID_POINTS = 8192
 # Gaussian filter width (radians) of every energy extraction
@@ -96,16 +100,30 @@ def default_section_order(classes):
 
 def _trotter_step(scheme, basis):
     """The product formula's step on a sector vector or a (dim, w) block, one
-    ``Propagator`` per distinct factor, built here: a factor or a basis that
-    they refuse raises ``ValueError`` before any state is touched."""
+    ``Propagator`` per distinct factor, built here.  Each maximal run of
+    consecutive hopping factors takes one species pass
+    (``sector.species_products``) on their exponentials; a potential factor
+    takes its phases.  A factor or a basis that the propagators refuse, or a
+    factor whose sector matrix is not real, raises ``ValueError`` before any
+    state is touched: only real factors make a palindromic U symmetric,
+    which the dense log and the doubled time series both rely on."""
     props = {}
     for op, _ in scheme.factors:
         if id(op) not in props:
             props[id(op)] = Propagator(op, basis)
+    if not all(prop.sop.is_real for prop in props.values()):
+        raise ValueError("a Trotter factor's sector matrix is not real, so U is not symmetric")
+    runs = [(diagonal, [(props[id(op)], dur) for op, dur in run])
+            for diagonal, run in groupby(scheme.factors,
+                                         key=lambda factor: props[id(factor[0])].diagonal_only)]
 
     def step(psi):
-        for op, dur in scheme.factors:
-            psi = props[id(op)].apply(psi, dur)
+        for diagonal, run in runs:
+            if diagonal:
+                for prop, dur in run:
+                    psi = prop.apply(psi, dur)
+            else:
+                psi = species_products(basis, [prop.exponentials(dur) for prop, dur in run], psi)
         return psi
 
     return step
@@ -175,20 +193,30 @@ class TimeSeries:
 
 
 def compute_time_series(scheme, basis, state, n_steps, label=""):
-    """g_k = <psi|U^k|psi> by repeated exact sector propagation, one
-    ``_trotter_step`` per k."""
+    """g_k = <psi|U^k|psi>, k = 0..n_steps, from ceil(n_steps / 2) Trotter steps.
+
+    psi = a + i b is propagated as the real columns [a, b] of one block,
+    Phi_k = U^k [a, b], b left out when it is zero (as for every eigenvector
+    the package computes).  U is symmetric (``_trotter_step``), so the cross
+    terms a^T U^m b - b^T U^m a cancel and g_m = a^T U^m a + b^T U^m b,
+    which the unconjugated column products give as
+    g_2k = sum_c Phi_k[:, c]^T Phi_k[:, c] and
+    g_(2k+1) = sum_c Phi_k[:, c]^T Phi_(k+1)[:, c].
+    """
     step = _trotter_step(scheme, basis)
-    psi = np.asarray(state, dtype=complex)
+    psi = np.asarray(state)
     norm = np.linalg.norm(psi)
     if abs(norm - 1.0) > 1e-8:
         raise ValueError("initial state must be normalized")
-    psi = psi / norm
+    parts = [psi.real, psi.imag] if np.iscomplexobj(psi) and psi.imag.any() else [psi.real]
+    current = np.column_stack(parts) / norm
     values = [1.0 + 0.0j]
-    current = psi
-    for _ in range(n_steps):
-        current = step(current)
-        values.append(complex(np.vdot(psi, current)))
-    return TimeSeries(np.array(values), scheme.time_step, label, scheme.kind)
+    for _ in range((n_steps + 1) // 2):
+        following = step(current)
+        values.append(complex(np.dot(current.ravel(), following.ravel())))
+        current = following
+        values.append(complex(np.dot(current.ravel(), current.ravel())))
+    return TimeSeries(np.array(values[:n_steps + 1]), scheme.time_step, label, scheme.kind)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from trotterlab.pauli import (
     add_hop,
     commutator,
     jordan_wigner,
+    one_body_pauli_sum,
     qubit_index,
 )
 from trotterlab.spectral import default_section_order, hopping_pauli_sum
@@ -315,3 +316,36 @@ def test_require_real_rejects_imaginary():
     s = PauliSum(1, {(1, 0): 1.0 + 0.5j})
     with pytest.raises(ValueError):
         s.require_real()
+
+
+def _chain_hopping(n):
+    h = np.zeros((n, n))
+    h[np.arange(n - 1), np.arange(1, n)] = h[np.arange(1, n), np.arange(n - 1)] = -2.4
+    return h
+
+
+def test_one_body_pauli_sum_refuses_a_diagonal():
+    """The sum holds hops only, so an on-site term would be dropped."""
+    with pytest.raises(ValueError, match="nonzero diagonal"):
+        one_body_pauli_sum(np.diag([1.0] * 4))
+    with pytest.raises(ValueError, match="nonzero diagonal"):
+        one_body_pauli_sum(_chain_hopping(4) + np.diag([0.0, 0.0, 0.5, 0.0]))
+
+
+def test_one_body_pauli_sum_refuses_a_non_symmetric_matrix():
+    """Only the upper triangle is read, so a different lower one would be lost."""
+    h = _chain_hopping(4)
+    h[1, 0] = -1.0
+    with pytest.raises(ValueError, match="not symmetric"):
+        one_body_pauli_sum(h)
+
+
+def test_one_body_pauli_sum_refuses_a_complex_matrix():
+    """A Hermitian h with an imaginary hop is not cast to its real part; a
+    complex dtype with zero imaginary parts is taken as the real matrix."""
+    h = _chain_hopping(4).astype(complex)
+    h[0, 1], h[1, 0] = -2.4 + 0.3j, -2.4 - 0.3j
+    with pytest.raises(ValueError, match="not real"):
+        one_body_pauli_sum(h)
+    real = _chain_hopping(4)
+    assert one_body_pauli_sum(real.astype(complex)).terms == one_body_pauli_sum(real).terms

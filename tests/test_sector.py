@@ -482,6 +482,27 @@ def test_full_hopping_factor_is_applied_dense():
     assert np.abs(got - exact).max() <= 1e-12
 
 
+def test_species_share_one_exponential_at_zero_sz():
+    """At S_z = 0 the species lists coincide up to the qubit offset and the
+    PPP hops are the same for both spins, so one M serves both species; at
+    2 S_z = 2 the lists differ and each species has its own M.  Either way
+    the propagator gives the exact exponential, for the full kinetic factor
+    (dense M) and a tile section (sparse M)."""
+    lat = build_lattice("acene", 2)
+    kin, _ = jordan_wigner(build_ppp(lat))
+    t = 0.1
+    for sector, shared in (((10, 10, 0), True), ((10, 10, 2), False)):
+        basis = enumerate_sector(*sector)
+        for op in (kin, _tile_sections(lat)[0]):
+            prop = Propagator(op, basis)
+            m_up, m_down = prop.exponentials(t)
+            assert (m_up is m_down) == shared
+            assert prop.exponentials(t)[0] is m_up  # cached per duration
+            for lift, k, m in zip(basis.species, prop.sop.one_body_matrices, (m_up, m_down)):
+                want = lift.exponential(k, t)
+                assert np.abs(want - m).max() == 0.0
+
+
 def _rebuild(rotations, phases):
     """R_1 ... R_m diag(d) as a dense n x n matrix."""
     out = np.eye(len(phases), dtype=complex)

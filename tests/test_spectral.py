@@ -5,8 +5,8 @@ from scipy.linalg import eigh, expm
 from trotterlab import spectral
 from trotterlab.hamiltonian import build_ppp, shifted_potential
 from trotterlab.lattice import build_lattice, bond_orientation_classes
-from trotterlab.pauli import PauliSum, jordan_wigner
-from trotterlab.sector import SectorOperator, enumerate_sector, lowest_eigenpairs
+from trotterlab.pauli import PauliSum, jordan_wigner, qubit_index
+from trotterlab.sector import Propagator, SectorOperator, enumerate_sector, lowest_eigenpairs
 from trotterlab.spectral import (
     FilterSpec,
     TrotterScheme,
@@ -285,17 +285,101 @@ def test_time_series_matches_dense_unitary_powers(kind):
     assert np.abs(got - np.array(want)).max() <= 1e-10
 
 
+def _imaginary_hop(n_sites, i, j, amplitude):
+    """amplitude (X Z..Z Y - Y Z..Z X) / 2 on bond (i, j) for each spin: a
+    Hermitian hop whose sector matrix is imaginary and antisymmetric."""
+    op = PauliSum(2 * n_sites)
+    for spin in (0, 1):
+        p, q = qubit_index(i, spin, n_sites), qubit_index(j, spin, n_sites)
+        ends, chain = (1 << p) | (1 << q), (1 << q) - (1 << (p + 1))
+        op.add_term(ends, chain | (1 << q), amplitude / 2)  # X Z..Z Y
+        op.add_term(ends, chain | (1 << p), -amplitude / 2)  # Y Z..Z X
+    return op
+
+
 def test_dense_route_refuses_what_the_series_refuses(benzene):
     """Both routes take the same Trotter step, so a factor that no
-    ``Propagator`` takes, a diagonal of Z-weight 4, fails each alike."""
+    ``Propagator`` takes, a diagonal of Z-weight 4, fails each alike, and so
+    does a kinetic factor with an imaginary hop, whose U is not symmetric."""
     _, kin, pot, basis = benzene
-    scheme = so_scheme(kin, pot @ pot, 0.05)
     state = np.eye(basis.dim)[0]
-    with pytest.raises(ValueError, match="Propagator needs") as series_error:
-        compute_time_series(scheme, basis, state, 2)
-    with pytest.raises(ValueError) as dense_error:
-        effective_spectrum_dense(scheme, basis)
-    assert str(dense_error.value) == str(series_error.value)
+    for scheme, message in ((so_scheme(kin, pot @ pot, 0.05), "Propagator needs"),
+                            (so_scheme(kin + _imaginary_hop(6, 0, 1, 1.0), pot, 0.05),
+                             "not real")):
+        with pytest.raises(ValueError, match=message) as series_error:
+            compute_time_series(scheme, basis, state, 2)
+        with pytest.raises(ValueError) as dense_error:
+            effective_spectrum_dense(scheme, basis)
+        assert str(dense_error.value) == str(series_error.value)
+
+
+def _step_by_step_series(scheme, basis, psi, n_steps):
+    """<psi|U^k psi> with U applied k times, factor by factor, one
+    ``Propagator`` per distinct factor."""
+    props = {}
+    for op, _ in scheme.factors:
+        props.setdefault(id(op), Propagator(op, basis))
+    values, current = [1.0], psi.astype(complex)
+    for _ in range(n_steps):
+        for op, dur in scheme.factors:
+            current = props[id(op)].apply(current, dur)
+        values.append(np.vdot(psi, current))
+    return np.array(values)
+
+
+@pytest.fixture(scope="module", params=[(1, (6, 6, 0)), (2, (10, 4, 0))],
+                ids=["benzene", "naphthalene-10-4-0"])
+def series_case(request):
+    """(basis, SO scheme, tile scheme, real state, complex state)."""
+    size_n, sector = request.param
+    lat = build_lattice("acene", size_n)
+    kin, pot = jordan_wigner(build_ppp(lat))
+    basis = enumerate_sector(*sector)
+    classes = default_section_order(bond_orientation_classes(lat).values())
+    tile = tile_scheme([hopping_pauli_sum(lat.n_sites, c) for c in classes], pot, 0.1)
+    rng = np.random.default_rng(11)
+    real = rng.normal(size=basis.dim)
+    complex_state = real + 1j * rng.normal(size=basis.dim)
+    return (basis, so_scheme(kin, pot, 0.1), tile, real / np.linalg.norm(real),
+            complex_state / np.linalg.norm(complex_state))
+
+
+@pytest.mark.parametrize("kind", ["SO", "tile"])
+def test_doubled_series_matches_step_by_step(series_case, kind):
+    """g_2k and g_2k+1 from U^k psi against k full steps per value, for real
+    and complex states and every n_steps parity."""
+    basis, so, tile, real, complex_state = series_case
+    scheme = so if kind == "SO" else tile
+    for psi in (real, complex_state):
+        want = _step_by_step_series(scheme, basis, psi, 40)
+        for n_steps in (0, 1, 2, 5, 6, 40):
+            got = compute_time_series(scheme, basis, psi, n_steps).values
+            assert got.shape == (n_steps + 1,) and got[0] == 1.0
+            assert np.abs(got - want[:n_steps + 1]).max() <= 1e-12
+
+
+def test_n_values_take_half_the_steps(benzene, monkeypatch):
+    """n values after g_0 take ceil(n / 2) Trotter steps."""
+    _, kin, pot, basis = benzene
+    scheme = so_scheme(kin, pot, 0.05)
+    make_step = spectral._trotter_step
+    taken = []
+
+    def counting_step(*args):
+        step = make_step(*args)
+
+        def counted(psi):
+            taken.append(1)
+            return step(psi)
+
+        return counted
+
+    monkeypatch.setattr(spectral, "_trotter_step", counting_step)
+    state = np.eye(basis.dim)[3]
+    for n_steps in (0, 1, 2, 5, 6, 40):
+        taken.clear()
+        compute_time_series(scheme, basis, state, n_steps)
+        assert len(taken) == (n_steps + 1) // 2
 
 
 def test_sector_trace_identity(benzene):
